@@ -218,11 +218,12 @@ func (n *Node) Multicast(payload []byte) ids.ID {
 	return n.gossip.Multicast(payload)
 }
 
-// Delivered reports whether the node has delivered message id.
+// Delivered reports whether the node has delivered message id: its
+// payload was received, or the node multicast it itself (K = R ∪ own).
 func (n *Node) Delivered(id ids.ID) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.gossip.Knows(id)
+	return n.lazy.Received(id) || n.gossip.Own(id)
 }
 
 // PendingRequests returns the number of advertised messages whose payload
@@ -391,10 +392,10 @@ const (
 )
 
 // Footprints reports the node's per-subsystem retained bytes: the
-// membership partial view, the gossip known-set, the lazy module's dedup
-// set / payload cache / pending requests, and the node's own probe and
-// shuffle bookkeeping under "core". Taken under the node lock so the walk
-// sees a consistent state; it only reads.
+// membership partial view, the gossip layer's own multicast ids, the lazy
+// module's dedup set / payload cache / pending requests, and the node's
+// own probe and shuffle bookkeeping under "core". Taken under the node
+// lock so the walk sees a consistent state; it only reads.
 func (n *Node) Footprints() []obs.Footprint {
 	n.mu.Lock()
 	defer n.mu.Unlock()

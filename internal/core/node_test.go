@@ -11,6 +11,7 @@ import (
 	"emcast/internal/peertest"
 	"emcast/internal/ranking"
 	"emcast/internal/strategy"
+	"emcast/internal/trace"
 )
 
 // harness wires N core nodes over a peertest mesh and a shared manual
@@ -334,4 +335,103 @@ func TestRequiresStrategy(t *testing.T) {
 	mesh := peertest.NewMesh()
 	env := &peer.Env{Transport: mesh.Endpoint(1, nil), Clock: sim, Timers: sim}
 	NewNode(DefaultConfig(), env, Options{})
+}
+
+// dedupTracer counts the two events that tell the layers apart: the lazy
+// module reports every duplicate payload, the gossip layer every delivery.
+type dedupTracer struct {
+	trace.Nop
+	delivered, duplicates int
+}
+
+func (d *dedupTracer) Delivered(peer.ID, ids.ID, time.Duration) { d.delivered++ }
+func (d *dedupTracer) DuplicatePayload(peer.ID, ids.ID)         { d.duplicates++ }
+
+// soloNode is one node (id 1) on a recording mesh with neighbours 2 and 3,
+// which never answer: every frame the node sends stays in the mesh log.
+func soloNode(t *testing.T, strat strategy.Strategy) (*Node, *peertest.Mesh, *dedupTracer, *int) {
+	t.Helper()
+	sim, mesh := peertest.NewSim(), peertest.NewMesh()
+	tr, delivered := &dedupTracer{}, new(int)
+	cfg := DefaultConfig()
+	cfg.ShufflePeriod = 0
+	cfg.Gossip.Fanout = 2
+	env := &peer.Env{Transport: mesh.Endpoint(1, nil), Clock: sim, Timers: sim}
+	n := NewNode(cfg, env, Options{
+		Strategy: strat,
+		Tracer:   tr,
+		Deliver:  func(ids.ID, []byte) { *delivered++ },
+	})
+	n.SeedView([]peer.ID{2, 3})
+	return n, mesh, tr, delivered
+}
+
+// TestDuplicatesNotForwarded: the node keeps one dedup table per message
+// id — the lazy module's received set. A duplicate MSG stops there: it is
+// neither delivered nor relayed, and the gossip layer never sees it.
+func TestDuplicatesNotForwarded(t *testing.T) {
+	n, mesh, tr, delivered := soloNode(t, &strategy.Flat{P: 1})
+	id := ids.ID{9}
+	n.HandleFrame(7, (&msg.Msg{ID: id, Round: 1, Payload: []byte("x")}).Encode(nil))
+	n.HandleFrame(8, (&msg.Msg{ID: id, Round: 2, Payload: []byte("x")}).Encode(nil))
+	n.HandleFrame(9, (&msg.Msg{ID: id, Round: 1, Payload: []byte("x")}).Encode(nil))
+	if *delivered != 1 || tr.delivered != 1 {
+		t.Fatalf("deliveries = %d (traced %d), want 1", *delivered, tr.delivered)
+	}
+	if tr.duplicates != 2 {
+		t.Fatalf("duplicates stopped in lazy = %d, want 2", tr.duplicates)
+	}
+	if got := len(mesh.Log()); got != 2 {
+		t.Fatalf("relays = %d, want 2 (only the first receipt forwards)", got)
+	}
+	if !n.Delivered(id) {
+		t.Fatal("Delivered(id) = false after receipt")
+	}
+}
+
+// TestOwnMulticastEchoedBack: a neighbour relaying the node's own message
+// back to it must not cause a second delivery or a second relay round,
+// and the node reports its own message delivered although its payload was
+// never received.
+func TestOwnMulticastEchoedBack(t *testing.T) {
+	n, mesh, tr, delivered := soloNode(t, &strategy.Flat{P: 1})
+	id := n.Multicast([]byte("mine"))
+	if !n.Delivered(id) {
+		t.Fatal("own multicast not reported delivered")
+	}
+	sent := len(mesh.Log())
+	echo := (&msg.Msg{ID: id, Round: 2, Payload: []byte("mine")}).Encode(nil)
+	n.HandleFrame(2, echo)
+	n.HandleFrame(3, echo)
+	if *delivered != 1 || tr.delivered != 1 {
+		t.Fatalf("deliveries = %d (traced %d), want 1", *delivered, tr.delivered)
+	}
+	if got := len(mesh.Log()); got != sent {
+		t.Fatalf("echo caused %d extra frames", got-sent)
+	}
+	// The first echo is a first receipt for the lazy module (R does not
+	// hold own ids); the second is a duplicate there.
+	if tr.duplicates != 1 {
+		t.Fatalf("duplicates = %d, want 1", tr.duplicates)
+	}
+}
+
+// TestIHaveForOwnIDRequestsIt pins a decision inherited from the two-table
+// design: R does not hold own ids, so a neighbour advertising the node's
+// own message back gets an IWANT for it, as before.
+func TestIHaveForOwnIDRequestsIt(t *testing.T) {
+	n, mesh, _, _ := soloNode(t, &strategy.Flat{P: 0})
+	id := n.Multicast([]byte("mine"))
+	mesh.Reset()
+	n.HandleFrame(2, (&msg.IHave{ID: id}).Encode(nil))
+	// Flat's first-request delay is zero: the request timer is due at once.
+	n.env.Timers.(*peertest.Sim).Advance(time.Millisecond)
+	log := mesh.Log()
+	if len(log) != 1 {
+		t.Fatalf("%d frames after IHAVE for own id, want 1 IWANT", len(log))
+	}
+	var p msg.Parsed
+	if err := p.Decode(log[0].Data); err != nil || p.Kind != msg.KindIWant || p.ID != id || log[0].To != 2 {
+		t.Fatalf("frame after IHAVE for own id = %+v (err %v), want IWANT to 2", log[0], err)
+	}
 }

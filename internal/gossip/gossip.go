@@ -1,13 +1,20 @@
 // Package gossip implements the basic eager push gossip protocol of the
 // paper's Fig. 2: Multicast generates a probabilistically unique identifier
-// and forwards the payload; Forward delivers locally, records the
-// identifier in the known set K, and relays to f peers from the peer
-// sampling service while the relay count is below t; L-Receive discards
-// duplicates via K.
+// and forwards the payload; Forward delivers locally and relays to f peers
+// from the peer sampling service while the relay count is below t;
+// L-Receive discards duplicates.
 //
-// The Payload Scheduler below (internal/lazy) is transparent to this layer:
-// gossip only ever calls L-Send and handles L-Receive, exactly as in the
-// paper's architecture (§3.1).
+// The paper's known set K is the union of two sets: the identifiers whose
+// payload this node has received — which the Payload Scheduler below
+// (internal/lazy) already keeps as its received set R and checks before it
+// ever calls L-Receive — and the identifiers of this node's own
+// multicasts. Only the second part is stored here, so a node holds one
+// dedup table per identifier, not two, and every decision Fig. 2 takes on
+// K is taken on R ∪ own.
+//
+// Otherwise the Payload Scheduler is transparent to this layer: gossip
+// only ever calls L-Send and handles L-Receive, exactly as in the paper's
+// architecture (§3.1).
 package gossip
 
 import (
@@ -26,9 +33,11 @@ type Config struct {
 	// MaxRounds is t: a message is relayed only while its round count is
 	// below t (paper Fig. 2 line 8).
 	MaxRounds int
-	// KnownCapacity bounds the known-set K. Zero means 65536.
-	KnownCapacity int
 }
+
+// ownCapacity bounds the set of own multicast identifiers (FIFO eviction),
+// the same bound the received set R has by default.
+const ownCapacity = 65536
 
 func (c *Config) fill() {
 	if c.Fanout <= 0 {
@@ -36,9 +45,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxRounds <= 0 {
 		c.MaxRounds = 8
-	}
-	if c.KnownCapacity <= 0 {
-		c.KnownCapacity = 65536
 	}
 }
 
@@ -62,7 +68,7 @@ type Gossip struct {
 	cfg     Config
 	self    peer.ID
 	gen     *ids.Generator
-	known   *ids.Set // K: known message identifiers
+	own     *ids.Set // K \ R: identifiers of this node's own multicasts
 	sampler Sampler
 	sender  Sender
 	deliver DeliverFunc
@@ -80,7 +86,7 @@ func New(cfg Config, self peer.ID, gen *ids.Generator, sampler Sampler, sender S
 		cfg:     cfg,
 		self:    self,
 		gen:     gen,
-		known:   ids.NewSet(cfg.KnownCapacity),
+		own:     ids.NewSet(ownCapacity),
 		sampler: sampler,
 		sender:  sender,
 		deliver: deliver,
@@ -94,14 +100,14 @@ func New(cfg Config, self peer.ID, gen *ids.Generator, sampler Sampler, sender S
 func (g *Gossip) Multicast(payload []byte) ids.ID {
 	id := g.gen.Next()
 	g.tracer.Multicast(g.self, id, g.clock.Now())
-	g.known.Add(id)
+	g.own.Add(id)
 	g.forward(id, payload, 0)
 	return id
 }
 
-// forward implements Forward(i, d, r): deliver and relay. Callers have
-// already recorded id in the known set (Multicast explicitly, LReceive
-// via its dedup Add).
+// forward implements Forward(i, d, r): deliver and relay. The id is
+// already recorded: in own by Multicast, in the payload scheduler's
+// received set before it called LReceive.
 func (g *Gossip) forward(id ids.ID, payload []byte, round int) {
 	if g.deliver != nil {
 		g.deliver(id, payload)
@@ -117,29 +123,27 @@ func (g *Gossip) forward(id ids.ID, payload []byte, round int) {
 }
 
 // LReceive implements the paper's L-Receive upcall (Fig. 2, lines 12-14):
-// forward the message unless it is a duplicate. The received round is
-// passed through unchanged; forward increments it when relaying. The
-// dedup check and the known-set insert are one probe: Add reports
-// whether the id was new.
+// forward the message unless it is a duplicate. The payload scheduler
+// calls it once per identifier, on first receipt, so the only duplicate
+// left to discard here is an own multicast echoed back. The received
+// round is passed through unchanged; forward increments it when relaying.
 func (g *Gossip) LReceive(id ids.ID, payload []byte, round int, from peer.ID) {
-	if !g.known.Add(id) {
+	if g.own.Contains(id) {
 		return
 	}
 	g.forward(id, payload, round)
 }
 
-// Footprint implements obs.Footprinter: the retained bytes of the known
-// set K. Read-only; callers serialise access like every other method.
+// Footprint implements obs.Footprinter: the retained bytes of the own
+// multicast identifiers (nothing on a node that never multicast).
+// Read-only; callers serialise access like every other method.
 func (g *Gossip) Footprint() obs.Footprint {
 	return obs.Footprint{
 		Subsystem: "gossip",
-		Bytes:     g.known.FootprintBytes(),
-		Items:     int64(g.known.Len()),
+		Bytes:     g.own.FootprintBytes(),
+		Items:     int64(g.own.Len()),
 	}
 }
 
-// Knows reports whether id is in the known set K.
-func (g *Gossip) Knows(id ids.ID) bool { return g.known.Contains(id) }
-
-// KnownCount returns the current size of K.
-func (g *Gossip) KnownCount() int { return g.known.Len() }
+// Own reports whether id is one of this node's own multicasts.
+func (g *Gossip) Own(id ids.ID) bool { return g.own.Contains(id) }

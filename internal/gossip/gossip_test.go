@@ -65,8 +65,8 @@ func TestMulticastDeliversLocallyAndRelays(t *testing.T) {
 			t.Fatalf("initial relay round = %d, want 1 (Fig. 2 sends r+1)", s.round)
 		}
 	}
-	if !g.Knows(id) {
-		t.Fatal("multicast id not recorded in K")
+	if !g.Own(id) {
+		t.Fatal("multicast id not recorded as own")
 	}
 }
 
@@ -86,26 +86,50 @@ func TestLReceiveForwardsWithIncrementedRound(t *testing.T) {
 	}
 }
 
-func TestDuplicatesNotForwarded(t *testing.T) {
+// TestOwnEchoNotForwarded: the payload scheduler hands up every first
+// receipt, including this node's own multicast echoed back by a
+// neighbour; the own set is what stops it (duplicates of foreign ids
+// never get here — internal/core pins that).
+func TestOwnEchoNotForwarded(t *testing.T) {
 	rec := &recorder{peers: []peer.ID{2, 3}}
 	deliveries := 0
 	g := newGossipStd(t, Config{Fanout: 2, MaxRounds: 5}, rec, func(ids.ID, []byte) { deliveries++ })
-	var id ids.ID
-	id[0] = 9
+	id := g.Multicast([]byte("x"))
 	g.LReceive(id, []byte("x"), 1, 7)
-	g.LReceive(id, []byte("x"), 2, 8)
-	g.LReceive(id, []byte("x"), 1, 9)
 	if deliveries != 1 {
-		t.Fatalf("deliveries = %d, want 1 (dedup via K)", deliveries)
+		t.Fatalf("deliveries = %d, want 1 (own echo re-delivered)", deliveries)
 	}
 	if len(rec.sends) != 2 {
-		t.Fatalf("relays = %d, want 2 (only the first receipt forwards)", len(rec.sends))
+		t.Fatalf("relays = %d, want 2 (own echo re-forwarded)", len(rec.sends))
+	}
+}
+
+// TestFootprintIsOwnIDsOnly: a node that never multicasts retains nothing
+// in this layer, however much it receives; each own multicast costs one
+// table slot and one FIFO slot.
+func TestFootprintIsOwnIDsOnly(t *testing.T) {
+	rec := &recorder{peers: []peer.ID{2}}
+	g := newGossipStd(t, Config{Fanout: 1, MaxRounds: 2}, rec, nil)
+	for i := 1; i <= 100; i++ {
+		g.LReceive(ids.ID{byte(i)}, []byte("x"), 1, 7)
+	}
+	if fp := g.Footprint(); fp.Bytes != 0 || fp.Items != 0 {
+		t.Fatalf("footprint after 100 receipts = %+v, want empty", fp)
+	}
+	g.Multicast([]byte("a"))
+	g.Multicast([]byte("b"))
+	// First Add allocates the minimum 8-slot table; the order slice's
+	// capacity after two appends is 2.
+	want := int64(8*ids.IDSize + 2*ids.IDSize)
+	if fp := g.Footprint(); fp.Bytes != want || fp.Items != 2 {
+		t.Fatalf("footprint after 2 multicasts = %+v, want %d bytes / 2 items", fp, want)
 	}
 }
 
 func TestMaxRoundsStopsRelaying(t *testing.T) {
 	rec := &recorder{peers: []peer.ID{2, 3}}
-	g := newGossipStd(t, Config{Fanout: 2, MaxRounds: 3}, rec, nil)
+	deliveries := 0
+	g := newGossipStd(t, Config{Fanout: 2, MaxRounds: 3}, rec, func(ids.ID, []byte) { deliveries++ })
 	var id ids.ID
 	id[0] = 1
 	// Received at the round limit: delivered but not relayed.
@@ -113,8 +137,8 @@ func TestMaxRoundsStopsRelaying(t *testing.T) {
 	if len(rec.sends) != 0 {
 		t.Fatalf("relays at r=t: %d, want 0", len(rec.sends))
 	}
-	if !g.Knows(id) {
-		t.Fatal("message at round limit not delivered/recorded")
+	if deliveries != 1 {
+		t.Fatal("message at round limit not delivered")
 	}
 	var id2 ids.ID
 	id2[0] = 2
@@ -141,8 +165,8 @@ func TestDistinctMulticastsGetDistinctIDs(t *testing.T) {
 	if a == b {
 		t.Fatal("two multicasts shared an id")
 	}
-	if g.KnownCount() != 2 {
-		t.Fatalf("KnownCount = %d, want 2", g.KnownCount())
+	if !g.Own(a) || !g.Own(b) {
+		t.Fatal("own multicast ids not recorded")
 	}
 }
 

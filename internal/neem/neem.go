@@ -8,11 +8,13 @@
 // Frames are length-prefixed; each connection begins with a 4-byte
 // handshake carrying the dialer's node identifier. The transport implements
 // peer.Transport, so the exact protocol code that runs in the simulator
-// runs over real sockets.
+// runs over real sockets. The socket is paid per batch of frames, not per
+// frame: whatever is pending on a connection goes out in one write, and
+// one read brings in as many frames as have arrived (see wire.go).
 //
 // The transport is self-healing. Outbound connections dial with jittered
 // exponential backoff behind a global concurrency limit (no reconnect
-// storms), every socket write carries a deadline (a stalled peer cannot
+// storms), every batch is written under a deadline (a stalled peer cannot
 // wedge a write loop), and a connection that dies mid-stream reconnects
 // with its queue intact. A peer that stays unreachable through the
 // configured dial budget is marked suspect and reaped: its queue drains
@@ -45,18 +47,14 @@ const MaxFrame = 1 << 20
 // oldest frame is purged (NeEM's custom purging strategy).
 const sendQueueSize = 1024
 
-// maxPurgeRetries bounds Send's purge-and-retry attempts on a full queue.
-// Under concurrent senders an unbounded loop can spin forever (each purge
-// freeing a slot another sender steals); after this many attempts the
-// frame itself is counted lost — the protocol's lazy layer recovers.
-const maxPurgeRetries = 4
-
 // departureSentinel is the length-prefix value announcing a graceful
 // leave. It cannot collide with a real frame: lengths above MaxFrame are
 // protocol errors.
 const departureSentinel = 0xFFFFFFFF
 
-// Handler receives inbound frames.
+// Handler receives inbound frames. The frame is a view into the
+// connection's read buffer, valid only for the duration of the call: a
+// handler that keeps any of it must copy what it keeps.
 type Handler func(from peer.ID, frame []byte)
 
 // ConnState is an outbound connection's health.
@@ -99,14 +97,14 @@ const (
 	LostFilter LostReason = iota
 	// LostUnknown: the destination is not in the address book.
 	LostUnknown
-	// LostPurge: purged from a full send queue (oldest-first), or the
-	// frame itself after the bounded purge-retry budget.
+	// LostPurge: purged from a full send queue (oldest-first).
 	LostPurge
 	// LostReap: discarded while the connection was suspect or when its
 	// queue was torn down at reap/close.
 	LostReap
-	// LostWrite: a socket write failed or timed out; the frame in flight
-	// is gone (the connection reconnects, the queue survives).
+	// LostWrite: a socket write failed or timed out; every frame of the
+	// batch in flight is gone (the connection reconnects, the queue
+	// survives).
 	LostWrite
 	// LostClosed: the transport was already closed.
 	LostClosed
@@ -175,9 +173,11 @@ type Config struct {
 	// whole transport, so mass reconnection after a fault heals is a
 	// trickle, not a storm. Zero means 16.
 	MaxConcurrentDials int
-	// WriteTimeout is the per-write socket deadline: a peer that stops
-	// reading (stalled process, dead NAT entry) fails the write and
-	// triggers a reconnect instead of wedging the write loop. Zero
+	// WriteTimeout is the socket deadline of one batch of frames: a peer
+	// that stops reading (stalled process, dead NAT entry) fails the
+	// write and triggers a reconnect instead of wedging the write loop.
+	// Inbound, it bounds how long a frame may stay incomplete once its
+	// first byte has arrived (an idle connection has no deadline). Zero
 	// means 10 s.
 	WriteTimeout time.Duration
 	// DrainTimeout bounds the graceful-close flush: each connection gets
@@ -273,15 +273,23 @@ type Transport struct {
 	writers  sync.WaitGroup // write loops only, for the bounded drain wait
 }
 
-// conn is one outbound connection's state. The queue is never closed —
-// concurrent Sends would race a close and panic; loops exit via the
-// transport's drain/quit channels instead.
+// conn is one outbound connection's state: the pending queue Send fills
+// and the write loop that empties it. Loops exit via the transport's
+// drain/quit channels.
 type conn struct {
-	to    peer.ID
-	queue chan []byte
+	to peer.ID
+	q  sendq
+	// wake holds a token whenever the queue went from empty to non-empty
+	// since the write loop last looked: the loop sleeps on it and never
+	// waits for more frames once it has one.
+	wake  chan struct{}
 	state atomic.Int32
 	rng   uint64 // private splitmix64 state for backoff jitter
 	wasUp bool   // a dial success after this is a reconnect
+
+	// Write-loop scratch: the chunk list handed to the queue at the next
+	// take, and the gathered write's argument list.
+	spare, iov net.Buffers
 }
 
 func (c *conn) setState(s ConnState) { c.state.Store(int32(s)) }
@@ -332,12 +340,11 @@ func (t *Transport) Local() peer.ID { return t.cfg.Self }
 
 func (t *Transport) lose(r LostReason, n uint64) { t.lost[r].Add(n) }
 
-// Send implements peer.Transport: the frame is queued for asynchronous
-// transmission; when the queue is full the oldest frames are purged
-// (bounded retries — under sender contention the frame itself is counted
-// lost rather than spinning), and frames to unknown, filtered or
-// unreachable peers are dropped — the protocol's lazy layer recovers via
-// retransmission requests.
+// Send implements peer.Transport: the frame is copied into the peer's
+// pending queue for asynchronous transmission and the slice is not
+// retained; when QueueSize frames are pending the oldest is purged, and
+// frames to unknown, filtered or unreachable peers are dropped — the
+// protocol's lazy layer recovers via retransmission requests.
 func (t *Transport) Send(to peer.ID, frame []byte) {
 	if f := t.cfg.Filter; f != nil && !f(t.cfg.Self, to) {
 		t.lose(LostFilter, 1)
@@ -357,9 +364,9 @@ func (t *Transport) Send(to peer.ID, frame []byte) {
 			return
 		}
 		c = &conn{
-			to:    to,
-			queue: make(chan []byte, t.cfg.QueueSize),
-			rng:   uint64(t.cfg.Self)<<32 ^ uint64(to) ^ uint64(time.Now().UnixNano()),
+			to:   to,
+			wake: make(chan struct{}, 1),
+			rng:  uint64(t.cfg.Self)<<32 ^ uint64(to) ^ uint64(time.Now().UnixNano()),
 		}
 		t.conns[to] = c
 		t.wg.Add(1)
@@ -368,27 +375,13 @@ func (t *Transport) Send(to peer.ID, frame []byte) {
 	}
 	t.mu.Unlock()
 
-	cp := append([]byte(nil), frame...)
-	for attempt := 0; ; attempt++ {
+	purged, first := c.q.push(frame, t.cfg.QueueSize)
+	if purged {
+		t.lose(LostPurge, 1)
+	}
+	if first {
 		select {
-		case c.queue <- cp:
-			return
-		case <-t.quit:
-			t.lose(LostClosed, 1)
-			return
-		default:
-		}
-		if attempt >= maxPurgeRetries {
-			// Purged slots keep being stolen by concurrent senders; give
-			// this frame up instead of spinning (the old unbounded loop
-			// could livelock here).
-			t.lose(LostPurge, 1)
-			return
-		}
-		// Queue full: purge the oldest frame and retry.
-		select {
-		case <-c.queue:
-			t.lose(LostPurge, 1)
+		case c.wake <- struct{}{}:
 		default:
 		}
 	}
@@ -458,10 +451,13 @@ func (t *Transport) Counters() (sent, lost uint64) {
 // frames parked in user-space send queues across all live connections.
 // FramesLost is always the sum of the Lost* breakdown.
 type Stats struct {
-	FramesSent    uint64
-	FramesLost    uint64
-	BytesSent     uint64 // payload + 4-byte length prefix, per frame
-	BytesReceived uint64 // payload + 4-byte length prefix, per frame
+	FramesSent uint64
+	FramesLost uint64
+	BytesSent  uint64 // payload + 4-byte length prefix, per frame
+	// BytesReceived is what was read off inbound sockets after the
+	// handshake: payload + 4-byte length prefix per frame, and the 4 bytes
+	// of a departure announcement.
+	BytesReceived uint64
 	QueueDepth    int
 
 	// FramesLost by reason (see LostReason).
@@ -532,7 +528,7 @@ func (t *Transport) Stats() Stats {
 	t.mu.Lock()
 	depth := 0
 	for _, c := range t.conns {
-		depth += len(c.queue)
+		depth += c.q.depth()
 	}
 	t.mu.Unlock()
 	s := Stats{
@@ -634,6 +630,19 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
+// inbound is an accepted connection whose reads are counted: bytesRecv
+// moves once per socket read, not once per frame.
+type inbound struct {
+	net.Conn
+	recv *atomic.Uint64
+}
+
+func (c inbound) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.recv.Add(uint64(n))
+	return n, err
+}
+
 func (t *Transport) readLoop(nc net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -642,15 +651,25 @@ func (t *Transport) readLoop(nc net.Conn) {
 		delete(t.accepted, nc)
 		t.mu.Unlock()
 	}()
+	// A dialer writes its handshake at once; one that connects and says
+	// nothing must not hold this goroutine for ever.
 	var hdr [4]byte
+	nc.SetReadDeadline(time.Now().Add(t.cfg.WriteTimeout))
 	if _, err := io.ReadFull(nc, hdr[:]); err != nil {
 		return
 	}
+	nc.SetReadDeadline(time.Time{})
 	from := peer.ID(binary.BigEndian.Uint32(hdr[:]))
+	fr := newFrameReader(inbound{nc, &t.bytesRecv}, t.cfg.WriteTimeout)
 	for {
-		frame, departed, err := readFrame(nc)
+		frame, departed, err := fr.next()
 		if err != nil {
 			return
+		}
+		// A stall freezes the loop between socket reads: the frames one
+		// read brought in are a batch.
+		if fr.waited && !t.stallWait() {
+			return // shut down while stalled
 		}
 		if departed {
 			// The goodbye is a wire frame like any other: a sender the
@@ -665,10 +684,6 @@ func (t *Transport) readLoop(nc net.Conn) {
 			}
 			continue // keep reading until the remote closes
 		}
-		if !t.stallWait() {
-			return // shut down while stalled
-		}
-		t.bytesRecv.Add(uint64(len(frame)) + 4)
 		if f := t.cfg.Filter; f != nil && !f(from, t.cfg.Self) {
 			continue // partitioned or crashed sender: drop on the floor
 		}
@@ -687,9 +702,12 @@ func (t *Transport) deliver(from peer.ID, frame []byte) {
 			return
 		}
 		if v.Delay > 0 {
-			// Deferred (and possibly duplicated) delivery. The timer
-			// callback re-checks for shutdown so a drained transport
-			// never delivers late frames.
+			// Deferred (and possibly duplicated) delivery. The frame is
+			// the read buffer's and will be overwritten long before the
+			// timers fire: they get a copy. The timer callback re-checks
+			// for shutdown so a drained transport never delivers late
+			// frames.
+			frame = append([]byte(nil), frame...)
 			n := 1
 			if v.Duplicate {
 				n = 2
@@ -847,19 +865,21 @@ func (t *Transport) backoffSleep(c *conn, attempt int) bool {
 }
 
 // serveConn pumps c's queue into the socket, one deadline-bounded write
-// per frame. It returns errTransportDown when the transport is draining
-// or closed (after flushing and announcing departure on the drain path),
-// or the write error when the socket died.
+// per batch: whatever is pending when the loop wakes goes out together,
+// and the loop never waits for more, so a lone frame on an idle link
+// leaves at once. It returns errTransportDown when the transport is
+// draining or closed (after flushing and announcing departure on the
+// drain path), or the write error when the socket died.
 func (t *Transport) serveConn(c *conn, nc net.Conn) error {
 	for {
 		select {
-		case frame := <-c.queue:
+		case <-c.wake:
+			// A stalled transport leaves its frames pending, where
+			// they count as queue depth and age out oldest-first.
 			if !t.stallWait() {
-				t.lose(LostReap, 1) // shutdown mid-stall; frame not sent
 				return errTransportDown
 			}
-			if err := t.writeOne(nc, frame); err != nil {
-				t.lose(LostWrite, 1)
+			if _, err := t.writePending(c, nc, time.Now().Add(t.cfg.WriteTimeout)); err != nil {
 				return err
 			}
 		case <-t.drainCh:
@@ -871,15 +891,26 @@ func (t *Transport) serveConn(c *conn, nc net.Conn) error {
 	}
 }
 
-// writeOne writes one frame under the per-write deadline.
-func (t *Transport) writeOne(nc net.Conn, frame []byte) error {
-	nc.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-	if err := writeFrame(nc, frame); err != nil {
-		return err
+// writePending takes everything queued on c and writes it as one batch
+// under the deadline. A failed batch loses every frame in it; frames
+// queued after the take are untouched and survive a reconnect. It
+// returns the number of frames taken.
+func (t *Transport) writePending(c *conn, nc net.Conn, deadline time.Time) (int, error) {
+	batch, frames := c.q.take(c.spare)
+	c.spare = batch
+	if frames == 0 {
+		return 0, nil
 	}
-	t.framesSent.Add(1)
-	t.bytesSent.Add(uint64(len(frame)) + 4)
-	return nil
+	nc.SetWriteDeadline(deadline)
+	written, err := c.write(nc, batch)
+	if err != nil {
+		t.lose(LostWrite, uint64(frames))
+	} else {
+		t.framesSent.Add(uint64(frames))
+		t.bytesSent.Add(uint64(written))
+	}
+	recycle(batch)
+	return frames, err
 }
 
 // flushAndDepart empties the queue under the drain deadline, then
@@ -887,23 +918,18 @@ func (t *Transport) writeOne(nc net.Conn, frame []byte) error {
 func (t *Transport) flushAndDepart(c *conn, nc net.Conn) {
 	deadline := time.Now().Add(t.cfg.DrainTimeout)
 	for {
-		select {
-		case frame := <-c.queue:
-			nc.SetWriteDeadline(deadline)
-			if err := writeFrame(nc, frame); err != nil {
-				t.lose(LostWrite, 1)
-				t.discard(c, true)
-				return
-			}
-			t.framesSent.Add(1)
-			t.bytesSent.Add(uint64(len(frame)) + 4)
-		default:
-			nc.SetWriteDeadline(deadline)
-			if err := writeDeparture(nc); err == nil {
-				t.depSent.Add(1)
-			}
+		n, err := t.writePending(c, nc, deadline)
+		if err != nil {
+			t.discard(c, true)
 			return
 		}
+		if n == 0 {
+			break
+		}
+	}
+	nc.SetWriteDeadline(deadline)
+	if err := writeDeparture(nc); err == nil {
+		t.depSent.Add(1)
 	}
 }
 
@@ -918,8 +944,8 @@ func (t *Transport) reap(c *conn) {
 	defer tm.Stop()
 	for {
 		select {
-		case <-c.queue:
-			t.lose(LostReap, 1)
+		case <-c.wake:
+			t.lose(LostReap, uint64(c.q.drop()))
 		case <-tm.C:
 			t.discard(c, true)
 			return
@@ -942,55 +968,9 @@ func (t *Transport) discard(c *conn, accounted bool) {
 		delete(t.conns, c.to)
 	}
 	t.mu.Unlock()
-	for {
-		select {
-		case <-c.queue:
-			if accounted {
-				t.lose(LostReap, 1)
-			}
-		default:
-			return
-		}
+	if n := c.q.drop(); accounted {
+		t.lose(LostReap, uint64(n))
 	}
-}
-
-// readFrame reads one length-prefixed frame; departed reports the
-// graceful-leave sentinel instead of a payload.
-func readFrame(r io.Reader) (frame []byte, departed bool, err error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, false, err
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n == departureSentinel {
-		return nil, true, nil
-	}
-	if n > MaxFrame {
-		return nil, false, errors.New("neem: frame too large")
-	}
-	frame = make([]byte, n)
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return nil, false, err
-	}
-	return frame, false, nil
-}
-
-func writeFrame(w io.Writer, frame []byte) error {
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(frame)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(frame)
-	return err
-}
-
-// writeDeparture announces a graceful leave on the wire.
-func writeDeparture(w io.Writer) error {
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], departureSentinel)
-	_, err := w.Write(lenBuf[:])
-	return err
 }
 
 // mix64 is the splitmix64 finaliser (backoff jitter).

@@ -415,8 +415,8 @@ func (r *Runner) ReleaseObs() {
 // denominator of the events/sec throughput figure.
 func (r *Runner) Events() uint64 { return r.net.EventsProcessed }
 
-// Footprints walks every per-node state owner (membership view, gossip
-// known set, lazy module, core bookkeeping), the emulator, the trace
+// Footprints walks every per-node state owner (membership view, gossip's
+// own ids, lazy module, core bookkeeping), the emulator, the trace
 // collector and the topology matrix, and returns the per-subsystem
 // retained-byte totals sorted by subsystem name. The walk is pure
 // read-only arithmetic — no allocation inside the observed structures, no
