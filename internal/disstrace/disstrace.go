@@ -156,14 +156,6 @@ func New(cfg Config) *Tracer {
 	return t
 }
 
-// mix64 is the splitmix64 finaliser.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Sampled reports whether id is in the deterministic sample: a pure
 // function of the tracer's seed and the id bytes, independent of event
 // arrival order, worker count, or wall clock.
@@ -176,7 +168,7 @@ func (t *Tracer) Sampled(id ids.ID) bool {
 	}
 	lo := binary.LittleEndian.Uint64(id[:8])
 	hi := binary.LittleEndian.Uint64(id[8:])
-	h := mix64(lo ^ mix64(hi^t.seed))
+	h := ids.Mix64(lo ^ ids.Mix64(hi^t.seed))
 	return float64(h>>11)/(1<<53) < t.rate
 }
 

@@ -34,6 +34,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"emcast/internal/ids"
 )
 
 // Verdict is the plane's decision for one frame.
@@ -351,19 +353,11 @@ func (inj *Injector) Stats() Stats {
 type drawStream struct{ x uint64 }
 
 func (inj *Injector) newStream() drawStream {
-	return drawStream{x: mix64(inj.seed + inj.ctr.Add(1)*0x9e3779b97f4a7c15)}
+	return drawStream{x: ids.Mix64(inj.seed + inj.ctr.Add(1)*0x9e3779b97f4a7c15)}
 }
 
 // float returns the next draw in [0, 1).
 func (s *drawStream) float() float64 {
-	s.x = mix64(s.x)
+	s.x = ids.Mix64(s.x)
 	return float64(s.x>>11) / (1 << 53)
-}
-
-// mix64 is the splitmix64 finaliser.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
+	"sort"
 	"sync/atomic"
 	"time"
 
 	"emcast"
 	"emcast/internal/faults"
+	"emcast/internal/ids"
 	"emcast/internal/neem"
 	"emcast/internal/obs"
 )
@@ -25,7 +26,8 @@ type ChaosConfig struct {
 	Nodes int
 	// Seed drives victim selection and the fault injector (default 1).
 	Seed int64
-	// Strategy is the gossip strategy (default "eager").
+	// Strategy is the gossip strategy (default "eager"; any strategy a
+	// TCP fleet supports).
 	Strategy string
 	// Fanout overrides the gossip fanout (default: protocol default).
 	Fanout int
@@ -50,8 +52,8 @@ type ChaosConfig struct {
 	HealWindow time.Duration
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...interface{})
-	// Obs, when set, receives the fleet instruments (same registration
-	// the scenario harness does), so soak assertions can read
+	// Obs, when set, receives the fleet instruments (the registration the
+	// scenario harness uses), so soak assertions can read
 	// neem_frames_lost{reason} and friends.
 	Obs *obs.Registry
 	// Timeline, when set, receives the recovery timeline as JSONL — one
@@ -131,148 +133,63 @@ type ChaosResult struct {
 	Elapsed time.Duration `json:"elapsed"`
 }
 
-// chaosFleet is the minimal fleet state the soak needs — a deliberate
-// subset of Harness: no spec timeline, just peers, a crash filter and a
-// shared injector.
-type chaosFleet struct {
-	cfg   ChaosConfig
-	inj   *faults.Injector
-	epoch time.Time
-
-	mu    sync.Mutex
-	peers map[int]*emcast.Peer
-
-	fmu  sync.RWMutex
-	dead map[emcast.NodeID]bool
-
-	departures atomic.Uint64
-	retired    neem.Stats
-	closing    sync.WaitGroup
-
-	timeline *json.Encoder
-}
-
-func (f *chaosFleet) logf(format string, args ...interface{}) {
-	if f.cfg.Logf != nil {
-		f.cfg.Logf(format, args...)
-	}
+// chaosRun is one soak in progress: the fleet plus the recovery timeline.
+type chaosRun struct {
+	*fleet
+	timeline *json.Encoder // nil = no timeline
 }
 
 // event appends one JSONL record to the recovery timeline.
-func (f *chaosFleet) event(kind string, fields map[string]interface{}) {
-	if f.timeline == nil {
+func (c *chaosRun) event(kind string, fields map[string]interface{}) {
+	if c.timeline == nil {
 		return
 	}
 	rec := map[string]interface{}{
-		"t_s":   time.Since(f.epoch).Seconds(),
+		"t_s":   time.Since(c.epoch).Seconds(),
 		"event": kind,
 	}
 	for k, v := range fields {
 		rec[k] = v
 	}
-	_ = f.timeline.Encode(rec)
-}
-
-func (f *chaosFleet) allow(from, to emcast.NodeID) bool {
-	f.fmu.RLock()
-	defer f.fmu.RUnlock()
-	return !f.dead[from] && !f.dead[to]
-}
-
-// survivors returns the live peer ids in ascending order.
-func (f *chaosFleet) survivors() []int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]int, 0, len(f.peers))
-	for id := range f.peers {
-		out = append(out, id)
-	}
-	sortInts(out)
-	return out
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// crash hard-kills one peer: the link filter silences it (goodbyes
-// included), then the process state is torn down in the background.
-func (f *chaosFleet) crash(id int) {
-	f.mu.Lock()
-	p := f.peers[id]
-	delete(f.peers, id)
-	if p != nil {
-		s := p.TransportStats()
-		s.QueueDepth = 0
-		f.retired.Add(s)
-	}
-	f.mu.Unlock()
-	if p == nil {
-		return
-	}
-	f.fmu.Lock()
-	f.dead[emcast.NodeID(id)] = true
-	f.fmu.Unlock()
-	f.logf("chaos: node %d crashes", id)
-	f.event("crash", map[string]interface{}{"node": id})
-	f.closing.Add(1)
-	go func() {
-		defer f.closing.Done()
-		p.Close()
-	}()
+	_ = c.timeline.Encode(rec)
 }
 
 // wave multicasts n messages from n distinct senders and polls until
 // every survivor delivered every message or the deadline passes,
 // returning the final coverage fraction and how long full coverage took
 // (or the deadline when it was never reached).
-func (f *chaosFleet) wave(name string, n int, deadline time.Duration) (float64, time.Duration) {
-	ids := f.survivors()
+func (c *chaosRun) wave(name string, n int, deadline time.Duration) (float64, time.Duration) {
+	ids := c.LiveAll()
 	if len(ids) == 0 {
 		return 0, 0
 	}
-	type sent struct {
-		id emcast.MessageID
+	peers := make([]*emcast.Peer, len(ids))
+	for i, id := range ids {
+		peers[i] = c.peer(id)
 	}
-	msgs := make([]sent, 0, n)
-	f.mu.Lock()
-	for i := 0; i < n; i++ {
-		sender := f.peers[ids[i*len(ids)/n]]
-		if sender == nil {
-			continue
-		}
-		payload := []byte(fmt.Sprintf("chaos-%s-%d", name, i))
-		msgs = append(msgs, sent{id: sender.Multicast(payload)})
+	msgs := make([]emcast.MessageID, n)
+	for i := range msgs {
+		msgs[i] = peers[i*len(peers)/n].Multicast([]byte(fmt.Sprintf("chaos-%s-%d", name, i)))
 	}
-	peers := make([]*emcast.Peer, 0, len(ids))
-	for _, id := range ids {
-		peers = append(peers, f.peers[id])
-	}
-	f.mu.Unlock()
 
 	start := time.Now()
 	var coverage float64
 	for {
-		delivered, total := 0, 0
+		delivered := 0
 		for _, p := range peers {
 			for _, m := range msgs {
-				total++
-				if p.Delivered(m.id) {
+				if p.Delivered(m) {
 					delivered++
 				}
 			}
 		}
-		if total > 0 {
+		if total := len(peers) * len(msgs); total > 0 {
 			coverage = float64(delivered) / float64(total)
 		}
 		if coverage >= 1 || time.Since(start) >= deadline {
 			took := time.Since(start)
-			f.logf("chaos: wave %q coverage %.3f after %v", name, coverage, took.Round(time.Millisecond))
-			f.event("wave", map[string]interface{}{
+			c.logf("chaos: wave %q coverage %.3f after %v", name, coverage, took.Round(time.Millisecond))
+			c.event("wave", map[string]interface{}{
 				"name": name, "coverage": coverage,
 				"messages": len(msgs), "peers": len(peers),
 				"took_s": took.Seconds(),
@@ -297,143 +214,67 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	time.Sleep(50 * time.Millisecond)
 	g0 := runtime.NumGoroutine()
 
-	f := &chaosFleet{
-		cfg:   cfg,
-		inj:   faults.New(cfg.Seed ^ 0x0fa17a11),
-		epoch: time.Now(),
-		peers: make(map[int]*emcast.Peer, cfg.Nodes),
-		dead:  make(map[emcast.NodeID]bool),
+	var departures atomic.Uint64
+	inj := faults.New(cfg.Seed ^ 0x0fa17a11)
+	base := emcast.PeerConfig{
+		Fanout:      cfg.Fanout,
+		Faults:      inj,
+		OnDeparture: func(emcast.NodeID) { departures.Add(1) },
 	}
+	if err := strategyConfig(&base, cfg.Strategy); err != nil {
+		return nil, fmt.Errorf("chaos: %v", err)
+	}
+	c := &chaosRun{fleet: newFleet(base, cfg.Seed, cfg.Logf)}
 	if cfg.Timeline != nil {
-		f.timeline = json.NewEncoder(cfg.Timeline)
+		c.timeline = json.NewEncoder(cfg.Timeline)
 	}
-
-	var strat emcast.Strategy
-	switch cfg.Strategy {
-	case "eager":
-		strat = emcast.Eager
-	case "lazy":
-		strat = emcast.Lazy
-	case "flat":
-		strat = emcast.Flat
-	default:
-		return nil, fmt.Errorf("chaos: strategy %q not supported (eager, lazy, flat)", cfg.Strategy)
+	if err := c.start(cfg.Nodes); err != nil {
+		return nil, fmt.Errorf("chaos: %v", err)
 	}
-
-	for i := 0; i < cfg.Nodes; i++ {
-		pc := emcast.PeerConfig{
-			Self:        emcast.NodeID(i),
-			ListenAddr:  "127.0.0.1:0",
-			Strategy:    strat,
-			Fanout:      cfg.Fanout,
-			Seed:        cfg.Seed ^ int64(i+1)*0x2545f4914f6cdd1d,
-			LinkFilter:  f.allow,
-			Epoch:       f.epoch,
-			Faults:      f.inj,
-			OnDeparture: func(from emcast.NodeID) { f.departures.Add(1) },
-		}
-		pc.Bootstrap = make([]emcast.NodeID, 0, cfg.Nodes-1)
-		for j := 0; j < cfg.Nodes; j++ {
-			if j != i {
-				pc.Bootstrap = append(pc.Bootstrap, emcast.NodeID(j))
-			}
-		}
-		p, err := emcast.NewPeer(pc)
-		if err != nil {
-			for _, q := range f.peers {
-				q.Close()
-			}
-			return nil, fmt.Errorf("chaos: peer %d: %v", i, err)
-		}
-		f.peers[i] = p
-	}
-	addrs := make(map[emcast.NodeID]string, cfg.Nodes)
-	for i, p := range f.peers {
-		addrs[emcast.NodeID(i)] = p.Addr()
-	}
-	for i, p := range f.peers {
-		for id, addr := range addrs {
-			if emcast.NodeID(i) != id {
-				p.AddPeer(id, addr)
-			}
-		}
-	}
-
-	// Fleet-wide obs instruments, mirroring the harness registration.
-	var obsFuncs []*obs.Func
-	if reg := cfg.Obs; reg != nil {
-		fleet := func(pick func(neem.Stats) float64) func() float64 {
-			return func() float64 {
-				f.mu.Lock()
-				agg := f.retired
-				for _, p := range f.peers {
-					agg.Add(p.TransportStats())
-				}
-				f.mu.Unlock()
-				return pick(agg)
-			}
-		}
-		obsFuncs = append(obsFuncs,
-			reg.CounterFunc("neem_reconnects_total", "connections re-dialed after dying under the fleet",
-				fleet(func(s neem.Stats) float64 { return float64(s.Reconnects) })),
-			reg.CounterFunc("neem_conns_reaped_total", "connections reaped after exhausting their dial budget",
-				fleet(func(s neem.Stats) float64 { return float64(s.Reaped) })))
-		for _, r := range neem.LostReasons() {
-			r := r
-			obsFuncs = append(obsFuncs, reg.CounterFunc(
-				"neem_frames_lost", "frames lost before transmission, by reason",
-				fleet(func(s neem.Stats) float64 { return float64(s.Lost(r)) }),
-				obs.Label{Key: "reason", Value: r.String()}))
-		}
-	}
-	defer func() {
-		for _, fn := range obsFuncs {
-			fn.Release()
-		}
-	}()
+	c.attachObs(cfg.Obs)
+	defer c.releaseObs()
 
 	res := &ChaosResult{Nodes: cfg.Nodes, Seed: cfg.Seed}
-	f.event("run_start", map[string]interface{}{
+	c.event("run_start", map[string]interface{}{
 		"nodes": cfg.Nodes, "seed": cfg.Seed, "strategy": cfg.Strategy,
 		"drop": cfg.Drop, "crashes": cfg.Crashes, "stall_s": cfg.Stall.Seconds(),
 	})
-	f.logf("chaos: %d peers up, warming %v", cfg.Nodes, cfg.Warmup)
+	c.logf("chaos: %d peers up, warming %v", cfg.Nodes, cfg.Warmup)
 	time.Sleep(cfg.Warmup)
 
 	// Phase 1: baseline — the fleet must deliver cleanly before we break it.
-	res.BaselineCoverage, _ = f.wave("baseline", cfg.WaveMsgs, cfg.WaveTimeout)
+	res.BaselineCoverage, _ = c.wave("baseline", cfg.WaveMsgs, cfg.WaveTimeout)
 
 	// Phase 2: inject. Link drop everywhere, a crash wave, one stall.
-	if err := f.inj.Install(faults.LinkRule{Drop: cfg.Drop}); err != nil {
+	if err := inj.Install(faults.LinkRule{Drop: cfg.Drop}); err != nil {
+		c.closeAll()
 		return nil, fmt.Errorf("chaos: install drop rule: %v", err)
 	}
-	f.logf("chaos: injected %.0f%% link drop", cfg.Drop*100)
-	f.event("fault_injected", map[string]interface{}{"drop": cfg.Drop})
+	c.logf("chaos: injected %.0f%% link drop", cfg.Drop*100)
+	c.event("fault_injected", map[string]interface{}{"drop": cfg.Drop})
 
-	// Victim selection is seeded: crash victims from the top ids down,
-	// the stall victim the lowest survivor, so reruns with one seed kill
-	// the same nodes (the injector's draws are already deterministic).
-	rng := cfg.Seed
-	survivors := f.survivors()
+	// Victim selection is seeded: crash victims are drawn from a
+	// splitmix64 stream over the survivors above the lowest id, the stall
+	// victim is the lowest survivor, so reruns with one seed kill the same
+	// nodes (the injector's draws are already deterministic).
+	rng := uint64(cfg.Seed)
+	survivors := c.LiveAll()
 	for i := 0; i < cfg.Crashes && len(survivors) > 2; i++ {
-		rng = int64(mix64(uint64(rng)))
-		victim := survivors[int(uint64(rng)%uint64(len(survivors)-1))+1]
-		f.crash(victim)
-		survivors = f.survivors()
+		rng = ids.Mix64(rng)
+		victim := survivors[int(rng%uint64(len(survivors)-1))+1]
+		c.Kill(victim, false)
+		c.event("crash", map[string]interface{}{"node": victim})
+		res.Crashed = append(res.Crashed, victim)
+		survivors = c.LiveAll()
 	}
-	res.Crashed = diffInts(allInts(cfg.Nodes), survivors)
+	sort.Ints(res.Crashed)
 
-	if cfg.Stall > 0 && len(survivors) > 0 {
-		victim := survivors[0]
-		f.mu.Lock()
-		p := f.peers[victim]
-		f.mu.Unlock()
-		if p != nil {
-			p.Stall(cfg.Stall)
-			res.Stalled = []int{victim}
-			f.logf("chaos: node %d stalled for %v", victim, cfg.Stall)
-			f.event("stall", map[string]interface{}{"node": victim, "for_s": cfg.Stall.Seconds()})
-		}
+	if cfg.Stall > 0 {
+		victim := survivors[0] // never empty: the crash wave spares two
+		c.peer(victim).Stall(cfg.Stall)
+		res.Stalled = []int{victim}
+		c.logf("chaos: node %d stalled for %v", victim, cfg.Stall)
+		c.event("stall", map[string]interface{}{"node": victim, "for_s": cfg.Stall.Seconds()})
 	}
 
 	// Phase 3: coverage under fire — informational; the drop rule is
@@ -442,47 +283,22 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	if cfg.Stall > faultDeadline {
 		faultDeadline = cfg.Stall
 	}
-	res.FaultCoverage, _ = f.wave("faulted", cfg.WaveMsgs, faultDeadline)
+	res.FaultCoverage, _ = c.wave("faulted", cfg.WaveMsgs, faultDeadline)
 
 	// Phase 4: heal and require full recovery within the window. By now
 	// the stall has expired (the fault wave waited at least that long).
-	f.inj.Clear()
-	f.logf("chaos: faults cleared, heal window %v", cfg.HealWindow)
-	f.event("heal", nil)
-	var took time.Duration
-	res.HealCoverage, took = f.wave("heal", cfg.WaveMsgs, cfg.HealWindow)
+	inj.Clear()
+	c.logf("chaos: faults cleared, heal window %v", cfg.HealWindow)
+	c.event("heal", nil)
+	res.HealCoverage, res.HealTime = c.wave("heal", cfg.WaveMsgs, cfg.HealWindow)
 	res.Recovered = res.HealCoverage >= 1
-	res.HealTime = took
-	f.event("recovered", map[string]interface{}{
-		"recovered": res.Recovered, "coverage": res.HealCoverage, "took_s": took.Seconds(),
+	c.event("recovered", map[string]interface{}{
+		"recovered": res.Recovered, "coverage": res.HealCoverage, "took_s": res.HealTime.Seconds(),
 	})
 
 	// Phase 5: graceful shutdown — every survivor announces departure,
 	// queues drain, and the goroutine count must settle back.
-	f.mu.Lock()
-	rest := make([]*emcast.Peer, 0, len(f.peers))
-	for id, p := range f.peers {
-		rest = append(rest, p)
-		delete(f.peers, id)
-	}
-	f.mu.Unlock()
-	for _, p := range rest {
-		f.closing.Add(1)
-		go func(p *emcast.Peer) {
-			defer f.closing.Done()
-			p.Close()
-		}(p)
-	}
-	f.closing.Wait()
-	// Stats are folded in after Close so the drain's activity — the
-	// departure announcements in particular — is on the books.
-	f.mu.Lock()
-	for _, p := range rest {
-		s := p.TransportStats()
-		s.QueueDepth = 0
-		f.retired.Add(s)
-	}
-	f.mu.Unlock()
+	c.closeAll()
 
 	// The transports stop synchronously in Close, but handler callbacks
 	// and runtime bookkeeping take a moment to unwind; poll briefly.
@@ -500,47 +316,13 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		res.Leaked = res.GoroutinesEnd - g0
 	}
 
-	res.Transport = f.retired
-	res.Injector = f.inj.Stats()
-	res.DeparturesHeard = f.departures.Load()
-	res.Elapsed = time.Since(f.epoch)
-	f.event("run_end", map[string]interface{}{
+	res.Transport = c.stats()
+	res.Injector = inj.Stats()
+	res.DeparturesHeard = departures.Load()
+	res.Elapsed = time.Since(c.epoch)
+	c.event("run_end", map[string]interface{}{
 		"leaked": res.Leaked, "elapsed_s": res.Elapsed.Seconds(),
 		"reconnects": res.Transport.Reconnects, "lost_fault": res.Transport.LostFault,
 	})
 	return res, nil
-}
-
-func allInts(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// diffInts returns the members of a not present in b (both sorted).
-func diffInts(a, b []int) []int {
-	inB := make(map[int]bool, len(b))
-	for _, x := range b {
-		inB[x] = true
-	}
-	var out []int
-	for _, x := range a {
-		if !inB[x] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// mix64 is the splitmix64 finaliser (victim-selection stream only).
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

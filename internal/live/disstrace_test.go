@@ -49,12 +49,10 @@ func TestLiveTraceSample(t *testing.T) {
 }
 
 // TestLiveTraceSampleOff: without sampling the harness attaches nothing.
+// Both pointers are fixed at New, so no fleet needs to run.
 func TestLiveTraceSampleOff(t *testing.T) {
 	h, err := New(noLossSpec(), Options{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if h.DissTracer() != nil || h.TreeReport() != nil {

@@ -65,7 +65,7 @@ func TestLiveFaultEventsPlay(t *testing.T) {
 	if s := h.Faults().Stats(); s.Dropped == 0 || s.Delayed == 0 {
 		t.Fatalf("injector stats show no activity: %+v", s)
 	}
-	fs := h.fleetStats()
+	fs := h.tcp.stats()
 	if fs.LostFault == 0 {
 		t.Fatalf("no frames accounted to the fault reason: %+v", fs)
 	}
@@ -156,7 +156,7 @@ func TestCrashDuringJoin(t *testing.T) {
 	}
 	// The address book stayed usable: every joiner that entered is
 	// either up or was itself crashed — fleet counters kept moving.
-	if fs := h.fleetStats(); fs.FramesSent == 0 {
+	if fs := h.tcp.stats(); fs.FramesSent == 0 {
 		t.Fatalf("fleet sent nothing: %+v", fs)
 	}
 }

@@ -2,42 +2,39 @@
 // declarative workloads the virtual-time simulator plays (traffic
 // generators, churn schedules, partitions) are executed against a fleet
 // of in-process emcast.Peer nodes on loopback sockets, with virtual phase
-// times mapped to wall-clock pacing. Deliveries flow through the same
-// streaming trace pipeline the simulator uses (one trace.Streaming shared
-// by the whole fleet, folded into per-message aggregates as transport
-// goroutines deliver), so the harness emits the exact same per-phase
-// scenario.Report — and Compare diffs a live report against a simulator
-// prediction metric by metric, the step that validates the model against
-// real sockets.
+// times mapped to wall-clock pacing.
 //
-// Live playback supports the spec features that have a real-network
-// meaning: every traffic generator and sender picker, join/flash-crowd/
-// leave/crash churn (new peers are started with ephemeral ports and enter
-// through the Join protocol; victims are closed or hard-killed),
-// partition/heal via the PeerConfig.LinkFilter hook, and the fault-*
-// event vocabulary (link drop/delay/duplicate/reorder rules through a
-// fleet-shared faults.Injector, stalls through transport freezes, and
-// targeted crashes). Emulator-only dynamics — latency scaling, loss
-// injection, oracle-ranked kill-best churn — have no live counterpart
-// and are rejected by Supported.
+// The package interprets nothing. scenario.Player decides what a Spec
+// means — arrivals, sender/contact/victim picks, churn expansion, the
+// Report — and drives a scenario.Substrate; Harness supplies the TCP one
+// (tcp: wall clock, paced timeline, the shared streaming trace), built on
+// fleet, the peer bookkeeping RunChaos also uses. Deliveries flow through
+// the same trace.Streaming pipeline the simulator uses (one collector
+// shared by the whole fleet, folded as transport goroutines deliver), so
+// the report has the simulator's exact schema — and Compare diffs a live
+// report against a simulator prediction metric by metric, the step that
+// validates the model against real sockets.
+//
+// What has a real-network meaning plays: every traffic generator and
+// sender picker, join/flash-crowd/leave/crash churn (joiners start on
+// ephemeral ports and enter through the Join protocol; victims are closed
+// or hard-killed), partition/heal via the PeerConfig.LinkFilter hook, and
+// the fault-* vocabulary (link rules through a fleet-shared
+// faults.Injector, stalls through transport freezes, targeted crashes).
+// Emulator-only dynamics — latency scaling, loss and noise injection,
+// oracle-ranked kill-best churn — are rejected by Supported.
 package live
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"emcast"
 	"emcast/internal/disstrace"
 	"emcast/internal/faults"
-	"emcast/internal/neem"
 	"emcast/internal/obs"
-	"emcast/internal/peer"
 	"emcast/internal/scenario"
-	"emcast/internal/sim"
 	"emcast/internal/trace"
 )
 
@@ -89,39 +86,22 @@ func (o *Options) fill(spec *scenario.Spec) {
 }
 
 // Supported reports whether the spec can be played on real TCP peers,
-// with a descriptive error naming the first unsupported feature. The
-// simulator-only features are the ones that require the emulator (latency
-// scaling, loss injection) or global model knowledge (kill-best churn,
-// which ranks nodes by the topology oracle).
+// with a descriptive error naming the first unsupported feature: a
+// strategy or knob that exists only in the simulator's model (radius and
+// hybrid's latency oracle, loss and noise injection), or an event only an
+// emulator substrate can play (scenario.Spec.EmulatorOnly).
 func Supported(spec *scenario.Spec) error {
-	switch spec.Strategy {
-	case "eager", "lazy", "flat", "ttl", "ranked":
-	default:
-		return fmt.Errorf("live: strategy %q needs the simulator's latency oracle (supported live: eager, lazy, flat, ttl, ranked)", spec.Strategy)
+	if err := strategyConfig(&emcast.PeerConfig{}, spec.Strategy); err != nil {
+		return fmt.Errorf("live: %v", err)
 	}
 	if spec.Loss > 0 {
 		return fmt.Errorf("live: loss injection is emulator-only (TCP does not lose frames on demand)")
 	}
-	for i := range spec.Phases {
-		p := &spec.Phases[i]
-		for j := range p.Churn {
-			if p.Churn[j].Kind == scenario.ChurnKillBest {
-				return fmt.Errorf("live: phase %q: kill-best churn ranks nodes by the topology oracle, which has no live counterpart", p.Name)
-			}
-		}
-		for j := range p.Network {
-			switch p.Network[j].Kind {
-			case scenario.NetPartition, scenario.NetHeal:
-			case scenario.NetFaultLink, scenario.NetFaultClear, scenario.NetFaultStall,
-				scenario.NetFaultCrash, scenario.NetFaultSlow:
-				// The fault plane has a live realisation: link rules apply
-				// through the fleet-shared injector (receive-side,
-				// best-effort), stalls freeze victim transports, crashes
-				// hard-kill their victims.
-			default:
-				return fmt.Errorf("live: phase %q: network event %q is emulator-only (supported live: partition, heal, fault-*)", p.Name, p.Network[j].Kind)
-			}
-		}
+	if spec.Noise > 0 {
+		return fmt.Errorf("live: strategy noise is emulator-only (emcast.Peer has no §4.3 noise knob, so the fleet would run undegraded)")
+	}
+	if err := spec.EmulatorOnly(); err != nil {
+		return fmt.Errorf("live: %v", err)
 	}
 	return nil
 }
@@ -129,44 +109,15 @@ func Supported(spec *scenario.Spec) error {
 // Harness replays one Spec on a fleet of real TCP peers. Build with New,
 // run once with Run.
 type Harness struct {
-	spec scenario.Spec
-	opts Options
-
-	tracer *trace.Streaming
-	// diss is the optional sampling dissemination tracer; nodeTracer is
-	// what peers actually get (the streaming collector, teed with diss
-	// when spec.TraceSample > 0). The metric pipeline keeps reading
-	// tracer directly.
-	diss       *disstrace.Tracer
-	nodeTracer trace.Tracer
-	epoch      time.Time
-	rng        *rand.Rand
-
-	// inj is the fleet-shared fault injector, provisioned only when the
-	// spec schedules fault-* events (same seed derivation as the
-	// simulator engine, so sim and live draw matching rule streams even
-	// though live application is best-effort).
-	inj *faults.Injector
-
-	mu         sync.Mutex
-	peers      map[int]*emcast.Peer
-	addrs      map[emcast.NodeID]string
-	joined     map[peer.ID]time.Duration
-	failed     map[peer.ID]bool
-	retired    neem.Stats // final stat snapshots of since-closed peers
-	nextJoiner int
-	skipped    []int
-	closing    sync.WaitGroup
-	obsFuncs   []*obs.Func
-
-	// Partition/crash state read by every peer's link filter, on
-	// transport goroutines — its own lock keeps filter evaluation off
-	// the main harness lock.
-	fmu  sync.RWMutex
-	dead map[emcast.NodeID]bool
-	side map[emcast.NodeID]int // nil = no partition
-
-	ran bool
+	spec   scenario.Spec
+	opts   Options
+	tcp    *tcp
+	player *scenario.Player
+	// diss is the optional sampling dissemination tracer, teed behind the
+	// streaming collector when spec.TraceSample > 0. The metric pipeline
+	// reads the collector only.
+	diss *disstrace.Tracer
+	ran  bool
 }
 
 // New validates the spec (defaults applied) for live playback and
@@ -179,348 +130,49 @@ func New(spec scenario.Spec, opts Options) (*Harness, error) {
 		return nil, err
 	}
 	opts.fill(&spec)
+	// Options.Drain is a wall-clock override; the player drains for the
+	// spec's drain mapped through TimeScale, so express it in spec time.
+	spec.Drain = scenario.Duration(float64(opts.Drain) * opts.TimeScale)
+
+	h := &Harness{spec: spec, opts: opts}
 	tracer := trace.NewStreaming()
-	var diss *disstrace.Tracer
-	var nodeTracer trace.Tracer = tracer
+	base := emcast.PeerConfig{
+		Fanout:       opts.Fanout,
+		Tracer:       tracer,
+		Faults:       spec.Injector(),
+		FlatP:        spec.FlatP,
+		TTLRounds:    spec.TTLRounds,
+		BestFraction: spec.BestFraction,
+	}
 	if spec.TraceSample > 0 {
 		// Same seed and hash as the simulator: the sampled id *rate* is
 		// deterministic, and a sim run of the same spec samples the same
 		// fraction, making tree shapes diffable across the two planes.
-		diss = disstrace.New(disstrace.Config{
+		h.diss = disstrace.New(disstrace.Config{
 			Rate: spec.TraceSample,
 			Seed: spec.Seed,
 			Obs:  opts.Obs,
 		})
-		nodeTracer = trace.Tee(tracer, diss)
+		base.Tracer = trace.Tee(tracer, h.diss)
 	}
-	var inj *faults.Injector
-	if spec.HasFaults() {
-		inj = faults.New(spec.Seed ^ 0x0fa17a11)
+	if err := strategyConfig(&base, spec.Strategy); err != nil {
+		return nil, fmt.Errorf("live: %v", err)
 	}
-	return &Harness{
-		spec:       spec,
-		opts:       opts,
-		tracer:     tracer,
-		diss:       diss,
-		nodeTracer: nodeTracer,
-		inj:        inj,
-		rng:        rand.New(rand.NewSource(spec.Seed ^ 0x11ce5ce9a5105ce9)),
-		peers:      make(map[int]*emcast.Peer),
-		addrs:      make(map[emcast.NodeID]string),
-		joined:     make(map[peer.ID]time.Duration),
-		failed:     make(map[peer.ID]bool),
-		nextJoiner: spec.Nodes,
-		skipped:    make([]int, len(spec.Phases)),
-		dead:       make(map[emcast.NodeID]bool),
-	}, nil
-}
-
-// allow is the link filter shared by every peer of the fleet: frames are
-// carried unless an endpoint is hard-killed or the endpoints sit on
-// different partition sides.
-func (h *Harness) allow(from, to emcast.NodeID) bool {
-	h.fmu.RLock()
-	defer h.fmu.RUnlock()
-	if h.dead[from] || h.dead[to] {
-		return false
+	h.tcp = &tcp{
+		fleet:     newFleet(base, spec.Seed, opts.Logf),
+		timeScale: opts.TimeScale,
+		tracer:    tracer,
 	}
-	if h.side == nil {
-		return true
+	var err error
+	if h.player, err = scenario.NewPlayer(&h.spec, h.tcp); err != nil {
+		return nil, err
 	}
-	return h.sideOf(from) == h.sideOf(to)
-}
-
-// sideOf returns the partition side of a node; nodes listed in no group
-// share the implicit extra side (the emulator's convention).
-func (h *Harness) sideOf(n emcast.NodeID) int {
-	if s, ok := h.side[n]; ok {
-		return s
-	}
-	return -1
-}
-
-// fleetStats aggregates transport stats across the whole fleet, retired
-// peers included, so the counters only grow as peers churn.
-func (h *Harness) fleetStats() neem.Stats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	agg := h.retired
-	for _, p := range h.peers {
-		agg.Add(p.TransportStats())
-	}
-	return agg
-}
-
-// retire folds a closing peer's final stat snapshot into the retired
-// accumulator. Queued frames are not carried over — the close path
-// accounts them as lost on its own. Callers hold h.mu.
-func (h *Harness) retireLocked(p *emcast.Peer) {
-	s := p.TransportStats()
-	s.QueueDepth = 0
-	h.retired.Add(s)
+	return h, nil
 }
 
 // Faults exposes the fleet-shared fault injector, or nil when the spec
 // schedules no fault-* events.
-func (h *Harness) Faults() *faults.Injector { return h.inj }
-
-// attachObs registers fleet-wide callback instruments; callbacks walk
-// the live peer set under the harness lock, so a scrape sees a
-// consistent view of a running fleet.
-func (h *Harness) attachObs() {
-	reg := h.opts.Obs
-	if reg == nil {
-		return
-	}
-	stat := func(f func(neem.Stats) float64) func() float64 {
-		return func() float64 { return f(h.fleetStats()) }
-	}
-	h.obsFuncs = []*obs.Func{
-		reg.CounterFunc("live_frames_sent_total", "frames written to fleet sockets",
-			stat(func(s neem.Stats) float64 { return float64(s.FramesSent) })),
-		reg.CounterFunc("live_frames_lost_total", "frames lost before transmission (purged, filtered or unroutable)",
-			stat(func(s neem.Stats) float64 { return float64(s.FramesLost) })),
-		reg.CounterFunc("live_bytes_sent_total", "wire bytes written by the fleet",
-			stat(func(s neem.Stats) float64 { return float64(s.BytesSent) })),
-		reg.CounterFunc("live_bytes_received_total", "wire bytes read by the fleet",
-			stat(func(s neem.Stats) float64 { return float64(s.BytesReceived) })),
-		reg.GaugeFunc("live_send_queue_depth", "frames parked in fleet send queues",
-			stat(func(s neem.Stats) float64 { return float64(s.QueueDepth) })),
-		reg.GaugeFunc("live_peers", "peers currently up", func() float64 {
-			h.mu.Lock()
-			defer h.mu.Unlock()
-			return float64(len(h.liveAllLocked()))
-		}),
-		reg.CounterFunc("neem_reconnects_total", "connections re-dialed after dying under the fleet",
-			stat(func(s neem.Stats) float64 { return float64(s.Reconnects) })),
-		reg.CounterFunc("neem_conns_reaped_total", "connections reaped after exhausting their dial budget",
-			stat(func(s neem.Stats) float64 { return float64(s.Reaped) })),
-		reg.CounterFunc("neem_departures_total", "graceful departures announced by closing fleet peers",
-			stat(func(s neem.Stats) float64 { return float64(s.DeparturesSent) }),
-			obs.Label{Key: "direction", Value: "sent"}),
-		reg.CounterFunc("neem_departures_total", "graceful departures heard from remote peers",
-			stat(func(s neem.Stats) float64 { return float64(s.DeparturesRecv) }),
-			obs.Label{Key: "direction", Value: "received"}),
-	}
-	// One counter per loss reason: neem_frames_lost{reason} sums to
-	// live_frames_lost_total, the per-cause split chaos assertions read.
-	for _, r := range neem.LostReasons() {
-		r := r
-		h.obsFuncs = append(h.obsFuncs, reg.CounterFunc(
-			"neem_frames_lost", "frames lost before transmission, by reason",
-			stat(func(s neem.Stats) float64 { return float64(s.Lost(r)) }),
-			obs.Label{Key: "reason", Value: r.String()}))
-	}
-}
-
-// releaseObs detaches the fleet instruments: counter finals fold into
-// residuals, gauges drop. Idempotent.
-func (h *Harness) releaseObs() {
-	for _, f := range h.obsFuncs {
-		f.Release()
-	}
-	h.obsFuncs = nil
-}
-
-// wall maps a virtual offset to its wall-clock pacing.
-func (h *Harness) wall(d time.Duration) time.Duration {
-	return time.Duration(float64(d) / h.opts.TimeScale)
-}
-
-func (h *Harness) logf(format string, args ...interface{}) {
-	if h.opts.Logf != nil {
-		h.opts.Logf(format, args...)
-	}
-}
-
-// peerConfig assembles the shared parts of every fleet member's config.
-func (h *Harness) peerConfig(self int) emcast.PeerConfig {
-	cfg := emcast.PeerConfig{
-		Self:       emcast.NodeID(self),
-		ListenAddr: "127.0.0.1:0",
-		Seed:       h.spec.Seed ^ int64(self+1)*0x2545f4914f6cdd1d,
-		Fanout:     h.opts.Fanout,
-		LinkFilter: h.allow,
-		Epoch:      h.epoch,
-		Tracer:     h.nodeTracer,
-		Faults:     h.inj, // nil unless the spec schedules fault-* events
-	}
-	switch h.spec.Strategy {
-	case "eager", "":
-		cfg.Strategy = emcast.Eager
-	case "lazy":
-		cfg.Strategy = emcast.Lazy
-	case "flat":
-		cfg.Strategy = emcast.Flat
-		cfg.FlatP = h.spec.FlatP
-		if cfg.FlatP <= 0 {
-			cfg.FlatP = 0.5
-		}
-	case "ttl":
-		cfg.Strategy = emcast.TTL
-		cfg.TTLRounds = h.spec.TTLRounds
-	case "ranked":
-		// No explicit hubs: the fully decentralized gossip-based
-		// ranking discovers them from run-time RTT measurements.
-		cfg.Strategy = emcast.Ranked
-		cfg.BestFraction = h.spec.BestFraction
-	}
-	return cfg
-}
-
-// boundary captures cumulative state at a phase edge (same diffing idea
-// as the simulator engine's boundaries).
-type boundary struct {
-	at         time.Duration
-	cp         trace.Checkpoint
-	framesSent uint64
-	framesLost uint64
-	live       int
-}
-
-func (h *Harness) boundary(cp trace.Checkpoint) boundary {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	sent, lost := h.retired.FramesSent, h.retired.FramesLost
-	for _, p := range h.peers {
-		s, l := p.Frames()
-		sent += s
-		lost += l
-	}
-	return boundary{
-		at:         time.Since(h.epoch),
-		cp:         cp,
-		framesSent: sent,
-		framesLost: lost,
-		live:       len(h.liveAllLocked()),
-	}
-}
-
-// liveAllLocked returns every live participant in ascending id order:
-// original nodes that have not failed or left, plus joiners that entered
-// the overlay and are still up. Callers hold h.mu.
-func (h *Harness) liveAllLocked() []int {
-	var live []int
-	for i := 0; i < h.spec.Nodes; i++ {
-		if !h.failed[peer.ID(i)] {
-			live = append(live, i)
-		}
-	}
-	for i := h.spec.Nodes; i < h.spec.Nodes+h.spec.Joiners(); i++ {
-		id := peer.ID(i)
-		if _, joined := h.joined[id]; joined && !h.failed[id] {
-			live = append(live, i)
-		}
-	}
-	return live
-}
-
-// event is one scheduled action on the wall-clock timeline of a phase.
-type event struct {
-	at time.Duration // virtual offset within the phase
-	fn func()
-}
-
-// Run starts the fleet, plays every phase back to back with wall-clock
-// pacing, drains, closes every peer, and reports the same overall and
-// per-phase metrics the simulator reports. It can only be called once.
-func (h *Harness) Run() (*scenario.Report, error) {
-	if h.ran {
-		return nil, fmt.Errorf("live: harness already ran")
-	}
-	h.ran = true
-	h.epoch = time.Now()
-
-	// Start the initial fleet on ephemeral ports, then wire every
-	// address book once all listeners are bound.
-	for i := 0; i < h.spec.Nodes; i++ {
-		cfg := h.peerConfig(i)
-		cfg.Bootstrap = make([]emcast.NodeID, 0, h.spec.Nodes-1)
-		for j := 0; j < h.spec.Nodes; j++ {
-			if j != i {
-				cfg.Bootstrap = append(cfg.Bootstrap, emcast.NodeID(j))
-			}
-		}
-		p, err := emcast.NewPeer(cfg)
-		if err != nil {
-			h.shutdown()
-			return nil, fmt.Errorf("live: peer %d: %v", i, err)
-		}
-		h.peers[i] = p
-		h.addrs[emcast.NodeID(i)] = p.Addr()
-	}
-	for i, p := range h.peers {
-		for id, addr := range h.addrs {
-			if emcast.NodeID(i) != id {
-				p.AddPeer(id, addr)
-			}
-		}
-	}
-	defer h.shutdown()
-	h.attachObs()
-	defer h.releaseObs()
-	h.opts.EventLog.Event("run_start", map[string]interface{}{
-		"scenario": h.spec.Name,
-		"nodes":    h.spec.Nodes,
-		"strategy": h.spec.Strategy,
-		"seed":     h.spec.Seed,
-		"phases":   len(h.spec.Phases),
-		"harness":  "live",
-	})
-
-	h.logf("live: %d peers up, warming %v", h.spec.Nodes, h.opts.Warmup)
-	time.Sleep(h.opts.Warmup)
-
-	bounds := make([]boundary, 0, len(h.spec.Phases)+1)
-	bounds = append(bounds, h.boundary(h.tracer.Checkpoint()))
-	starts := make([]time.Duration, len(h.spec.Phases))
-	var msgs []trace.MsgStats
-	for i := range h.spec.Phases {
-		p := &h.spec.Phases[i]
-		h.logf("live: phase %q (%v over %v wall)", p.Name, p.Duration.D(), h.wall(p.Duration.D()))
-		starts[i] = time.Since(h.epoch)
-		if off, disrupted := scenario.Disruption(p); disrupted {
-			// The phase's recovery time will be queried over
-			// [event, phase end) on the wall-clock timeline: retain the
-			// completion records of that window's messages before any of
-			// them is multicast.
-			h.tracer.RetainCompletions(starts[i]+h.wall(off.D()), starts[i]+h.wall(p.Duration.D()))
-		}
-		h.playPhase(i, p)
-		if i == len(h.spec.Phases)-1 {
-			// The drain belongs to the last phase's interval, the
-			// simulator's convention.
-			time.Sleep(h.opts.Drain)
-			// The final boundary freezes the message aggregates together
-			// with the counters, so stragglers delivered while the report
-			// is assembled cannot skew one but not the other.
-			var cp trace.Checkpoint
-			cp, msgs = h.tracer.CheckpointAndMessages()
-			bounds = append(bounds, h.boundary(cp))
-		} else {
-			bounds = append(bounds, h.boundary(h.tracer.Checkpoint()))
-		}
-		h.opts.EventLog.Event("phase_end", map[string]interface{}{
-			"scenario": h.spec.Name,
-			"phase":    p.Name,
-			"index":    i,
-			"wall_s":   time.Since(h.epoch).Seconds(),
-			"harness":  "live",
-		})
-	}
-	rep := h.report(starts, bounds, msgs)
-	if h.diss != nil {
-		// Compute the tree report while the obs registry is attached so
-		// the disstrace histograms populate (releaseObs runs deferred).
-		h.diss.Report()
-	}
-	h.opts.EventLog.Event("run_end", map[string]interface{}{
-		"scenario": h.spec.Name,
-		"wall_s":   time.Since(h.epoch).Seconds(),
-		"harness":  "live",
-	})
-	return rep, nil
-}
+func (h *Harness) Faults() *faults.Injector { return h.tcp.Faults() }
 
 // DissTracer exposes the sampling dissemination tracer (timeline and DOT
 // exports), or nil when the spec's trace_sample was zero.
@@ -537,40 +189,98 @@ func (h *Harness) TreeReport() *disstrace.TreeReport {
 	return h.diss.Report()
 }
 
-// playPhase schedules every traffic arrival, churn sub-event and network
-// event of the phase on one sorted timeline and executes it with
-// wall-clock pacing.
-func (h *Harness) playPhase(phase int, p *scenario.Phase) {
-	var events []event
-	add := func(at time.Duration, fn func()) {
-		events = append(events, event{at: at, fn: fn})
+// Run starts the fleet, plays every phase back to back with wall-clock
+// pacing, drains, closes every peer, and reports the same overall and
+// per-phase metrics the simulator reports. It can only be called once.
+func (h *Harness) Run() (*scenario.Report, error) {
+	if h.ran {
+		return nil, fmt.Errorf("live: harness already ran")
 	}
-	for i := range p.Traffic {
-		t := &p.Traffic[i]
-		// Same stream seeds as the simulator engine, so a given spec
-		// fires the same virtual-time arrival schedule live and
-		// simulated.
-		st := scenario.NewStream(t, scenario.StreamSeed(h.spec.Seed, phase, i), h.spec.Nodes)
-		for _, at := range st.Arrivals(p.Duration.D()) {
-			add(at, func() { h.fire(phase, st) })
-		}
+	h.ran = true
+	f := h.tcp.fleet
+	if err := f.start(h.spec.Nodes); err != nil {
+		return nil, fmt.Errorf("live: %v", err)
 	}
-	for i := range p.Churn {
-		h.scheduleChurn(&p.Churn[i], add)
-	}
-	for i := range p.Network {
-		ev := p.Network[i]
-		add(ev.At.D(), func() { h.applyNetEvent(&ev) })
-	}
+	defer f.closeAll()
+	f.attachObs(h.opts.Obs)
+	defer f.releaseObs()
+	h.opts.EventLog.Event("run_start", map[string]interface{}{
+		"scenario": h.spec.Name,
+		"nodes":    h.spec.Nodes,
+		"strategy": h.spec.Strategy,
+		"seed":     h.spec.Seed,
+		"phases":   len(h.spec.Phases),
+		"harness":  "live",
+	})
 
-	// Stable sort: same-instant events run in spec order.
-	sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
-	start := time.Now()
-	for i := range events {
-		sleepUntil(start.Add(h.wall(events[i].at)))
-		events[i].fn()
+	f.logf("live: %d peers up, warming %v", h.spec.Nodes, h.opts.Warmup)
+	time.Sleep(h.opts.Warmup)
+	rep := h.player.Play(func(i int, p *scenario.Phase) {
+		f.logf("live: phase %q done", p.Name)
+		h.opts.EventLog.Event("phase_end", map[string]interface{}{
+			"scenario": h.spec.Name,
+			"phase":    p.Name,
+			"index":    i,
+			"wall_s":   h.tcp.Now().Seconds(),
+			"harness":  "live",
+		})
+	})
+	if h.diss != nil {
+		// Compute the tree report while the obs registry is attached so
+		// the disstrace histograms populate (releaseObs runs deferred).
+		h.diss.Report()
 	}
-	sleepUntil(start.Add(h.wall(p.Duration.D())))
+	h.opts.EventLog.Event("run_end", map[string]interface{}{
+		"scenario": h.spec.Name,
+		"wall_s":   h.tcp.Now().Seconds(),
+		"harness":  "live",
+	})
+	return rep, nil
+}
+
+// tcp is the real-socket scenario.Substrate: the fleet supplies the
+// population and network actions (promoted), tcp adds the wall clock, the
+// paced timeline and the trace the report is computed from.
+type tcp struct {
+	*fleet
+	timeScale float64
+	tracer    *trace.Streaming
+	events    []event // scheduled for the next RunFor
+}
+
+// event is one scheduled action on the wall-clock timeline.
+type event struct {
+	at time.Duration // spec offset from the start of the next RunFor
+	fn func()
+}
+
+// Now is wall time since the fleet's epoch — the clock every peer stamps
+// trace events with.
+func (s *tcp) Now() time.Duration { return time.Since(s.epoch) }
+
+// Scale maps a spec duration to its wall-clock pacing. Protocol timers
+// stay at their wall-clock values (see Options.TimeScale).
+func (s *tcp) Scale(d time.Duration) time.Duration {
+	return time.Duration(float64(d) / s.timeScale)
+}
+
+func (s *tcp) Schedule(at time.Duration, fn func()) {
+	s.events = append(s.events, event{at: at, fn: fn})
+}
+
+// RunFor plays the scheduled events with wall-clock pacing, then sleeps
+// out the rest of d.
+func (s *tcp) RunFor(d time.Duration) {
+	s.logf("live: %v of spec time over %v wall, %d events", d, s.Scale(d), len(s.events))
+	// Stable sort: same-instant events run in Schedule order.
+	sort.SliceStable(s.events, func(i, j int) bool { return s.events[i].at < s.events[j].at })
+	start := time.Now()
+	for _, ev := range s.events {
+		sleepUntil(start.Add(s.Scale(ev.at)))
+		ev.fn()
+	}
+	s.events = s.events[:0]
+	sleepUntil(start.Add(s.Scale(d)))
 }
 
 func sleepUntil(t time.Time) {
@@ -579,330 +289,39 @@ func sleepUntil(t time.Time) {
 	}
 }
 
-// fire sends one message of a stream from a live participant, or counts
-// a skip when the chosen source is dead — the simulator's semantics.
-func (h *Harness) fire(phase int, st *scenario.Stream) {
-	h.mu.Lock()
-	live := h.liveAllLocked()
-	node, ok := st.PickSender(live, func(n int) bool { return !h.failed[peer.ID(n)] })
-	var p *emcast.Peer
-	if ok {
-		p = h.peers[node]
-	}
-	if p == nil {
-		h.skipped[phase]++
-		h.mu.Unlock()
-		return
-	}
-	payload := st.Payload()
-	h.mu.Unlock()
-	p.Multicast(payload)
-}
-
-// scheduleChurn expands one churn event into timed sub-events through
-// the same sizing (Spec.ChurnCount) and wave shape (scenario.Stagger)
-// the simulator engine uses, so a given Spec fires churn at the same
-// virtual offsets in both; node picks happen at fire time against the
-// then-current live set.
-func (h *Harness) scheduleChurn(c *scenario.ChurnSpec, add func(time.Duration, func())) {
-	k := h.spec.ChurnCount(c)
-	switch c.Kind {
-	case scenario.ChurnFlashCrowd:
-		add(c.At.D(), func() {
-			for i := 0; i < k; i++ {
-				h.join()
-			}
-		})
-	case scenario.ChurnJoinWave:
-		for i := 0; i < k; i++ {
-			add(c.At.D()+scenario.Stagger(i, k, c.Over.D()), func() { h.join() })
-		}
-	case scenario.ChurnLeaveWave:
-		for i := 0; i < k; i++ {
-			add(c.At.D()+scenario.Stagger(i, k, c.Over.D()), func() { h.kill(true) })
-		}
-	case scenario.ChurnCrashWave:
-		for i := 0; i < k; i++ {
-			add(c.At.D()+scenario.Stagger(i, k, c.Over.D()), func() { h.kill(false) })
-		}
+func (s *tcp) Multicast(node int, payload []byte) {
+	if p := s.peer(node); p != nil {
+		p.Multicast(payload)
 	}
 }
 
-// join starts the next provisioned joiner on an ephemeral port, makes it
-// reachable everywhere, and introduces it through a random live contact —
-// the Join protocol, exactly as a fresh machine would enter.
-func (h *Harness) join() {
-	h.mu.Lock()
-	live := h.liveAllLocked()
-	if len(live) == 0 {
-		h.mu.Unlock()
-		return // no overlay left to join
-	}
-	node := h.nextJoiner
-	h.nextJoiner++
-	contact := live[h.rng.Intn(len(live))]
-	book := make(map[emcast.NodeID]string, len(h.addrs))
-	for id, addr := range h.addrs {
-		book[id] = addr
-	}
-	h.mu.Unlock()
-
-	cfg := h.peerConfig(node)
-	cfg.Peers = book
-	cfg.Bootstrap = []emcast.NodeID{} // outside the overlay until Join
-	p, err := emcast.NewPeer(cfg)
-	if err != nil {
-		h.logf("live: joiner %d failed to start: %v", node, err)
-		return
-	}
-
-	h.mu.Lock()
-	h.peers[node] = p
-	h.addrs[emcast.NodeID(node)] = p.Addr()
-	h.joined[peer.ID(node)] = time.Since(h.epoch)
-	others := make([]*emcast.Peer, 0, len(h.peers))
-	for i, q := range h.peers {
-		if i != node {
-			others = append(others, q)
-		}
-	}
-	h.mu.Unlock()
-
-	for _, q := range others {
-		q.AddPeer(emcast.NodeID(node), p.Addr())
-	}
-	h.logf("live: node %d joining via %d", node, contact)
-	p.Join(emcast.NodeID(contact))
-}
-
-// kill removes one random live participant: gracefully (leave — the peer
-// closes its transport) or hard (crash — the link filter silences it
-// instantly, then the process state is torn down in the background, so
-// peers see it stop responding rather than say goodbye).
-func (h *Harness) kill(leave bool) {
-	h.mu.Lock()
-	live := h.liveAllLocked()
-	if len(live) <= 1 {
-		h.mu.Unlock()
-		return // never remove the last node
-	}
-	// Keep the last live original: headline metrics are scoped to
-	// original nodes (the simulator engine's convention).
-	originals := 0
-	for _, n := range live {
-		if n < h.spec.Nodes {
-			originals++
-		}
-	}
-	if originals <= 1 {
-		joiners := live[:0]
-		for _, n := range live {
-			if n >= h.spec.Nodes {
-				joiners = append(joiners, n)
-			}
-		}
-		if len(joiners) == 0 {
-			h.mu.Unlock()
-			return
-		}
-		live = joiners
-	}
-	victim := live[h.rng.Intn(len(live))]
-	h.mu.Unlock()
-	h.killNode(victim, leave)
-}
-
-// killNode removes one specific participant: gracefully (the peer drains
-// and announces its departure) or hard (the link filter silences it
-// first — goodbyes included — so the fleet sees a crash, not a leave).
-// Fault-crash events call this with their explicit victims.
-func (h *Harness) killNode(victim int, leave bool) {
-	h.mu.Lock()
-	p := h.peers[victim]
-	delete(h.peers, victim)
-	h.failed[peer.ID(victim)] = true
-	if p != nil {
-		h.retireLocked(p)
-	}
-	h.mu.Unlock()
-
-	if p == nil {
-		return
-	}
-	if !leave {
-		h.fmu.Lock()
-		h.dead[emcast.NodeID(victim)] = true
-		h.fmu.Unlock()
-	}
-	h.logf("live: node %d %s", victim, map[bool]string{true: "leaves", false: "crashes"}[leave])
-	h.closing.Add(1)
-	go func() {
-		defer h.closing.Done()
-		p.Close()
-	}()
-}
-
-// applyNetEvent applies a partition or heal to the shared link filter.
-func (h *Harness) applyNetEvent(ev *scenario.NetEvent) {
-	switch ev.Kind {
-	case scenario.NetPartition:
-		groups := ev.Groups
-		if len(groups) == 0 {
-			// Split shorthand: the first Split fraction of the initial
-			// nodes against everyone else (the engine's convention).
-			k := int(ev.Split*float64(h.spec.Nodes) + 0.5)
-			side := make([]int, k)
-			for i := range side {
-				side[i] = i
-			}
-			groups = [][]int{side}
-		}
-		sides := make(map[emcast.NodeID]int, len(groups))
-		for s, group := range groups {
-			for _, n := range group {
-				sides[emcast.NodeID(n)] = s
-			}
-		}
-		h.logf("live: partition into %d explicit sides", len(groups))
-		h.fmu.Lock()
-		h.side = sides
-		h.fmu.Unlock()
-	case scenario.NetHeal:
-		h.logf("live: heal")
-		h.fmu.Lock()
-		h.side = nil
-		h.fmu.Unlock()
-	case scenario.NetFaultLink:
-		// Same translation the simulator engine uses; live application is
-		// receive-side in the transports, best-effort by design.
-		h.logf("live: fault-link installed (drop=%.2f delay=%v dup=%.2f reorder=%.2f)",
-			ev.Drop, ev.Delay.D(), ev.Duplicate, ev.Reorder)
-		_ = h.inj.Install(ev.FaultRule())
-	case scenario.NetFaultClear:
-		h.logf("live: fault rules cleared")
-		h.inj.Clear()
-	case scenario.NetFaultSlow:
-		h.logf("live: fault-slow nodes %v (+%v each way)", ev.Nodes, ev.Delay.D())
-		for _, r := range ev.SlowRules() {
-			_ = h.inj.Install(r)
-		}
-	case scenario.NetFaultStall:
-		// Live stalls freeze the victims' transport loops for the wall
-		// mapping of the virtual window, so remote senders feel real TCP
-		// backpressure while the process stays up.
-		d := h.wall(ev.For.D())
-		h.logf("live: fault-stall nodes %v for %v wall", ev.Nodes, d)
-		h.mu.Lock()
-		victims := make([]*emcast.Peer, 0, len(ev.Nodes))
-		for _, n := range ev.Nodes {
-			if p := h.peers[n]; p != nil {
-				victims = append(victims, p)
-			}
-		}
-		h.mu.Unlock()
-		for _, p := range victims {
-			p.Stall(d)
-		}
-	case scenario.NetFaultCrash:
-		for _, n := range ev.Nodes {
-			h.killNode(n, false)
-		}
+// Stall freezes the victim's transport loops for the wall mapping of d,
+// so remote senders feel real TCP backpressure while the process stays
+// up.
+func (s *tcp) Stall(node int, d time.Duration) {
+	if p := s.peer(node); p != nil {
+		s.logf("live: fault-stall node %d for %v wall", node, s.Scale(d))
+		p.Stall(s.Scale(d))
 	}
 }
 
-// shutdown closes every remaining peer and waits for background closes.
-func (h *Harness) shutdown() {
-	h.mu.Lock()
-	peers := make([]*emcast.Peer, 0, len(h.peers))
-	for i, p := range h.peers {
-		h.retireLocked(p)
-		peers = append(peers, p)
-		delete(h.peers, i)
-	}
-	h.mu.Unlock()
-	for _, p := range peers {
-		h.closing.Add(1)
-		go func(p *emcast.Peer) {
-			defer h.closing.Done()
-			p.Close()
-		}(p)
-	}
-	h.closing.Wait()
-}
+// Faults: link rules apply receive-side in the transports, best-effort
+// by design.
+func (s *tcp) Faults() *faults.Injector { return s.base.Faults }
 
-// report assembles the scenario.Report from the final trace aggregates and
-// the phase boundaries, through the same shared metric pipeline the
-// simulator engine uses (sim.WindowResult, scenario.MetricsFromResult).
-func (h *Harness) report(starts []time.Duration, bounds []boundary, msgs []trace.MsgStats) *scenario.Report {
-	h.mu.Lock()
-	liveSet := make(map[peer.ID]bool, h.spec.Nodes)
-	for i := 0; i < h.spec.Nodes; i++ {
-		if !h.failed[peer.ID(i)] {
-			liveSet[peer.ID(i)] = true
-		}
-	}
-	joined := make(map[peer.ID]time.Duration, len(h.joined))
-	for id, at := range h.joined {
-		joined[id] = at
-	}
-	failed := make(map[peer.ID]bool, len(h.failed))
-	for id := range h.failed {
-		failed[id] = true
-	}
-	skipped := append([]int(nil), h.skipped...)
-	h.mu.Unlock()
+func (s *tcp) MarkRecovery(from, to time.Duration) { s.tracer.RetainCompletions(from, to) }
 
-	rep := &scenario.Report{
-		Scenario: h.spec.Name,
-		Seed:     h.spec.Seed,
-		Strategy: h.spec.Strategy,
-		Nodes:    h.spec.Nodes,
-		Joiners:  h.spec.Joiners(),
-		Elapsed:  scenario.Duration(bounds[len(bounds)-1].at),
+func (s *tcp) Boundary(final bool) scenario.Boundary {
+	b := scenario.Boundary{At: s.Now()}
+	if final {
+		// Freeze the message aggregates together with the counters, so
+		// stragglers delivered while the report is assembled cannot skew
+		// one but not the other.
+		b.CP, b.Msgs = s.tracer.CheckpointAndMessages()
+	} else {
+		b.CP = s.tracer.Checkpoint()
 	}
-
-	last := bounds[len(bounds)-1]
-	overall := sim.WindowResult(msgs, liveSet, 0, math.MaxInt64)
-	overall.JoinerCoverage = sim.MessageJoinerCoverage(msgs, joined,
-		func(id peer.ID) bool { return failed[id] }, h.wall(2*time.Second))
-	rep.Overall = scenario.MetricsFromResult(overall, 0, last.live)
-	rep.Overall.AddCounters(bounds[0].cp, last.cp,
-		last.framesSent-bounds[0].framesSent, last.framesLost-bounds[0].framesLost)
-	for _, k := range skipped {
-		rep.Overall.SkippedSends += k
-	}
-
-	for i := range h.spec.Phases {
-		p := &h.spec.Phases[i]
-		prev, cur := bounds[i], bounds[i+1]
-		end := starts[i] + h.wall(p.Duration.D())
-		res := sim.WindowResult(msgs, liveSet, starts[i], end)
-		m := scenario.MetricsFromResult(res, skipped[i], cur.live)
-		if off, disrupted := scenario.Disruption(p); disrupted {
-			event := starts[i] + h.wall(off.D())
-			switch rec, recovered, measured := sim.MessageRecovery(msgs, liveSet, event, end); {
-			case !measured:
-				// No traffic after the event: nothing to judge by.
-			case recovered:
-				m.RecoveryMS = float64(rec) / float64(time.Millisecond)
-			default:
-				m.RecoveryMS = -1
-			}
-		}
-		switch {
-		case m.RecoveryMS < 0:
-			rep.Overall.RecoveryMS = -1
-		case rep.Overall.RecoveryMS >= 0 && m.RecoveryMS > rep.Overall.RecoveryMS:
-			rep.Overall.RecoveryMS = m.RecoveryMS
-		}
-		m.AddCounters(prev.cp, cur.cp,
-			cur.framesSent-prev.framesSent, cur.framesLost-prev.framesLost)
-		rep.Phases = append(rep.Phases, scenario.PhaseReport{
-			Name:    p.Name,
-			StartMS: float64(starts[i]) / float64(time.Millisecond),
-			EndMS:   float64(cur.at) / float64(time.Millisecond),
-			Metrics: m,
-		})
-	}
-	return rep
+	st := s.stats()
+	b.FramesSent, b.FramesLost = st.FramesSent, st.FramesLost
+	return b
 }

@@ -263,6 +263,7 @@ func TestSupported(t *testing.T) {
 		{"radius strategy", func(s *scenario.Spec) { s.Strategy = "radius" }},
 		{"hybrid strategy", func(s *scenario.Spec) { s.Strategy = "hybrid" }},
 		{"loss", func(s *scenario.Spec) { s.Loss = 0.1 }},
+		{"noise", func(s *scenario.Spec) { s.Noise = 0.2 }},
 		{"kill-best", func(s *scenario.Spec) {
 			s.Phases[0].Churn = []scenario.ChurnSpec{{Kind: scenario.ChurnKillBest, Count: 1}}
 		}},

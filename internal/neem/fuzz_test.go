@@ -6,6 +6,8 @@ import (
 	"io"
 	"testing"
 	"time"
+
+	"emcast/internal/ids"
 )
 
 // chunked is a connection that delivers a byte stream in reads of
@@ -19,7 +21,7 @@ func (c *chunked) Read(p []byte) (int, error) {
 	if len(c.stream) == 0 {
 		return 0, io.EOF
 	}
-	c.rng = mix64(c.rng)
+	c.rng = ids.Mix64(c.rng)
 	n := min(1+int(c.rng%8192), len(p), len(c.stream))
 	if c.rng>>60 == 0 {
 		n = 1 // now and then, a single byte

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"emcast/internal/faults"
+	"emcast/internal/ids"
 	"emcast/internal/peer"
 )
 
@@ -850,7 +851,7 @@ func (t *Transport) backoffSleep(c *conn, attempt int) bool {
 	}
 	// Jitter uniformly into [d/2, d) so a fleet whose links died together
 	// does not re-dial in lockstep.
-	c.rng = mix64(c.rng)
+	c.rng = ids.Mix64(c.rng)
 	d = d/2 + time.Duration(c.rng%uint64(d/2+1))
 	tm := time.NewTimer(d)
 	defer tm.Stop()
@@ -971,14 +972,6 @@ func (t *Transport) discard(c *conn, accounted bool) {
 	if n := c.q.drop(); accounted {
 		t.lose(LostReap, uint64(n))
 	}
-}
-
-// mix64 is the splitmix64 finaliser (backoff jitter).
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Clock is a wall clock relative to process start, implementing peer.Clock.

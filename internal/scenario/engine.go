@@ -2,30 +2,24 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"emcast/internal/disstrace"
+	"emcast/internal/emunet"
 	"emcast/internal/faults"
 	"emcast/internal/obs"
 	"emcast/internal/sim"
 	"emcast/internal/topology"
-	"emcast/internal/trace"
 )
 
-// Engine plays a Spec against a simulated deployment. Build one with New,
-// run it once with Run.
+// Engine plays a Spec against a simulated deployment: it is the Player's
+// emulator adapter over sim.Runner. Build one with New, run it once with
+// Run.
 type Engine struct {
 	spec   Spec
 	runner *sim.Runner
-	rng    *rand.Rand
-	inj    *faults.Injector // nil unless the spec schedules fault-* events
-	ranked []int            // initial nodes, best-first (oracle order), lazy
-
-	nextJoiner int   // next provisioned joiner index to hand out
-	cur        int   // current phase index while running
-	skipped    []int // per-phase sends skipped because the source was dead
-	ran        bool
+	player *Player
+	ran    bool
 }
 
 // New validates the spec (after applying defaults) and assembles the
@@ -39,41 +33,59 @@ func New(spec Spec) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Provision the fault plane only when the spec uses it: specs without
-	// fault events run with a nil injector, so the hot path stays one
-	// nil-check and the byte-identity story holds trivially.
-	var inj *faults.Injector
-	if spec.HasFaults() {
-		inj = faults.New(spec.Seed ^ 0x0fa17a11)
-		cfg.Faults = inj
-	}
-	e := &Engine{
-		spec:       spec,
-		runner:     sim.New(cfg),
-		rng:        rand.New(rand.NewSource(spec.Seed ^ 0x5ce9a5105ce9a510)),
-		inj:        inj,
-		nextJoiner: spec.Nodes,
-		skipped:    make([]int, len(spec.Phases)),
+	cfg.Faults = spec.Injector()
+	e := &Engine{spec: spec, runner: sim.New(cfg)}
+	e.player, err = NewPlayer(&e.spec, emulator{e.runner, e.runner.Network()})
+	if err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
 // Faults exposes the engine's fault injector (nil when the spec has no
 // fault events) for diagnostics and tests.
-func (e *Engine) Faults() *faults.Injector { return e.inj }
+func (e *Engine) Faults() *faults.Injector { return e.runner.Network().Faults() }
 
-// rankedNodes returns the initial nodes best-first by the oracle metric,
-// materialising the ranking on first use — scenarios without kill-best
-// churn under flat/ttl strategies never pay for it.
-func (e *Engine) rankedNodes() []int {
-	if e.ranked == nil {
-		ids := e.runner.RankedNodes()
-		e.ranked = make([]int, 0, len(ids))
-		for _, id := range ids {
-			e.ranked = append(e.ranked, int(id))
-		}
+// emulator is the discrete-event Substrate. The runner and its network
+// already speak most of the interface — clock, live set, join, partition,
+// the link knobs, the oracle ranking, the fault injector — so those are
+// promoted; only what needs translating is written out.
+type emulator struct {
+	*sim.Runner
+	*emunet.Network
+}
+
+// Scale is the identity: Spec time is virtual time.
+func (m emulator) Scale(d time.Duration) time.Duration { return d }
+
+func (m emulator) Schedule(at time.Duration, fn func()) { m.AfterFunc(at, fn) }
+
+func (m emulator) Multicast(node int, payload []byte) { m.MulticastFrom(node, payload) }
+
+// Kill: under the paper's unreliable transport a leave and a crash look
+// identical on the wire; Leave additionally stops the node's own tasks.
+func (m emulator) Kill(node int, leave bool) {
+	if leave {
+		m.Leave(node)
+	} else {
+		m.Fail(node)
 	}
-	return e.ranked
+}
+
+// Stall freezes the node in the fault plane until now+d.
+func (m emulator) Stall(node int, d time.Duration) { m.Faults().Stall(node, m.Now()+d) }
+
+func (m emulator) Boundary(final bool) Boundary {
+	b := Boundary{
+		At:         m.Now(),
+		CP:         m.Checkpoint(),
+		FramesSent: m.FramesSent,
+		FramesLost: m.FramesLost,
+	}
+	if final {
+		b.Msgs = m.MessageStats()
+	}
+	return b
 }
 
 // simConfig maps the declarative spec onto a simulation configuration.
@@ -135,29 +147,6 @@ func (e *Engine) DissTracer() *disstrace.Tracer { return e.runner.DissTracer() }
 // default report bytes identical with sampling on or off.
 func (e *Engine) TreeReport() *disstrace.TreeReport { return e.runner.TreeReport() }
 
-// boundary captures the cumulative state at a phase edge, so per-phase
-// interval counters fall out as diffs of adjacent boundaries. It holds a
-// light trace.Checkpoint (counters plus link loads), never a copy of the
-// delivery log — phase edges stay O(connections) at any population.
-type boundary struct {
-	at         time.Duration
-	cp         trace.Checkpoint
-	framesSent uint64
-	framesLost uint64
-	live       int
-}
-
-func (e *Engine) boundary() boundary {
-	net := e.runner.Network()
-	return boundary{
-		at:         net.Now(),
-		cp:         e.runner.Checkpoint(),
-		framesSent: net.FramesSent,
-		framesLost: net.FramesLost,
-		live:       len(e.runner.LiveAll()),
-	}
-}
-
 // Run warms the overlay up, plays every phase back to back, drains, and
 // reports overall and per-phase metrics. It can only be called once.
 func (e *Engine) Run() (*Report, error) {
@@ -173,61 +162,34 @@ func (e *Engine) Run() (*Report, error) {
 		"phases":   len(e.spec.Phases),
 	})
 	e.runner.Warmup()
-
-	bounds := make([]boundary, 0, len(e.spec.Phases)+1)
-	bounds = append(bounds, e.boundary())
-	starts := make([]time.Duration, len(e.spec.Phases))
-	for i := range e.spec.Phases {
-		e.cur = i
-		p := &e.spec.Phases[i]
-		starts[i] = e.runner.Network().Now()
-		if off, disrupted := Disruption(p); disrupted {
-			// The phase's recovery time will be queried over
-			// [event, phase end): tell the streaming trace to retain the
-			// completion records of that window's messages before any of
-			// them is multicast.
-			e.runner.MarkRecovery(starts[i]+off.D(), starts[i]+p.Duration.D())
-		}
-		e.schedulePhase(p)
-		e.runner.RunFor(p.Duration.D())
-		if i == len(e.spec.Phases)-1 {
-			// The drain belongs to the last phase's interval, so its
-			// in-flight recoveries are accounted somewhere.
-			e.runner.RunFor(e.spec.Drain.D())
-		}
-		bounds = append(bounds, e.boundary())
-		phaseEnd := map[string]interface{}{
-			"scenario":   e.spec.Name,
-			"phase":      p.Name,
-			"index":      i,
-			"virtual_ms": float64(e.runner.Network().Now()) / float64(time.Millisecond),
-			"sim_events": e.runner.Events(),
-			"live":       len(e.runner.LiveAll()),
-		}
-		if fps := e.walkFootprints(); fps != nil {
-			phaseEnd["footprint_bytes"] = obs.FootprintBytesMap(fps)
-		}
-		e.spec.EventLog.Event("phase_end", phaseEnd)
-	}
-	rep := e.report(starts, bounds)
+	rep := e.player.Play(func(i int, p *Phase) {
+		e.logEnd("phase_end", map[string]interface{}{
+			"phase": p.Name,
+			"index": i,
+			"live":  len(e.runner.LiveAll()),
+		})
+	})
 	if d := e.runner.DissTracer(); d != nil {
 		// Compute the tree report while the obs registry is still
 		// attached, so the disstrace histograms populate even when the
 		// caller never asks for the trees.
 		d.Report()
 	}
-	finalFps := e.walkFootprints()
+	e.logEnd("run_end", map[string]interface{}{})
 	e.runner.ReleaseObs()
-	runEnd := map[string]interface{}{
-		"scenario":   e.spec.Name,
-		"virtual_ms": float64(e.runner.Network().Now()) / float64(time.Millisecond),
-		"sim_events": e.runner.Events(),
-	}
-	if finalFps != nil {
-		runEnd["footprint_bytes"] = obs.FootprintBytesMap(finalFps)
-	}
-	e.spec.EventLog.Event("run_end", runEnd)
 	return rep, nil
+}
+
+// logEnd emits a phase_end / run_end record with the clock, the event
+// count and — when the obs plane is attached — the footprint walk.
+func (e *Engine) logEnd(kind string, rec map[string]interface{}) {
+	rec["scenario"] = e.spec.Name
+	rec["virtual_ms"] = ms(e.runner.Network().Now())
+	rec["sim_events"] = e.runner.Events()
+	if fps := e.walkFootprints(); fps != nil {
+		rec["footprint_bytes"] = obs.FootprintBytesMap(fps)
+	}
+	e.spec.EventLog.Event(kind, rec)
 }
 
 // walkFootprints runs the per-subsystem accounting walk when the obs
@@ -242,87 +204,4 @@ func (e *Engine) walkFootprints() []obs.Footprint {
 	fps := e.runner.Footprints()
 	obs.PublishFootprints(e.spec.Obs, "sim", fps)
 	return fps
-}
-
-// schedulePhase installs every traffic arrival, churn event and network
-// event of the phase on the virtual clock. All offsets are < the phase
-// duration, so everything fires during this phase's RunFor.
-func (e *Engine) schedulePhase(p *Phase) {
-	net := e.runner.Network()
-	for i := range p.Traffic {
-		t := &p.Traffic[i]
-		// Each stream draws from its own RNG, seeded by (scenario seed,
-		// phase, stream), so schedules are independent and reproducible.
-		st := NewStream(t, StreamSeed(e.spec.Seed, e.cur, i), e.spec.Nodes)
-		for _, at := range st.Arrivals(p.Duration.D()) {
-			net.AfterFunc(at, func() { e.fire(st) })
-		}
-	}
-	for i := range p.Churn {
-		e.scheduleChurn(&p.Churn[i])
-	}
-	for i := range p.Network {
-		ev := p.Network[i]
-		net.AfterFunc(ev.At.D(), func() { e.applyNetEvent(&ev) })
-	}
-}
-
-// fire sends one message of a stream, or counts a skip when the chosen
-// source is dead. The live set spans original nodes and joined joiners,
-// so round-robin and uniform pickers let joiners send once they are in
-// the overlay; zipf and fixed pickers address original node indices.
-func (e *Engine) fire(st *Stream) {
-	live := e.runner.LiveAll()
-	node, ok := st.PickSender(live, func(n int) bool { return !e.runner.Failed(n) })
-	if !ok {
-		e.skipped[e.cur]++
-		return
-	}
-	e.runner.MulticastFrom(node, st.Payload())
-}
-
-// applyNetEvent applies one network-dynamics event.
-func (e *Engine) applyNetEvent(ev *NetEvent) {
-	net := e.runner.Network()
-	switch ev.Kind {
-	case NetLatencyFactor:
-		net.SetLatencyFactor(ev.Factor)
-	case NetExtraLatency:
-		net.SetExtraLatency(ev.Extra.D())
-	case NetLoss:
-		net.SetLoss(ev.Loss)
-	case NetPartition:
-		groups := ev.Groups
-		if len(groups) == 0 {
-			// Split shorthand: the first Split fraction of the initial
-			// nodes against everyone else (joiners included).
-			k := int(ev.Split*float64(e.spec.Nodes) + 0.5)
-			side := make([]int, k)
-			for i := range side {
-				side[i] = i
-			}
-			groups = [][]int{side}
-		}
-		net.Partition(groups)
-	case NetHeal:
-		net.Heal()
-	case NetFaultLink:
-		// Validated at spec load; Install re-checks and cannot fail here.
-		_ = e.inj.Install(ev.FaultRule())
-	case NetFaultClear:
-		e.inj.Clear()
-	case NetFaultStall:
-		until := net.Now() + ev.For.D()
-		for _, node := range ev.Nodes {
-			e.inj.Stall(node, until)
-		}
-	case NetFaultCrash:
-		for _, node := range ev.Nodes {
-			e.runner.Fail(node)
-		}
-	case NetFaultSlow:
-		for _, r := range ev.SlowRules() {
-			_ = e.inj.Install(r)
-		}
-	}
 }

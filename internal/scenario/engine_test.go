@@ -117,7 +117,8 @@ func TestKillBestTargetsRankingPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exactly the top 5 of the oracle ranking must be dead.
-	for i, n := range e.rankedNodes() {
+	for i, id := range e.Runner().RankedNodes() {
+		n := int(id)
 		failed := e.runner.Failed(n)
 		if i < 5 && !failed {
 			t.Fatalf("rank-%d node %d survived a kill-best wave", i, n)
@@ -311,7 +312,7 @@ func TestDeadFixedSenderSkips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := probe.rankedNodes()[0]
+	best := int(probe.Runner().RankedNodes()[0])
 	spec := testSpec(
 		Phase{
 			Name: "hotspot-dies", Duration: sec(15),

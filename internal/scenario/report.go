@@ -8,7 +8,6 @@ import (
 
 	"emcast/internal/disstrace"
 	"emcast/internal/sim"
-	"emcast/internal/trace"
 )
 
 // Metrics are the measures reported for a whole run or one phase,
@@ -128,12 +127,10 @@ func (m Metrics) line() string {
 	return s
 }
 
-// MetricsFromResult maps a sim.Result's message-scoped figures onto the
+// metricsFromResult maps a sim.Result's message-scoped figures onto the
 // report's Metrics. Interval-scoped counters are filled separately by
-// AddCounters. Exported so every engine that collects through the shared
-// trace pipeline — the simulator and the live TCP harness — builds
-// byte-compatible reports from one mapping.
-func MetricsFromResult(res sim.Result, skipped, liveNodes int) Metrics {
+// addCounters.
+func metricsFromResult(res sim.Result, skipped, liveNodes int) Metrics {
 	return Metrics{
 		MessagesSent:   res.MessagesSent,
 		SkippedSends:   skipped,
@@ -149,81 +146,26 @@ func MetricsFromResult(res sim.Result, skipped, liveNodes int) Metrics {
 	}
 }
 
-// AddCounters fills the interval-scoped counters — everything that
-// crossed the wire between two trace checkpoints — plus the frame
-// counters diffed by the caller (the emulator and the TCP transports
-// count frames differently, but both expose cumulative sent/lost totals).
-func (m *Metrics) AddCounters(prev, cur trace.Checkpoint, framesSent, framesLost uint64) {
-	m.EagerPayloads = cur.EagerPayloads - prev.EagerPayloads
-	m.LazyPayloads = cur.LazyPayloads - prev.LazyPayloads
-	m.PayloadBytes = cur.PayloadBytes - prev.PayloadBytes
-	m.ControlFrames = cur.ControlFrames - prev.ControlFrames
-	m.Duplicates = cur.Duplicates - prev.Duplicates
-	m.FramesSent = framesSent
-	m.FramesLost = framesLost
-	m.Top5LinkShare = sim.LinkTopShare(prev, cur, 0.05)
+// addCounters fills the interval-scoped counters — everything that
+// crossed the wire between two phase edges. The emulator and the TCP
+// transports count frames differently, but both expose cumulative
+// sent/lost totals.
+func (m *Metrics) addCounters(prev, cur edge) {
+	m.EagerPayloads = cur.CP.EagerPayloads - prev.CP.EagerPayloads
+	m.LazyPayloads = cur.CP.LazyPayloads - prev.CP.LazyPayloads
+	m.PayloadBytes = cur.CP.PayloadBytes - prev.CP.PayloadBytes
+	m.ControlFrames = cur.CP.ControlFrames - prev.CP.ControlFrames
+	m.Duplicates = cur.CP.Duplicates - prev.CP.Duplicates
+	m.FramesSent = cur.FramesSent - prev.FramesSent
+	m.FramesLost = cur.FramesLost - prev.FramesLost
+	m.Top5LinkShare = sim.LinkTopShare(prev.CP, cur.CP, 0.05)
 }
 
-// report assembles the final Report from the phase starts and boundaries.
-func (e *Engine) report(starts []time.Duration, bounds []boundary) *Report {
-	rep := &Report{
-		Scenario: e.spec.Name,
-		Seed:     e.spec.Seed,
-		Strategy: e.spec.Strategy,
-		Nodes:    e.spec.Nodes,
-		Joiners:  e.spec.Joiners(),
-		Elapsed:  Duration(e.runner.Network().Now()),
-	}
-
-	overall := e.runner.Result()
-	rep.Overall = MetricsFromResult(overall, 0, bounds[len(bounds)-1].live)
-	first, last := bounds[0], bounds[len(bounds)-1]
-	fillCounters(&rep.Overall, first, last)
-	for _, k := range e.skipped {
-		rep.Overall.SkippedSends += k
-	}
-
-	for i := range e.spec.Phases {
-		p := &e.spec.Phases[i]
-		prev, cur := bounds[i], bounds[i+1]
-		end := starts[i] + p.Duration.D()
-		res := e.runner.CollectWindow(starts[i], end)
-		m := MetricsFromResult(res, e.skipped[i], cur.live)
-		if off, disrupted := Disruption(p); disrupted {
-			switch rec, recovered, measured := e.runner.RecoveryTime(starts[i]+off.D(), end); {
-			case !measured:
-				// No traffic after the event: nothing to judge recovery
-				// by, so stay at 0 rather than claiming a failure.
-			case recovered:
-				m.RecoveryMS = ms(rec)
-			default:
-				m.RecoveryMS = -1
-			}
-		}
-		switch {
-		case m.RecoveryMS < 0:
-			rep.Overall.RecoveryMS = -1
-		case rep.Overall.RecoveryMS >= 0 && m.RecoveryMS > rep.Overall.RecoveryMS:
-			rep.Overall.RecoveryMS = m.RecoveryMS
-		}
-		fillCounters(&m, prev, cur)
-		rep.Phases = append(rep.Phases, PhaseReport{
-			Name:    p.Name,
-			StartMS: ms(starts[i]),
-			EndMS:   ms(cur.at),
-			Metrics: m,
-		})
-	}
-	return rep
-}
-
-// Disruption returns the offset of the phase's first disruptive event —
+// disruption returns the offset of the phase's first disruptive event —
 // a leave, crash or kill-best churn wave, a partition, or a heal — or
 // false when the phase has none. Joins and network-quality shifts are not
 // disruptions: they never take delivery away from live original nodes.
-// Exported so the live harness measures recovery against the same event
-// the simulator does.
-func Disruption(p *Phase) (Duration, bool) {
+func disruption(p *Phase) (Duration, bool) {
 	found := false
 	var min Duration
 	consider := func(at Duration) {
@@ -244,12 +186,6 @@ func Disruption(p *Phase) (Duration, bool) {
 		}
 	}
 	return min, found
-}
-
-// fillCounters derives the interval-scoped counters between two
-// boundaries.
-func fillCounters(m *Metrics, prev, cur boundary) {
-	m.AddCounters(prev.cp, cur.cp, cur.framesSent-prev.framesSent, cur.framesLost-prev.framesLost)
 }
 
 func ms(d time.Duration) float64 {

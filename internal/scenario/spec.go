@@ -385,8 +385,20 @@ func (e *NetEvent) SlowRules() [2]faults.LinkRule {
 	return [2]faults.LinkRule{out, in}
 }
 
-// HasFaults reports whether any phase schedules fault-* events, so
-// engines know to provision an injector.
+// Injector provisions the fault plane for one run of the spec: a fresh
+// injector seeded from the spec, or nil when no phase schedules fault-*
+// events — fault-free specs run with a nil injector, so the transports'
+// hot path stays one nil-check and the byte-identity story holds
+// trivially. Every substrate seeds it the same way, so sim and live draw
+// matching rule streams.
+func (s *Spec) Injector() *faults.Injector {
+	if !s.HasFaults() {
+		return nil
+	}
+	return faults.New(s.Seed ^ 0x0fa17a11)
+}
+
+// HasFaults reports whether any phase schedules fault-* events.
 func (s *Spec) HasFaults() bool {
 	for i := range s.Phases {
 		for j := range s.Phases[i].Network {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -70,61 +71,26 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// collect derives a Result from the tracer's aggregates.
+// collect derives a Result from the tracer's aggregates: the
+// message-scoped figures are WindowResult over the whole run (late
+// joiners are outside its denominator — they legitimately miss messages
+// sent before they joined — and reported separately as JoinerCoverage);
+// collect adds what only a whole run has.
 func (r *Runner) collect() Result {
 	cp := r.tracer.Checkpoint()
 	msgs := r.tracer.MessageStats()
-	res := Result{
-		Config:        r.cfg,
-		EagerPayloads: cp.EagerPayloads,
-		LazyPayloads:  cp.LazyPayloads,
-		Duplicates:    cp.Duplicates,
-		ControlFrames: cp.ControlFrames,
-		RequestMisses: cp.RequestMisses,
-		FramesSent:    r.net.FramesSent,
-		FramesLost:    r.net.FramesLost,
-		Elapsed:       r.elapsed,
-	}
-
-	// Late joiners are excluded from the delivery-rate denominator (they
-	// legitimately miss messages sent before they joined); their
-	// coverage is reported separately as JoinerCoverage.
 	liveSet := r.liveOriginalSet()
-	live := len(liveSet)
+	res := WindowResult(msgs, liveSet, 0, math.MaxInt64)
+	res.Config = r.cfg
+	res.EagerPayloads = cp.EagerPayloads
+	res.LazyPayloads = cp.LazyPayloads
+	res.Duplicates = cp.Duplicates
+	res.ControlFrames = cp.ControlFrames
+	res.RequestMisses = cp.RequestMisses
+	res.FramesSent = r.net.FramesSent
+	res.FramesLost = r.net.FramesLost
+	res.Elapsed = r.elapsed
 
-	var lat stats.Welford
-	var latencies []float64
-	var deliveryFracs []float64
-	atomic := 0
-	for i := range msgs {
-		m := &msgs[i]
-		res.MessagesSent++
-		res.Deliveries += m.Deliveries
-		delivered := m.DeliveredAmong(liveSet)
-		for _, l := range m.Latencies {
-			lat.Add(l)
-			latencies = append(latencies, l)
-		}
-		if live > 0 {
-			frac := float64(delivered) / float64(live)
-			deliveryFracs = append(deliveryFracs, frac)
-			if delivered == live {
-				atomic++
-			}
-		}
-	}
-	res.MeanLatency = time.Duration(lat.Mean())
-	res.LatencyInterval = lat.Interval()
-	res.P50Latency = time.Duration(stats.Percentile(latencies, 50))
-	res.P95Latency = time.Duration(stats.Percentile(latencies, 95))
-	res.DeliveryRate = stats.Mean(deliveryFracs)
-	if res.MessagesSent > 0 {
-		res.AtomicRate = float64(atomic) / float64(res.MessagesSent)
-	}
-
-	if res.Deliveries > 0 {
-		res.PayloadPerMsg = float64(cp.TotalPayloads) / float64(res.Deliveries)
-	}
 	// Group contributions: payloads sent by group members, normalised
 	// per message and per group member. The low/best decomposition is
 	// defined against the oracle ranking; materialising that just for

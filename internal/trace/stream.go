@@ -270,9 +270,10 @@ type linkTable struct {
 
 const linkTableMin = 8
 
-// mix64 is a splitmix64-style finalizer: packed link keys are dense small
-// integers, so unlike message-ID folds they need real mixing before
-// masking into the table.
+// mix64 is murmur3's fmix64 finalizer — not ids.Mix64 (splitmix64), and
+// not interchangeable with it: no increment, different constants. Packed
+// link keys are dense small integers, so unlike message-ID folds they need
+// real mixing before masking into the table.
 func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
