@@ -391,7 +391,7 @@ func BenchmarkClientMatrix(b *testing.B) {
 // matrix retains afterwards plus the cost of a random-pair lookup. The
 // quantized attach-router representation keeps the full 10k plane in the
 // tens of MBs; a byte budget below that forces LRU eviction and on-demand
-// Dijkstra recomputation, trading lookup latency for residency (compare
+// row re-fills, trading lookup latency for residency (compare
 // the budget variants' lookup-ns against the resident run).
 func benchMatrix10k(b *testing.B, budget int64) {
 	p := topology.DefaultParams()
@@ -440,7 +440,7 @@ func BenchmarkMatrix10kBudget8MiB(b *testing.B)  { benchMatrix10k(b, 8<<20) }
 // benchSetup measures sim.New alone — the per-cell setup a sweep pays
 // before any traffic — at 1k nodes. Strategies without a radius or
 // ranking skip the O(n²) oracle (pair scans, distribution sorts, and the
-// eager all-pairs Dijkstras behind them), so flat setup stays near-linear
+// row fills of the whole plane behind them), so flat setup stays near-linear
 // while ranked pays the full oracle on first use.
 func benchSetup(b *testing.B, strat sim.StrategyKind, oracle bool) {
 	for i := 0; i < b.N; i++ {

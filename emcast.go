@@ -106,7 +106,7 @@ type ClusterConfig struct {
 	// paper-size, ~3000 routers). Tests use 8.
 	TopologyScale int
 	// MatrixBudget caps the bytes of latency-plane rows kept resident
-	// (evicted Dijkstra rows recompute on demand); 0 retains every row.
+	// (evicted rows are re-composed on demand); 0 retains every row.
 	MatrixBudget int64
 }
 

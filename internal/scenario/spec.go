@@ -157,8 +157,8 @@ type Spec struct {
 	// tests, and its memory grows with messages × nodes.
 	FullTrace bool `json:"full_trace,omitempty"`
 	// MatrixBudget caps the bytes of quantized latency/hop rows the
-	// topology matrix keeps resident; evicted rows recompute via Dijkstra
-	// on demand, so huge cells run in O(budget) matrix memory. JSON
+	// topology matrix keeps resident; evicted rows are re-composed from
+	// the plane tables on demand, so huge cells run in O(budget) matrix memory. JSON
 	// accepts bytes or a size string ("64MiB"). 0 = retain every row.
 	MatrixBudget Bytes `json:"matrix_budget,omitempty"`
 	// TraceSample, when positive, samples this fraction of message ids

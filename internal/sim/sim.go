@@ -143,8 +143,9 @@ type Config struct {
 
 	// MatrixBudget caps the bytes of quantized latency/hop rows the
 	// topology matrix keeps resident (topology.Matrix.SetBudget); evicted
-	// rows recompute via Dijkstra on demand, trading CPU for O(budget)
-	// matrix memory in large cells. 0 retains every computed row.
+	// rows are re-composed from the plane tables on demand, trading CPU
+	// for O(budget) matrix memory in large cells. 0 retains every computed
+	// row.
 	MatrixBudget int64
 
 	// Core overrides protocol configuration; nil uses the paper's
@@ -388,7 +389,7 @@ func (r *Runner) attachObs() {
 	r.obsFuncs = []*obs.Func{
 		reg.CounterFunc("matrix_row_hits_total", "matrix row lookups served from cache",
 			func() float64 { return float64(m.Hits()) }),
-		reg.CounterFunc("matrix_row_misses_total", "matrix row lookups that ran a Dijkstra",
+		reg.CounterFunc("matrix_row_misses_total", "matrix row lookups that filled a row",
 			func() float64 { return float64(m.Misses()) }),
 		reg.CounterFunc("matrix_row_evictions_total", "matrix rows evicted by the byte budget",
 			func() float64 { return float64(m.Evictions()) }),
@@ -482,29 +483,33 @@ func (r *Runner) computeOracle() {
 
 // exactOracle materialises the full pairwise distributions, preallocated
 // to their known n(n-1) size (the append-reallocation churn this loop used
-// to pay is gone), and picks the quantiles by sorted index.
+// to pay is gone), and picks the quantiles by sorted index. The plane is
+// read one source row at a time — one lock and one row resolution per
+// node, not per pair.
 func (r *Runner) exactOracle(q float64) {
 	cfg := r.cfg
-	// Pairwise metric distribution for the radius quantile.
+	// all: pairwise metric distribution for the radius quantile. lats:
+	// the latency distribution, for T0.
 	all := make([]float64, 0, cfg.Nodes*(cfg.Nodes-1))
+	lats := make([]float64, 0, cfg.Nodes*(cfg.Nodes-1))
+	row := make([]time.Duration, cfg.Nodes+cfg.LateJoiners)
 	for i := 0; i < cfg.Nodes; i++ {
+		r.matrix.LatencyRowInto(row, i)
 		for j := 0; j < cfg.Nodes; j++ {
-			if i != j {
-				all = append(all, r.pairMetric(peer.ID(i), peer.ID(j)))
+			if i == j {
+				continue
 			}
+			metric := float64(row[j]) / float64(time.Millisecond) // as pairMetric
+			if cfg.DistanceMetric {
+				metric = r.matrix.Distance(i, j)
+			}
+			all = append(all, metric)
+			lats = append(lats, float64(row[j]))
 		}
 	}
 	r.rho = percentile(all, q)
 	// T0: expected latency within the radius — approximate with the
 	// same quantile of the latency distribution (in time units).
-	lats := make([]float64, 0, cfg.Nodes*(cfg.Nodes-1))
-	for i := 0; i < cfg.Nodes; i++ {
-		for j := 0; j < cfg.Nodes; j++ {
-			if i != j {
-				lats = append(lats, float64(r.matrix.Latency(i, j)))
-			}
-		}
-	}
 	r.t0 = time.Duration(percentile(lats, q))
 }
 

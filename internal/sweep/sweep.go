@@ -79,8 +79,8 @@ type Spec struct {
 	// nodes) memory per in-flight cell.
 	FullTrace bool `json:"full_trace,omitempty"`
 	// MatrixBudget, when positive, caps every cell's resident latency-
-	// plane bytes (scenario.Spec.MatrixBudget): evicted Dijkstra rows
-	// recompute on demand, bounding per-cell matrix memory at huge
+	// plane bytes (scenario.Spec.MatrixBudget): evicted rows are
+	// re-composed on demand, bounding per-cell matrix memory at huge
 	// overlay sizes. JSON accepts bytes or a size string ("64MiB").
 	MatrixBudget scenario.Bytes `json:"matrix_budget,omitempty"`
 	// TraceSample, when positive, samples this fraction of each cell's

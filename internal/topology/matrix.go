@@ -36,13 +36,15 @@ const (
 // counts as uint16, 2× and 4× smaller than the time.Duration and int rows
 // they replace.
 //
-// Rows are computed lazily, one router-level Dijkstra per attach router on
-// first use, and cached under an optional byte budget (SetBudget):
-// when the resident rows exceed the budget the least-recently-used ones
-// are dropped and recomputed via Dijkstra on demand, so whole-plane scans
-// (the streaming oracle, Stats) run in O(budget) resident memory. With no
-// budget every computed row is retained, which still tops out at the S×S
-// plane. Access is safe for concurrent use.
+// Rows are computed lazily, on first use, and cached under an optional
+// byte budget (SetBudget): when the resident rows exceed the budget the
+// least-recently-used ones are dropped and recomputed on demand, so
+// whole-plane scans (the streaming oracle, Stats) run in O(budget)
+// resident memory. With no budget every computed row is retained, which
+// still tops out at the S×S plane. Computing a row is no graph search: the
+// same articulation-point argument applies one level up (see plane), so a
+// row is S reads of small tables built once, on the first row. Access is
+// safe for concurrent use.
 type Matrix struct {
 	N      int
 	Coords [][2]float64
@@ -62,15 +64,15 @@ type Matrix struct {
 	lruElem    []*list.Element
 	latEver    []bool // latency row computed at least once
 	hopsEver   []bool // hop row computed at least once
-	recomputes int64  // eviction-forced Dijkstra re-runs
+	recomputes int64  // eviction-forced row re-fills
 	hits       int64  // row lookups served from the cache
-	misses     int64  // row lookups that ran a Dijkstra
+	misses     int64  // row lookups that filled a row
 	evictions  int64  // rows dropped by the byte budget
-	scratch    dijkstraScratch
+	plane      *plane // row-composition tables, built with the first row
 }
 
-// ClientMatrix returns the lazily computed shortest-path latency (Dijkstra)
-// and hop-count matrix between every pair of clients.
+// ClientMatrix returns the lazily computed shortest-path latency and
+// hop-count matrix between every pair of clients.
 func (n *Network) ClientMatrix() *Matrix {
 	c := len(n.Clients)
 	m := &Matrix{
@@ -84,10 +86,11 @@ func (n *Network) ClientMatrix() *Matrix {
 	stubIndex := make(map[int]int32)
 	for i, id := range n.Clients {
 		m.Coords[i] = [2]float64{n.Nodes[id].X, n.Nodes[id].Y}
-		if len(n.Adj[id]) != 1 || n.Nodes[n.Adj[id][0].To].Kind == Client {
-			// The collapse is exact only for single-homed leaf clients;
-			// Generate never produces anything else.
-			panic(fmt.Sprintf("topology: client %d is not a single-homed leaf", i))
+		if len(n.Adj[id]) != 1 || n.Nodes[n.Adj[id][0].To].Kind != Stub {
+			// The collapse is exact only for single-homed leaf clients,
+			// and rows are composed for stub attach routers; Generate
+			// never produces anything else.
+			panic(fmt.Sprintf("topology: client %d is not a single-homed leaf of a stub router", i))
 		}
 		e := n.Adj[id][0]
 		idx, ok := stubIndex[e.To]
@@ -110,9 +113,9 @@ func (n *Network) ClientMatrix() *Matrix {
 
 // SetBudget caps the bytes of quantized rows the matrix keeps resident;
 // least-recently-used rows beyond the budget are evicted and recomputed
-// via Dijkstra on demand. A budget of 0 (the default) retains every
-// computed row. The most recently used row is always kept, so lookups
-// make progress under any budget.
+// on demand. A budget of 0 (the default) retains every computed row. The
+// most recently used row is always kept, so lookups make progress under
+// any budget.
 func (m *Matrix) SetBudget(bytes int64) {
 	if bytes < 0 {
 		bytes = 0
@@ -137,7 +140,7 @@ func (m *Matrix) ResidentBytes() int64 {
 	return m.resident
 }
 
-// Recomputes returns how many row Dijkstras were re-runs of previously
+// Recomputes returns how many row fills were re-fills of previously
 // evicted rows — the CPU price paid for the byte budget.
 func (m *Matrix) Recomputes() int64 {
 	m.mu.Lock()
@@ -155,8 +158,8 @@ func (m *Matrix) Hits() int64 {
 	return m.hits
 }
 
-// Misses returns how many row lookups had to run a Dijkstra (first-use
-// fills and eviction-forced recomputes alike).
+// Misses returns how many row lookups had to fill a row (first-use fills
+// and eviction-forced recomputes alike).
 func (m *Matrix) Misses() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -184,8 +187,9 @@ const (
 
 // Footprint implements obs.Footprinter: the quantized rows currently
 // resident in the cache (the number the byte budget governs) plus the
-// fixed per-client collapse state and per-attach-router bookkeeping.
-// Items is the count of rows on the LRU list — the cache's working set.
+// fixed per-client collapse state, per-attach-router bookkeeping and,
+// once built, the row-composition tables. Items is the count of rows on
+// the LRU list — the cache's working set.
 func (m *Matrix) Footprint() obs.Footprint {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -193,7 +197,8 @@ func (m *Matrix) Footprint() obs.Footprint {
 		Subsystem: "topology",
 		Bytes: m.resident +
 			int64(m.N)*perClientBytes +
-			int64(len(m.stubNode))*perRouterBytes,
+			int64(len(m.stubNode))*perRouterBytes +
+			m.plane.bytes(),
 		Items: int64(m.lruList.Len()),
 	}
 }
@@ -217,7 +222,7 @@ func (m *Matrix) latRowLocked(s int) []uint32 {
 }
 
 // hopRowLocked is latRowLocked for hop rows; computing a hop row fills the
-// latency row for free, since one Dijkstra yields both.
+// latency row in the same pass, since the tables carry both.
 func (m *Matrix) hopRowLocked(s int) []uint16 {
 	if m.hops[s] == nil {
 		m.misses++
@@ -231,32 +236,34 @@ func (m *Matrix) hopRowLocked(s int) []uint16 {
 	return m.hops[s]
 }
 
-// computeRowLocked runs the router-level Dijkstra for attach router s and
-// installs the quantized row(s), evicting older rows past the budget. A
-// re-run for data the cache held before — not the first hop-row fill of a
-// latency-only row — counts as an eviction-forced recompute.
+// computeRowLocked composes attach router s's row(s) from the plane tables
+// (building them on the first call) and installs them, evicting older rows
+// past the budget. A re-fill of data the cache held before — not the first
+// hop-row fill of a latency-only row — counts as an eviction-forced
+// recompute.
 func (m *Matrix) computeRowLocked(s int, withHops bool) {
 	if (m.lat[s] == nil && m.latEver[s]) || (withHops && m.hops[s] == nil && m.hopsEver[s]) {
 		m.recomputes++
 	}
-	distNs, hopCnt := m.net.routerDijkstra(m.stubNode[s], &m.scratch)
+	if m.plane == nil {
+		m.plane = newPlane(m.net, m.stubNode)
+	}
 	n := len(m.stubNode)
+	var lat []uint32
+	var hops []uint16
 	if m.lat[s] == nil {
-		row := make([]uint32, n)
-		for t, node := range m.stubNode {
-			row[t] = quantizeLatNs(distNs[node])
-		}
-		m.lat[s] = row
-		m.latEver[s] = true
-		m.resident += int64(n) * latEntryBytes
+		lat = make([]uint32, n)
 	}
 	if withHops && m.hops[s] == nil {
-		row := make([]uint16, n)
-		for t, node := range m.stubNode {
-			row[t] = quantizeHops(hopCnt[node])
-		}
-		m.hops[s] = row
-		m.hopsEver[s] = true
+		hops = make([]uint16, n)
+	}
+	m.plane.fillRow(s, lat, hops)
+	if lat != nil {
+		m.lat[s], m.latEver[s] = lat, true
+		m.resident += int64(n) * latEntryBytes
+	}
+	if hops != nil {
+		m.hops[s], m.hopsEver[s] = hops, true
 		m.resident += int64(n) * hopEntryBytes
 	}
 	m.touchLocked(s)
@@ -322,7 +329,7 @@ func (m *Matrix) Hops(i, j int) int {
 
 // LatencyRow returns client i's full latency row as a freshly allocated
 // slice owned by the caller. It resolves one cached attach-router row (one
-// Dijkstra at most) and synthesizes the client entries, so a whole-matrix
+// row fill at most) and synthesizes the client entries, so a whole-matrix
 // scan consuming one row at a time — the streaming oracle, Stats — stays
 // within the cache budget: the backing row may be evicted as soon as the
 // next row is pulled.
@@ -372,7 +379,7 @@ func (m *Matrix) HopsRowInto(dst []int, i int) {
 }
 
 // Materialize forces every row (latencies and hop counts), paying the full
-// per-attach-router cost upfront — S Dijkstras, subject to the byte budget.
+// per-attach-router cost upfront — S row fills, subject to the byte budget.
 // Benchmarks and whole-matrix consumers use it; ordinary runs rely on the
 // lazy per-row path.
 func (m *Matrix) Materialize() {
@@ -391,149 +398,6 @@ func quantizeLatNs(ns int64) uint32 {
 		panic(fmt.Sprintf("topology: path latency %dns overflows the quantized uint32 nanosecond row (graph disconnected or latency beyond ~4.29s)", ns))
 	}
 	return uint32(ns)
-}
-
-// quantizeHops narrows a hop count to the uint16 row entry, asserting it
-// fits (a negative count marks an unreachable node).
-func quantizeHops(h int32) uint16 {
-	if h < 0 || h > math.MaxUint16 {
-		panic(fmt.Sprintf("topology: hop count %d does not fit the quantized uint16 row (graph disconnected or path beyond 65535 hops)", h))
-	}
-	return uint16(h)
-}
-
-// dijkstraScratch holds the working arrays one router-level Dijkstra
-// needs, reused across rows so a whole-matrix fill allocates them once
-// instead of three node-sized slices plus heap churn per row (at 10k
-// clients that churn was hundreds of megabytes of garbage).
-type dijkstraScratch struct {
-	distNs []int64
-	hops   []int32
-	done   []bool
-	pq     []heapItem
-}
-
-// routerDijkstra returns shortest-path distance in nanoseconds and hop
-// counts from src to every node, never routing through client leaves. The
-// returned slices alias the scratch and are valid until the next call.
-//
-// The priority queue orders items by (distance, hops) lexicographically
-// and relaxations use the same strict order, so hop counts on latency
-// ties are the minimum over all shortest paths regardless of processing
-// order — a recomputed row is byte-equal to the evicted original, and
-// the result is independent of the heap implementation (the reference
-// container/heap Dijkstra in matrix_test pins this).
-func (n *Network) routerDijkstra(src int, sc *dijkstraScratch) ([]int64, []int32) {
-	const inf = math.MaxInt64
-	if cap(sc.distNs) < len(n.Nodes) {
-		sc.distNs = make([]int64, len(n.Nodes))
-		sc.hops = make([]int32, len(n.Nodes))
-		sc.done = make([]bool, len(n.Nodes))
-	}
-	distNs := sc.distNs[:len(n.Nodes)]
-	hops := sc.hops[:len(n.Nodes)]
-	done := sc.done[:len(n.Nodes)]
-	for i := range distNs {
-		distNs[i] = inf
-		hops[i] = -1
-		done[i] = false
-	}
-	distNs[src] = 0
-	hops[src] = 0
-	pq := append(sc.pq[:0], heapItem{node: src})
-	for len(pq) > 0 {
-		it := pq[0]
-		last := len(pq) - 1
-		pq[0] = pq[last]
-		pq = pq[:last]
-		siftDown(pq)
-		if done[it.node] {
-			continue
-		}
-		done[it.node] = true
-		for _, e := range n.Adj[it.node] {
-			if n.Nodes[e.To].Kind == Client {
-				continue
-			}
-			nd := distNs[it.node] + int64(e.Latency)
-			nh := hops[it.node] + 1
-			if nd < distNs[e.To] || (nd == distNs[e.To] && nh < hops[e.To]) {
-				distNs[e.To] = nd
-				hops[e.To] = nh
-				pq = append(pq, heapItem{node: e.To, dist: nd, hops: nh})
-				siftUp(pq)
-			}
-		}
-	}
-	sc.pq = pq[:0]
-	return distNs, hops
-}
-
-// siftUp restores the heap invariant after appending to the tail;
-// siftDown after replacing the root. Both order by heapLess — manual and
-// monomorphic, where container/heap paid an interface boxing allocation
-// per Push/Pop and dynamic dispatch per comparison.
-func siftUp(h []heapItem) {
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !heapLess(&h[i], &h[parent]) {
-			return
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func siftDown(h []heapItem) {
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && heapLess(&h[l], &h[small]) {
-			small = l
-		}
-		if r < len(h) && heapLess(&h[r], &h[small]) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-}
-
-func heapLess(a, b *heapItem) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
-	}
-	return a.hops < b.hops
-}
-
-type heapItem struct {
-	node int
-	dist int64
-	hops int32
-}
-
-type nodeHeap []heapItem
-
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	return h[i].hops < h[j].hops
-}
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // Stats summarises a client matrix against the paper's §5.1 reference

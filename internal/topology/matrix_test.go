@@ -2,8 +2,10 @@ package topology
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,11 +46,50 @@ func refDijkstra(n *Network, src int) ([]int64, []int32) {
 	return dist, hops
 }
 
-// roundTripParams are the topology variants the quantized representation
-// is pinned against: the paper-size model, scaled-down router populations,
-// and a population large enough that clients wrap shubs and share attach
-// routers.
-func roundTripParams() map[string]Params {
+type heapItem struct {
+	node int
+	dist int64
+	hops int32
+}
+
+type nodeHeap []heapItem
+
+func (h nodeHeap) Len() int { return len(h) }
+func (h nodeHeap) Less(i, j int) bool {
+	if h[i].dist != h[j].dist {
+		return h[i].dist < h[j].dist
+	}
+	return h[i].hops < h[j].hops
+}
+func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
+func (h *nodeHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	it := old[n-1]
+	*h = old[:n-1]
+	return it
+}
+
+// roundTripCase is one topology the latency plane is pinned against. Every
+// stride-th client is a source; each source is compared against every
+// client and every attach router.
+type roundTripCase struct {
+	name   string
+	p      Params
+	stride int
+}
+
+// roundTripCases covers the paper-size model over several seeds (once
+// with every stub router hosting a client, so every router pair a client
+// population can reach is in play), scaled-down router populations,
+// clients wrapping the stubs and sharing attach routers, and the shapes
+// where the row composition has an edge to get wrong: one- and two-router
+// stub domains (ring emits a self-loop, resp. two parallel links), most
+// links on the 100µs latency floor (latency ties everywhere, so hop
+// tie-breaking decides), a single transit domain (no inter-domain links)
+// and one stub domain per transit router.
+func roundTripCases() []roundTripCase {
 	def := DefaultParams()
 	def.Clients = 50
 
@@ -61,48 +102,203 @@ func roundTripParams() map[string]Params {
 	shared.Clients = 300
 	shared.Seed = 3
 
-	return map[string]Params{"default": def, "scaled4": scaled, "sharedStubs": shared}
+	everyStub := DefaultParams()
+	everyStub.Clients = 3000 // 2944 stub routers: all host a client, 56 host two
+	everyStub.Seed = 11
+
+	small := DefaultParams()
+	small.TransitDomains, small.TransitPerDomain = 2, 3
+	small.StubDomainsPerTransit, small.StubPerDomain = 2, 5
+	small.Clients = 150 // ≫ 60 stubs
+	vary := func(seed int64, f func(*Params)) Params {
+		q := small
+		q.Seed = seed
+		f(&q)
+		return q
+	}
+
+	cases := []roundTripCase{
+		{"default", def, 1},
+		{"scaled4", scaled, 1},
+		{"sharedStubs", shared, 1},
+		{"defaultEveryStub", everyStub, 41},
+		{"stubPerDomain1", vary(21, func(q *Params) { q.StubPerDomain = 1 }), 1},
+		{"stubPerDomain2", vary(22, func(q *Params) { q.StubPerDomain = 2 }), 1},
+		{"latencyFloor", vary(23, func(q *Params) { q.PlaneSize, q.StubPerDomain = 400, 8 }), 1},
+		{"allOnFloor", vary(24, func(q *Params) { q.PlaneSize, q.MsPerUnit = 100, 0.001 }), 1},
+		{"oneTransitDomain", vary(25, func(q *Params) { q.TransitDomains = 1 }), 1},
+		{"oneStubDomainPerTransit", vary(26, func(q *Params) { q.StubDomainsPerTransit = 1 }), 1},
+	}
+	for seed := int64(2); seed <= 6; seed++ {
+		q := DefaultParams()
+		q.Clients, q.Seed = 120, seed
+		cases = append(cases, roundTripCase{fmt.Sprintf("defaultSeed%d", seed), q, 1})
+	}
+	return cases
 }
 
-// TestQuantizedRoundTrip property-tests that the uint32/uint16 quantized
-// rows reproduce the full-graph Dijkstra output exactly — latency to the
-// nanosecond, hops to the lexicographic minimum — across topology
-// variants, including clients sharing attach stubs.
-func TestQuantizedRoundTrip(t *testing.T) {
-	for name, p := range roundTripParams() {
-		p := p
-		t.Run(name, func(t *testing.T) {
-			net := Generate(p)
-			m := net.ClientMatrix()
-			for i := 0; i < m.N; i++ {
-				dist, hops := refDijkstra(net, net.Clients[i])
-				row := m.LatencyRow(i)
-				hrow := m.HopsRow(i)
-				for j := 0; j < m.N; j++ {
-					wantLat := time.Duration(dist[net.Clients[j]])
-					if i == j {
-						wantLat = 0
-					}
-					if m.Latency(i, j) != wantLat {
-						t.Fatalf("Latency(%d,%d) = %v, reference %v", i, j, m.Latency(i, j), wantLat)
-					}
-					if row[j] != wantLat {
-						t.Fatalf("LatencyRow(%d)[%d] = %v, reference %v", i, j, row[j], wantLat)
-					}
-					wantHops := int(hops[net.Clients[j]])
-					if i == j {
-						wantHops = 0
-					}
-					if m.Hops(i, j) != wantHops {
-						t.Fatalf("Hops(%d,%d) = %d, reference %d", i, j, m.Hops(i, j), wantHops)
-					}
-					if hrow[j] != wantHops {
-						t.Fatalf("HopsRow(%d)[%d] = %d, reference %d", i, j, hrow[j], wantHops)
-					}
-				}
+// checkAgainstDijkstra compares every stride-th client's view of the plane
+// with the full-graph reference: client-to-client through all four lookup
+// methods, and the backing attach-router row entry by entry (the router
+// path is the client path minus the source's access edge).
+func checkAgainstDijkstra(t testing.TB, net *Network, stride int) {
+	m := net.ClientMatrix()
+	for i := 0; i < m.N; i += stride {
+		dist, hops := refDijkstra(net, net.Clients[i])
+		row := m.LatencyRow(i)
+		hrow := m.HopsRow(i)
+		for j := 0; j < m.N; j++ {
+			wantLat := time.Duration(dist[net.Clients[j]])
+			if i == j {
+				wantLat = 0
 			}
+			if m.Latency(i, j) != wantLat {
+				t.Fatalf("Latency(%d,%d) = %v, reference %v", i, j, m.Latency(i, j), wantLat)
+			}
+			if row[j] != wantLat {
+				t.Fatalf("LatencyRow(%d)[%d] = %v, reference %v", i, j, row[j], wantLat)
+			}
+			wantHops := int(hops[net.Clients[j]])
+			if i == j {
+				wantHops = 0
+			}
+			if m.Hops(i, j) != wantHops {
+				t.Fatalf("Hops(%d,%d) = %d, reference %d", i, j, m.Hops(i, j), wantHops)
+			}
+			if hrow[j] != wantHops {
+				t.Fatalf("HopsRow(%d)[%d] = %d, reference %d", i, j, hrow[j], wantHops)
+			}
+		}
+		s := m.stubOf[i]
+		for r, node := range m.stubNode {
+			if got, want := int64(m.lat[s][r]), dist[node]-int64(m.accessNs[i]); got != want {
+				t.Fatalf("router row %d (node %d) → node %d: latency %dns, reference %dns", s, m.stubNode[s], node, got, want)
+			}
+			if got, want := int32(m.hops[s][r]), hops[node]-1; got != want {
+				t.Fatalf("router row %d (node %d) → node %d: %d hops, reference %d", s, m.stubNode[s], node, got, want)
+			}
+		}
+	}
+}
+
+// TestQuantizedRoundTrip property-tests that the composed, uint32/uint16
+// quantized rows reproduce the full-graph Dijkstra output exactly —
+// latency to the nanosecond, hops to the lexicographic minimum — for every
+// attach-router pair of every case.
+func TestQuantizedRoundTrip(t *testing.T) {
+	for _, c := range roundTripCases() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			checkAgainstDijkstra(t, Generate(c.p), c.stride)
 		})
 	}
+}
+
+// expectPanic runs f and returns the message it panicked with.
+func expectPanic(t *testing.T, f func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("no panic")
+		}
+		msg = fmt.Sprint(r)
+	}()
+	f()
+	return ""
+}
+
+// TestStubComponentAssertion pins that a network the row composition is
+// not exact for — a stub component with a second gateway, or with none —
+// fails loudly on the first lookup, naming the component, instead of
+// returning wrong latencies.
+func TestStubComponentAssertion(t *testing.T) {
+	p := DefaultParams().Scaled(4)
+	p.Clients = 20
+	attachOf := func(net *Network) (stub, gate int) {
+		stub = net.Adj[net.Clients[0]][0].To
+		for _, e := range net.Adj[stub] {
+			if net.Nodes[e.To].Kind == Transit {
+				return stub, e.To
+			}
+		}
+		t.Fatal("attach router has no transit link")
+		return
+	}
+
+	t.Run("twoGateways", func(t *testing.T) {
+		net := Generate(p)
+		stub, gate := attachOf(net)
+		second := (gate + 1) % (p.TransitDomains * p.TransitPerDomain) // transit routers are nodes 0..T-1
+		net.link(stub, second)
+		msg := expectPanic(t, func() { net.ClientMatrix().Latency(0, 1) })
+		want := fmt.Sprintf("(router %d, domain tag %d) has two gateways", componentRoot(net, stub), net.Nodes[stub].Domain)
+		if !strings.Contains(msg, "stub component") || !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not name the component (%q)", msg, want)
+		}
+	})
+
+	t.Run("noGateway", func(t *testing.T) {
+		net := Generate(p)
+		stub, gate := attachOf(net)
+		domain := net.Nodes[stub].Domain
+		keep := func(from int, e Edge) bool {
+			a, b := net.Nodes[from], net.Nodes[e.To]
+			return !(a.Kind == Stub && a.Domain == domain && e.To == gate) &&
+				!(from == gate && b.Kind == Stub && b.Domain == domain)
+		}
+		for from := range net.Adj {
+			kept := net.Adj[from][:0]
+			for _, e := range net.Adj[from] {
+				if keep(from, e) {
+					kept = append(kept, e)
+				}
+			}
+			net.Adj[from] = kept
+		}
+		msg := expectPanic(t, func() { net.ClientMatrix().Latency(0, 1) })
+		want := fmt.Sprintf("(router %d, domain tag %d) has no gateway", componentRoot(net, stub), domain)
+		if !strings.Contains(msg, "stub component") || !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not name the component (%q)", msg, want)
+		}
+	})
+}
+
+// componentRoot returns the lowest-numbered router of stub's domain — the
+// one newPlane discovers the component from and names it by.
+func componentRoot(net *Network, stub int) int {
+	for id, node := range net.Nodes {
+		if node.Kind == Stub && node.Domain == net.Nodes[stub].Domain {
+			return id
+		}
+	}
+	return -1
+}
+
+// FuzzPlaneMatchesDijkstra generates small networks from fuzzer-chosen
+// parameters and compares every client pair's latency and hops, and every
+// attach-router row, against the full-graph reference.
+func FuzzPlaneMatchesDijkstra(f *testing.F) {
+	f.Add(uint8(4), uint8(6), uint8(3), uint8(8), uint8(64), int64(1), 10000.0, 0.0074)
+	f.Fuzz(func(t *testing.T, transitDomains, transitPer, stubDomains, stubPer, clients uint8, seed int64, planeSize, msPerUnit float64) {
+		// At most 100 ms across the plane: a link is ≤ 142 ms and a path a
+		// dozen links, inside the quantized row's ~4.29 s.
+		if !(planeSize >= 1 && msPerUnit >= 0 && planeSize*msPerUnit <= 100) {
+			t.Skip("path latencies could overflow the quantized row")
+		}
+		p := Params{
+			TransitDomains:        1 + int(transitDomains)%4,
+			TransitPerDomain:      1 + int(transitPer)%6,
+			StubDomainsPerTransit: 1 + int(stubDomains)%3,
+			StubPerDomain:         1 + int(stubPer)%8,
+			Clients:               1 + int(clients)%64,
+			Seed:                  seed,
+			PlaneSize:             planeSize,
+			MsPerUnit:             msPerUnit,
+			ClientStubLatency:     time.Millisecond,
+		}
+		checkAgainstDijkstra(t, Generate(p), 1)
+	})
 }
 
 // twoRowBudget returns a byte budget that fits roughly two full row pairs.

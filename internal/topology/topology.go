@@ -10,7 +10,7 @@
 // average end-to-end latency of 49.83 ms (50% of pairs within 39-60 ms).
 // This package reproduces that construction: a two-level transit-stub
 // hierarchy embedded in a plane, distance-proportional link latencies, and
-// Dijkstra-derived all-pairs client matrices. Default parameters are
+// shortest-path all-pairs client matrices. Default parameters are
 // calibrated so the generated models land in the same latency and hop bands.
 //
 // The client matrix is stored compactly (see Matrix): quantized rows per
