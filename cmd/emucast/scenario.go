@@ -28,7 +28,6 @@ func runScenario(args []string, out, errOut io.Writer) error {
 		seed     = fs.Int64("seed", 0, "override the scenario seed")
 		scale    = fs.Int("scale", 0, "override the topology scale-down factor")
 		full     = fs.Bool("full-trace", false, "retain raw delivery events instead of streaming aggregates\n(identical report, O(messages × nodes) memory; for debugging)")
-		mbudget  = fs.String("matrix-budget", "", "cap resident latency-plane bytes (e.g. 64MiB); evicted\nrows are re-composed on demand")
 		sample   = fs.Float64("trace-sample", 0, "sample this fraction of message ids with the dissemination\ntracer (deterministic per seed; report bytes are unchanged)")
 		trees    = fs.String("trees", "", "write the sampled tree report JSON to this file, or '-' to\nembed it in the report output (implies -trace-sample 0.01)")
 		timeline = fs.String("timeline", "", "write all sampled message timelines as Chrome trace-event /\nPerfetto JSON to this file (implies -trace-sample 0.01)")
@@ -85,13 +84,6 @@ func runScenario(args []string, out, errOut io.Writer) error {
 	}
 	if *full {
 		spec.FullTrace = true
-	}
-	if *mbudget != "" {
-		b, err := scenario.ParseBytes(*mbudget)
-		if err != nil {
-			return err
-		}
-		spec.MatrixBudget = b
 	}
 	if *sample > 0 {
 		spec.TraceSample = *sample

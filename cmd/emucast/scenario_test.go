@@ -121,16 +121,6 @@ func TestScenarioListAndDump(t *testing.T) {
 	if spec["name"] != "crash-wave" {
 		t.Fatalf("-dump produced %v", spec["name"])
 	}
-	out.Reset()
-	if err := run([]string{"scenario", "-dump", "-matrix-budget", "64MiB", "crash-wave"}, &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(out.Bytes(), &spec); err != nil {
-		t.Fatalf("-dump output is not JSON: %v", err)
-	}
-	if spec["matrix_budget"] != float64(64<<20) {
-		t.Fatalf("-matrix-budget 64MiB dumped as %v", spec["matrix_budget"])
-	}
 }
 
 func TestScenarioErrors(t *testing.T) {
@@ -146,8 +136,5 @@ func TestScenarioErrors(t *testing.T) {
 	}
 	if err := run([]string{"scenario", "-f", scenarioFile("crash-wave.json"), "extra"}, &out, &errOut); err == nil {
 		t.Error("both -f and a builtin name accepted")
-	}
-	if err := run([]string{"scenario", "-matrix-budget", "lots", "crash-wave"}, &out, &errOut); err == nil {
-		t.Error("bad -matrix-budget accepted")
 	}
 }

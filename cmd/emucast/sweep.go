@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"emcast/internal/disstrace"
-	"emcast/internal/scenario"
 	"emcast/internal/sweep"
 )
 
@@ -34,7 +33,6 @@ func runSweep(args []string, out, errOut io.Writer) error {
 		scale      = fs.Int("scale", 0, "topology scale-down factor override")
 		workers    = fs.Int("workers", 0, "concurrent cell runs (default GOMAXPROCS)")
 		full       = fs.Bool("full-trace", false, "retain raw delivery events per cell instead of streaming\naggregates (identical matrix, far more memory; for debugging)")
-		mbudget    = fs.String("matrix-budget", "", "cap each cell's resident latency-plane bytes (e.g. 64MiB);\nevicted rows are re-composed on demand")
 		sample     = fs.Float64("trace-sample", 0, "sample this fraction of each cell's message ids with the\ndissemination tracer (matrix bytes are unchanged)")
 		treesPath  = fs.String("trees", "", "write per-cell sampled tree reports as JSON to this file\n(implies -trace-sample 0.01)")
 		format     = fs.String("format", "table", "output format: table, markdown, csv or json")
@@ -126,13 +124,6 @@ func runSweep(args []string, out, errOut io.Writer) error {
 	}
 	if *full {
 		spec.FullTrace = true
-	}
-	if *mbudget != "" {
-		b, err := scenario.ParseBytes(*mbudget)
-		if err != nil {
-			return err
-		}
-		spec.MatrixBudget = b
 	}
 	if *sample > 0 {
 		spec.TraceSample = *sample

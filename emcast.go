@@ -105,9 +105,6 @@ type ClusterConfig struct {
 	// TopologyScale divides the simulated router population (1 =
 	// paper-size, ~3000 routers). Tests use 8.
 	TopologyScale int
-	// MatrixBudget caps the bytes of latency-plane rows kept resident
-	// (evicted rows are re-composed on demand); 0 retains every row.
-	MatrixBudget int64
 }
 
 // Cluster is an in-process deployment of protocol nodes over the simulated
@@ -172,10 +169,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		tp := topology.DefaultParams().Scaled(cfg.TopologyScale)
 		sc.Topology = &tp
 	}
-	if cfg.MatrixBudget < 0 {
-		return nil, fmt.Errorf("emcast: matrix budget %d must be non-negative", cfg.MatrixBudget)
-	}
-	sc.MatrixBudget = cfg.MatrixBudget
 
 	c := &Cluster{}
 	sc.OnDeliver = func(node peer.ID, id ids.ID, payload []byte) {

@@ -394,3 +394,39 @@ func TestPeerBelievesHubExplicit(t *testing.T) {
 		t.Fatal("explicit hub set not honoured")
 	}
 }
+
+// TestPeerPublicMethodsUnderTraffic calls every public method that reaches
+// the protocol node from four goroutines while a gossip-ranked fleet pings,
+// shuffles and merges score samples on its transport goroutines. The node
+// and its ranking table take no lock of their own; run with -race this
+// pins that the peer's does cover them — BelievesHub used to read the table
+// bare.
+func TestPeerPublicMethodsUnderTraffic(t *testing.T) {
+	const n = 4
+	peers := startTCPGroup(t, n, func(cfg *PeerConfig) {
+		cfg.Strategy = Ranked // no Hubs: the ranking table is live
+		cfg.Fanout = 3
+	})
+	// Pings and score gossip run on 1 s (±25 %) periods: the first scores
+	// reach a table after about two of them.
+	time.Sleep(2500 * time.Millisecond)
+	deadline := time.Now().Add(time.Second)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			p := peers[g%n]
+			var last MessageID
+			for i := 0; time.Now().Before(deadline); i++ {
+				p.BelievesHub(NodeID(i % n))
+				p.View()
+				p.Delivered(last)
+				if i%64 == 0 {
+					last = p.Multicast([]byte("hammer"))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

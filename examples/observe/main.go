@@ -8,7 +8,7 @@
 //  1. a mid-run /metrics excerpt (counters moving while cells execute),
 //  2. the structured JSONL run events the sweep emitted,
 //  3. a final snapshot with the run's headline figures (events/sec,
-//     matrix cache hit rate, worker utilization).
+//     deliveries, mean cell time).
 //
 // The registry never feeds the simulation: the sweep's result matrix is
 // byte-identical with or without it (the repo's equivalence tests pin
@@ -105,7 +105,7 @@ func main() {
 	fmt.Println("\n--- mid-run /metrics excerpt ---")
 	for _, line := range strings.Split(<-scraped, "\n") {
 		if strings.HasPrefix(line, "sim_") || strings.HasPrefix(line, "sweep_") ||
-			strings.HasPrefix(line, "matrix_") || strings.HasPrefix(line, "go_goroutines") {
+			strings.HasPrefix(line, "go_goroutines") {
 			fmt.Println(line)
 		}
 	}
@@ -123,15 +123,12 @@ func main() {
 	fmt.Println("\n--- final snapshot ---")
 	final := obs.Scalars(reg.Snapshot())
 	simEvents := final["sim_events_total"]
-	hits, misses := final["matrix_row_hits_total"], final["matrix_row_misses_total"]
 	fmt.Printf("emulator events:   %.0f (%.0f events/sec over %v wall)\n",
 		simEvents, simEvents/wall.Seconds(), wall.Round(time.Millisecond))
 	fmt.Printf("frames delivered:  %.0f (%.0f lost)\n",
 		final["sim_frames_delivered_total"], final["sim_frames_lost_total"])
 	fmt.Printf("deliveries:        %.0f from %.0f multicasts\n",
 		final["sim_deliveries_total"], final["sim_multicasts_total"])
-	fmt.Printf("matrix row cache:  %.1f%% hit rate (%.0f hits, %.0f misses)\n",
-		100*hits/(hits+misses), hits, misses)
 	fmt.Printf("cells:             %.0f done, mean %.2fs each\n",
 		final["sweep_cells_done_total"],
 		final["sweep_cell_seconds_sum"]/final["sweep_cell_seconds_count"])

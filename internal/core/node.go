@@ -9,7 +9,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"emcast/internal/gossip"
@@ -59,10 +58,13 @@ func DefaultConfig() Config {
 	}
 }
 
-// Node is one protocol participant.
+// Node is one protocol participant: a single-owner step machine. Its
+// inputs — an inbound frame, a timer callback it armed through env.Timers,
+// Multicast, Join, and every other method — must arrive one at a time;
+// the host that owns the node serialises them. The simulator is one
+// goroutine and does nothing; emcast.Peer holds one mutex per peer.
+// Nothing in the node or the layers under it takes a lock.
 type Node struct {
-	mu sync.Mutex
-
 	cfg     Config
 	env     *peer.Env
 	view    *membership.View
@@ -82,11 +84,9 @@ type Node struct {
 	rankT       peer.Timer
 
 	// scratch is the reusable encode buffer for outbound control frames.
-	// Safe because every send site holds n.mu and peer.Transport.Send
-	// never retains the slice.
+	// Safe because peer.Transport.Send never retains the slice.
 	scratch []byte
-	// parsed is the reusable decode scratch for inbound frames, used by
-	// HandleFrame under n.mu.
+	// parsed is the reusable decode scratch for inbound frames.
 	parsed msg.Parsed
 }
 
@@ -94,7 +94,7 @@ type Node struct {
 type encoder interface{ Encode([]byte) []byte }
 
 // enc serialises a control frame into the node's scratch buffer. Callers
-// must hold n.mu and hand the result straight to Transport.Send.
+// hand the result straight to Transport.Send.
 func (n *Node) enc(f encoder) []byte {
 	n.scratch = f.Encode(n.scratch[:0])
 	return n.scratch
@@ -148,7 +148,6 @@ func NewNode(cfg Config, env *peer.Env, opts Options) *Node {
 	}
 	n.view = membership.NewView(cfg.Membership, env.Self(), env.RNG)
 	n.lazy = lazy.New(cfg.Lazy, env, opts.Strategy, tracer)
-	n.lazy.SetLocker(&n.mu)
 	gen := ids.NewGenerator(cfg.Seed ^ int64(env.Self())<<32 ^ 0x1e3779b97f4a7c15)
 	n.gossip = gossip.New(cfg.Gossip, env.Self(), gen, n.view, n.lazy, n.appDeliver, env.Clock, tracer)
 	n.lazy.SetReceiver(n.gossip)
@@ -167,22 +166,16 @@ func (n *Node) ID() peer.ID { return n.env.Self() }
 // SeedView initialises the node's partial view (bootstrap or simulator
 // warm-up).
 func (n *Node) SeedView(ps []peer.ID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.view.Seed(ps)
 }
 
 // View returns a copy of the node's current partial view.
 func (n *Node) View() []peer.ID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.view.Peers()
 }
 
 // Start launches the node's periodic tasks (shuffling, latency probing).
 func (n *Node) Start() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.stopped = false
 	if n.cfg.ShufflePeriod > 0 {
 		n.scheduleShuffle()
@@ -197,8 +190,6 @@ func (n *Node) Start() {
 
 // Stop cancels periodic tasks. In-flight frames are still handled.
 func (n *Node) Stop() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.stopped = true
 	if n.shuffleT != nil {
 		n.shuffleT.Stop()
@@ -213,38 +204,30 @@ func (n *Node) Stop() {
 
 // Multicast disseminates payload to the overlay and returns the message id.
 func (n *Node) Multicast(payload []byte) ids.ID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.gossip.Multicast(payload)
 }
 
 // Delivered reports whether the node has delivered message id: its
 // payload was received, or the node multicast it itself (K = R ∪ own).
 func (n *Node) Delivered(id ids.ID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.lazy.Received(id) || n.gossip.Own(id)
 }
 
 // PendingRequests returns the number of advertised messages whose payload
 // has not arrived yet.
 func (n *Node) PendingRequests() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.lazy.PendingRequests()
 }
 
 // HandleFrame routes one inbound wire frame to the owning layer. Malformed
 // frames are dropped, matching the unreliable transport assumption.
 //
-// Decoding goes through a per-node reused msg.Parsed under the node lock:
-// the payload aliases the (transport-recycled) frame buffer and views
-// point into scratch, so nothing here escapes per frame — the lazy layer
-// copies the payload exactly once, on first receipt, and the membership
-// merges consume views without retaining them.
+// Decoding goes through a per-node reused msg.Parsed: the payload aliases
+// the (transport-recycled) frame buffer and views point into scratch, so
+// nothing here escapes per frame — the lazy layer copies the payload
+// exactly once, on first receipt, and the membership merges consume views
+// without retaining them.
 func (n *Node) HandleFrame(from peer.ID, frame []byte) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	p := &n.parsed
 	if err := p.Decode(frame); err != nil {
 		return
@@ -290,16 +273,12 @@ func (n *Node) HandleFrame(from peer.ID, frame []byte) {
 
 // Join introduces the node to the overlay through a contact node.
 func (n *Node) Join(contact peer.ID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.view.Add(contact)
 	n.env.Transport.Send(contact, n.enc(&msg.Join{}))
 }
 
 func (n *Node) scheduleShuffle() {
 	n.shuffleT = n.env.Timers.AfterFunc(n.jittered(n.cfg.ShufflePeriod), func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
 		if n.stopped {
 			return
 		}
@@ -318,8 +297,6 @@ func (n *Node) scheduleShuffle() {
 
 func (n *Node) schedulePing() {
 	n.pingT = n.env.Timers.AfterFunc(n.jittered(n.cfg.PingPeriod), func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
 		if n.stopped {
 			return
 		}
@@ -345,8 +322,6 @@ func (n *Node) schedulePing() {
 
 func (n *Node) scheduleRankGossip() {
 	n.rankT = n.env.Timers.AfterFunc(n.jittered(n.cfg.RankGossipPeriod), func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
 		if n.stopped {
 			return
 		}
@@ -394,11 +369,8 @@ const (
 // Footprints reports the node's per-subsystem retained bytes: the
 // membership partial view, the gossip layer's own multicast ids, the lazy
 // module's dedup set / payload cache / pending requests, and the node's
-// own probe and shuffle bookkeeping under "core". Taken under the node
-// lock so the walk sees a consistent state; it only reads.
+// own probe and shuffle bookkeeping under "core". It only reads.
 func (n *Node) Footprints() []obs.Footprint {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	coreBytes := int64(len(n.pingSent)) * pingProbeEntry
 	for _, sample := range n.shuffleSent {
 		coreBytes += shuffleSentEntry + int64(cap(sample))*4

@@ -63,7 +63,7 @@ type Sender interface {
 type DeliverFunc func(id ids.ID, payload []byte)
 
 // Gossip is the per-node gossip state. It is not safe for concurrent use;
-// the owning node serialises access.
+// the owning node's host serialises access (see core.Node).
 type Gossip struct {
 	cfg     Config
 	self    peer.ID
@@ -136,7 +136,7 @@ func (g *Gossip) LReceive(id ids.ID, payload []byte, round int, from peer.ID) {
 
 // Footprint implements obs.Footprinter: the retained bytes of the own
 // multicast identifiers (nothing on a node that never multicast).
-// Read-only; callers serialise access like every other method.
+// Read-only.
 func (g *Gossip) Footprint() obs.Footprint {
 	return obs.Footprint{
 		Subsystem: "gossip",

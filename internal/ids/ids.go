@@ -36,15 +36,20 @@ func (id ID) IsZero() bool {
 // Generator produces unique identifiers from a seeded random stream. A
 // deterministic seed yields a deterministic identifier sequence, which keeps
 // whole-simulation runs reproducible. Generator is safe for concurrent use.
+//
+// The random source is seeded by the first Next, not by NewGenerator: every
+// node owns a generator but only the few that multicast ever draw from it,
+// and a math/rand source is 5 KB and microseconds of seeding.
 type Generator struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-	seq uint64
+	mu   sync.Mutex
+	seed int64
+	rng  *rand.Rand // nil until the first Next
+	seq  uint64
 }
 
 // NewGenerator returns a Generator seeded with seed.
 func NewGenerator(seed int64) *Generator {
-	return &Generator{rng: rand.New(rand.NewSource(seed))}
+	return &Generator{seed: seed}
 }
 
 // Next returns a fresh identifier. The first 8 bytes are random and the last
@@ -54,6 +59,9 @@ func NewGenerator(seed int64) *Generator {
 func (g *Generator) Next() ID {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.rng == nil {
+		g.rng = rand.New(rand.NewSource(g.seed))
+	}
 	g.seq++
 	var id ID
 	binary.BigEndian.PutUint64(id[0:8], g.rng.Uint64())

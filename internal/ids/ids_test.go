@@ -1,6 +1,8 @@
 package ids
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -36,6 +38,28 @@ func TestGeneratorDeterministic(t *testing.T) {
 	c := NewGenerator(8)
 	if NewGenerator(7).Next() == c.Next() {
 		t.Fatal("different seeds produced the same first id")
+	}
+}
+
+// TestGeneratorSeedsOnFirstNext pins the lazy seeding: a generator that
+// has not been drawn from retains no random source, and drawing yields the
+// sequence an eagerly seeded math/rand stream defines — two draws per id,
+// the second mixed with the sequence number.
+func TestGeneratorSeedsOnFirstNext(t *testing.T) {
+	for _, seed := range []int64{0, 1, 7, -3, 1 << 40} {
+		g := NewGenerator(seed)
+		if g.rng != nil {
+			t.Fatalf("seed %d: fresh generator already holds a source", seed)
+		}
+		ref := rand.New(rand.NewSource(seed))
+		for seq := uint64(1); seq <= 50; seq++ {
+			var want ID
+			binary.BigEndian.PutUint64(want[0:8], ref.Uint64())
+			binary.BigEndian.PutUint64(want[8:16], ref.Uint64()^seq)
+			if got := g.Next(); got != want {
+				t.Fatalf("seed %d, id %d = %v, eager stream gives %v", seed, seq, got, want)
+			}
+		}
 	}
 }
 

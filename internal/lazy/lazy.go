@@ -15,7 +15,6 @@
 package lazy
 
 import (
-	"sync"
 	"time"
 
 	"emcast/internal/ids"
@@ -63,7 +62,8 @@ type Receiver interface {
 }
 
 // Module is the per-node lazy point-to-point state. It is not safe for
-// concurrent use; the owning node serialises access.
+// concurrent use: its request timers, armed through env.Timers, and every
+// method are inputs of the owning node's step machine (see core.Node).
 type Module struct {
 	cfg      Config
 	env      *peer.Env
@@ -78,21 +78,10 @@ type Module struct {
 	cache    *payloadCache
 	pending  *ids.Map[*pendingRequest]
 
-	// locker guards re-entry from timer callbacks. The owning node sets
-	// it to its own lock so request timers and inbound frames are
-	// serialised; the default is a no-op for single-threaded use.
-	locker sync.Locker
-
 	// scratch is the reusable encode buffer for outbound frames. Safe
-	// because the module is serialised and peer.Transport.Send never
-	// retains the slice.
+	// because peer.Transport.Send never retains the slice.
 	scratch []byte
 }
-
-type nopLocker struct{}
-
-func (nopLocker) Lock()   {}
-func (nopLocker) Unlock() {}
 
 type cached struct {
 	payload []byte
@@ -123,17 +112,11 @@ func New(cfg Config, env *peer.Env, strat strategy.Strategy, tracer trace.Tracer
 		received: ids.NewSet(cfg.ReceivedCapacity),
 		cache:    newPayloadCache(cfg.CacheCapacity),
 		pending:  ids.NewMap[*pendingRequest](0),
-		locker:   nopLocker{},
 	}
 }
 
 // SetReceiver installs the gossip-layer upcall.
 func (m *Module) SetReceiver(r Receiver) { m.receiver = r }
-
-// SetLocker installs the lock acquired by request-timer callbacks. The
-// owning node passes its own mutex so timers never race with frame
-// handling.
-func (m *Module) SetLocker(l sync.Locker) { m.locker = l }
 
 // Strategy returns the module's transmission strategy.
 func (m *Module) Strategy() strategy.Strategy { return m.strat }
@@ -174,17 +157,10 @@ func (m *Module) OnIHave(id ids.ID, from peer.ID) {
 		m.pending.Put(id, req)
 		req.sources = append(req.sources, from)
 		delay := m.strat.FirstDelay(from)
-		req.timer = m.env.Timers.AfterFunc(delay, func() { m.lockedFire(id) })
+		req.timer = m.env.Timers.AfterFunc(delay, func() { m.fireRequest(id) })
 		return
 	}
 	req.sources = append(req.sources, from)
-}
-
-// lockedFire runs fireRequest under the owning node's lock.
-func (m *Module) lockedFire(id ids.ID) {
-	m.locker.Lock()
-	defer m.locker.Unlock()
-	m.fireRequest(id)
 }
 
 // fireRequest issues one IWANT for id and schedules the next attempt.
@@ -219,7 +195,7 @@ func (m *Module) fireRequest(id ids.ID) {
 		m.causal.Requested(m.env.Self(), src, id, m.env.Now())
 	}
 	m.env.Transport.Send(src, frame)
-	req.timer = m.env.Timers.AfterFunc(m.cfg.RequestPeriod, func() { m.lockedFire(id) })
+	req.timer = m.env.Timers.AfterFunc(m.cfg.RequestPeriod, func() { m.fireRequest(id) })
 }
 
 func removeSource(req *pendingRequest, src peer.ID) {
@@ -299,8 +275,7 @@ const (
 // (map entries plus the cached payload bytes the cache tracks
 // incrementally) and the pending retransmission requests with their
 // source rotation queues. Pure arithmetic over tracked lengths and
-// capacities; callers hold the owning node's lock, like every other
-// method.
+// capacities.
 func (m *Module) Footprint() obs.Footprint {
 	bytes := m.received.FootprintBytes()
 	bytes += int64(m.cache.entries.TableLen())*(ids.IDSize+cachedEntryBytes) +

@@ -10,7 +10,8 @@
 // (tcp: wall clock, paced timeline, the shared streaming trace), built on
 // fleet, the peer bookkeeping RunChaos also uses. Deliveries flow through
 // the same trace.Streaming pipeline the simulator uses (one collector
-// shared by the whole fleet, folded as transport goroutines deliver), so
+// shared by the whole fleet behind trace.Locked, folded as transport
+// goroutines deliver), so
 // the report has the simulator's exact schema — and Compare diffs a live
 // report against a simulator prediction metric by metric, the step that
 // validates the model against real sockets.
@@ -135,7 +136,7 @@ func New(spec scenario.Spec, opts Options) (*Harness, error) {
 	spec.Drain = scenario.Duration(float64(opts.Drain) * opts.TimeScale)
 
 	h := &Harness{spec: spec, opts: opts}
-	tracer := trace.NewStreaming()
+	tracer := trace.NewLocked(trace.NewStreaming())
 	base := emcast.PeerConfig{
 		Fanout:       opts.Fanout,
 		Tracer:       tracer,
@@ -244,7 +245,7 @@ func (h *Harness) Run() (*scenario.Report, error) {
 type tcp struct {
 	*fleet
 	timeScale float64
-	tracer    *trace.Streaming
+	tracer    *trace.Locked
 	events    []event // scheduled for the next RunFor
 }
 

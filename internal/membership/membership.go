@@ -34,8 +34,8 @@ func DefaultConfig() Config {
 }
 
 // View is a node's partial view of the overlay. It is not safe for
-// concurrent use; the owning node must serialise access (core.Node holds a
-// per-node lock).
+// concurrent use: it is part of the owning node's step machine, whose host
+// serialises every input (see core.Node).
 type View struct {
 	cfg   Config
 	self  peer.ID
@@ -179,8 +179,7 @@ const peerIDBytes = 4
 // Footprint implements obs.Footprinter: the peers slice's capacity plus
 // the index map (4-byte ID key, 8-byte int value, map overhead). The
 // estimate is pure arithmetic over lengths and capacities — the walk
-// never mutates the view. Callers must hold the owning node's lock, like
-// every other View method.
+// never mutates the view.
 func (v *View) Footprint() obs.Footprint {
 	return obs.Footprint{
 		Subsystem: "membership",

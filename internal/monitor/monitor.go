@@ -44,7 +44,7 @@ func Unknown() float64 { return math.Inf(1) }
 // weighted moving average of observed round-trip times per peer, in
 // milliseconds, mirroring TCP's RTT estimation. The zero value is not
 // usable; create with NewEWMA. EWMA is not safe for concurrent use; the
-// owning node serialises access.
+// owning node's host serialises access.
 type EWMA struct {
 	alpha float64
 	rtt   map[peer.ID]float64

@@ -56,7 +56,7 @@ type entry struct {
 }
 
 // Table is a node's view of the global ranking. It is not safe for
-// concurrent use; the owning node serialises access.
+// concurrent use; the owning node's host serialises access.
 type Table struct {
 	cfg    Config
 	self   peer.ID

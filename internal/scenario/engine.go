@@ -103,7 +103,6 @@ func simConfig(spec *Spec) (sim.Config, error) {
 	cfg.Drain = spec.Drain.D()
 	cfg.FullTrace = spec.FullTrace
 	cfg.TraceSample = spec.TraceSample
-	cfg.MatrixBudget = int64(spec.MatrixBudget)
 	cfg.Obs = spec.Obs
 	switch spec.Strategy {
 	case "eager":
@@ -176,7 +175,6 @@ func (e *Engine) Run() (*Report, error) {
 		d.Report()
 	}
 	e.logEnd("run_end", map[string]interface{}{})
-	e.runner.ReleaseObs()
 	return rep, nil
 }
 

@@ -55,7 +55,6 @@ func chaosSpec(t *testing.T) Spec {
 		"topology_scale": 8,
 		"strategy": "radius",
 		"drain": "5s",
-		"matrix_budget": "16KiB",
 		"phases": [
 			{"name": "steady", "duration": "8s",
 			 "traffic": [{"kind": "poisson", "rate": 3, "senders": "uniform"}],
@@ -118,14 +117,14 @@ func TestFaultEventValidation(t *testing.T) {
 	base := `{"name": "v", "nodes": 10, "phases": [{"name": "p", "duration": "5s",
 		"network": [%s]}]}`
 	bad := []string{
-		`{"kind": "fault-link"}`,                                      // injects nothing
-		`{"kind": "fault-link", "drop": 1.5}`,                         // probability out of range
-		`{"kind": "fault-link", "drop": 0.5, "from": [99]}`,           // scope out of range
-		`{"kind": "fault-stall", "for": "1s"}`,                        // no victims
-		`{"kind": "fault-stall", "nodes": [1]}`,                       // no duration
-		`{"kind": "fault-crash", "nodes": [10]}`,                      // victim out of range
-		`{"kind": "fault-slow", "nodes": [1]}`,                        // no delay
-		`{"kind": "fault-link", "drop": 0.5, "unknown_field": true}`,  // typo
+		`{"kind": "fault-link"}`,                                     // injects nothing
+		`{"kind": "fault-link", "drop": 1.5}`,                        // probability out of range
+		`{"kind": "fault-link", "drop": 0.5, "from": [99]}`,          // scope out of range
+		`{"kind": "fault-stall", "for": "1s"}`,                       // no victims
+		`{"kind": "fault-stall", "nodes": [1]}`,                      // no duration
+		`{"kind": "fault-crash", "nodes": [10]}`,                     // victim out of range
+		`{"kind": "fault-slow", "nodes": [1]}`,                       // no delay
+		`{"kind": "fault-link", "drop": 0.5, "unknown_field": true}`, // typo
 	}
 	for _, ev := range bad {
 		if _, err := ParseString(fmt.Sprintf(base, ev)); err == nil {

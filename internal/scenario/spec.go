@@ -15,8 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
 	"strings"
 	"time"
 
@@ -57,62 +55,6 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 
 // D returns the native duration.
 func (d Duration) D() time.Duration { return time.Duration(d) }
-
-// Bytes is a byte count that unmarshals from either a plain JSON number
-// (bytes) or a human-readable size string ("64MiB", "2GiB"); it marshals
-// back as a number.
-type Bytes int64
-
-// MarshalJSON implements json.Marshaler.
-func (b Bytes) MarshalJSON() ([]byte, error) {
-	return json.Marshal(int64(b))
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (b *Bytes) UnmarshalJSON(data []byte) error {
-	var v interface{}
-	if err := json.Unmarshal(data, &v); err != nil {
-		return err
-	}
-	switch v := v.(type) {
-	case string:
-		parsed, err := ParseBytes(v)
-		if err != nil {
-			return err
-		}
-		*b = parsed
-	case float64:
-		*b = Bytes(v)
-	default:
-		return fmt.Errorf("scenario: byte size must be a string or number, got %T", v)
-	}
-	return nil
-}
-
-// ParseBytes parses a byte size: a bare integer (bytes) or an integer with
-// a binary suffix B, KiB, MiB or GiB.
-func ParseBytes(s string) (Bytes, error) {
-	unit := int64(1)
-	num := strings.TrimSpace(s)
-	for _, suf := range []struct {
-		name string
-		mult int64
-	}{{"KiB", 1 << 10}, {"MiB", 1 << 20}, {"GiB", 1 << 30}, {"B", 1}} {
-		if strings.HasSuffix(num, suf.name) {
-			unit = suf.mult
-			num = strings.TrimSpace(strings.TrimSuffix(num, suf.name))
-			break
-		}
-	}
-	n, err := strconv.ParseInt(num, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("scenario: bad byte size %q (want e.g. 1048576, \"64MiB\", \"2GiB\"): %v", s, err)
-	}
-	if n > math.MaxInt64/unit || n < math.MinInt64/unit {
-		return 0, fmt.Errorf("scenario: byte size %q overflows", s)
-	}
-	return Bytes(n * unit), nil
-}
 
 // Spec is the declarative description of one scenario.
 type Spec struct {
@@ -156,11 +98,6 @@ type Spec struct {
 	// full trace exists for raw-event debugging and the equivalence
 	// tests, and its memory grows with messages × nodes.
 	FullTrace bool `json:"full_trace,omitempty"`
-	// MatrixBudget caps the bytes of quantized latency/hop rows the
-	// topology matrix keeps resident; evicted rows are re-composed from
-	// the plane tables on demand, so huge cells run in O(budget) matrix memory. JSON
-	// accepts bytes or a size string ("64MiB"). 0 = retain every row.
-	MatrixBudget Bytes `json:"matrix_budget,omitempty"`
 	// TraceSample, when positive, samples this fraction of message ids
 	// with the dissemination tracer (internal/disstrace), which
 	// reconstructs their full hop graphs. Strictly observational: the
@@ -508,9 +445,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.Loss < 0 || s.Loss >= 1 {
 		return fmt.Errorf("scenario: loss %v outside [0, 1)", s.Loss)
-	}
-	if s.MatrixBudget < 0 {
-		return fmt.Errorf("scenario: matrix_budget %d must be non-negative", s.MatrixBudget)
 	}
 	if s.TraceSample < 0 || s.TraceSample > 1 {
 		return fmt.Errorf("scenario: trace_sample %v outside [0, 1]", s.TraceSample)

@@ -59,38 +59,6 @@ func TestDurationForms(t *testing.T) {
 	}
 }
 
-func TestMatrixBudgetForms(t *testing.T) {
-	phases := `"phases": [{"duration": "1s", "traffic": [{"kind": "constant", "rate": 1}]}]`
-	spec, err := ParseString(`{"matrix_budget": "64MiB", ` + phases + `}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.MatrixBudget != 64<<20 {
-		t.Fatalf("string budget = %d, want %d", spec.MatrixBudget, 64<<20)
-	}
-	spec, err = ParseString(`{"matrix_budget": 4096, ` + phases + `}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.MatrixBudget != 4096 {
-		t.Fatalf("numeric budget = %d, want 4096", spec.MatrixBudget)
-	}
-	for in, want := range map[string]Bytes{
-		"123": 123, "8B": 8, "2KiB": 2 << 10, "3 GiB": 3 << 30,
-	} {
-		got, err := ParseBytes(in)
-		if err != nil || got != want {
-			t.Errorf("ParseBytes(%q) = %d, %v; want %d", in, got, err, want)
-		}
-	}
-	if _, err := ParseBytes("many"); err == nil {
-		t.Error("ParseBytes accepted garbage")
-	}
-	if _, err := ParseBytes("99999999999GiB"); err == nil {
-		t.Error("ParseBytes accepted an overflowing size")
-	}
-}
-
 func TestValidateRejections(t *testing.T) {
 	cases := []struct {
 		name, json, want string
@@ -114,8 +82,6 @@ func TestValidateRejections(t *testing.T) {
 		{"bad loss event", `{"phases": [{"duration": "1s", "network": [{"kind": "loss", "loss": 1.5}]}]}`, "loss"},
 		{"bad factor", `{"phases": [{"duration": "1s", "network": [{"kind": "latency-factor"}]}]}`, "factor"},
 		{"bad noise", `{"noise": 2, "phases": [{"duration": "1s"}]}`, "noise"},
-		{"negative matrix budget", `{"matrix_budget": -1, "phases": [{"duration": "1s"}]}`, "matrix_budget"},
-		{"bad matrix budget unit", `{"matrix_budget": "64MB", "phases": [{"duration": "1s"}]}`, "byte size"},
 	}
 	for _, c := range cases {
 		_, err := ParseString(c.json)

@@ -43,25 +43,3 @@ func TestStreamingOracleAccuracy(t *testing.T) {
 		t.Errorf("streaming ρ = %.4f ms, exact %.4f ms (relative error %.3f > 0.02)", rho, exactRhoMS, rel)
 	}
 }
-
-// TestMatrixBudgetPlumbed checks Config.MatrixBudget reaches the topology
-// matrix and that a budgeted run still produces sane metrics.
-func TestMatrixBudgetPlumbed(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Nodes = 40
-	cfg.Messages = 10
-	cfg.MatrixBudget = 4 << 10
-	tp := topology.DefaultParams().Scaled(8)
-	cfg.Topology = &tp
-	r := New(cfg)
-	if got := r.Matrix().Budget(); got != cfg.MatrixBudget {
-		t.Fatalf("matrix budget = %d, want %d", got, cfg.MatrixBudget)
-	}
-	res := r.Run()
-	if res.DeliveryRate < 0.99 {
-		t.Fatalf("delivery rate %.3f under a matrix budget, want ~1", res.DeliveryRate)
-	}
-	if resident := r.Matrix().ResidentBytes(); resident > cfg.MatrixBudget {
-		t.Fatalf("resident %d bytes exceeds budget %d", resident, cfg.MatrixBudget)
-	}
-}

@@ -141,13 +141,6 @@ type Config struct {
 	// populations for speed.
 	Topology *topology.Params
 
-	// MatrixBudget caps the bytes of quantized latency/hop rows the
-	// topology matrix keeps resident (topology.Matrix.SetBudget); evicted
-	// rows are re-composed from the plane tables on demand, trading CPU
-	// for O(budget) matrix memory in large cells. 0 retains every computed
-	// row.
-	MatrixBudget int64
-
 	// Core overrides protocol configuration; nil uses the paper's
 	// defaults.
 	Core *core.Config
@@ -184,12 +177,11 @@ type Config struct {
 	// delivery (library embedding; experiments leave it nil).
 	OnDeliver func(node peer.ID, id ids.ID, payload []byte)
 
-	// Obs, when set, receives run counters (events, frames, deliveries,
-	// matrix cache activity). The registry only observes the run — it
-	// never feeds the seeded path, so results are byte-identical with it
-	// attached or nil. Multiple runners may share one registry: counters
-	// aggregate by name, and ReleaseObs detaches a finished runner's
-	// callback instruments.
+	// Obs, when set, receives run counters (events, frames,
+	// deliveries). The registry only observes the run — it never feeds
+	// the seeded path, so results are byte-identical with it attached or
+	// nil. Multiple runners may share one registry: counters aggregate
+	// by name.
 	Obs *obs.Registry
 
 	// Faults, when set, attaches the deterministic fault-injection plane
@@ -261,7 +253,6 @@ type Runner struct {
 	// Observability (optional, never feeds the seeded path).
 	multicasts *obs.Counter
 	deliveries *obs.Counter
-	obsFuncs   []*obs.Func
 
 	// Oracle state (§4.3 global knowledge), materialised lazily by
 	// ensureOracle: flat and TTL runs never query it, so they skip the
@@ -286,9 +277,6 @@ func New(cfg Config) *Runner {
 	tp.Seed = cfg.Seed
 	topo := topology.Generate(tp)
 	matrix := topo.ClientMatrix()
-	if cfg.MatrixBudget > 0 {
-		matrix.SetBudget(cfg.MatrixBudget)
-	}
 
 	sched := emunet.SchedulerWheel
 	if cfg.HeapScheduler {
@@ -354,8 +342,7 @@ var (
 // attachObs registers the runner's instruments on cfg.Obs (a no-op when
 // nil — every instrument method is nil-safe). Counters are shared by
 // name across runners, so concurrent sweep cells aggregate into one
-// series; the matrix callbacks are per-runner and must be detached with
-// ReleaseObs when the runner is done.
+// series.
 func (r *Runner) attachObs() {
 	reg := r.cfg.Obs
 	deliver := obs.Label{Key: "class", Value: "deliver"}
@@ -382,34 +369,6 @@ func (r *Runner) attachObs() {
 	})
 	r.multicasts = reg.Counter("sim_multicasts_total", "application multicasts initiated")
 	r.deliveries = reg.Counter("sim_deliveries_total", "application-level message deliveries")
-	if reg == nil {
-		return
-	}
-	m := r.matrix
-	r.obsFuncs = []*obs.Func{
-		reg.CounterFunc("matrix_row_hits_total", "matrix row lookups served from cache",
-			func() float64 { return float64(m.Hits()) }),
-		reg.CounterFunc("matrix_row_misses_total", "matrix row lookups that filled a row",
-			func() float64 { return float64(m.Misses()) }),
-		reg.CounterFunc("matrix_row_evictions_total", "matrix rows evicted by the byte budget",
-			func() float64 { return float64(m.Evictions()) }),
-		reg.CounterFunc("matrix_row_recomputes_total", "eviction-forced matrix row recomputes",
-			func() float64 { return float64(m.Recomputes()) }),
-		reg.GaugeFunc("matrix_resident_bytes", "bytes of latency/hop rows currently resident",
-			func() float64 { return float64(m.ResidentBytes()) }),
-	}
-}
-
-// ReleaseObs detaches the runner's callback instruments from the
-// registry: gauge contributions drop, counter finals fold into a
-// residual so totals only grow. Call when the runner's run is complete
-// and its matrix should become collectable; safe to call twice or on a
-// runner that never had a registry.
-func (r *Runner) ReleaseObs() {
-	for _, f := range r.obsFuncs {
-		f.Release()
-	}
-	r.obsFuncs = nil
 }
 
 // Events returns the number of emulator events executed so far — the

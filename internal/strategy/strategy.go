@@ -30,7 +30,7 @@ import (
 )
 
 // Strategy decides payload scheduling. Implementations are per-node and are
-// not safe for concurrent use; the owning node serialises access.
+// not safe for concurrent use; the owning node's host serialises access.
 type Strategy interface {
 	// Name identifies the strategy in traces and experiment output.
 	Name() string

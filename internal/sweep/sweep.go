@@ -78,11 +78,6 @@ type Spec struct {
 	// full traces exist for raw-event debugging and cost O(messages ×
 	// nodes) memory per in-flight cell.
 	FullTrace bool `json:"full_trace,omitempty"`
-	// MatrixBudget, when positive, caps every cell's resident latency-
-	// plane bytes (scenario.Spec.MatrixBudget): evicted rows are
-	// re-composed on demand, bounding per-cell matrix memory at huge
-	// overlay sizes. JSON accepts bytes or a size string ("64MiB").
-	MatrixBudget scenario.Bytes `json:"matrix_budget,omitempty"`
 	// TraceSample, when positive, samples this fraction of each cell's
 	// message ids with the dissemination tracer. The matrix is
 	// byte-identical with sampling on or off; per-cell tree reports
@@ -204,9 +199,6 @@ func (s *Spec) Resolve(baseDir string) error {
 	if s.BaseSeed < 0 {
 		return fmt.Errorf("sweep: base_seed %d must be positive", s.BaseSeed)
 	}
-	if s.MatrixBudget < 0 {
-		return fmt.Errorf("sweep: matrix_budget %d must be non-negative", s.MatrixBudget)
-	}
 	if s.TraceSample < 0 || s.TraceSample > 1 {
 		return fmt.Errorf("sweep: trace_sample %v outside [0, 1]", s.TraceSample)
 	}
@@ -325,9 +317,6 @@ func (s *Spec) cells() []cell {
 					}
 					if s.FullTrace {
 						sc.FullTrace = true
-					}
-					if s.MatrixBudget > 0 {
-						sc.MatrixBudget = s.MatrixBudget
 					}
 					if s.TraceSample > 0 {
 						sc.TraceSample = s.TraceSample

@@ -44,22 +44,6 @@ func tinySpec(t *testing.T) Spec {
 	return spec
 }
 
-// TestMatrixBudgetOverridesCells: a sweep-level matrix_budget reaches
-// every expanded cell, like the topology-scale override.
-func TestMatrixBudgetOverridesCells(t *testing.T) {
-	spec := tinySpec(t)
-	spec.MatrixBudget = 64 << 10
-	for _, c := range spec.cells() {
-		if c.spec.MatrixBudget != spec.MatrixBudget {
-			t.Fatalf("cell %s/%s budget = %d, want %d",
-				c.scenario, c.strategy, c.spec.MatrixBudget, spec.MatrixBudget)
-		}
-	}
-	if spec.MatrixBudget = -1; spec.Resolve("") == nil {
-		t.Fatal("negative matrix_budget accepted")
-	}
-}
-
 // TestSweepDeterministicAcrossWorkers: the acceptance property — the
 // same spec and seeds produce a byte-identical JSON matrix at any worker
 // count, so parallelism is free.

@@ -1,59 +1,41 @@
 package topology
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
-// TestMatrixFootprint pins the matrix's byte report: resident quantized
-// rows plus the fixed per-client and per-router bookkeeping plus, from the
-// first row on, the row-composition tables — which ResidentBytes, the
-// number the budget governs, leaves out — with Items tracking the LRU
-// working set through materialization and eviction.
+// TestMatrixFootprint pins the matrix's byte report as an identity: the
+// fixed per-client and per-router collapse state plus the tables, the same
+// cold, after lookups, after row views and after a whole-plane pass —
+// nothing the matrix holds grows with use.
 func TestMatrixFootprint(t *testing.T) {
 	p := DefaultParams().Scaled(8)
 	p.Clients = 40
 	p.Seed = 7
 	m := Generate(p).ClientMatrix()
+	routers := len(m.stubNode)
 
-	fixed := int64(m.N)*perClientBytes + int64(m.Rows())*perRouterBytes
-	fp := m.Footprint()
-	if fp.Subsystem != "topology" {
-		t.Fatalf("subsystem = %q", fp.Subsystem)
-	}
-	if fp.Bytes != fixed || fp.Items != 0 {
-		t.Fatalf("cold footprint = %+v, want bytes %d items 0", fp, fixed)
-	}
-
-	m.Latency(0, 1)
 	// Scaled(8): 128 two-router stub components (3×3 with the gateway),
 	// 32 transit routers, 8-byte entries; 24 bytes per attach router.
-	tables := int64(128*3*3*8 + 32*32*8 + m.Rows()*24)
-	row := int64(m.Rows()) * latEntryBytes
-	if fp = m.Footprint(); fp.Bytes != fixed+tables+row || m.ResidentBytes() != row {
-		t.Fatalf("after one row: footprint %d, resident %d; want fixed %d + tables %d + row %d, resident = row",
-			fp.Bytes, m.ResidentBytes(), fixed, tables, row)
+	tables := int64(128*3*3*8 + 32*32*8 + routers*24)
+	fixed := int64(m.N)*perClientBytes + int64(routers)*perRouterBytes
+	cold := m.Footprint()
+	if cold.Subsystem != "topology" || cold.Bytes != fixed+tables || cold.Items != int64(routers) {
+		t.Fatalf("cold footprint = %+v, want topology, fixed %d + tables %d, %d attach routers", cold, fixed, tables, routers)
 	}
-	fixed += tables
 
-	m.Materialize()
-	fp = m.Footprint()
-	if fp.Bytes != m.ResidentBytes()+fixed {
-		t.Fatalf("bytes = %d, want resident %d + fixed %d", fp.Bytes, m.ResidentBytes(), fixed)
+	row, hrow := make([]time.Duration, m.N), make([]int, m.N)
+	for i := 0; i < m.N; i++ {
+		m.LatencyRowInto(row, i)
+		m.HopsRowInto(hrow, i)
+		m.Latency(i, (i+1)%m.N)
 	}
-	if fp.Items != int64(m.Rows()) {
-		t.Fatalf("items = %d, want %d resident rows", fp.Items, m.Rows())
+	m.Stats(0)
+	if fp := m.Footprint(); fp != cold {
+		t.Fatalf("footprint after use = %+v, cold %+v", fp, cold)
 	}
-	rows := int64(m.Rows())
-	full := m.ResidentBytes()
-
-	// Squeeze the cache: the footprint must track the evictions.
-	m.SetBudget(full / 2)
-	fp = m.Footprint()
-	if fp.Bytes >= full+fixed {
-		t.Fatalf("bytes = %d did not drop under budget (full %d)", fp.Bytes, full+fixed)
-	}
-	if fp.Items >= rows || fp.Items < 1 {
-		t.Fatalf("items = %d, want in [1, %d)", fp.Items, rows)
-	}
-	if fp.Bytes != m.ResidentBytes()+fixed {
-		t.Fatalf("bytes = %d, want resident %d + fixed %d", fp.Bytes, m.ResidentBytes(), fixed)
+	if routers > m.N {
+		t.Fatalf("more attach routers (%d) than clients (%d)", routers, m.N)
 	}
 }

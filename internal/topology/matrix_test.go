@@ -138,53 +138,36 @@ func roundTripCases() []roundTripCase {
 }
 
 // checkAgainstDijkstra compares every stride-th client's view of the plane
-// with the full-graph reference: client-to-client through all four lookup
-// methods, and the backing attach-router row entry by entry (the router
-// path is the client path minus the source's access edge).
+// with the full-graph reference: to every client, the point lookup, the
+// row view's entry and the reference must be one number, for latency and
+// for hops.
 func checkAgainstDijkstra(t testing.TB, net *Network, stride int) {
 	m := net.ClientMatrix()
+	row := make([]time.Duration, m.N)
+	hrow := make([]int, m.N)
 	for i := 0; i < m.N; i += stride {
 		dist, hops := refDijkstra(net, net.Clients[i])
-		row := m.LatencyRow(i)
-		hrow := m.HopsRow(i)
+		m.LatencyRowInto(row, i)
+		m.HopsRowInto(hrow, i)
 		for j := 0; j < m.N; j++ {
-			wantLat := time.Duration(dist[net.Clients[j]])
+			wantLat, wantHops := time.Duration(dist[net.Clients[j]]), int(hops[net.Clients[j]])
 			if i == j {
-				wantLat = 0
+				wantLat, wantHops = 0, 0
 			}
-			if m.Latency(i, j) != wantLat {
-				t.Fatalf("Latency(%d,%d) = %v, reference %v", i, j, m.Latency(i, j), wantLat)
+			if got := m.Latency(i, j); got != wantLat || row[j] != wantLat {
+				t.Fatalf("Latency(%d,%d) = %v, LatencyRowInto entry %v, reference %v", i, j, got, row[j], wantLat)
 			}
-			if row[j] != wantLat {
-				t.Fatalf("LatencyRow(%d)[%d] = %v, reference %v", i, j, row[j], wantLat)
-			}
-			wantHops := int(hops[net.Clients[j]])
-			if i == j {
-				wantHops = 0
-			}
-			if m.Hops(i, j) != wantHops {
-				t.Fatalf("Hops(%d,%d) = %d, reference %d", i, j, m.Hops(i, j), wantHops)
-			}
-			if hrow[j] != wantHops {
-				t.Fatalf("HopsRow(%d)[%d] = %d, reference %d", i, j, hrow[j], wantHops)
-			}
-		}
-		s := m.stubOf[i]
-		for r, node := range m.stubNode {
-			if got, want := int64(m.lat[s][r]), dist[node]-int64(m.accessNs[i]); got != want {
-				t.Fatalf("router row %d (node %d) → node %d: latency %dns, reference %dns", s, m.stubNode[s], node, got, want)
-			}
-			if got, want := int32(m.hops[s][r]), hops[node]-1; got != want {
-				t.Fatalf("router row %d (node %d) → node %d: %d hops, reference %d", s, m.stubNode[s], node, got, want)
+			if got := m.Hops(i, j); got != wantHops || hrow[j] != wantHops {
+				t.Fatalf("Hops(%d,%d) = %d, HopsRowInto entry %d, reference %d", i, j, got, hrow[j], wantHops)
 			}
 		}
 	}
 }
 
-// TestQuantizedRoundTrip property-tests that the composed, uint32/uint16
-// quantized rows reproduce the full-graph Dijkstra output exactly —
-// latency to the nanosecond, hops to the lexicographic minimum — for every
-// attach-router pair of every case.
+// TestQuantizedRoundTrip property-tests that the composed lookups
+// reproduce the full-graph Dijkstra output exactly — latency to the
+// nanosecond, hops to the lexicographic minimum — for every client pair of
+// every case.
 func TestQuantizedRoundTrip(t *testing.T) {
 	for _, c := range roundTripCases() {
 		c := c
@@ -276,15 +259,15 @@ func componentRoot(net *Network, stub int) int {
 }
 
 // FuzzPlaneMatchesDijkstra generates small networks from fuzzer-chosen
-// parameters and compares every client pair's latency and hops, and every
-// attach-router row, against the full-graph reference.
+// parameters and compares every client pair's latency and hops, by point
+// lookup and by row view, against the full-graph reference.
 func FuzzPlaneMatchesDijkstra(f *testing.F) {
 	f.Add(uint8(4), uint8(6), uint8(3), uint8(8), uint8(64), int64(1), 10000.0, 0.0074)
 	f.Fuzz(func(t *testing.T, transitDomains, transitPer, stubDomains, stubPer, clients uint8, seed int64, planeSize, msPerUnit float64) {
 		// At most 100 ms across the plane: a link is ≤ 142 ms and a path a
-		// dozen links, inside the quantized row's ~4.29 s.
+		// dozen links, far inside the packed cost's 48 latency bits.
 		if !(planeSize >= 1 && msPerUnit >= 0 && planeSize*msPerUnit <= 100) {
-			t.Skip("path latencies could overflow the quantized row")
+			t.Skip("link latencies out of range")
 		}
 		p := Params{
 			TransitDomains:        1 + int(transitDomains)%4,
@@ -301,150 +284,92 @@ func FuzzPlaneMatchesDijkstra(f *testing.F) {
 	})
 }
 
-// twoRowBudget returns a byte budget that fits roughly two full row pairs.
-func twoRowBudget(m *Matrix) int64 {
-	return 2 * int64(m.Rows()) * (latEntryBytes + hopEntryBytes)
-}
-
-// TestEvictionRecomputeByteEqual walks every row under a two-row budget,
-// snapshots the values, then revisits the evicted rows: the on-demand
-// Dijkstra recomputation must reproduce them byte for byte.
-func TestEvictionRecomputeByteEqual(t *testing.T) {
-	p := DefaultParams().Scaled(4)
-	p.Clients = 80
-	m := Generate(p).ClientMatrix()
-	m.SetBudget(twoRowBudget(m))
-
-	first := make([][]time.Duration, m.N)
-	firstHops := make([][]int, m.N)
-	for i := 0; i < m.N; i++ {
-		first[i] = m.LatencyRow(i)
-		firstHops[i] = m.HopsRow(i)
-	}
-	if m.Recomputes() != 0 {
-		t.Fatalf("first pass already recomputed %d rows", m.Recomputes())
-	}
-	for i := 0; i < m.N; i++ {
-		lat := m.LatencyRow(i)
-		hops := m.HopsRow(i)
-		for j := range lat {
-			if lat[j] != first[i][j] {
-				t.Fatalf("recomputed Latency(%d,%d) = %v, first pass %v", i, j, lat[j], first[i][j])
-			}
-			if hops[j] != firstHops[i][j] {
-				t.Fatalf("recomputed Hops(%d,%d) = %d, first pass %d", i, j, hops[j], firstHops[i][j])
-			}
-		}
-	}
-	if m.Recomputes() == 0 {
-		t.Fatal("two-row budget over a full walk evicted nothing")
-	}
-}
-
-// TestBudgetEnforced checks the cache honours its byte budget throughout a
-// scan (modulo the always-kept most recent row) and that lifting the
-// budget stops eviction.
-func TestBudgetEnforced(t *testing.T) {
-	p := DefaultParams().Scaled(4)
-	p.Clients = 60
-	m := Generate(p).ClientMatrix()
-	budget := twoRowBudget(m)
-	m.SetBudget(budget)
-	if got := m.Budget(); got != budget {
-		t.Fatalf("Budget() = %d, want %d", got, budget)
-	}
-	for i := 0; i < m.N; i++ {
-		m.HopsRow(i)
-		m.LatencyRow(i)
-		if r := m.ResidentBytes(); r > budget {
-			t.Fatalf("resident %d bytes exceeds budget %d after row %d", r, budget, i)
-		}
-	}
-	// A budget below one row pair still serves lookups: the most recent
-	// row is never evicted.
-	m.SetBudget(1)
-	if m.Latency(0, 1) <= 0 {
-		t.Fatal("lookup under a sub-row budget returned nonsense")
-	}
-	if r := m.ResidentBytes(); r <= 0 {
-		t.Fatalf("resident %d bytes under sub-row budget, want the kept row", r)
-	}
-	// Unbounded again: a full walk retains every row.
-	m.SetBudget(0)
-	m.Materialize()
-	want := int64(m.Rows()) * int64(m.Rows()) * (latEntryBytes + hopEntryBytes)
-	if r := m.ResidentBytes(); r != want {
-		t.Fatalf("resident %d bytes after unbounded Materialize, want %d", r, want)
-	}
-	if m.Rows() > m.N {
-		t.Fatalf("more attach-router rows (%d) than clients (%d)", m.Rows(), m.N)
-	}
-}
-
-// TestConcurrentTinyBudget hammers one matrix from many goroutines under a
-// budget that forces constant eviction and recomputation, comparing every
-// answer against an unbudgeted twin. Run with -race this doubles as the
-// row-cache race test.
-func TestConcurrentTinyBudget(t *testing.T) {
+// TestConcurrentFirstLookup races eight goroutines for the first lookup of
+// a cold matrix — the one that builds the tables — and on through point
+// lookups, row views and a whole-plane Stats, comparing every answer with
+// a twin warmed beforehand. Run with -race this is the plane's race test.
+func TestConcurrentFirstLookup(t *testing.T) {
 	p := DefaultParams().Scaled(8)
 	p.Clients = 50
 	net := Generate(p)
-	m := net.ClientMatrix()
-	m.SetBudget(twoRowBudget(m))
-	ref := net.ClientMatrix() // unbudgeted twin, warmed on first use
+	m, ref := net.ClientMatrix(), net.ClientMatrix()
+	ref.Latency(0, 1)
 
 	var wg sync.WaitGroup
-	errs := make(chan string, 8)
+	start := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			row := make([]time.Duration, m.N)
+			<-start
 			for k := 0; k < 400; k++ {
 				i, j := rng.Intn(m.N), rng.Intn(m.N)
 				if got, want := m.Latency(i, j), ref.Latency(i, j); got != want {
-					errs <- "latency mismatch under concurrent eviction"
+					t.Errorf("Latency(%d,%d) = %v, warmed twin %v", i, j, got, want)
 					return
 				}
 				if got, want := m.Hops(i, j), ref.Hops(i, j); got != want {
-					errs <- "hops mismatch under concurrent eviction"
+					t.Errorf("Hops(%d,%d) = %d, warmed twin %d", i, j, got, want)
+					return
+				}
+				if m.LatencyRowInto(row, i); row[j] != ref.Latency(i, j) {
+					t.Errorf("LatencyRowInto(%d)[%d] = %v, warmed twin %v", i, j, row[j], ref.Latency(i, j))
 					return
 				}
 			}
 		}(int64(g + 1))
 	}
-	// A concurrent whole-plane consumer, like the streaming oracle.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		m.Stats(0)
+		<-start
+		if got, want := m.Stats(0), ref.Stats(0); got != want {
+			t.Errorf("concurrent Stats = %+v, warmed twin %+v", got, want)
+		}
 	}()
+	close(start)
 	wg.Wait()
-	close(errs)
-	if msg, ok := <-errs; ok {
-		t.Fatal(msg)
-	}
 }
 
-// TestStatsBounded pins the Stats memory fix: a full statistics pass under
-// a small budget keeps the resident rows within that budget instead of
-// forcing the whole plane resident, and still produces the exact same
-// aggregate values as an unbudgeted pass.
+// TestStatsBounded pins that a full statistics pass retains nothing — the
+// footprint after it is the footprint before — and that its aggregates
+// are the ones the point lookups give.
 func TestStatsBounded(t *testing.T) {
 	p := DefaultParams().Scaled(4)
 	p.Clients = 80
-	net := Generate(p)
-
-	m := net.ClientMatrix()
-	budget := twoRowBudget(m)
-	m.SetBudget(budget)
+	m := Generate(p).ClientMatrix()
+	before := m.Footprint()
 	got := m.Stats(17)
-	if r := m.ResidentBytes(); r > budget {
-		t.Fatalf("Stats left %d resident bytes, budget %d", r, budget)
+	if after := m.Footprint(); after != before {
+		t.Fatalf("Stats moved the footprint: %+v → %+v", before, after)
 	}
 
-	want := net.ClientMatrix().Stats(17)
+	want := Stats{NetworkNodes: 17}
+	var sumHops, sumLat int64
+	var in56, in3960 int
+	for i := 0; i < m.N; i++ {
+		for j := 0; j < m.N; j++ {
+			if i == j {
+				continue
+			}
+			want.ClientPairs++
+			h, l := m.Hops(i, j), m.Latency(i, j)
+			sumHops += int64(h)
+			sumLat += int64(l)
+			if h >= 5 && h <= 6 {
+				in56++
+			}
+			if l >= 39*time.Millisecond && l <= 60*time.Millisecond {
+				in3960++
+			}
+		}
+	}
+	pairs := float64(want.ClientPairs)
+	want.MeanHops, want.FracHops5to6 = float64(sumHops)/pairs, float64(in56)/pairs
+	want.MeanLatency, want.FracLat39to60 = time.Duration(sumLat)/time.Duration(want.ClientPairs), float64(in3960)/pairs
 	if got != want {
-		t.Fatalf("budgeted Stats = %+v, unbudgeted %+v", got, want)
+		t.Fatalf("Stats = %+v, from point lookups %+v", got, want)
 	}
 }

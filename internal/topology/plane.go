@@ -11,7 +11,7 @@ const (
 	unreachable = uint64(1) << 62 // two of these still add without wrapping
 )
 
-// plane holds the tables attach-router rows are composed from. Generate
+// plane holds the tables router-level path costs are read from. Generate
 // hangs every stub domain off exactly one transit router, so that gateway
 // is an articulation point: a shortest path between two routers of one stub
 // component never leaves component ∪ gateway (it would re-enter through the
@@ -98,11 +98,7 @@ func newPlane(n *Network, attach []int) *plane {
 }
 
 // bytes is what the tables retain: 8 per table entry, 24 per attachInfo.
-// A matrix that has not filled a row yet has none.
 func (p *plane) bytes() int64 {
-	if p == nil {
-		return 0
-	}
 	b := int64(len(p.transit.cost))*8 + int64(len(p.attach))*24
 	for _, t := range p.comps {
 		b += int64(len(t.cost)) * 8
@@ -148,22 +144,12 @@ func (n *Network) allPairs(nodes []int, slot []int32) pairTable {
 	return t
 }
 
-// fillRow composes attach router s's row into lat and hops (either may be
-// nil): one table read within its own component, climb + transit + climb
-// everywhere else.
-func (p *plane) fillRow(s int, lat []uint32, hops []uint16) {
-	a := p.attach[s]
-	intra, across := p.comps[a.comp].row(int(a.local)), p.transit.row(int(a.gate))
-	for t, b := range p.attach {
-		c := a.up + across[b.gate] + b.up
-		if b.comp == a.comp {
-			c = intra[b.local]
-		}
-		if lat != nil {
-			lat[t] = quantizeLatNs(int64(c >> hopBits))
-		}
-		if hops != nil {
-			hops[t] = uint16(c)
-		}
+// cost returns the packed cost of the path between attach routers s and t:
+// one table read within a component, climb + transit + climb across two.
+func (p *plane) cost(s, t int32) uint64 {
+	a, b := &p.attach[s], &p.attach[t]
+	if a.comp == b.comp {
+		return p.comps[a.comp].row(int(a.local))[b.local]
 	}
+	return a.up + p.transit.row(int(a.gate))[b.gate] + b.up
 }

@@ -13,11 +13,9 @@
 // shortest-path all-pairs client matrices. Default parameters are
 // calibrated so the generated models land in the same latency and hop bands.
 //
-// The client matrix is stored compactly (see Matrix): quantized rows per
-// attach router rather than per client, lazily computed and optionally
-// bounded by a byte budget with LRU eviction and on-demand recomputation,
-// so the latency plane stays in the tens of megabytes at any client
-// population.
+// The client matrix materialises no pair (see Matrix): a lookup composes
+// the path from sub-megabyte per-domain tables, so the latency plane costs
+// a few bytes per client at any population.
 package topology
 
 import (

@@ -7,8 +7,8 @@ import (
 
 // Per-entry size estimates for the Footprint walks. Like every other
 // subsystem's accounting these are deterministic arithmetic over lengths
-// and capacities — the walk takes the collector's lock, reads, and never
-// allocates or mutates, so it cannot perturb a seeded run.
+// and capacities — the walk reads and never allocates or mutates, so it
+// cannot perturb a seeded run.
 const (
 	// msgStatsBytes is the fixed part of one MsgStats: ID, origin, sent
 	// time, counters and the three slice headers (latencies, bitset words,
@@ -53,8 +53,6 @@ func msgStatsFootprint(m *MsgStats) int64 {
 // bitsets, retained completions), the multicast order, pending payload
 // counts, retention spans and the shared link/node counters.
 func (s *Streaming) Footprint() obs.Footprint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	bytes := int64(cap(s.order))*ids.IDSize +
 		int64(s.messages.TableLen())*(ids.IDSize+8) +
 		int64(s.pendingPayloads.TableLen())*(ids.IDSize+8) +

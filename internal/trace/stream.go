@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math/bits"
-	"sync"
 	"time"
 
 	"emcast/internal/ids"
@@ -185,8 +184,8 @@ type Reader interface {
 	// MessageStats returns the per-message aggregates in multicast order.
 	// The aggregates' internal state is shared with the collector: treat
 	// them as read-only, and only rely on them while no events are being
-	// traced concurrently (the simulator collects with virtual time
-	// paused; the live harness after the fleet shut down).
+	// traced (the simulator collects with virtual time paused; the live
+	// harness takes Locked.CheckpointAndMessages, which copies).
 	MessageStats() []MsgStats
 	// NodePayloads copies the per-node payload transmission counts.
 	NodePayloads() map[peer.ID]int
@@ -201,8 +200,8 @@ type span struct {
 // per-link loads, per-node payload counts and the scalar Counters. Every
 // mutation lives here exactly once, so a new counter or event kind cannot
 // be bumped in one collector and silently missed in the other — the
-// byte-identical streaming/full equivalence depends on that. All methods
-// assume the owning collector's mutex is held.
+// byte-identical streaming/full equivalence depends on that. The owning
+// collector serialises access.
 type counterCore struct {
 	// links maps the normalised endpoint pair packed into a uint64
 	// (A<<32|B) to its load, via an open-addressing table with inline
@@ -379,7 +378,7 @@ func (c *counterCore) requestMissEvent() {
 	c.counters.RequestMisses++
 }
 
-func (c *counterCore) checkpointLocked() Checkpoint {
+func (c *counterCore) checkpoint() Checkpoint {
 	return Checkpoint{
 		Counters: c.counters,
 		Links: LinkLoads{
@@ -390,7 +389,7 @@ func (c *counterCore) checkpointLocked() Checkpoint {
 	}
 }
 
-func (c *counterCore) nodePayloadsLocked() map[peer.ID]int {
+func (c *counterCore) nodePayloads() map[peer.ID]int {
 	out := make(map[peer.ID]int, len(c.payloadByNode))
 	for n, k := range c.payloadByNode {
 		if k != 0 {
@@ -417,9 +416,12 @@ func (c *counterCore) nodePayloadsLocked() map[peer.ID]int {
 // recovery time needs the completion instant of each message judged
 // against the end-of-run live set. Everything else retires to aggregates
 // the moment the event is traced.
+//
+// Streaming is the simulator's collector and, like the simulator, belongs
+// to one goroutine: it takes no lock. A host that shares one collector
+// across goroutines — the live harness, one fleet of TCP peers — wraps it
+// in Locked.
 type Streaming struct {
-	mu sync.Mutex
-
 	messages *ids.Map[*MsgStats]
 	order    []ids.ID
 	// pendingPayloads holds payload counts for messages not yet seen
@@ -453,8 +455,6 @@ func NewStreaming() *Streaming {
 // capacity hint: aggregates still grow past it if more nodes deliver,
 // and reported values are byte-identical with or without it.
 func (s *Streaming) Presize(nodes int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.hint = nodes
 }
 
@@ -476,8 +476,6 @@ func (s *Streaming) newMsg(id ids.ID, origin peer.ID, sentAt time.Duration) *Msg
 // messages first seen after the call. The scenario engine and the live
 // harness mark every disrupted phase automatically.
 func (s *Streaming) RetainCompletions(from, to time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.retain = append(s.retain, span{from: from, to: to})
 }
 
@@ -509,8 +507,6 @@ func (s *Streaming) message(id ids.ID) *MsgStats {
 
 // Multicast implements Tracer.
 func (s *Streaming) Multicast(origin peer.ID, id ids.ID, at time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, ok := s.messages.Get(id); ok {
 		return
 	}
@@ -528,8 +524,6 @@ func (s *Streaming) Multicast(origin peer.ID, id ids.ID, at time.Duration) {
 
 // Delivered implements Tracer.
 func (s *Streaming) Delivered(node peer.ID, id ids.ID, at time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	m := s.message(id)
 	m.Deliveries++
 	s.core.deliveredEvent()
@@ -546,8 +540,6 @@ func (s *Streaming) Delivered(node peer.ID, id ids.ID, at time.Duration) {
 
 // PayloadSent implements Tracer.
 func (s *Streaming) PayloadSent(from, to peer.ID, id ids.ID, bytes int, eager bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.core.payloadEvent(from, to, bytes, eager)
 	if m, ok := s.messages.Get(id); ok {
 		m.Payloads++
@@ -559,65 +551,24 @@ func (s *Streaming) PayloadSent(from, to peer.ID, id ids.ID, bytes int, eager bo
 
 // ControlSent implements Tracer.
 func (s *Streaming) ControlSent(from, to peer.ID, kind string, bytes int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.core.controlEvent(bytes)
 }
 
 // DuplicatePayload implements Tracer.
 func (s *Streaming) DuplicatePayload(node peer.ID, id ids.ID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.core.duplicateEvent()
 }
 
 // RequestMiss implements Tracer.
 func (s *Streaming) RequestMiss(node peer.ID, id ids.ID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.core.requestMissEvent()
 }
 
 // Checkpoint implements Reader.
-func (s *Streaming) Checkpoint() Checkpoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.checkpointLocked()
-}
-
-func (s *Streaming) checkpointLocked() Checkpoint {
-	return s.core.checkpointLocked()
-}
-
-// CheckpointAndMessages atomically captures the checkpoint and a deep
-// copy of the message aggregates under one lock. The live harness takes
-// its final phase boundary this way: transport goroutines may still
-// deliver stragglers while the report is assembled, and a plain
-// MessageStats view would let those leak into message-scoped metrics
-// without the matching counter increments. The copy is O(deliveries) —
-// fine once at the end of a live run, which is why ordinary boundaries
-// use Checkpoint alone.
-func (s *Streaming) CheckpointAndMessages() (Checkpoint, []MsgStats) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]MsgStats, 0, len(s.order))
-	for _, id := range s.order {
-		ptr, _ := s.messages.Get(id)
-		m := *ptr
-		m.Latencies = append([]float64(nil), m.Latencies...)
-		m.delivered = bitset{words: append([]uint64(nil), m.delivered.words...)}
-		if m.completions != nil {
-			m.completions = append([]Delivery(nil), m.completions...)
-		}
-		out = append(out, m)
-	}
-	return s.checkpointLocked(), out
-}
+func (s *Streaming) Checkpoint() Checkpoint { return s.core.checkpoint() }
 
 // MessageStats implements Reader.
 func (s *Streaming) MessageStats() []MsgStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]MsgStats, 0, len(s.order))
 	for _, id := range s.order {
 		m, _ := s.messages.Get(id)
@@ -628,9 +579,7 @@ func (s *Streaming) MessageStats() []MsgStats {
 
 // NodePayloads implements Reader.
 func (s *Streaming) NodePayloads() map[peer.ID]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.core.nodePayloadsLocked()
+	return s.core.nodePayloads()
 }
 
 var _ Reader = (*Streaming)(nil)

@@ -147,11 +147,14 @@ func TestStreamingOrphanStaysOrphan(t *testing.T) {
 	}
 }
 
-// TestStreamingConcurrent exercises the collector from many goroutines —
-// the live harness shares one tracer across every peer's transport
-// goroutines — and checks the totals.
+// TestStreamingConcurrent shares one streaming collector the way the live
+// harness does — behind Locked, folded into from many goroutines while
+// another takes boundaries and marks recovery spans — and checks, under
+// -race, the totals and the one-lock guarantee of CheckpointAndMessages:
+// a snapshot taken mid-run has exactly as many deliveries in its message
+// copies as in its counters.
 func TestStreamingConcurrent(t *testing.T) {
-	s := NewStreaming()
+	l := NewLocked(NewStreaming())
 	const workers, per = 8, 100
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -161,19 +164,44 @@ func TestStreamingConcurrent(t *testing.T) {
 			g := ids.NewGenerator(int64(w + 1))
 			for i := 0; i < per; i++ {
 				id := g.Next()
-				s.Multicast(peer.ID(w), id, time.Duration(i)*time.Millisecond)
-				s.Delivered(peer.ID(w), id, time.Duration(i)*time.Millisecond)
-				s.PayloadSent(peer.ID(w), peer.ID(w+1), id, 64, i%2 == 0)
+				at := time.Duration(i) * time.Millisecond
+				l.Multicast(peer.ID(w), id, at)
+				l.Delivered(peer.ID(w), id, at)
+				l.PayloadSent(peer.ID(w), peer.ID(w+1), id, 64, i%2 == 0)
+				l.ControlSent(peer.ID(w), peer.ID(w+1), "IHAVE", 17)
+				l.DuplicatePayload(peer.ID(w), id)
+				l.RequestMiss(peer.ID(w), id)
 			}
 		}(w)
 	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			l.RetainCompletions(time.Duration(i)*time.Millisecond, time.Duration(i+1)*time.Millisecond)
+			cp, msgs := l.CheckpointAndMessages()
+			sum := 0
+			for _, m := range msgs {
+				sum += m.Deliveries
+			}
+			if sum != cp.TotalDelivered {
+				t.Errorf("snapshot %d: %d deliveries in the message copies, %d in the counters", i, sum, cp.TotalDelivered)
+				return
+			}
+			if later := l.Checkpoint().TotalDelivered; later < cp.TotalDelivered {
+				t.Errorf("counters went backwards: %d after %d", later, cp.TotalDelivered)
+				return
+			}
+		}
+	}()
 	wg.Wait()
-	cp := s.Checkpoint()
-	if cp.TotalDelivered != workers*per || cp.TotalPayloads != workers*per {
-		t.Fatalf("totals = %d delivered / %d payloads, want %d each",
-			cp.TotalDelivered, cp.TotalPayloads, workers*per)
+	<-done
+	cp, msgs := l.CheckpointAndMessages()
+	if cp.TotalDelivered != workers*per || cp.TotalPayloads != workers*per || cp.ControlFrames != workers*per {
+		t.Fatalf("totals = %d delivered / %d payloads / %d control, want %d each",
+			cp.TotalDelivered, cp.TotalPayloads, cp.ControlFrames, workers*per)
 	}
-	if len(s.MessageStats()) != workers*per {
-		t.Fatalf("messages = %d, want %d", len(s.MessageStats()), workers*per)
+	if len(msgs) != workers*per {
+		t.Fatalf("messages = %d, want %d", len(msgs), workers*per)
 	}
 }

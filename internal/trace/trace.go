@@ -33,8 +33,9 @@ import (
 	"emcast/internal/peer"
 )
 
-// Tracer receives protocol events. Implementations must be safe for
-// concurrent use so real-transport deployments can share one tracer.
+// Tracer receives protocol events. A tracer handed to nodes that run on
+// different goroutines — one collector shared by a fleet of TCP peers —
+// must be safe for concurrent use; Streaming is not (wrap it in Locked).
 type Tracer interface {
 	// Multicast records that node origin multicast message id at time at.
 	Multicast(origin peer.ID, id ids.ID, at time.Duration)
@@ -214,7 +215,7 @@ func (c *Collector) Snapshot() Snapshot {
 	s := Snapshot{
 		Messages:       make([]Message, 0, len(c.order)),
 		Links:          make(map[Link]LinkLoad, c.core.links.count),
-		PayloadByNode:  c.core.nodePayloadsLocked(),
+		PayloadByNode:  c.core.nodePayloads(),
 		PayloadByMsg:   make(map[ids.ID]int, len(c.payloadByMsg)),
 		TotalPayloads:  c.core.counters.TotalPayloads,
 		EagerPayloads:  c.core.counters.EagerPayloads,
@@ -245,7 +246,7 @@ func (c *Collector) Snapshot() Snapshot {
 func (c *Collector) Checkpoint() Checkpoint {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.core.checkpointLocked()
+	return c.core.checkpoint()
 }
 
 // MessageStats implements Reader by deriving the aggregates from the
@@ -288,7 +289,7 @@ func (c *Collector) MessageStats() []MsgStats {
 func (c *Collector) NodePayloads() map[peer.ID]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.core.nodePayloadsLocked()
+	return c.core.nodePayloads()
 }
 
 var _ Reader = (*Collector)(nil)

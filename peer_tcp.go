@@ -2,6 +2,7 @@ package emcast
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"emcast/internal/core"
@@ -75,12 +76,14 @@ type PeerConfig struct {
 
 	// Tracer, when set, receives every protocol event (multicasts,
 	// deliveries, payload and control transmissions). Co-hosted peers
-	// may share one collector — implementations must be safe for
-	// concurrent use. Nil disables tracing.
+	// may share one collector, which must then be safe for concurrent
+	// use (trace.Locked makes one so). Nil disables tracing.
 	Tracer trace.Tracer
 
 	// OnDeliver is invoked (on a transport goroutine) for every
-	// delivered message.
+	// delivered message. The upcall runs under the peer's lock: calling
+	// Multicast — or any other method of this Peer — from inside it
+	// deadlocks. Hand the delivery to another goroutine instead.
 	OnDeliver func(Delivery)
 
 	// OnDeparture is invoked (on a transport goroutine) when a remote
@@ -99,8 +102,26 @@ type Peer struct {
 	cfg       PeerConfig
 	transport *neem.Transport
 	clock     *neem.Clock
-	node      *core.Node
-	table     *ranking.Table
+
+	// mu serialises every input of the protocol node, which takes no
+	// lock of its own (see core.Node). It is taken in three places: the
+	// handler given to the transport, every timer callback (lockedTimers)
+	// and the public methods that reach node or table.
+	mu    sync.Mutex
+	node  *core.Node
+	table *ranking.Table
+}
+
+// lockedTimers is the peer.Timers a Peer's node arms its timers through:
+// neem.Timers with every callback run under the peer's lock.
+type lockedTimers struct{ mu *sync.Mutex }
+
+func (t lockedTimers) AfterFunc(d time.Duration, fn func()) peer.Timer {
+	return neem.Timers{}.AfterFunc(d, func() {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		fn()
+	})
 }
 
 // NewPeer starts a real-network protocol node: it binds the listen address,
@@ -131,16 +152,14 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		return nil, err
 	}
 
+	p := &Peer{cfg: cfg, transport: transport, clock: clock}
 	env := &peer.Env{
 		Transport: transport,
 		Clock:     clock,
-		Timers:    neem.Timers{},
+		Timers:    lockedTimers{&p.mu},
 	}
 
-	var (
-		ewma  *monitor.EWMA
-		table *ranking.Table
-	)
+	var ewma *monitor.EWMA
 	hubs := make(map[NodeID]bool, len(cfg.Hubs))
 	for _, h := range cfg.Hubs {
 		hubs[h] = true
@@ -178,8 +197,8 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		if fraction <= 0 {
 			fraction = 0.2
 		}
-		table = ranking.NewTable(ranking.Config{Fraction: fraction}, cfg.Self)
-		strat = &strategy.Ranked{Self: cfg.Self, IsBest: table.IsBest}
+		p.table = ranking.NewTable(ranking.Config{Fraction: fraction}, cfg.Self)
+		strat = &strategy.Ranked{Self: cfg.Self, IsBest: p.table.IsBest}
 	case Radius:
 		if cfg.RadiusMs <= 0 {
 			return nil, fmt.Errorf("emcast: Radius strategy requires RadiusMs")
@@ -196,7 +215,6 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		return nil, fmt.Errorf("emcast: strategy %q not supported on real networks", cfg.Strategy)
 	}
 
-	p := &Peer{cfg: cfg, transport: transport, clock: clock, table: table}
 	var deliver func(id ids.ID, payload []byte)
 	if cfg.OnDeliver != nil {
 		onDeliver := cfg.OnDeliver
@@ -218,12 +236,16 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		Deliver:  deliver,
 		Tracer:   tracer,
 		EWMA:     ewma,
-		Ranking:  table,
+		Ranking:  p.table,
 	})
 	if f, ok := strat.(*strategy.Flat); ok && f.RNG == nil {
 		f.RNG = env.RNG // filled by core.NewNode
 	}
-	transport.SetHandler(p.node.HandleFrame)
+	transport.SetHandler(func(from peer.ID, frame []byte) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		p.node.HandleFrame(from, frame)
+	})
 
 	// Bootstrap: seed the view from the address book, or from the
 	// explicit Bootstrap subset (empty non-nil = start outside the
@@ -235,6 +257,8 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 			seedPeers = append(seedPeers, id)
 		}
 	}
+	p.mu.Lock() // frames may already be arriving
+	defer p.mu.Unlock()
 	p.node.SeedView(seedPeers)
 	p.node.Start()
 	return p, nil
@@ -259,6 +283,8 @@ func (p *Peer) AddPeer(id NodeID, addr string) {
 // empty Bootstrap use this to enter a running group, mirroring the
 // simulator's churn joins.
 func (p *Peer) Join(contact NodeID) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.node.Join(contact)
 }
 
@@ -294,14 +320,24 @@ func (p *Peer) Stall(d time.Duration) {
 
 // Multicast disseminates payload to the whole group.
 func (p *Peer) Multicast(payload []byte) MessageID {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return p.node.Multicast(payload)
 }
 
 // Delivered reports whether the message has been delivered locally.
-func (p *Peer) Delivered(id MessageID) bool { return p.node.Delivered(id) }
+func (p *Peer) Delivered(id MessageID) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.node.Delivered(id)
+}
 
 // View returns the peer's current partial view of the overlay.
-func (p *Peer) View() []NodeID { return p.node.View() }
+func (p *Peer) View() []NodeID {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.node.View()
+}
 
 // BelievesHub reports whether this peer currently considers the given node
 // a hub. With explicit Hubs it is the configured set; with gossip ranking
@@ -309,6 +345,8 @@ func (p *Peer) View() []NodeID { return p.node.View() }
 // briefly disagree — the protocol tolerates that by construction).
 func (p *Peer) BelievesHub(n NodeID) bool {
 	if p.table != nil {
+		p.mu.Lock()
+		defer p.mu.Unlock()
 		return p.table.IsBest(n)
 	}
 	for _, h := range p.cfg.Hubs {
@@ -319,8 +357,12 @@ func (p *Peer) BelievesHub(n NodeID) bool {
 	return false
 }
 
-// Close stops periodic tasks and shuts the transport down.
+// Close stops periodic tasks and shuts the transport down. The lock is
+// held around the first only: transport.Close waits for goroutines that
+// may themselves be waiting for it.
 func (p *Peer) Close() error {
+	p.mu.Lock()
 	p.node.Stop()
+	p.mu.Unlock()
 	return p.transport.Close()
 }
