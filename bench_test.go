@@ -29,28 +29,50 @@ import (
 	"emcast/internal/trace"
 )
 
-// benchConfig is the scaled experiment configuration used per iteration:
-// 50 nodes, 60 messages, 1/8-size router population.
-func benchConfig(seed int64) sim.Config {
-	cfg := sim.DefaultConfig()
-	cfg.Nodes = 50
-	cfg.Messages = 60
-	cfg.Seed = seed
-	tp := topology.DefaultParams().Scaled(8)
-	cfg.Topology = &tp
-	return cfg
+// benchConfig is the scaled experiment played per iteration: 50 nodes, the
+// paper's §5.3 traffic for an expected 60 messages (30 s of Poisson
+// arrivals at 2 msg/s, round-robin senders), 1/8-size router population.
+func benchConfig(seed int64) scenario.Spec {
+	return scenario.Spec{
+		Nodes:         50,
+		Seed:          seed,
+		TopologyScale: 8,
+		Phases: []scenario.Phase{{
+			Name:     "traffic",
+			Duration: scenario.Duration(30 * time.Second),
+			Traffic:  []scenario.TrafficSpec{{Kind: scenario.TrafficPoisson, Rate: 2}},
+		}},
+	}
 }
 
-// runSim runs one full simulation per iteration and reports protocol
+// playSim plays spec through scenario.Player and returns the simulation
+// under the engine, whose Result is the whole-run metrics.
+func playSim(b *testing.B, spec scenario.Spec) *sim.Runner {
+	b.Helper()
+	eng, err := scenario.New(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		b.Fatal(err)
+	}
+	return eng.Runner()
+}
+
+// runSim plays one full experiment per iteration and reports protocol
 // metrics from the final iteration.
-func runSim(b *testing.B, mutate func(*sim.Config)) {
+func runSim(b *testing.B, mutate func(*scenario.Spec)) {
 	b.Helper()
 	var res sim.Result
 	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(int64(i + 1))
-		mutate(&cfg)
-		res = sim.New(cfg).Run()
+		spec := benchConfig(int64(i + 1))
+		mutate(&spec)
+		res = playSim(b, spec).Result()
 	}
+	reportSim(b, res)
+}
+
+func reportSim(b *testing.B, res sim.Result) {
 	b.ReportMetric(float64(res.MeanLatency)/float64(time.Millisecond), "latency-ms")
 	b.ReportMetric(res.PayloadPerMsg, "payload/msg")
 	b.ReportMetric(100*res.Top5Share, "top5-traffic-%")
@@ -75,105 +97,96 @@ func BenchmarkTopologyStats(b *testing.B) {
 // --- Fig. 4: emergent structure (top-5% connection traffic share) ---
 
 func BenchmarkFig4Eager(b *testing.B) {
-	runSim(b, func(c *sim.Config) {
-		c.Strategy, c.FlatP, c.DistanceMetric = sim.StrategyFlat, 1.0, true
-	})
+	runSim(b, func(s *scenario.Spec) { s.Strategy, s.DistanceMetric = "eager", true })
 }
 
 func BenchmarkFig4Radius(b *testing.B) {
-	runSim(b, func(c *sim.Config) {
-		c.Strategy, c.DistanceMetric = sim.StrategyRadius, true
-	})
+	runSim(b, func(s *scenario.Spec) { s.Strategy, s.DistanceMetric = "radius", true })
 }
 
 func BenchmarkFig4Ranked(b *testing.B) {
-	runSim(b, func(c *sim.Config) {
-		c.Strategy, c.DistanceMetric = sim.StrategyRanked, true
-	})
+	runSim(b, func(s *scenario.Spec) { s.Strategy, s.DistanceMetric = "ranked", true })
 }
 
 // --- Fig. 5(a): latency/bandwidth trade-off ---
 
 func BenchmarkFig5aFlatLazy(b *testing.B) {
-	runSim(b, func(c *sim.Config) { c.Strategy, c.FlatP = sim.StrategyFlat, 0.0 })
+	runSim(b, func(s *scenario.Spec) { s.Strategy = "lazy" })
 }
 
 func BenchmarkFig5aFlatHalf(b *testing.B) {
-	runSim(b, func(c *sim.Config) { c.Strategy, c.FlatP = sim.StrategyFlat, 0.5 })
+	runSim(b, func(s *scenario.Spec) { s.Strategy, s.FlatP = "flat", 0.5 })
 }
 
 func BenchmarkFig5aFlatEager(b *testing.B) {
-	runSim(b, func(c *sim.Config) { c.Strategy, c.FlatP = sim.StrategyFlat, 1.0 })
+	runSim(b, func(s *scenario.Spec) { s.Strategy = "eager" })
 }
 
 func BenchmarkFig5aTTL(b *testing.B) {
-	runSim(b, func(c *sim.Config) { c.Strategy, c.TTLRounds = sim.StrategyTTL, 2 })
+	runSim(b, func(s *scenario.Spec) { s.Strategy, s.TTLRounds = "ttl", 2 })
 }
 
 func BenchmarkFig5aRadius(b *testing.B) {
-	runSim(b, func(c *sim.Config) { c.Strategy = sim.StrategyRadius })
+	runSim(b, func(s *scenario.Spec) { s.Strategy = "radius" })
 }
 
 func BenchmarkFig5aRanked(b *testing.B) {
-	runSim(b, func(c *sim.Config) { c.Strategy = sim.StrategyRanked })
+	runSim(b, func(s *scenario.Spec) { s.Strategy = "ranked" })
 }
 
 // --- Fig. 5(b): reliability under failures ---
 
-func benchFailures(b *testing.B, strat sim.StrategyKind, mode sim.FailureMode) {
-	runSim(b, func(c *sim.Config) {
-		c.Strategy = strat
-		if strat == sim.StrategyFlat {
-			c.FlatP = 1.0
-		}
-		c.FailMode = mode
-		c.FailFraction = 0.4
+// benchFailures silences 40% of the nodes — by churn kind kill — in a
+// silent second before the traffic starts.
+func benchFailures(b *testing.B, strategy, kill string) {
+	runSim(b, func(s *scenario.Spec) {
+		s.Strategy = strategy
+		s.Phases = append([]scenario.Phase{{
+			Name:     "fail",
+			Duration: scenario.Duration(time.Second),
+			Churn:    []scenario.ChurnSpec{{Kind: kill, Fraction: 0.4}},
+		}}, s.Phases...)
 	})
 }
 
 func BenchmarkFig5bEagerRandomFail(b *testing.B) {
-	benchFailures(b, sim.StrategyFlat, sim.FailRandom)
+	benchFailures(b, "eager", scenario.ChurnCrashWave)
 }
 
 func BenchmarkFig5bRankedRandomFail(b *testing.B) {
-	benchFailures(b, sim.StrategyRanked, sim.FailRandom)
+	benchFailures(b, "ranked", scenario.ChurnCrashWave)
 }
 
 func BenchmarkFig5bRankedBestFail(b *testing.B) {
-	benchFailures(b, sim.StrategyRanked, sim.FailBest)
+	benchFailures(b, "ranked", scenario.ChurnKillBest)
 }
 
 // --- Fig. 5(c): hybrid strategy ---
 
 func BenchmarkFig5cHybrid(b *testing.B) {
-	runSim(b, func(c *sim.Config) {
-		c.Strategy, c.TTLRounds, c.RadiusQuantile = sim.StrategyHybrid, 2, 0.10
+	runSim(b, func(s *scenario.Spec) {
+		s.Strategy, s.TTLRounds, s.RadiusQuantile = "hybrid", 2, 0.10
 	})
 }
 
 // --- Fig. 6: structure degradation under noise ---
 
-func benchNoise(b *testing.B, strat sim.StrategyKind, noise float64) {
-	runSim(b, func(c *sim.Config) {
-		c.Strategy = strat
-		c.Noise = noise
-	})
+func benchNoise(b *testing.B, strategy string, noise float64) {
+	runSim(b, func(s *scenario.Spec) { s.Strategy, s.Noise = strategy, noise })
 }
 
-func BenchmarkFig6RadiusNoise50(b *testing.B) { benchNoise(b, sim.StrategyRadius, 0.5) }
-func BenchmarkFig6RankedNoise50(b *testing.B) { benchNoise(b, sim.StrategyRanked, 0.5) }
-func BenchmarkFig6RankedNoise100(b *testing.B) {
-	benchNoise(b, sim.StrategyRanked, 1.0)
-}
+func BenchmarkFig6RadiusNoise50(b *testing.B)  { benchNoise(b, "radius", 0.5) }
+func BenchmarkFig6RankedNoise50(b *testing.B)  { benchNoise(b, "ranked", 0.5) }
+func BenchmarkFig6RankedNoise100(b *testing.B) { benchNoise(b, "ranked", 1.0) }
 
 // --- S1: §5.4 run statistics ---
 
 func BenchmarkRunStats(b *testing.B) {
 	var res sim.Result
 	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(int64(i + 1))
-		cfg.Strategy, cfg.FlatP = sim.StrategyFlat, 1.0
-		res = sim.New(cfg).Run()
+		spec := benchConfig(int64(i + 1))
+		spec.Strategy = "eager"
+		res = playSim(b, spec).Result()
 	}
 	b.ReportMetric(float64(res.Deliveries), "deliveries")
 	b.ReportMetric(float64(res.EagerPayloads+res.LazyPayloads), "payload-packets")
@@ -183,14 +196,11 @@ func BenchmarkRunStats(b *testing.B) {
 // --- A1: approximate (gossip-based) ranking extension ---
 
 func BenchmarkA1OracleRanking(b *testing.B) {
-	runSim(b, func(c *sim.Config) { c.Strategy = sim.StrategyRanked })
+	runSim(b, func(s *scenario.Spec) { s.Strategy = "ranked" })
 }
 
 func BenchmarkA1GossipRanking(b *testing.B) {
-	runSim(b, func(c *sim.Config) {
-		c.Strategy = sim.StrategyRanked
-		c.UseGossipRanking = true
-	})
+	runSim(b, func(s *scenario.Spec) { s.Strategy, s.GossipRanking = "ranked", true })
 }
 
 // --- A2: churn (late joiners via the Join protocol) ---
@@ -198,10 +208,13 @@ func BenchmarkA1GossipRanking(b *testing.B) {
 func BenchmarkA2Churn(b *testing.B) {
 	var res sim.Result
 	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(int64(i + 1))
-		cfg.Strategy, cfg.TTLRounds = sim.StrategyTTL, 2
-		cfg.LateJoiners = cfg.Nodes / 4
-		res = sim.New(cfg).Run()
+		spec := benchConfig(int64(i + 1))
+		spec.Strategy, spec.TTLRounds = "ttl", 2
+		traffic := &spec.Phases[0]
+		traffic.Churn = []scenario.ChurnSpec{{
+			Kind: scenario.ChurnJoinWave, Count: spec.Nodes / 4, Over: traffic.Duration / 2,
+		}}
+		res = playSim(b, spec).Result()
 	}
 	b.ReportMetric(100*res.JoinerCoverage, "joiner-coverage-%")
 	b.ReportMetric(100*res.DeliveryRate, "deliveries-%")
@@ -257,30 +270,45 @@ func BenchmarkScenarioDegradedNetwork(b *testing.B) {
 // measuring delivery coverage under continuous shuffling. The exchange
 // variant is what keeps in-degrees balanced and coverage atomic.
 func BenchmarkAblationShuffleExchange(b *testing.B) {
-	runSim(b, func(c *sim.Config) { c.Strategy, c.FlatP = sim.StrategyFlat, 1.0 })
+	runSim(b, func(s *scenario.Spec) { s.Strategy = "eager" })
+}
+
+// benchRotation runs pure lazy push under 5% loss with the lazy module's
+// MaxRequests set (0 keeps the default). A core.Config override is not
+// Spec vocabulary, so this pair drives the runner by hand: 60 multicasts
+// 500 ms apart from round-robin senders, then a 10 s drain.
+func benchRotation(b *testing.B, maxRequests int) {
+	var res sim.Result
+	for i := 0; i < b.N; i++ {
+		cfg := sim.DefaultConfig()
+		cfg.Nodes, cfg.Seed, cfg.FlatP, cfg.Loss = 50, int64(i+1), 0, 0.05
+		tp := topology.DefaultParams().Scaled(8)
+		cfg.Topology = &tp
+		if maxRequests > 0 {
+			coreCfg := core.DefaultConfig()
+			coreCfg.Lazy.MaxRequests = maxRequests
+			cfg.Core = &coreCfg
+		}
+		r := sim.New(cfg)
+		r.Warmup()
+		for k := 0; k < 60; k++ {
+			r.MulticastFrom(k%cfg.Nodes, make([]byte, 256))
+			r.RunFor(500 * time.Millisecond)
+		}
+		r.RunFor(10 * time.Second)
+		res = r.Result()
+	}
+	reportSim(b, res)
 }
 
 // BenchmarkAblationNoRequestRotation disables the lazy module's rotation
 // through alternative sources (MaxRequests=1): under loss, stragglers can
 // only recover via their first chosen source, degrading delivery.
-func BenchmarkAblationNoRequestRotation(b *testing.B) {
-	runSim(b, func(c *sim.Config) {
-		c.Strategy, c.FlatP = sim.StrategyFlat, 0.0
-		c.Loss = 0.05
-		coreCfg := core.DefaultConfig()
-		coreCfg.Lazy.MaxRequests = 1
-		c.Core = &coreCfg
-	})
-}
+func BenchmarkAblationNoRequestRotation(b *testing.B) { benchRotation(b, 1) }
 
 // BenchmarkAblationWithRequestRotation is the rotation-enabled baseline for
 // BenchmarkAblationNoRequestRotation.
-func BenchmarkAblationWithRequestRotation(b *testing.B) {
-	runSim(b, func(c *sim.Config) {
-		c.Strategy, c.FlatP = sim.StrategyFlat, 0.0
-		c.Loss = 0.05
-	})
-}
+func BenchmarkAblationWithRequestRotation(b *testing.B) { benchRotation(b, 0) }
 
 // BenchmarkAblationLocalNoiseC uses the per-node running estimate of the
 // noise constant c instead of the paper's global value: hubs keep pushing
@@ -290,10 +318,7 @@ func BenchmarkAblationLocalNoiseC(b *testing.B) {
 	// The sim always wires the global c for Ranked; emulate the local
 	// variant by using the Hybrid strategy, which has no closed form and
 	// falls back to the per-node estimate.
-	runSim(b, func(c *sim.Config) {
-		c.Strategy = sim.StrategyHybrid
-		c.Noise = 1.0
-	})
+	runSim(b, func(s *scenario.Spec) { s.Strategy, s.Noise = "hybrid", 1.0 })
 }
 
 // --- substrate micro-benchmarks ---
@@ -524,17 +549,13 @@ func benchRun1k(b *testing.B, full bool) {
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
 
-		cfg := sim.DefaultConfig()
-		cfg.Nodes = 1000
-		cfg.Messages = 120
-		cfg.Seed = int64(i + 1)
-		cfg.Strategy, cfg.FlatP = sim.StrategyFlat, 1.0
-		cfg.FullTrace = full
-		tp := topology.DefaultParams().Scaled(2)
-		cfg.Topology = &tp
-		r := sim.New(cfg)
-		res := r.Run()
-		if res.DeliveryRate < 0.99 {
+		// A half-size router population still offers enough stubs for 1k
+		// clients; 60 s of the paper's traffic is an expected 120 messages.
+		spec := benchConfig(int64(i + 1))
+		spec.Nodes, spec.Strategy, spec.TopologyScale, spec.FullTrace = 1000, "eager", 2, full
+		spec.Phases[0].Duration = scenario.Duration(60 * time.Second)
+		r := playSim(b, spec)
+		if res := r.Result(); res.DeliveryRate < 0.99 {
 			b.Fatalf("delivery rate %.3f", res.DeliveryRate)
 		}
 

@@ -50,33 +50,9 @@ func runLive(args []string, out, errOut io.Writer) error {
 		return err
 	}
 
-	var spec scenario.Spec
-	switch {
-	case *specPath != "" && fs.NArg() == 0:
-		f, err := os.Open(*specPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		spec, err = scenario.Parse(f)
-		if err != nil {
-			return fmt.Errorf("%s: %v", *specPath, err)
-		}
-	case *specPath == "" && fs.NArg() == 1:
-		var err error
-		spec, err = scenario.Builtin(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-	default:
-		fs.Usage()
-		return fmt.Errorf("expected exactly one of -spec <file.json> or a builtin name")
-	}
-	if *seed != 0 {
-		spec.Seed = *seed
-	}
-	if *nodes > 0 {
-		spec.Nodes = *nodes
+	spec, err := loadSpec(fs, "spec", *specPath, *nodes, *seed, 0)
+	if err != nil {
+		return err
 	}
 	if *sample > 0 {
 		spec.TraceSample = *sample

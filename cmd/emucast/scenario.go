@@ -50,37 +50,9 @@ func runScenario(args []string, out, errOut io.Writer) error {
 		return nil
 	}
 
-	var spec scenario.Spec
-	switch {
-	case *file != "" && fs.NArg() == 0:
-		f, err := os.Open(*file)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		spec, err = scenario.Parse(f)
-		if err != nil {
-			return fmt.Errorf("%s: %v", *file, err)
-		}
-	case *file == "" && fs.NArg() == 1:
-		var err error
-		spec, err = scenario.Builtin(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-	default:
-		fs.Usage()
-		return fmt.Errorf("expected exactly one of -f <file.json> or a builtin name")
-	}
-
-	if *nodes > 0 {
-		spec.Nodes = *nodes
-	}
-	if *seed != 0 {
-		spec.Seed = *seed
-	}
-	if *scale > 0 {
-		spec.TopologyScale = *scale
+	spec, err := loadSpec(fs, "f", *file, *nodes, *seed, *scale)
+	if err != nil {
+		return err
 	}
 	if *full {
 		spec.FullTrace = true
@@ -121,7 +93,11 @@ func runScenario(args []string, out, errOut io.Writer) error {
 	events := eng.Runner().Events()
 	fmt.Fprintf(errOut, "scenario: %d emulator events in %s, %s events/sec\n",
 		events, wall.Round(time.Millisecond), humanCount(float64(events)/wall.Seconds()))
-	if err := writeTreeArtifacts(eng, rep, *trees, *timeline, *dot, errOut); err != nil {
+	if tr := eng.TreeReport(); tr != nil {
+		fmt.Fprintf(errOut, "disstrace: %d sampled trees, mean depth %.2f, eager %.0f%%, mean edge reuse %.0f%%\n",
+			tr.Sampled, tr.MeanDepth, tr.EagerFraction*100, tr.MeanEdgeReuse*100)
+	}
+	if err := writeTreeArtifacts(eng, rep, *trees, *timeline, *dot); err != nil {
 		return err
 	}
 	if *text {
@@ -136,17 +112,53 @@ func runScenario(args []string, out, errOut io.Writer) error {
 	return nil
 }
 
-// writeTreeArtifacts emits the dissemination-trace outputs a scenario run
-// was asked for: the tree report (to a file, or embedded in rep when the
-// path is "-"), the Perfetto/Chrome timeline, and the final-tree DOT.
-func writeTreeArtifacts(eng *scenario.Engine, rep *scenario.Report, trees, timeline, dot string, errOut io.Writer) error {
+// loadSpec resolves the one scenario a subcommand plays — the JSON file
+// given by its file flag (named flagName, for the error text) or the
+// builtin named by the single positional argument — and applies the
+// command's -nodes/-seed/-scale overrides (zero = keep the spec's value).
+func loadSpec(fs *flag.FlagSet, flagName, file string, nodes int, seed int64, scale int) (scenario.Spec, error) {
+	var spec scenario.Spec
+	switch {
+	case file != "" && fs.NArg() == 0:
+		f, err := os.Open(file)
+		if err != nil {
+			return spec, err
+		}
+		defer f.Close()
+		if spec, err = scenario.Parse(f); err != nil {
+			return spec, fmt.Errorf("%s: %v", file, err)
+		}
+	case file == "" && fs.NArg() == 1:
+		var err error
+		if spec, err = scenario.Builtin(fs.Arg(0)); err != nil {
+			return spec, err
+		}
+	default:
+		fs.Usage()
+		return spec, fmt.Errorf("expected exactly one of -%s <file.json> or a builtin name", flagName)
+	}
+	if nodes > 0 {
+		spec.Nodes = nodes
+	}
+	if seed != 0 {
+		spec.Seed = seed
+	}
+	if scale > 0 {
+		spec.TopologyScale = scale
+	}
+	return spec, nil
+}
+
+// writeTreeArtifacts writes the dissemination-trace files a run was asked
+// for: the tree report (to a file, or embedded in rep when the path is
+// "-"), the Perfetto/Chrome timeline, and the final-tree DOT (only when a
+// tree was sampled). Without a tracer it does nothing.
+func writeTreeArtifacts(eng *scenario.Engine, rep *scenario.Report, trees, timeline, dot string) error {
 	d := eng.DissTracer()
 	if d == nil {
 		return nil
 	}
 	tr := eng.TreeReport()
-	fmt.Fprintf(errOut, "disstrace: %d sampled trees, mean depth %.2f, eager %.0f%%, mean edge reuse %.0f%%\n",
-		tr.Sampled, tr.MeanDepth, tr.EagerFraction*100, tr.MeanEdgeReuse*100)
 	if trees == "-" {
 		rep.Trees = tr
 	} else if trees != "" {

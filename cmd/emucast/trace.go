@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -20,7 +19,8 @@ import (
 // (trees.json), the Chrome trace-event / Perfetto timeline
 // (timeline.json), and the final sampled tree as Graphviz DOT
 // (tree.dot). It is `emucast scenario -trees -timeline -dot` with the
-// paths pre-wired, for one-command captures in CI and demos.
+// paths pre-wired (the same loader and the same artifact writer), for
+// one-command captures in CI and demos.
 func runTrace(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("emucast trace", flag.ContinueOnError)
 	fs.SetOutput(errOut)
@@ -43,36 +43,9 @@ func runTrace(args []string, out, errOut io.Writer) error {
 		return err
 	}
 
-	var spec scenario.Spec
-	switch {
-	case *file != "" && fs.NArg() == 0:
-		f, err := os.Open(*file)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		spec, err = scenario.Parse(f)
-		if err != nil {
-			return fmt.Errorf("%s: %v", *file, err)
-		}
-	case *file == "" && fs.NArg() == 1:
-		var err error
-		spec, err = scenario.Builtin(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-	default:
-		fs.Usage()
-		return fmt.Errorf("expected exactly one of -f <file.json> or a builtin name")
-	}
-	if *nodes > 0 {
-		spec.Nodes = *nodes
-	}
-	if *seed != 0 {
-		spec.Seed = *seed
-	}
-	if *scale > 0 {
-		spec.TopologyScale = *scale
+	spec, err := loadSpec(fs, "f", *file, *nodes, *seed, *scale)
+	if err != nil {
+		return err
 	}
 	if *sample <= 0 || *sample > 1 {
 		return fmt.Errorf("-sample %v outside (0, 1]", *sample)
@@ -97,7 +70,6 @@ func runTrace(args []string, out, errOut io.Writer) error {
 	fmt.Fprintf(errOut, "trace: %d emulator events in %s, %s events/sec\n",
 		events, wall.Round(time.Millisecond), humanCount(float64(events)/wall.Seconds()))
 
-	d := eng.DissTracer()
 	tr := eng.TreeReport()
 	fmt.Fprintf(out, "trace: %d sampled trees (rate %g) over %d messages sent\n",
 		tr.Sampled, *sample, rep.Overall.MessagesSent)
@@ -106,43 +78,15 @@ func runTrace(args []string, out, errOut io.Writer) error {
 			tr.MeanDepth, tr.MaxDepth, tr.EagerFraction*100, tr.MeanEdgeReuse*100, tr.FinalWindowTopShare*100)
 	}
 
-	enc, err := json.MarshalIndent(tr, "", "  ")
-	if err != nil {
-		return err
-	}
 	treesPath := filepath.Join(*outDir, "trees.json")
-	if err := os.WriteFile(treesPath, append(enc, '\n'), 0o644); err != nil {
+	timelinePath := filepath.Join(*outDir, "timeline.json")
+	dotPath := filepath.Join(*outDir, "tree.dot")
+	if err := writeTreeArtifacts(eng, rep, treesPath, timelinePath, dotPath); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "trace: wrote %s\n", treesPath)
-
-	timelinePath := filepath.Join(*outDir, "timeline.json")
-	f, err := os.Create(timelinePath)
-	if err != nil {
-		return err
-	}
-	if err := d.WriteTimeline(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
 	fmt.Fprintf(out, "trace: wrote %s (open in ui.perfetto.dev or chrome://tracing)\n", timelinePath)
-
 	if tr.Sampled > 0 {
-		dotPath := filepath.Join(*outDir, "tree.dot")
-		f, err := os.Create(dotPath)
-		if err != nil {
-			return err
-		}
-		if err := d.WriteDOT(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
 		fmt.Fprintf(out, "trace: wrote %s (render with `dot -Tsvg`)\n", dotPath)
 	}
 	return nil

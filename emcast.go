@@ -124,28 +124,24 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Seed != 0 {
 		sc.Seed = cfg.Seed
 	}
-	if cfg.FlatP > 0 {
-		sc.FlatP = cfg.FlatP
-	} else {
-		sc.FlatP = 0.5
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"flat probability", cfg.FlatP}, {"radius quantile", cfg.RadiusQuantile}, {"best fraction", cfg.BestFraction},
+		{"noise", cfg.Noise},
+	} {
+		if f.v < 0 || f.v > 1 {
+			return nil, fmt.Errorf("emcast: %s %v outside [0, 1]", f.name, f.v)
+		}
 	}
-	switch cfg.Strategy {
-	case Eager, "":
-		sc.Strategy, sc.FlatP = sim.StrategyFlat, 1.0
-	case Lazy:
-		sc.Strategy, sc.FlatP = sim.StrategyFlat, 0.0
-	case Flat:
-		sc.Strategy = sim.StrategyFlat
-	case TTL:
-		sc.Strategy = sim.StrategyTTL
-	case Radius:
-		sc.Strategy = sim.StrategyRadius
-	case Ranked:
-		sc.Strategy = sim.StrategyRanked
-	case Hybrid:
-		sc.Strategy = sim.StrategyHybrid
-	default:
-		return nil, fmt.Errorf("emcast: unknown strategy %q", cfg.Strategy)
+	name := cfg.Strategy
+	if name == "" {
+		name = Eager
+	}
+	var err error
+	if sc.Strategy, sc.FlatP, err = sim.ParseStrategy(string(name), cfg.FlatP); err != nil {
+		return nil, fmt.Errorf("emcast: %v", err)
 	}
 	if cfg.TTLRounds > 0 {
 		sc.TTLRounds = cfg.TTLRounds
@@ -155,9 +151,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.BestFraction > 0 {
 		sc.BestFraction = cfg.BestFraction
-	}
-	if cfg.Noise < 0 || cfg.Noise > 1 {
-		return nil, fmt.Errorf("emcast: noise %v outside [0, 1]", cfg.Noise)
 	}
 	sc.Noise = cfg.Noise
 	if cfg.Loss < 0 || cfg.Loss >= 1 {

@@ -2,6 +2,7 @@ package emcast
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -132,6 +133,17 @@ func TestClusterValidation(t *testing.T) {
 	}
 	if _, err := NewCluster(ClusterConfig{Loss: 1}); err == nil {
 		t.Error("loss = 1 accepted")
+	}
+	// Strategy parameters are probabilities and quantiles: out of range
+	// they used to run as something else (FlatP 5 as pure eager, a
+	// negative one as 0.5, the other two clamped).
+	for _, cfg := range []ClusterConfig{
+		{Strategy: Flat, FlatP: 5}, {Strategy: Flat, FlatP: -0.1},
+		{Strategy: Radius, RadiusQuantile: 1.5}, {Strategy: Ranked, BestFraction: 2},
+	} {
+		if _, err := NewCluster(cfg); err == nil || !strings.Contains(err.Error(), "outside [0, 1]") {
+			t.Errorf("%+v: err = %v, want a range error", cfg, err)
+		}
 	}
 	c, err := NewCluster(ClusterConfig{Nodes: 10, TopologyScale: 8})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"emcast/internal/scenario"
 	"emcast/internal/sim"
 	"emcast/internal/topology"
 )
@@ -40,16 +41,42 @@ func (o Options) fill() Options {
 	return o
 }
 
-// base constructs the shared simulation configuration.
-func (o Options) base() sim.Config {
-	cfg := sim.DefaultConfig()
-	cfg.Nodes = o.Nodes
-	cfg.Messages = o.Messages
-	cfg.Seed = o.Seed
-	tp := topology.DefaultParams().Scaled(o.TopologyScale)
-	cfg.Topology = &tp
-	return cfg
+// spec is the paper's workload (§5.3: 400 messages of 256 bytes, one every
+// 500 ms on average, senders round-robin) under one strategy: a single
+// phase of Messages/2 seconds of Poisson arrivals at 2 msg/s, so Messages
+// is the expected count, not the exact one.
+func (o Options) spec(strategy string) scenario.Spec {
+	return scenario.Spec{
+		Name:          strategy,
+		Seed:          o.Seed,
+		Nodes:         o.Nodes,
+		Strategy:      strategy,
+		TopologyScale: o.TopologyScale,
+		Phases: []scenario.Phase{{
+			Name:     "traffic",
+			Duration: scenario.Duration(time.Duration(o.Messages) * time.Second / 2),
+			Traffic:  []scenario.TrafficSpec{{Kind: scenario.TrafficPoisson, Rate: 2}},
+		}},
+	}
 }
+
+// play runs one spec through scenario.Player on the emulator. A spec built
+// in this file that the engine refuses is a bug in this file.
+func play(spec scenario.Spec) *scenario.Engine {
+	eng, err := scenario.New(spec)
+	if err == nil {
+		_, err = eng.Run()
+	}
+	if err != nil {
+		panic(fmt.Sprintf("experiment: %v", err))
+	}
+	return eng
+}
+
+// run plays spec and returns the whole-run metrics of the simulation under
+// the engine, which carry what the figures plot and a Report does not: the
+// low/best payload split, the top-5% share, joiner coverage.
+func run(spec scenario.Spec) sim.Result { return play(spec).Runner().Result() }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
@@ -88,25 +115,17 @@ func EmergentStructure(o Options) *Figure {
 		XLabel: "paper share (%)",
 		YLabel: "measured share (%)",
 	}
-	run := func(name string, paper float64, mutate func(*sim.Config)) sim.Result {
-		cfg := o.base()
-		cfg.DistanceMetric = true
-		mutate(&cfg)
-		res := sim.New(cfg).Run()
+	share := func(name, strategy string, paper float64) float64 {
+		spec := o.spec(strategy)
+		spec.DistanceMetric = true
+		res := run(spec)
 		f.AddPoint(name, Point{X: paper, Y: 100 * res.Top5Share, Label: res.String()})
-		return res
+		return 100 * res.Top5Share
 	}
-	eager := run("flat (eager)", 7, func(c *sim.Config) {
-		c.Strategy, c.FlatP = sim.StrategyFlat, 1.0
-	})
-	radius := run("radius", 37, func(c *sim.Config) {
-		c.Strategy = sim.StrategyRadius
-	})
-	ranked := run("ranked", 30, func(c *sim.Config) {
-		c.Strategy = sim.StrategyRanked
-	})
-	f.Note("structure ordering (want radius > ranked > flat): %.1f%% / %.1f%% / %.1f%%",
-		100*radius.Top5Share, 100*ranked.Top5Share, 100*eager.Top5Share)
+	eager := share("flat (eager)", "eager", 7)
+	radius := share("radius", "radius", 37)
+	ranked := share("ranked", "ranked", 30)
+	f.Note("structure ordering (want radius > ranked > flat): %.1f%% / %.1f%% / %.1f%%", radius, ranked, eager)
 	return f
 }
 
@@ -117,20 +136,14 @@ func StructureMap(o Options) string {
 	o = o.fill()
 	var b strings.Builder
 	b.WriteString("strategy,nodeA,nodeB,ax,ay,bx,by,payloads,bytes\n")
-	run := func(name string, mutate func(*sim.Config)) {
-		cfg := o.base()
-		cfg.DistanceMetric = true
-		mutate(&cfg)
-		r := sim.New(cfg)
-		r.Run()
-		for _, l := range r.LinkLoads() {
+	for _, strategy := range []string{"eager", "radius", "ranked"} {
+		spec := o.spec(strategy)
+		spec.DistanceMetric = true
+		for _, l := range play(spec).Runner().LinkLoads() {
 			fmt.Fprintf(&b, "%s,%d,%d,%.1f,%.1f,%.1f,%.1f,%d,%d\n",
-				name, l.A, l.B, l.AX, l.AY, l.BX, l.BY, l.Payloads, l.Bytes)
+				strategy, l.A, l.B, l.AX, l.AY, l.BX, l.BY, l.Payloads, l.Bytes)
 		}
 	}
-	run("eager", func(c *sim.Config) { c.Strategy, c.FlatP = sim.StrategyFlat, 1.0 })
-	run("radius", func(c *sim.Config) { c.Strategy = sim.StrategyRadius })
-	run("ranked", func(c *sim.Config) { c.Strategy = sim.StrategyRanked })
 	return b.String()
 }
 
@@ -147,33 +160,40 @@ func TradeoffCurves(o Options) *Figure {
 		YLabel: "latency (ms)",
 	}
 	// Flat: p from pure lazy to pure eager (paper: 480 ms @ 1 down to
-	// 227 ms @ 11).
+	// 227 ms @ 11). The end points go by name: a flat_p of 0 means "the
+	// default 0.5", not lazy.
 	for _, p := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
-		cfg := o.base()
-		cfg.Strategy, cfg.FlatP = sim.StrategyFlat, p
-		res := sim.New(cfg).Run()
+		spec := o.spec("flat")
+		spec.FlatP = p
+		switch p {
+		case 0:
+			spec.Strategy = "lazy"
+		case 1:
+			spec.Strategy = "eager"
+		}
+		res := run(spec)
 		f.AddPoint("flat", Point{X: res.PayloadPerMsg, Y: ms(res.MeanLatency), Label: fmt.Sprintf("p=%.2f", p)})
 	}
 	// TTL: eager for the first u rounds (paper: ~250 ms @ ~1.7).
 	for _, u := range []int{1, 2, 3, 4} {
-		cfg := o.base()
-		cfg.Strategy, cfg.TTLRounds = sim.StrategyTTL, u
-		res := sim.New(cfg).Run()
+		spec := o.spec("ttl")
+		spec.TTLRounds = u
+		res := run(spec)
 		f.AddPoint("TTL", Point{X: res.PayloadPerMsg, Y: ms(res.MeanLatency), Label: fmt.Sprintf("u=%d", u)})
 	}
 	// Radius: quantile sweep.
 	for _, q := range []float64{0.05, 0.10, 0.20, 0.40} {
-		cfg := o.base()
-		cfg.Strategy, cfg.RadiusQuantile = sim.StrategyRadius, q
-		res := sim.New(cfg).Run()
+		spec := o.spec("radius")
+		spec.RadiusQuantile = q
+		res := run(spec)
 		f.AddPoint("radius", Point{X: res.PayloadPerMsg, Y: ms(res.MeanLatency), Label: fmt.Sprintf("q=%.2f", q)})
 	}
 	// Ranked: best-fraction sweep; "(all)" uses the overall payload/msg,
 	// "(low)" the regular-node contribution.
 	for _, b := range []float64{0.05, 0.10, 0.20, 0.40} {
-		cfg := o.base()
-		cfg.Strategy, cfg.BestFraction = sim.StrategyRanked, b
-		res := sim.New(cfg).Run()
+		spec := o.spec("ranked")
+		spec.BestFraction = b
+		res := run(spec)
 		label := fmt.Sprintf("best=%.0f%%", 100*b)
 		f.AddPoint("ranked (all)", Point{X: res.PayloadPerMsg, Y: ms(res.MeanLatency), Label: label})
 		f.AddPoint("ranked (low)", Point{X: res.PayloadPerMsgLow, Y: ms(res.MeanLatency), Label: label})
@@ -193,34 +213,22 @@ func Reliability(o Options) *Figure {
 		XLabel: "dead nodes (%)",
 		YLabel: "mean deliveries (%)",
 	}
-	fracs := []float64{0, 0.10, 0.20, 0.40, 0.60, 0.80}
-	type variant struct {
-		name   string
-		mutate func(*sim.Config)
-	}
-	variants := []variant{
-		{"flat/random", func(c *sim.Config) {
-			c.Strategy, c.FlatP = sim.StrategyFlat, 1.0
-			c.FailMode = sim.FailRandom
-		}},
-		{"ranked/random", func(c *sim.Config) {
-			c.Strategy = sim.StrategyRanked
-			c.FailMode = sim.FailRandom
-		}},
-		{"ranked/ranked", func(c *sim.Config) {
-			c.Strategy = sim.StrategyRanked
-			c.FailMode = sim.FailBest
-		}},
-	}
-	for _, v := range variants {
-		for _, frac := range fracs {
-			cfg := o.base()
-			cfg.FailFraction = frac
-			v.mutate(&cfg)
-			if frac == 0 {
-				cfg.FailMode = sim.FailNone
+	for _, v := range []struct{ name, strategy, kill string }{
+		{"flat/random", "eager", scenario.ChurnCrashWave},
+		{"ranked/random", "ranked", scenario.ChurnCrashWave},
+		{"ranked/ranked", "ranked", scenario.ChurnKillBest},
+	} {
+		for _, frac := range []float64{0, 0.10, 0.20, 0.40, 0.60, 0.80} {
+			spec := o.spec(v.strategy)
+			if frac > 0 {
+				// Silenced after warm-up, before traffic starts.
+				spec.Phases = append([]scenario.Phase{{
+					Name:     "fail",
+					Duration: scenario.Duration(time.Second),
+					Churn:    []scenario.ChurnSpec{{Kind: v.kill, Fraction: frac}},
+				}}, spec.Phases...)
 			}
-			res := sim.New(cfg).Run()
+			res := run(spec)
 			f.AddPoint(v.name, Point{
 				X:     100 * frac,
 				Y:     100 * res.DeliveryRate,
@@ -244,18 +252,16 @@ func HybridCurves(o Options) *Figure {
 		YLabel: "latency (ms)",
 	}
 	for _, u := range []int{1, 2, 3, 4} {
-		cfg := o.base()
-		cfg.Strategy, cfg.TTLRounds = sim.StrategyTTL, u
-		res := sim.New(cfg).Run()
+		spec := o.spec("ttl")
+		spec.TTLRounds = u
+		res := run(spec)
 		f.AddPoint("TTL", Point{X: res.PayloadPerMsg, Y: ms(res.MeanLatency), Label: fmt.Sprintf("u=%d", u)})
 	}
 	for _, q := range []float64{0.05, 0.10, 0.20} {
 		for _, u := range []int{1, 2} {
-			cfg := o.base()
-			cfg.Strategy = sim.StrategyHybrid
-			cfg.RadiusQuantile = q
-			cfg.TTLRounds = u
-			res := sim.New(cfg).Run()
+			spec := o.spec("hybrid")
+			spec.RadiusQuantile, spec.TTLRounds = q, u
+			res := run(spec)
 			label := fmt.Sprintf("q=%.2f,u=%d best=%.2f", q, u, res.PayloadPerMsgBest)
 			f.AddPoint("combined (all)", Point{X: res.PayloadPerMsg, Y: ms(res.MeanLatency), Label: label})
 			f.AddPoint("combined (low)", Point{X: res.PayloadPerMsgLow, Y: ms(res.MeanLatency), Label: label})
@@ -282,17 +288,14 @@ func NoiseSweep(o Options) (payload, latency, structure *Figure) {
 		ID: "Fig6c", Title: "Top-5% link traffic vs noise",
 		XLabel: "noise (%)", YLabel: "traffic (%)",
 	}
-	noises := []float64{0, 0.25, 0.50, 0.75, 1.0}
-	for _, kind := range []sim.StrategyKind{sim.StrategyRadius, sim.StrategyRanked} {
-		for _, noise := range noises {
-			cfg := o.base()
-			cfg.Strategy = kind
-			cfg.Noise = noise
-			res := sim.New(cfg).Run()
+	for _, name := range []string{"radius", "ranked"} {
+		for _, noise := range []float64{0, 0.25, 0.50, 0.75, 1.0} {
+			spec := o.spec(name)
+			spec.Noise = noise
+			res := run(spec)
 			x := 100 * noise
-			name := kind.String()
 			payload.AddPoint(name, Point{X: x, Y: res.PayloadPerMsg})
-			if kind == sim.StrategyRanked {
+			if name == "ranked" {
 				payload.AddPoint("ranked (low)", Point{X: x, Y: res.PayloadPerMsgLow})
 			}
 			latency.AddPoint(name, Point{X: x, Y: ms(res.MeanLatency)})
@@ -304,18 +307,17 @@ func NoiseSweep(o Options) (payload, latency, structure *Figure) {
 
 // RunStats reproduces the §5.4 per-run statistics for the eager baseline
 // (paper, 100 nodes: 40000 messages delivered, 440000 packets transmitted).
+// The paper's row is scaled by the messages the run actually sent.
 func RunStats(o Options) *Figure {
 	o = o.fill()
-	cfg := o.base()
-	cfg.Strategy, cfg.FlatP = sim.StrategyFlat, 1.0
-	res := sim.New(cfg).Run()
+	res := run(o.spec("eager"))
 	f := &Figure{
 		ID:     "S1",
 		Title:  "Run statistics, eager push (paper §5.4)",
 		XLabel: "paper value (100 nodes, 400 msgs)",
 		YLabel: "measured value",
 	}
-	scale := float64(o.Nodes*o.Messages) / float64(100*400)
+	scale := float64(o.Nodes*res.MessagesSent) / float64(100*400)
 	f.AddPoint("messages delivered", Point{X: 40000 * scale, Y: float64(res.Deliveries)})
 	f.AddPoint("payload packets transmitted", Point{X: 440000 * scale, Y: float64(res.EagerPayloads + res.LazyPayloads)})
 	f.Note("%s", res.String())
@@ -336,21 +338,17 @@ func Scale200(o Options) *Figure {
 		XLabel: "nodes",
 		YLabel: "payload/msg",
 	}
-	run := func(name string, nodes int, mutate func(*sim.Config)) {
-		cfg := o.base()
-		cfg.Nodes = nodes
-		mutate(&cfg)
-		res := sim.New(cfg).Run()
-		f.AddPoint(name, Point{
-			X:     float64(nodes),
-			Y:     res.PayloadPerMsg,
-			Label: fmt.Sprintf("latency=%.0fms deliveries=%.1f%%", ms(res.MeanLatency), 100*res.DeliveryRate),
-		})
-	}
 	for _, nodes := range []int{o.Nodes, 2 * o.Nodes} {
-		run("lazy", nodes, func(c *sim.Config) { c.Strategy, c.FlatP = sim.StrategyFlat, 0.0 })
-		run("TTL u=2", nodes, func(c *sim.Config) { c.Strategy, c.TTLRounds = sim.StrategyTTL, 2 })
-		run("ranked", nodes, func(c *sim.Config) { c.Strategy = sim.StrategyRanked })
+		for _, v := range []struct{ name, strategy string }{{"lazy", "lazy"}, {"TTL u=2", "ttl"}, {"ranked", "ranked"}} {
+			spec := o.spec(v.strategy)
+			spec.Nodes = nodes
+			res := run(spec)
+			f.AddPoint(v.name, Point{
+				X:     float64(nodes),
+				Y:     res.PayloadPerMsg,
+				Label: fmt.Sprintf("latency=%.0fms deliveries=%.1f%%", ms(res.MeanLatency), 100*res.DeliveryRate),
+			})
+		}
 	}
 	return f
 }
@@ -370,32 +368,29 @@ func ApproximateRanking(o Options) *Figure {
 		XLabel: "payload/msg",
 		YLabel: "latency (ms)",
 	}
-	run := func(name string, mutate func(*sim.Config)) {
-		cfg := o.base()
-		cfg.Strategy = sim.StrategyRanked
-		mutate(&cfg)
-		res := sim.New(cfg).Run()
+	add := func(name string, spec scenario.Spec) {
+		res := run(spec)
 		f.AddPoint(name, Point{
 			X:     res.PayloadPerMsg,
 			Y:     ms(res.MeanLatency),
 			Label: fmt.Sprintf("top5=%.1f%% best=%.2f low=%.2f", 100*res.Top5Share, res.PayloadPerMsgBest, res.PayloadPerMsgLow),
 		})
 	}
-	run("ranked, oracle ranking", func(c *sim.Config) {})
-	run("ranked, gossip ranking", func(c *sim.Config) { c.UseGossipRanking = true })
+	spec := o.spec("ranked")
+	add("ranked, oracle ranking", spec)
+	spec.GossipRanking = true
+	add("ranked, gossip ranking", spec)
 	// The fully deployable stack: the Hybrid strategy with both its
 	// inputs taken from run-time components — the radius metric from the
 	// EWMA monitor and the best set from the gossip ranking.
-	run("hybrid, gossip ranking + EWMA metric", func(c *sim.Config) {
-		c.Strategy = sim.StrategyHybrid
-		c.UseGossipRanking = true
-		c.UseEWMAMonitor = true
-	})
+	spec = o.spec("hybrid")
+	spec.GossipRanking, spec.EWMAMonitor = true, true
+	add("hybrid, gossip ranking + EWMA metric", spec)
 	return f
 }
 
 // Churn is a second extension experiment (A2): nodes join through the Join
-// protocol mid-run while others are silenced, measuring how well late
+// protocol over the first half of the traffic, measuring how well late
 // joiners catch up with post-join traffic under each strategy. The paper
 // treats joining/warm-up as out of scope for measurements; this experiment
 // confirms the overlay absorbs churn without affecting established nodes.
@@ -407,22 +402,16 @@ func Churn(o Options) *Figure {
 		XLabel: "late joiners (% of group)",
 		YLabel: "joiner coverage (%)",
 	}
-	for _, kind := range []sim.StrategyKind{sim.StrategyFlat, sim.StrategyTTL, sim.StrategyRanked} {
+	for _, name := range []string{"eager", "ttl", "ranked"} {
 		for _, frac := range []float64{0.1, 0.25, 0.5} {
-			cfg := o.base()
-			cfg.Strategy = kind
-			if kind == sim.StrategyFlat {
-				cfg.FlatP = 1.0
+			spec := o.spec(name)
+			if joiners := int(frac * float64(o.Nodes)); joiners > 0 {
+				traffic := &spec.Phases[0]
+				traffic.Churn = []scenario.ChurnSpec{{
+					Kind: scenario.ChurnJoinWave, Count: joiners, Over: traffic.Duration / 2,
+				}}
 			}
-			if kind == sim.StrategyTTL {
-				cfg.TTLRounds = 2
-			}
-			cfg.LateJoiners = int(frac * float64(o.Nodes))
-			res := sim.New(cfg).Run()
-			name := kind.String()
-			if kind == sim.StrategyFlat {
-				name = "eager"
-			}
+			res := run(spec)
 			f.AddPoint(name, Point{
 				X:     100 * frac,
 				Y:     100 * res.JoinerCoverage,

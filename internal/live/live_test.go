@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -285,6 +286,22 @@ func TestSupported(t *testing.T) {
 				t.Fatalf("New accepted unsupported spec (%s)", tc.name)
 			}
 		})
+	}
+}
+
+// TestSpecEmulatorOnlyKeys: the two oracle switches of a Spec choose
+// between models only the emulator holds, so live playback must refuse
+// them by name rather than run a fleet that ignores them.
+func TestSpecEmulatorOnlyKeys(t *testing.T) {
+	for key, set := range map[string]func(*scenario.Spec){
+		"distance_metric": func(s *scenario.Spec) { s.DistanceMetric = true },
+		"ewma_monitor":    func(s *scenario.Spec) { s.EWMAMonitor = true },
+	} {
+		spec := noLossSpec()
+		set(&spec)
+		if err := Supported(&spec); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("%s: Supported = %v, want a refusal naming the key", key, err)
+		}
 	}
 }
 

@@ -29,12 +29,10 @@ func New(spec Spec) (*Engine, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cfg, err := simConfig(&spec)
-	if err != nil {
-		return nil, err
-	}
+	cfg := simConfig(&spec)
 	cfg.Faults = spec.Injector()
 	e := &Engine{spec: spec, runner: sim.New(cfg)}
+	var err error
 	e.player, err = NewPlayer(&e.spec, emulator{e.runner, e.runner.Network()})
 	if err != nil {
 		return nil, err
@@ -88,8 +86,8 @@ func (m emulator) Boundary(final bool) Boundary {
 	return b
 }
 
-// simConfig maps the declarative spec onto a simulation configuration.
-func simConfig(spec *Spec) (sim.Config, error) {
+// simConfig maps a validated spec onto a simulation configuration.
+func simConfig(spec *Spec) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Nodes = spec.Nodes
 	cfg.Seed = spec.Seed
@@ -99,38 +97,18 @@ func simConfig(spec *Spec) (sim.Config, error) {
 	cfg.Noise = spec.Noise
 	cfg.Loss = spec.Loss
 	cfg.UseGossipRanking = spec.GossipRanking
+	cfg.UseEWMAMonitor = spec.EWMAMonitor
+	cfg.DistanceMetric = spec.DistanceMetric
 	cfg.LateJoiners = spec.Joiners()
-	cfg.Drain = spec.Drain.D()
 	cfg.FullTrace = spec.FullTrace
 	cfg.TraceSample = spec.TraceSample
 	cfg.Obs = spec.Obs
-	switch spec.Strategy {
-	case "eager":
-		cfg.Strategy, cfg.FlatP = sim.StrategyFlat, 1.0
-	case "lazy":
-		cfg.Strategy, cfg.FlatP = sim.StrategyFlat, 0.0
-	case "flat":
-		cfg.Strategy = sim.StrategyFlat
-		cfg.FlatP = spec.FlatP
-		if cfg.FlatP <= 0 {
-			cfg.FlatP = 0.5
-		}
-	case "ttl":
-		cfg.Strategy = sim.StrategyTTL
-	case "radius":
-		cfg.Strategy = sim.StrategyRadius
-	case "ranked":
-		cfg.Strategy = sim.StrategyRanked
-	case "hybrid":
-		cfg.Strategy = sim.StrategyHybrid
-	default:
-		return cfg, fmt.Errorf("scenario: unknown strategy %q", spec.Strategy)
-	}
+	cfg.Strategy, cfg.FlatP, _ = sim.ParseStrategy(spec.Strategy, spec.FlatP) // name vetted by Validate
 	if spec.TopologyScale > 1 {
 		tp := topology.DefaultParams().Scaled(spec.TopologyScale)
 		cfg.Topology = &tp
 	}
-	return cfg, nil
+	return cfg
 }
 
 // Runner exposes the simulation under the engine (tests and tooling).

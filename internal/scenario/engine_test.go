@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 )
@@ -388,5 +389,21 @@ func TestNewRejectsInvalidSpec(t *testing.T) {
 	}
 	if _, err := New(Spec{Strategy: "warp", Phases: []Phase{{Duration: sec(1)}}}); err == nil {
 		t.Fatal("bad strategy accepted")
+	}
+	// Strategy parameters outside [0, 1] used to run as something else
+	// (flat_p 5 as pure eager, a negative one as 0.5, the others clamped).
+	for _, c := range []struct {
+		key  string
+		spec Spec
+	}{
+		{"flat_p", Spec{Strategy: "flat", FlatP: 5}},
+		{"flat_p", Spec{Strategy: "flat", FlatP: -0.1}},
+		{"radius_quantile", Spec{Strategy: "radius", RadiusQuantile: 1.5}},
+		{"best_fraction", Spec{Strategy: "ranked", BestFraction: 2}},
+	} {
+		c.spec.Phases = []Phase{{Duration: sec(1)}}
+		if _, err := New(c.spec); err == nil || !strings.Contains(err.Error(), c.key) {
+			t.Errorf("%s out of range: err = %v, want an error naming the key", c.key, err)
+		}
 	}
 }

@@ -132,9 +132,16 @@ func NewPlayer(spec *Spec, sub Substrate) (*Player, error) {
 }
 
 // EmulatorOnly names the first thing in the spec that only an Emulator
-// substrate can play — link-quality events and kill-best churn, which
-// ranks nodes by the topology oracle — or returns nil.
+// substrate can play — the oracle switches, link-quality events and
+// kill-best churn, which ranks nodes by the topology oracle — or returns
+// nil.
 func (s *Spec) EmulatorOnly() error {
+	if s.DistanceMetric {
+		return fmt.Errorf("distance_metric selects the emulator oracle's plane distance, which real peers cannot measure")
+	}
+	if s.EWMAMonitor {
+		return fmt.Errorf("ewma_monitor replaces the emulator's latency oracle, which real peers never had")
+	}
 	for i := range s.Phases {
 		p := &s.Phases[i]
 		for j := range p.Churn {

@@ -21,6 +21,7 @@ import (
 	"emcast/internal/faults"
 	"emcast/internal/msg"
 	"emcast/internal/obs"
+	"emcast/internal/sim"
 )
 
 // Duration is a time.Duration that marshals as a Go duration string
@@ -83,6 +84,13 @@ type Spec struct {
 	// GossipRanking switches ranked/hybrid hub selection to the fully
 	// decentralized gossip-based ranking pipeline.
 	GossipRanking bool `json:"gossip_ranking,omitempty"`
+	// DistanceMetric has the radius/ranked/hybrid oracle measure plane
+	// distance instead of latency (§6.1's pseudo-geographic oracle), and
+	// EWMAMonitor takes the Eager? metric from the run-time ping monitor
+	// instead of the oracle. Both choose between models only the emulator
+	// holds (Spec.EmulatorOnly).
+	DistanceMetric bool `json:"distance_metric,omitempty"`
+	EWMAMonitor    bool `json:"ewma_monitor,omitempty"`
 
 	// Loss is the baseline frame loss probability (loss events override
 	// it mid-run).
@@ -435,19 +443,22 @@ func (s *Spec) fill() {
 // Validate checks the spec for contradictions. fill must run first (Parse
 // and the engine do).
 func (s *Spec) Validate() error {
-	switch s.Strategy {
-	case "eager", "lazy", "flat", "ttl", "radius", "ranked", "hybrid":
-	default:
-		return fmt.Errorf("scenario: unknown strategy %q", s.Strategy)
+	if _, _, err := sim.ParseStrategy(s.Strategy, s.FlatP); err != nil {
+		return fmt.Errorf("scenario: %v", err)
 	}
-	if s.Noise < 0 || s.Noise > 1 {
-		return fmt.Errorf("scenario: noise %v outside [0, 1]", s.Noise)
+	for _, f := range []struct {
+		key string
+		v   float64
+	}{
+		{"flat_p", s.FlatP}, {"radius_quantile", s.RadiusQuantile}, {"best_fraction", s.BestFraction},
+		{"noise", s.Noise}, {"trace_sample", s.TraceSample},
+	} {
+		if f.v < 0 || f.v > 1 {
+			return fmt.Errorf("scenario: %s %v outside [0, 1]", f.key, f.v)
+		}
 	}
 	if s.Loss < 0 || s.Loss >= 1 {
 		return fmt.Errorf("scenario: loss %v outside [0, 1)", s.Loss)
-	}
-	if s.TraceSample < 0 || s.TraceSample > 1 {
-		return fmt.Errorf("scenario: trace_sample %v outside [0, 1]", s.TraceSample)
 	}
 	if len(s.Phases) == 0 {
 		return fmt.Errorf("scenario: no phases")

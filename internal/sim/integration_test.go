@@ -1,18 +1,17 @@
-package sim
+package sim_test
 
 import (
 	"testing"
 	"time"
 
-	"emcast/internal/peer"
+	"emcast/internal/scenario"
+	"emcast/internal/sim"
 )
 
 // TestRankedConcentratesOnHubs: best nodes must carry far more payload per
 // message than regular ones (paper §6.4: hubs ~10.8, regular ~1.2).
 func TestRankedConcentratesOnHubs(t *testing.T) {
-	cfg := testConfig(50, 60)
-	cfg.Strategy = StrategyRanked
-	res := New(cfg).Run()
+	_, res := play(t, testSpec(50, 60, "ranked"))
 	if res.PayloadPerMsgBest < 3*res.PayloadPerMsgLow {
 		t.Fatalf("hubs %.2f vs low %.2f: no concentration", res.PayloadPerMsgBest, res.PayloadPerMsgLow)
 	}
@@ -24,15 +23,12 @@ func TestRankedConcentratesOnHubs(t *testing.T) {
 // TestRankedBeatsFlatTradeoff: at comparable traffic, Ranked must deliver
 // lower latency than Flat (the paper's §6.2 headline).
 func TestRankedBeatsFlatTradeoff(t *testing.T) {
-	ranked := testConfig(60, 60)
-	ranked.Strategy = StrategyRanked
-	rr := New(ranked).Run()
+	_, rr := play(t, testSpec(60, 60, "ranked"))
 
 	// A flat configuration producing comparable traffic.
-	flat := testConfig(60, 60)
-	flat.Strategy = StrategyFlat
+	flat := testSpec(60, 60, "flat")
 	flat.FlatP = rr.PayloadPerMsg / 11
-	rf := New(flat).Run()
+	_, rf := play(t, flat)
 
 	if rf.PayloadPerMsg < rr.PayloadPerMsg*0.85 || rf.PayloadPerMsg > rr.PayloadPerMsg*1.15 {
 		t.Skipf("flat calibration off: flat %.2f vs ranked %.2f", rf.PayloadPerMsg, rr.PayloadPerMsg)
@@ -43,59 +39,14 @@ func TestRankedBeatsFlatTradeoff(t *testing.T) {
 	}
 }
 
-func TestFailBestSilencesBestNodes(t *testing.T) {
-	cfg := testConfig(40, 10)
-	cfg.Strategy = StrategyRanked
-	cfg.FailMode = FailBest
-	cfg.FailFraction = 0.2
-	r := New(cfg)
-	r.Run()
-	// Every failed node must be in the oracle best set.
-	failed := 0
-	for i := 0; i < cfg.Nodes; i++ {
-		if r.Failed(i) {
-			failed++
-			if !r.Best(peer.ID(i)) {
-				t.Fatalf("FailBest silenced non-best node %d", i)
-			}
-		}
-	}
-	if failed != 8 {
-		t.Fatalf("failed = %d, want 8 (20%% of 40)", failed)
-	}
-}
-
-func TestFailRandomCount(t *testing.T) {
-	cfg := testConfig(40, 10)
-	cfg.FailMode = FailRandom
-	cfg.FailFraction = 0.5
-	r := New(cfg)
-	res := r.Run()
-	failed := 0
-	for i := 0; i < cfg.Nodes; i++ {
-		if r.Failed(i) {
-			failed++
-		}
-	}
-	if failed != 20 {
-		t.Fatalf("failed = %d, want 20", failed)
-	}
-	// Failed nodes must not appear among deliverers.
-	if res.DeliveryRate < 0.95 {
-		t.Fatalf("live delivery rate %.3f under 50%% random failures", res.DeliveryRate)
-	}
-}
-
 // TestLossRecoveredByRetries: lazy push must survive frame loss through
 // periodic retransmission requests (the paper's reliability argument for
 // keeping redundant lazy advertisements).
 func TestLossRecoveredByRetries(t *testing.T) {
-	cfg := testConfig(40, 40)
-	cfg.Strategy = StrategyTTL
-	cfg.TTLRounds = 2
-	cfg.Loss = 0.05
-	cfg.Drain = 30 * time.Second
-	res := New(cfg).Run()
+	spec := testSpec(40, 40, "ttl")
+	spec.Loss = 0.05
+	spec.Drain = scenario.Duration(30 * time.Second)
+	_, res := play(t, spec)
 	if res.DeliveryRate < 0.97 {
 		t.Fatalf("delivery rate %.3f with 5%% loss, want >= 0.97", res.DeliveryRate)
 	}
@@ -107,14 +58,11 @@ func TestLossRecoveredByRetries(t *testing.T) {
 // degradation from the oracle ranking — the paper's §4.1/§6.5 claim that
 // approximate rankings suffice.
 func TestGossipRankingStructure(t *testing.T) {
-	oracle := testConfig(60, 60)
-	oracle.Strategy = StrategyRanked
-	ro := New(oracle).Run()
+	_, ro := play(t, testSpec(60, 60, "ranked"))
 
-	gossip := testConfig(60, 60)
-	gossip.Strategy = StrategyRanked
-	gossip.UseGossipRanking = true
-	rg := New(gossip).Run()
+	gossip := testSpec(60, 60, "ranked")
+	gossip.GossipRanking = true
+	_, rg := play(t, gossip)
 
 	if rg.DeliveryRate < 0.99 {
 		t.Fatalf("gossip ranking broke delivery: %.3f", rg.DeliveryRate)
@@ -136,11 +84,10 @@ func TestGossipRankingStructure(t *testing.T) {
 // TestEWMAMonitorViable: the run-time ping-driven monitor must support the
 // Radius strategy end to end (paper §4.2's deployable monitor).
 func TestEWMAMonitorViable(t *testing.T) {
-	cfg := testConfig(40, 40)
-	cfg.Strategy = StrategyRadius
-	cfg.UseEWMAMonitor = true
-	cfg.Drain = 30 * time.Second
-	res := New(cfg).Run()
+	spec := testSpec(40, 40, "radius")
+	spec.EWMAMonitor = true
+	spec.Drain = scenario.Duration(30 * time.Second)
+	_, res := play(t, spec)
 	if res.DeliveryRate < 0.99 {
 		t.Fatalf("delivery rate %.3f with EWMA monitor", res.DeliveryRate)
 	}
@@ -150,10 +97,9 @@ func TestEWMAMonitorViable(t *testing.T) {
 }
 
 func TestDistanceMetricMode(t *testing.T) {
-	cfg := testConfig(40, 30)
-	cfg.Strategy = StrategyRadius
-	cfg.DistanceMetric = true
-	res := New(cfg).Run()
+	spec := testSpec(40, 30, "radius")
+	spec.DistanceMetric = true
+	_, res := play(t, spec)
 	if res.DeliveryRate < 0.99 {
 		t.Fatalf("delivery rate %.3f in distance-metric mode", res.DeliveryRate)
 	}
@@ -164,10 +110,9 @@ func TestDistanceMetricMode(t *testing.T) {
 
 func TestNoisePreservesDelivery(t *testing.T) {
 	for _, noise := range []float64{0.5, 1.0} {
-		cfg := testConfig(40, 30)
-		cfg.Strategy = StrategyRanked
-		cfg.Noise = noise
-		res := New(cfg).Run()
+		spec := testSpec(40, 30, "ranked")
+		spec.Noise = noise
+		_, res := play(t, spec)
 		if res.DeliveryRate < 0.99 {
 			t.Fatalf("noise %.1f broke delivery: %.3f", noise, res.DeliveryRate)
 		}
@@ -178,10 +123,9 @@ func TestNoisePreservesDelivery(t *testing.T) {
 // eager rate, so the noise wrapper must fall back to the per-node running
 // estimate and still deliver (covers the estimator path end to end).
 func TestNoisyHybridUsesRunningEstimate(t *testing.T) {
-	cfg := testConfig(40, 30)
-	cfg.Strategy = StrategyHybrid
-	cfg.Noise = 0.75
-	res := New(cfg).Run()
+	spec := testSpec(40, 30, "hybrid")
+	spec.Noise = 0.75
+	_, res := play(t, spec)
 	if res.DeliveryRate < 0.99 {
 		t.Fatalf("noisy hybrid delivery %.3f", res.DeliveryRate)
 	}
@@ -193,22 +137,17 @@ func TestNoisyHybridUsesRunningEstimate(t *testing.T) {
 // TestLossWithFailures combines frame loss with node failures: the paper's
 // reliability argument must hold under both at once.
 func TestLossWithFailures(t *testing.T) {
-	cfg := testConfig(40, 40)
-	cfg.Strategy = StrategyRanked
-	cfg.Loss = 0.03
-	cfg.FailMode = FailBest
-	cfg.FailFraction = 0.2
-	cfg.Drain = 30 * time.Second
-	res := New(cfg).Run()
+	spec := killBestFirst(testSpec(40, 40, "ranked"), 0.2)
+	spec.Loss = 0.03
+	spec.Drain = scenario.Duration(30 * time.Second)
+	_, res := play(t, spec)
 	if res.DeliveryRate < 0.97 {
 		t.Fatalf("delivery %.3f with loss + best-node failures", res.DeliveryRate)
 	}
 }
 
 func TestLinkLoads(t *testing.T) {
-	cfg := testConfig(30, 20)
-	r := New(cfg)
-	r.Run()
+	r, res := play(t, testSpec(30, 20, "eager"))
 	loads := r.LinkLoads()
 	if len(loads) == 0 {
 		t.Fatal("no link loads recorded")
@@ -223,15 +162,13 @@ func TestLinkLoads(t *testing.T) {
 		}
 		total += l.Payloads
 	}
-	res := r.Result()
 	if total != res.EagerPayloads+res.LazyPayloads {
 		t.Fatalf("link payloads %d != total payloads %d", total, res.EagerPayloads+res.LazyPayloads)
 	}
 }
 
 func TestManualDrive(t *testing.T) {
-	cfg := testConfig(20, 1)
-	r := New(cfg)
+	r := sim.New(testConfig(20))
 	r.Warmup()
 	id := r.MulticastFrom(3, []byte("manual"))
 	r.RunFor(10 * time.Second)
@@ -247,15 +184,14 @@ func TestManualDrive(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	cfg := testConfig(20, 5)
-	res := New(cfg).Run()
+	_, res := play(t, testSpec(20, 5, "eager"))
 	if s := res.String(); s == "" {
 		t.Fatal("empty result string")
 	}
 }
 
 func TestStrategyKindString(t *testing.T) {
-	kinds := []StrategyKind{StrategyFlat, StrategyTTL, StrategyRadius, StrategyRanked, StrategyHybrid}
+	kinds := []sim.StrategyKind{sim.StrategyFlat, sim.StrategyTTL, sim.StrategyRadius, sim.StrategyRanked, sim.StrategyHybrid}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		if s := k.String(); s == "" || seen[s] {
@@ -264,19 +200,14 @@ func TestStrategyKindString(t *testing.T) {
 			seen[s] = true
 		}
 	}
-	if StrategyKind(99).String() == "" {
+	if sim.StrategyKind(99).String() == "" {
 		t.Fatal("unknown kind must still render")
 	}
 }
 
 // TestSymmetricGraphProperties checks the warm-overlay constructor.
 func TestSymmetricGraphProperties(t *testing.T) {
-	r := New(testConfig(30, 1))
-	_ = r
-	// Build directly for assertions.
-	rngCfg := testConfig(30, 1)
-	runner := New(rngCfg)
-	for i, n := range runner.Nodes() {
+	for i, n := range sim.New(testConfig(30)).Nodes() {
 		view := n.View()
 		if len(view) == 0 {
 			t.Fatalf("node %d has empty view", i)

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"math"
@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"emcast/internal/sim"
 	"emcast/internal/topology"
 )
 
@@ -13,12 +14,12 @@ import (
 // cutoff, so ensureOracle takes the row-streaming P² path, and checks ρ
 // and T0 against the exact quantiles brute-forced from the same matrix.
 func TestStreamingOracleAccuracy(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Nodes = OracleExactCutoff + 52
-	cfg.Strategy = StrategyRadius
+	cfg := sim.DefaultConfig()
+	cfg.Nodes = sim.OracleExactCutoff + 52
+	cfg.Strategy = sim.StrategyRadius
 	tp := topology.DefaultParams().Scaled(2)
 	cfg.Topology = &tp
-	r := New(cfg)
+	r := sim.New(cfg)
 
 	rho := r.Rho()
 

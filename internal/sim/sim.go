@@ -1,9 +1,10 @@
-// Package sim assembles whole-system experiments: an Inet-style topology,
-// the discrete-event network emulator, and one protocol node per client,
-// then drives the paper's workload (§5.3: 400 messages of 256 bytes,
-// multicast round-robin with a uniform random interval of 500 ms average)
-// and extracts the paper's metrics (latency, payload transmissions per
-// message, delivery rates, emergent-structure link shares).
+// Package sim assembles whole-system experiments — an Inet-style topology,
+// the discrete-event network emulator, and one protocol node per client —
+// into a Runner that is driven imperatively (Warmup, MulticastFrom, RunFor,
+// Fail, Leave, Join), and extracts the paper's metrics (latency, payload
+// transmissions per message, delivery rates, emergent-structure link
+// shares). What a run sends, kills and joins is decided elsewhere: by
+// scenario.Player for every Spec, the paper's figures included.
 //
 // Metrics are derived from per-message trace aggregates (trace.MsgStats),
 // not raw event logs: Result/CollectWindow/RecoveryTime work identically
@@ -36,20 +37,6 @@ import (
 	"emcast/internal/trace"
 )
 
-// FailureMode selects which nodes are silenced in reliability experiments.
-type FailureMode int
-
-// Failure modes (paper §6.3).
-const (
-	// FailNone disables failure injection.
-	FailNone FailureMode = iota
-	// FailRandom silences nodes selected uniformly at random.
-	FailRandom
-	// FailBest silences the best-ranked nodes first — "precisely those
-	// that are contributing more to the dissemination effort".
-	FailBest
-)
-
 // StrategyKind selects the transmission strategy under test.
 type StrategyKind int
 
@@ -78,6 +65,29 @@ func (k StrategyKind) String() string {
 	default:
 		return fmt.Sprintf("StrategyKind(%d)", int(k))
 	}
+}
+
+// ParseStrategy maps a name of the strategy vocabulary every Spec, sweep
+// and Cluster shares — eager, lazy, flat, ttl, radius, ranked, hybrid —
+// onto its kind and Flat's eager probability: eager and lazy are flat at 1
+// and 0, and flat takes flatP, where 0 means the default 0.5.
+func ParseStrategy(name string, flatP float64) (StrategyKind, float64, error) {
+	switch name {
+	case "eager":
+		return StrategyFlat, 1, nil
+	case "lazy":
+		return StrategyFlat, 0, nil
+	case "flat":
+		if flatP <= 0 {
+			flatP = 0.5
+		}
+	}
+	for k := StrategyFlat; k <= StrategyHybrid; k++ {
+		if k.String() == name {
+			return k, flatP, nil
+		}
+	}
+	return 0, 0, fmt.Errorf("unknown strategy %q", name)
 }
 
 // Config describes one simulated experiment run.
@@ -110,31 +120,13 @@ type Config struct {
 	// wrapper.
 	Noise float64
 
-	// Messages, PayloadSize, MeanInterval describe the workload.
-	Messages     int
-	PayloadSize  int
-	MeanInterval time.Duration
-
-	// FailMode and FailFraction silence nodes after warm-up, before
-	// traffic (paper §6.3).
-	FailMode     FailureMode
-	FailFraction float64
-
 	// LateJoiners adds this many extra nodes that start outside the
-	// overlay and join through the Join protocol (churn). Run schedules
-	// their joins at staggered times during the traffic phase; callers
-	// driving the simulation manually (the scenario engine) instead
-	// trigger each join with Runner.Join. They receive but do not send.
+	// overlay; each enters through the Join protocol when the caller
+	// invokes Runner.Join.
 	LateJoiners int
 
 	// Loss is the network frame loss probability.
 	Loss float64
-
-	// HeapScheduler runs the emulator on the legacy binary-heap event
-	// scheduler instead of the timer wheel. Results are byte-identical
-	// either way (the differential and golden tests pin it); the switch
-	// exists as an escape hatch and for A/B benchmarking.
-	HeapScheduler bool
 
 	// Topology overrides the generated topology parameters; nil uses
 	// DefaultParams with Clients=Nodes. Tests use scaled-down router
@@ -160,8 +152,8 @@ type Config struct {
 	// instead of the default streaming aggregates (trace.Streaming).
 	// Metric outputs are identical either way — the equivalence tests
 	// pin that — but the full trace keeps O(messages × nodes) Delivery
-	// records alive for the whole run and makes FullSnapshot available;
-	// use it for raw-event analysis and debugging, not for large runs.
+	// records alive for the whole run; use it for debugging, not for
+	// large runs.
 	FullTrace bool
 	// TraceSample, when positive, attaches a dissemination tracer
 	// (internal/disstrace) that records the full hop graph of a
@@ -170,9 +162,6 @@ type Config struct {
 	// seeded path: reports are byte-identical with sampling on or off,
 	// and the sampled set is a pure function of (Seed, id).
 	TraceSample float64
-	// Drain is how long to keep the simulation running after the last
-	// multicast so in-flight lazy requests settle. Zero means 10 s.
-	Drain time.Duration
 	// OnDeliver, when set, is invoked for every application-level
 	// delivery (library embedding; experiments leave it nil).
 	OnDeliver func(node peer.ID, id ids.ID, payload []byte)
@@ -193,8 +182,8 @@ type Config struct {
 	Faults *faults.Injector
 }
 
-// DefaultConfig is the paper's standard run: 100 nodes, 400 messages of
-// 256 bytes, 500 ms mean interval, fanout 11, overlay 15, T=400 ms.
+// DefaultConfig is the paper's standard deployment: 100 nodes, eager push,
+// fanout 11, overlay 15, T=400 ms.
 func DefaultConfig() Config {
 	return Config{
 		Nodes:          100,
@@ -204,9 +193,6 @@ func DefaultConfig() Config {
 		TTLRounds:      2,
 		RadiusQuantile: 0.10,
 		BestFraction:   0.20,
-		Messages:       400,
-		PayloadSize:    256,
-		MeanInterval:   500 * time.Millisecond,
 	}
 }
 
@@ -214,20 +200,8 @@ func (c *Config) fill() {
 	if c.Nodes <= 0 {
 		c.Nodes = 100
 	}
-	if c.Messages <= 0 {
-		c.Messages = 400
-	}
-	if c.PayloadSize <= 0 {
-		c.PayloadSize = 256
-	}
-	if c.MeanInterval <= 0 {
-		c.MeanInterval = 500 * time.Millisecond
-	}
 	if c.BestFraction <= 0 {
 		c.BestFraction = 0.20
-	}
-	if c.Drain <= 0 {
-		c.Drain = 10 * time.Second
 	}
 }
 
@@ -278,16 +252,11 @@ func New(cfg Config) *Runner {
 	topo := topology.Generate(tp)
 	matrix := topo.ClientMatrix()
 
-	sched := emunet.SchedulerWheel
-	if cfg.HeapScheduler {
-		sched = emunet.SchedulerHeap
-	}
 	net := emunet.New(total, func(from, to int) time.Duration {
 		return matrix.Latency(from, to)
 	}, emunet.Config{
-		Loss:      cfg.Loss,
-		Seed:      cfg.Seed ^ 0x5ca1ab1e,
-		Scheduler: sched,
+		Loss: cfg.Loss,
+		Seed: cfg.Seed ^ 0x5ca1ab1e,
 		// Protocol handlers never retain raw frames (core.Node decodes
 		// into per-node scratch and the lazy layer copies payloads on
 		// first receipt), so the runner opts into the frame arena.
@@ -768,17 +737,6 @@ func (r *Runner) TreeReport() *disstrace.TreeReport {
 	return r.diss.Report()
 }
 
-// FullSnapshot exposes the raw event trace of a Config.FullTrace run
-// (per-message Delivery records included). ok is false under the default
-// streaming trace, which never retains raw events.
-func (r *Runner) FullSnapshot() (trace.Snapshot, bool) {
-	c, ok := r.tracer.(*trace.Collector)
-	if !ok {
-		return trace.Snapshot{}, false
-	}
-	return c.Snapshot(), true
-}
-
 // Fail silences a node, emulating its crash.
 func (r *Runner) Fail(node int) {
 	r.net.Silence(node)
@@ -802,9 +760,15 @@ func (r *Runner) Failed(node int) bool {
 }
 
 // Live returns the original (non-joiner) nodes that have not failed or
-// left.
+// left, in ascending id order.
 func (r *Runner) Live() []int {
-	return r.liveNodes()
+	var live []int
+	for i := 0; i < r.cfg.Nodes; i++ {
+		if !r.failed[peer.ID(i)] {
+			live = append(live, i)
+		}
+	}
+	return live
 }
 
 // LiveAll returns every live participant in ascending id order: original
@@ -812,7 +776,7 @@ func (r *Runner) Live() []int {
 // overlay and are still up. Scenario traffic and churn draw from this
 // set, so joiners send and die like everyone else once they are in.
 func (r *Runner) LiveAll() []int {
-	live := r.liveNodes()
+	live := r.Live()
 	for i := r.cfg.Nodes; i < r.cfg.Nodes+r.cfg.LateJoiners; i++ {
 		id := peer.ID(i)
 		if _, joined := r.joinedAt[id]; joined && !r.failed[id] {
@@ -841,98 +805,9 @@ func (r *Runner) Join(node, contact int) {
 	r.nodes[node].Join(peer.ID(contact))
 }
 
-// Run executes the full experiment and returns its metrics.
-func (r *Runner) Run() Result {
-	cfg := r.cfg
-
-	// Warm-up: let shuffles randomise the seeded views.
-	r.Warmup()
-
-	// Failure injection happens after warm-up, immediately before
-	// traffic starts (paper §6.3).
-	r.injectFailures()
-
-	// Churn: late joiners enter through the Join protocol at staggered
-	// times across the first half of the traffic phase.
-	r.scheduleJoins()
-
-	// Traffic: round-robin senders over live nodes, uniform random
-	// inter-message interval with the configured mean.
-	at := r.net.Now()
-	sender := 0
-	live := r.liveNodes()
-	for k := 0; k < cfg.Messages; k++ {
-		at += time.Duration(r.rng.Int63n(int64(2 * cfg.MeanInterval)))
-		node := live[sender%len(live)]
-		sender++
-		payload := make([]byte, cfg.PayloadSize)
-		r.rng.Read(payload)
-		n := r.nodes[node]
-		r.net.AfterFunc(at-r.net.Now(), func() {
-			r.multicasts.Inc()
-			n.Multicast(payload)
-		})
-	}
-	r.net.Run(at + cfg.Drain)
-	r.elapsed = r.net.Now()
-	return r.collect()
-}
-
-// liveNodes returns the original (non-joiner) nodes that have not failed;
-// these drive the traffic.
-func (r *Runner) liveNodes() []int {
-	var live []int
-	for i := 0; i < r.cfg.Nodes; i++ {
-		if !r.failed[peer.ID(i)] {
-			live = append(live, i)
-		}
-	}
-	return live
-}
-
-func (r *Runner) scheduleJoins() {
-	cfg := r.cfg
-	if cfg.LateJoiners <= 0 {
-		return
-	}
-	trafficSpan := time.Duration(cfg.Messages) * cfg.MeanInterval
-	live := r.liveNodes()
-	for j := 0; j < cfg.LateJoiners; j++ {
-		joiner := cfg.Nodes + j
-		delay := trafficSpan / 2 * time.Duration(j+1) / time.Duration(cfg.LateJoiners+1)
-		contact := live[r.rng.Intn(len(live))]
-		node := joiner
-		r.net.AfterFunc(delay, func() { r.Join(node, contact) })
-	}
-}
-
 // JoinedAt returns the virtual time a late joiner entered the overlay, or
 // false for original nodes.
 func (r *Runner) JoinedAt(node int) (time.Duration, bool) {
 	at, ok := r.joinedAt[peer.ID(node)]
 	return at, ok
-}
-
-func (r *Runner) injectFailures() {
-	cfg := r.cfg
-	if cfg.FailMode == FailNone || cfg.FailFraction <= 0 {
-		return
-	}
-	k := int(cfg.FailFraction * float64(cfg.Nodes))
-	if k > cfg.Nodes {
-		k = cfg.Nodes
-	}
-	var victims []int
-	switch cfg.FailMode {
-	case FailRandom:
-		victims = r.rng.Perm(cfg.Nodes)[:k]
-	case FailBest:
-		for _, id := range r.RankedNodes()[:k] {
-			victims = append(victims, int(id))
-		}
-	}
-	for _, v := range victims {
-		r.net.Silence(v)
-		r.failed[peer.ID(v)] = true
-	}
 }

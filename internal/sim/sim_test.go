@@ -1,30 +1,68 @@
-package sim
+package sim_test
 
 import (
 	"testing"
 	"time"
 
+	"emcast/internal/scenario"
+	"emcast/internal/sim"
 	"emcast/internal/topology"
 )
 
-// testConfig returns a fast, scaled-down configuration for unit tests.
-func testConfig(nodes, messages int) Config {
-	cfg := DefaultConfig()
+// testConfig returns a fast, scaled-down configuration for tests that
+// drive a Runner by hand.
+func testConfig(nodes int) sim.Config {
+	cfg := sim.DefaultConfig()
 	cfg.Nodes = nodes
-	cfg.Messages = messages
 	tp := topology.DefaultParams().Scaled(8)
 	cfg.Topology = &tp
 	return cfg
+}
+
+// testSpec is the same deployment as a workload: exactly messages
+// multicasts 500 ms apart from round-robin senders (the paper's §5.3
+// traffic with the interval fixed, so counts are exact).
+func testSpec(nodes, messages int, strategy string) scenario.Spec {
+	return scenario.Spec{
+		Nodes:         nodes,
+		Strategy:      strategy,
+		TopologyScale: 8,
+		Phases: []scenario.Phase{{
+			Duration: scenario.Duration(time.Duration(messages+1) * 500 * time.Millisecond),
+			Traffic:  []scenario.TrafficSpec{{Kind: scenario.TrafficConstant, Rate: 2}},
+		}},
+	}
+}
+
+// killBestFirst prepends a silent second in which frac of the nodes are
+// silenced best-ranked first, before any traffic (paper §6.3).
+func killBestFirst(spec scenario.Spec, frac float64) scenario.Spec {
+	spec.Phases = append([]scenario.Phase{{
+		Duration: scenario.Duration(time.Second),
+		Churn:    []scenario.ChurnSpec{{Kind: scenario.ChurnKillBest, Fraction: frac}},
+	}}, spec.Phases...)
+	return spec
+}
+
+// play runs spec through scenario.Player and returns the runner under the
+// engine with its whole-run result.
+func play(t *testing.T, spec scenario.Spec) (*sim.Runner, sim.Result) {
+	t.Helper()
+	eng, err := scenario.New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return eng.Runner(), eng.Runner().Result()
 }
 
 // TestEagerAtomicDelivery: with pure eager push and no loss, every message
 // must reach every node (paper §6.3 baseline: "when no node fails one
 // observes perfect atomic delivery of all messages").
 func TestEagerAtomicDelivery(t *testing.T) {
-	cfg := testConfig(50, 40)
-	cfg.Strategy = StrategyFlat
-	cfg.FlatP = 1.0
-	res := New(cfg).Run()
+	_, res := play(t, testSpec(50, 40, "eager"))
 	t.Logf("%v", res)
 	if res.AtomicRate != 1.0 {
 		t.Fatalf("atomic rate = %.3f, want 1.0", res.AtomicRate)
@@ -44,11 +82,9 @@ func TestEagerAtomicDelivery(t *testing.T) {
 // TestLazySinglePayload: with pure lazy push, each node should receive
 // close to exactly one payload per message (paper §6.2: "the optimal 1").
 func TestLazySinglePayload(t *testing.T) {
-	cfg := testConfig(50, 40)
-	cfg.Strategy = StrategyFlat
-	cfg.FlatP = 0.0
-	cfg.Drain = 20 * time.Second
-	res := New(cfg).Run()
+	spec := testSpec(50, 40, "lazy")
+	spec.Drain = scenario.Duration(20 * time.Second)
+	_, res := play(t, spec)
 	t.Logf("%v", res)
 	if res.DeliveryRate < 0.99 {
 		t.Fatalf("delivery rate = %.3f, want >= 0.99", res.DeliveryRate)
@@ -65,14 +101,11 @@ func TestLazySinglePayload(t *testing.T) {
 // savings (the paper's central trade-off, Fig. 5(a): 227 ms eager vs 480 ms
 // lazy).
 func TestLazySlowerThanEager(t *testing.T) {
-	eager := testConfig(50, 40)
-	eager.Strategy, eager.FlatP = StrategyFlat, 1.0
-	lazy := testConfig(50, 40)
-	lazy.Strategy, lazy.FlatP = StrategyFlat, 0.0
-	lazy.Drain = 20 * time.Second
+	lazy := testSpec(50, 40, "lazy")
+	lazy.Drain = scenario.Duration(20 * time.Second)
 
-	re := New(eager).Run()
-	rl := New(lazy).Run()
+	_, re := play(t, testSpec(50, 40, "eager"))
+	_, rl := play(t, lazy)
 	t.Logf("eager=%v lazy=%v", re.MeanLatency, rl.MeanLatency)
 	if rl.MeanLatency <= re.MeanLatency {
 		t.Fatalf("lazy latency %v not above eager %v", rl.MeanLatency, re.MeanLatency)
@@ -83,20 +116,18 @@ func TestLazySlowerThanEager(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	for _, kind := range []StrategyKind{StrategyFlat, StrategyTTL, StrategyRadius, StrategyRanked, StrategyHybrid} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			cfg := testConfig(30, 20)
-			cfg.Strategy = kind
-			cfg.FlatP = 0.5
-			a := New(cfg).Run()
-			b := New(cfg).Run()
+	for _, strategy := range []string{"flat", "ttl", "radius", "ranked", "hybrid"} {
+		strategy := strategy
+		t.Run(strategy, func(t *testing.T) {
+			spec := testSpec(30, 20, strategy)
+			_, a := play(t, spec)
+			_, b := play(t, spec)
 			if a.MeanLatency != b.MeanLatency || a.PayloadPerMsg != b.PayloadPerMsg ||
 				a.Top5Share != b.Top5Share || a.Deliveries != b.Deliveries {
 				t.Fatalf("same seed diverged:\n%v\n%v", a, b)
 			}
-			cfg.Seed = 99
-			c := New(cfg).Run()
+			spec.Seed = 99
+			_, c := play(t, spec)
 			if a.MeanLatency == c.MeanLatency && a.Top5Share == c.Top5Share {
 				t.Fatal("different seeds produced identical results")
 			}

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"math"
@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"emcast/internal/peer"
+	"emcast/internal/sim"
 	"emcast/internal/trace"
 )
 
@@ -13,11 +14,7 @@ import (
 // boundary must partition the messages, and each window's metrics must
 // reflect only its own messages.
 func TestCollectWindowPartitionsRun(t *testing.T) {
-	cfg := testConfig(30, 40)
-	cfg.Strategy = StrategyFlat
-	cfg.FlatP = 1.0
-	r := New(cfg)
-	full := r.Run()
+	r, full := play(t, testSpec(30, 40, "eager"))
 	if full.MessagesSent != 40 {
 		t.Fatalf("MessagesSent = %d, want 40", full.MessagesSent)
 	}
@@ -53,8 +50,7 @@ func TestCollectWindowPartitionsRun(t *testing.T) {
 
 // TestCollectWindowEmpty: a window with no messages yields zero metrics.
 func TestCollectWindowEmpty(t *testing.T) {
-	r := New(testConfig(20, 10))
-	r.Run()
+	r, _ := play(t, testSpec(20, 10, "eager"))
 	res := r.CollectWindow(0, time.Nanosecond)
 	if res.MessagesSent != 0 || res.Deliveries != 0 || res.DeliveryRate != 0 {
 		t.Fatalf("empty window yielded %+v", res)
@@ -65,15 +61,12 @@ func TestCollectWindowEmpty(t *testing.T) {
 // match the whole-run metric, and a diff between identical snapshots must
 // be zero.
 func TestLinkTopShareDiff(t *testing.T) {
-	cfg := testConfig(30, 30)
-	cfg.Strategy = StrategyRanked
-	r := New(cfg)
-	full := r.Run()
+	r, full := play(t, testSpec(30, 30, "ranked"))
 	cp := r.Checkpoint()
-	if got := LinkTopShare(trace.Checkpoint{}, cp, 0.05); math.Abs(got-full.Top5Share) > 1e-12 {
+	if got := sim.LinkTopShare(trace.Checkpoint{}, cp, 0.05); math.Abs(got-full.Top5Share) > 1e-12 {
 		t.Fatalf("LinkTopShare from start = %v, run reports %v", got, full.Top5Share)
 	}
-	if got := LinkTopShare(cp, cp, 0.05); got != 0 {
+	if got := sim.LinkTopShare(cp, cp, 0.05); got != 0 {
 		t.Fatalf("LinkTopShare of empty diff = %v, want 0", got)
 	}
 }
@@ -81,10 +74,7 @@ func TestLinkTopShareDiff(t *testing.T) {
 // TestLeaveSilencesNode: a departed node stops delivering and is removed
 // from the delivery-rate denominator.
 func TestLeaveSilencesNode(t *testing.T) {
-	cfg := testConfig(30, 20)
-	cfg.Strategy = StrategyFlat
-	cfg.FlatP = 1.0
-	r := New(cfg)
+	r := sim.New(testConfig(30))
 	r.Warmup()
 	r.Leave(3)
 	if !r.Failed(3) {
@@ -115,16 +105,14 @@ func TestLeaveSilencesNode(t *testing.T) {
 // pin behind the scenario-level byte-identical report equivalence.
 func TestStreamingWindowEquivalence(t *testing.T) {
 	type outcome struct {
-		full, windowA, windowB Result
+		full, windowA, windowB sim.Result
 		rec                    time.Duration
 		recovered, measured    bool
 	}
 	drive := func(fullTrace bool) outcome {
-		cfg := testConfig(30, 1)
-		cfg.Strategy = StrategyFlat
-		cfg.FlatP = 1.0
+		cfg := testConfig(30)
 		cfg.FullTrace = fullTrace
-		r := New(cfg)
+		r := sim.New(cfg)
 		r.Warmup()
 		event := r.Network().Now()
 		r.MarkRecovery(event, event+time.Hour)
@@ -148,7 +136,7 @@ func TestStreamingWindowEquivalence(t *testing.T) {
 		return o
 	}
 	s, f := drive(false), drive(true)
-	cmp := func(name string, a, b Result) {
+	cmp := func(name string, a, b sim.Result) {
 		if a.MessagesSent != b.MessagesSent || a.Deliveries != b.Deliveries ||
 			a.MeanLatency != b.MeanLatency || a.P50Latency != b.P50Latency ||
 			a.P95Latency != b.P95Latency || a.DeliveryRate != b.DeliveryRate ||
@@ -169,10 +157,7 @@ func TestStreamingWindowEquivalence(t *testing.T) {
 // TestRecoveryUnmarkedPanics: asking for a recovery time over a window the
 // streaming trace never marked must fail loudly, not mis-measure.
 func TestRecoveryUnmarkedPanics(t *testing.T) {
-	cfg := testConfig(20, 1)
-	cfg.Strategy = StrategyFlat
-	cfg.FlatP = 1.0
-	r := New(cfg)
+	r := sim.New(testConfig(20))
 	r.Warmup()
 	event := r.Network().Now()
 	r.MulticastFrom(0, []byte("unmarked"))
@@ -188,9 +173,9 @@ func TestRecoveryUnmarkedPanics(t *testing.T) {
 // TestRankedNodesOrder: the ranking must cover all nodes, best-first, and
 // its prefix must coincide with the oracle best set.
 func TestRankedNodesOrder(t *testing.T) {
-	cfg := testConfig(30, 1)
+	cfg := testConfig(30)
 	cfg.BestFraction = 0.2
-	r := New(cfg)
+	r := sim.New(cfg)
 	ranked := r.RankedNodes()
 	if len(ranked) != cfg.Nodes {
 		t.Fatalf("ranking covers %d nodes, want %d", len(ranked), cfg.Nodes)
@@ -211,11 +196,9 @@ func TestRankedNodesOrder(t *testing.T) {
 // TestManualJoinIntegrates: a joiner driven through Runner.Join (the
 // scenario-engine path) must integrate and deliver subsequent messages.
 func TestManualJoinIntegrates(t *testing.T) {
-	cfg := testConfig(30, 10)
-	cfg.Strategy = StrategyFlat
-	cfg.FlatP = 1.0
+	cfg := testConfig(30)
 	cfg.LateJoiners = 1
-	r := New(cfg)
+	r := sim.New(cfg)
 	r.Warmup()
 	joiner := cfg.Nodes
 	r.Join(joiner, 0)

@@ -31,17 +31,12 @@ import (
 	"emcast/internal/disstrace"
 	"emcast/internal/obs"
 	"emcast/internal/scenario"
+	"emcast/internal/sim"
 )
 
 // DefaultStrategies are the five transmission strategies the paper
 // compares (§4.1, §6.4).
 var DefaultStrategies = []string{"flat", "ttl", "radius", "ranked", "hybrid"}
-
-// knownStrategies mirrors scenario.Spec's strategy vocabulary.
-var knownStrategies = map[string]bool{
-	"eager": true, "lazy": true, "flat": true, "ttl": true,
-	"radius": true, "ranked": true, "hybrid": true,
-}
 
 // Spec describes one sweep: the axes of the comparison matrix.
 type Spec struct {
@@ -203,8 +198,8 @@ func (s *Spec) Resolve(baseDir string) error {
 		return fmt.Errorf("sweep: trace_sample %v outside [0, 1]", s.TraceSample)
 	}
 	for _, st := range s.Strategies {
-		if !knownStrategies[st] {
-			return fmt.Errorf("sweep: unknown strategy %q", st)
+		if _, _, err := sim.ParseStrategy(st, 0); err != nil {
+			return fmt.Errorf("sweep: %v", err)
 		}
 	}
 	if len(s.Scenarios) == 0 {
