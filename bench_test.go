@@ -46,36 +46,37 @@ func benchConfig(seed int64) scenario.Spec {
 }
 
 // playSim plays spec through scenario.Player and returns the simulation
-// under the engine, whose Result is the whole-run metrics.
-func playSim(b *testing.B, spec scenario.Spec) *sim.Runner {
+// under the engine with the Report's whole-run metrics.
+func playSim(b *testing.B, spec scenario.Spec) (*sim.Runner, scenario.Metrics) {
 	b.Helper()
 	eng, err := scenario.New(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := eng.Run(); err != nil {
+	rep, err := eng.Run()
+	if err != nil {
 		b.Fatal(err)
 	}
-	return eng.Runner()
+	return eng.Runner(), rep.Overall
 }
 
 // runSim plays one full experiment per iteration and reports protocol
 // metrics from the final iteration.
 func runSim(b *testing.B, mutate func(*scenario.Spec)) {
 	b.Helper()
-	var res sim.Result
+	var res scenario.Metrics
 	for i := 0; i < b.N; i++ {
 		spec := benchConfig(int64(i + 1))
 		mutate(&spec)
-		res = playSim(b, spec).Result()
+		_, res = playSim(b, spec)
 	}
 	reportSim(b, res)
 }
 
-func reportSim(b *testing.B, res sim.Result) {
-	b.ReportMetric(float64(res.MeanLatency)/float64(time.Millisecond), "latency-ms")
+func reportSim(b *testing.B, res scenario.Metrics) {
+	b.ReportMetric(res.MeanLatencyMS, "latency-ms")
 	b.ReportMetric(res.PayloadPerMsg, "payload/msg")
-	b.ReportMetric(100*res.Top5Share, "top5-traffic-%")
+	b.ReportMetric(100*res.Top5LinkShare, "top5-traffic-%")
 	b.ReportMetric(100*res.DeliveryRate, "deliveries-%")
 }
 
@@ -182,11 +183,11 @@ func BenchmarkFig6RankedNoise100(b *testing.B) { benchNoise(b, "ranked", 1.0) }
 // --- S1: §5.4 run statistics ---
 
 func BenchmarkRunStats(b *testing.B) {
-	var res sim.Result
+	var res scenario.Metrics
 	for i := 0; i < b.N; i++ {
 		spec := benchConfig(int64(i + 1))
 		spec.Strategy = "eager"
-		res = playSim(b, spec).Result()
+		_, res = playSim(b, spec)
 	}
 	b.ReportMetric(float64(res.Deliveries), "deliveries")
 	b.ReportMetric(float64(res.EagerPayloads+res.LazyPayloads), "payload-packets")
@@ -206,7 +207,7 @@ func BenchmarkA1GossipRanking(b *testing.B) {
 // --- A2: churn (late joiners via the Join protocol) ---
 
 func BenchmarkA2Churn(b *testing.B) {
-	var res sim.Result
+	var res scenario.Metrics
 	for i := 0; i < b.N; i++ {
 		spec := benchConfig(int64(i + 1))
 		spec.Strategy, spec.TTLRounds = "ttl", 2
@@ -214,7 +215,7 @@ func BenchmarkA2Churn(b *testing.B) {
 		traffic.Churn = []scenario.ChurnSpec{{
 			Kind: scenario.ChurnJoinWave, Count: spec.Nodes / 4, Over: traffic.Duration / 2,
 		}}
-		res = playSim(b, spec).Result()
+		_, res = playSim(b, spec)
 	}
 	b.ReportMetric(100*res.JoinerCoverage, "joiner-coverage-%")
 	b.ReportMetric(100*res.DeliveryRate, "deliveries-%")
@@ -278,7 +279,7 @@ func BenchmarkAblationShuffleExchange(b *testing.B) {
 // Spec vocabulary, so this pair drives the runner by hand: 60 multicasts
 // 500 ms apart from round-robin senders, then a 10 s drain.
 func benchRotation(b *testing.B, maxRequests int) {
-	var res sim.Result
+	var res scenario.Metrics
 	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig()
 		cfg.Nodes, cfg.Seed, cfg.FlatP, cfg.Loss = 50, int64(i+1), 0, 0.05
@@ -296,7 +297,7 @@ func benchRotation(b *testing.B, maxRequests int) {
 			r.RunFor(500 * time.Millisecond)
 		}
 		r.RunFor(10 * time.Second)
-		res = r.Result()
+		res = scenario.Measure(r)
 	}
 	reportSim(b, res)
 }
@@ -554,8 +555,8 @@ func benchRun1k(b *testing.B, full bool) {
 		spec := benchConfig(int64(i + 1))
 		spec.Nodes, spec.Strategy, spec.TopologyScale, spec.FullTrace = 1000, "eager", 2, full
 		spec.Phases[0].Duration = scenario.Duration(60 * time.Second)
-		r := playSim(b, spec)
-		if res := r.Result(); res.DeliveryRate < 0.99 {
+		r, res := playSim(b, spec)
+		if res.DeliveryRate < 0.99 {
 			b.Fatalf("delivery rate %.3f", res.DeliveryRate)
 		}
 

@@ -28,10 +28,12 @@ package emcast
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"emcast/internal/ids"
 	"emcast/internal/peer"
+	"emcast/internal/scenario"
 	"emcast/internal/sim"
 	"emcast/internal/topology"
 )
@@ -225,25 +227,27 @@ func (c *Cluster) Stats() Stats {
 	// materialise the oracle ranking it is defined against even for
 	// strategies that never query one (flat, ttl).
 	c.runner.RankedNodes()
-	res := c.runner.Result()
+	m := scenario.Measure(c.runner)
+	low, best := c.runner.PayloadSplit()
 	return Stats{
-		MessagesSent:      res.MessagesSent,
-		Deliveries:        res.Deliveries,
-		MeanLatency:       res.MeanLatency,
-		P95Latency:        res.P95Latency,
-		PayloadPerMsg:     res.PayloadPerMsg,
-		PayloadPerMsgLow:  res.PayloadPerMsgLow,
-		PayloadPerMsgBest: res.PayloadPerMsgBest,
-		DeliveryRate:      res.DeliveryRate,
-		AtomicRate:        res.AtomicRate,
-		Top5LinkShare:     res.Top5Share,
-		Duplicates:        res.Duplicates,
-		ControlFrames:     res.ControlFrames,
+		MessagesSent:      m.MessagesSent,
+		Deliveries:        m.Deliveries,
+		MeanLatency:       time.Duration(math.Round(m.MeanLatencyMS * 1e6)),
+		P95Latency:        time.Duration(math.Round(m.P95LatencyMS * 1e6)),
+		PayloadPerMsg:     m.PayloadPerMsg,
+		PayloadPerMsgLow:  low,
+		PayloadPerMsgBest: best,
+		DeliveryRate:      m.DeliveryRate,
+		AtomicRate:        m.AtomicRate,
+		Top5LinkShare:     m.Top5LinkShare,
+		Duplicates:        m.Duplicates,
+		ControlFrames:     m.ControlFrames,
 	}
 }
 
 // Stats are the protocol metrics of a Cluster run, mirroring the paper's
-// evaluation metrics.
+// evaluation metrics: a view of the run's scenario.Metrics plus the
+// Low/Best payload split.
 type Stats struct {
 	// MessagesSent counts multicasts; Deliveries counts per-node
 	// deliveries.

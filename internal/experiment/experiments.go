@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -60,23 +61,35 @@ func (o Options) spec(strategy string) scenario.Spec {
 	}
 }
 
-// play runs one spec through scenario.Player on the emulator. A spec built
-// in this file that the engine refuses is a bug in this file.
-func play(spec scenario.Spec) *scenario.Engine {
+// play runs one spec through scenario.Player on the emulator and returns
+// the Report's whole-run metrics with the simulation under it, which
+// figures ask only for what a Report does not carry: the low/best payload
+// split and the link loads. A spec built in this file that the engine
+// refuses is a bug in this file.
+func play(spec scenario.Spec) (scenario.Metrics, *sim.Runner) {
 	eng, err := scenario.New(spec)
+	var rep *scenario.Report
 	if err == nil {
-		_, err = eng.Run()
+		rep, err = eng.Run()
 	}
 	if err != nil {
 		panic(fmt.Sprintf("experiment: %v", err))
 	}
-	return eng
+	return rep.Overall, eng.Runner()
 }
 
-// run plays spec and returns the whole-run metrics of the simulation under
-// the engine, which carry what the figures plot and a Report does not: the
-// low/best payload split, the top-5% share, joiner coverage.
-func run(spec scenario.Spec) sim.Result { return play(spec).Runner().Result() }
+// summary renders a run in one line, as Fig. 4's labels and S1's note
+// print it: the strategy by its kind (eager prints as flat) and the mean
+// latency rounded to the millisecond.
+func summary(spec scenario.Spec, m scenario.Metrics, r *sim.Runner) string {
+	kind, _, _ := sim.ParseStrategy(spec.Strategy, spec.FlatP)
+	low, best := r.PayloadSplit()
+	return fmt.Sprintf(
+		"%s: latency=%v payload/msg=%.2f (low=%.2f best=%.2f) deliveries=%.1f%% top5=%.1f%% dup=%d",
+		kind, time.Duration(math.Round(m.MeanLatencyMS*1e6)).Round(time.Millisecond),
+		m.PayloadPerMsg, low, best, 100*m.DeliveryRate, 100*m.Top5LinkShare, m.Duplicates,
+	)
+}
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
@@ -118,9 +131,9 @@ func EmergentStructure(o Options) *Figure {
 	share := func(name, strategy string, paper float64) float64 {
 		spec := o.spec(strategy)
 		spec.DistanceMetric = true
-		res := run(spec)
-		f.AddPoint(name, Point{X: paper, Y: 100 * res.Top5Share, Label: res.String()})
-		return 100 * res.Top5Share
+		res, r := play(spec)
+		f.AddPoint(name, Point{X: paper, Y: 100 * res.Top5LinkShare, Label: summary(spec, res, r)})
+		return 100 * res.Top5LinkShare
 	}
 	eager := share("flat (eager)", "eager", 7)
 	radius := share("radius", "radius", 37)
@@ -139,7 +152,8 @@ func StructureMap(o Options) string {
 	for _, strategy := range []string{"eager", "radius", "ranked"} {
 		spec := o.spec(strategy)
 		spec.DistanceMetric = true
-		for _, l := range play(spec).Runner().LinkLoads() {
+		_, r := play(spec)
+		for _, l := range r.LinkLoads() {
 			fmt.Fprintf(&b, "%s,%d,%d,%.1f,%.1f,%.1f,%.1f,%d,%d\n",
 				strategy, l.A, l.B, l.AX, l.AY, l.BX, l.BY, l.Payloads, l.Bytes)
 		}
@@ -171,32 +185,33 @@ func TradeoffCurves(o Options) *Figure {
 		case 1:
 			spec.Strategy = "eager"
 		}
-		res := run(spec)
-		f.AddPoint("flat", Point{X: res.PayloadPerMsg, Y: ms(res.MeanLatency), Label: fmt.Sprintf("p=%.2f", p)})
+		res, _ := play(spec)
+		f.AddPoint("flat", Point{X: res.PayloadPerMsg, Y: res.MeanLatencyMS, Label: fmt.Sprintf("p=%.2f", p)})
 	}
 	// TTL: eager for the first u rounds (paper: ~250 ms @ ~1.7).
 	for _, u := range []int{1, 2, 3, 4} {
 		spec := o.spec("ttl")
 		spec.TTLRounds = u
-		res := run(spec)
-		f.AddPoint("TTL", Point{X: res.PayloadPerMsg, Y: ms(res.MeanLatency), Label: fmt.Sprintf("u=%d", u)})
+		res, _ := play(spec)
+		f.AddPoint("TTL", Point{X: res.PayloadPerMsg, Y: res.MeanLatencyMS, Label: fmt.Sprintf("u=%d", u)})
 	}
 	// Radius: quantile sweep.
 	for _, q := range []float64{0.05, 0.10, 0.20, 0.40} {
 		spec := o.spec("radius")
 		spec.RadiusQuantile = q
-		res := run(spec)
-		f.AddPoint("radius", Point{X: res.PayloadPerMsg, Y: ms(res.MeanLatency), Label: fmt.Sprintf("q=%.2f", q)})
+		res, _ := play(spec)
+		f.AddPoint("radius", Point{X: res.PayloadPerMsg, Y: res.MeanLatencyMS, Label: fmt.Sprintf("q=%.2f", q)})
 	}
 	// Ranked: best-fraction sweep; "(all)" uses the overall payload/msg,
 	// "(low)" the regular-node contribution.
 	for _, b := range []float64{0.05, 0.10, 0.20, 0.40} {
 		spec := o.spec("ranked")
 		spec.BestFraction = b
-		res := run(spec)
+		res, r := play(spec)
+		low, _ := r.PayloadSplit()
 		label := fmt.Sprintf("best=%.0f%%", 100*b)
-		f.AddPoint("ranked (all)", Point{X: res.PayloadPerMsg, Y: ms(res.MeanLatency), Label: label})
-		f.AddPoint("ranked (low)", Point{X: res.PayloadPerMsgLow, Y: ms(res.MeanLatency), Label: label})
+		f.AddPoint("ranked (all)", Point{X: res.PayloadPerMsg, Y: res.MeanLatencyMS, Label: label})
+		f.AddPoint("ranked (low)", Point{X: low, Y: res.MeanLatencyMS, Label: label})
 	}
 	return f
 }
@@ -228,7 +243,7 @@ func Reliability(o Options) *Figure {
 					Churn:    []scenario.ChurnSpec{{Kind: v.kill, Fraction: frac}},
 				}}, spec.Phases...)
 			}
-			res := run(spec)
+			res, _ := play(spec)
 			f.AddPoint(v.name, Point{
 				X:     100 * frac,
 				Y:     100 * res.DeliveryRate,
@@ -254,17 +269,18 @@ func HybridCurves(o Options) *Figure {
 	for _, u := range []int{1, 2, 3, 4} {
 		spec := o.spec("ttl")
 		spec.TTLRounds = u
-		res := run(spec)
-		f.AddPoint("TTL", Point{X: res.PayloadPerMsg, Y: ms(res.MeanLatency), Label: fmt.Sprintf("u=%d", u)})
+		res, _ := play(spec)
+		f.AddPoint("TTL", Point{X: res.PayloadPerMsg, Y: res.MeanLatencyMS, Label: fmt.Sprintf("u=%d", u)})
 	}
 	for _, q := range []float64{0.05, 0.10, 0.20} {
 		for _, u := range []int{1, 2} {
 			spec := o.spec("hybrid")
 			spec.RadiusQuantile, spec.TTLRounds = q, u
-			res := run(spec)
-			label := fmt.Sprintf("q=%.2f,u=%d best=%.2f", q, u, res.PayloadPerMsgBest)
-			f.AddPoint("combined (all)", Point{X: res.PayloadPerMsg, Y: ms(res.MeanLatency), Label: label})
-			f.AddPoint("combined (low)", Point{X: res.PayloadPerMsgLow, Y: ms(res.MeanLatency), Label: label})
+			res, r := play(spec)
+			low, best := r.PayloadSplit()
+			label := fmt.Sprintf("q=%.2f,u=%d best=%.2f", q, u, best)
+			f.AddPoint("combined (all)", Point{X: res.PayloadPerMsg, Y: res.MeanLatencyMS, Label: label})
+			f.AddPoint("combined (low)", Point{X: low, Y: res.MeanLatencyMS, Label: label})
 		}
 	}
 	return f
@@ -292,14 +308,15 @@ func NoiseSweep(o Options) (payload, latency, structure *Figure) {
 		for _, noise := range []float64{0, 0.25, 0.50, 0.75, 1.0} {
 			spec := o.spec(name)
 			spec.Noise = noise
-			res := run(spec)
+			res, r := play(spec)
 			x := 100 * noise
 			payload.AddPoint(name, Point{X: x, Y: res.PayloadPerMsg})
 			if name == "ranked" {
-				payload.AddPoint("ranked (low)", Point{X: x, Y: res.PayloadPerMsgLow})
+				low, _ := r.PayloadSplit()
+				payload.AddPoint("ranked (low)", Point{X: x, Y: low})
 			}
-			latency.AddPoint(name, Point{X: x, Y: ms(res.MeanLatency)})
-			structure.AddPoint(name, Point{X: x, Y: 100 * res.Top5Share})
+			latency.AddPoint(name, Point{X: x, Y: res.MeanLatencyMS})
+			structure.AddPoint(name, Point{X: x, Y: 100 * res.Top5LinkShare})
 		}
 	}
 	return payload, latency, structure
@@ -310,7 +327,8 @@ func NoiseSweep(o Options) (payload, latency, structure *Figure) {
 // The paper's row is scaled by the messages the run actually sent.
 func RunStats(o Options) *Figure {
 	o = o.fill()
-	res := run(o.spec("eager"))
+	spec := o.spec("eager")
+	res, r := play(spec)
 	f := &Figure{
 		ID:     "S1",
 		Title:  "Run statistics, eager push (paper §5.4)",
@@ -320,7 +338,7 @@ func RunStats(o Options) *Figure {
 	scale := float64(o.Nodes*res.MessagesSent) / float64(100*400)
 	f.AddPoint("messages delivered", Point{X: 40000 * scale, Y: float64(res.Deliveries)})
 	f.AddPoint("payload packets transmitted", Point{X: 440000 * scale, Y: float64(res.EagerPayloads + res.LazyPayloads)})
-	f.Note("%s", res.String())
+	f.Note("%s", summary(spec, res, r))
 	return f
 }
 
@@ -342,11 +360,11 @@ func Scale200(o Options) *Figure {
 		for _, v := range []struct{ name, strategy string }{{"lazy", "lazy"}, {"TTL u=2", "ttl"}, {"ranked", "ranked"}} {
 			spec := o.spec(v.strategy)
 			spec.Nodes = nodes
-			res := run(spec)
+			res, _ := play(spec)
 			f.AddPoint(v.name, Point{
 				X:     float64(nodes),
 				Y:     res.PayloadPerMsg,
-				Label: fmt.Sprintf("latency=%.0fms deliveries=%.1f%%", ms(res.MeanLatency), 100*res.DeliveryRate),
+				Label: fmt.Sprintf("latency=%.0fms deliveries=%.1f%%", res.MeanLatencyMS, 100*res.DeliveryRate),
 			})
 		}
 	}
@@ -369,11 +387,12 @@ func ApproximateRanking(o Options) *Figure {
 		YLabel: "latency (ms)",
 	}
 	add := func(name string, spec scenario.Spec) {
-		res := run(spec)
+		res, r := play(spec)
+		low, best := r.PayloadSplit()
 		f.AddPoint(name, Point{
 			X:     res.PayloadPerMsg,
-			Y:     ms(res.MeanLatency),
-			Label: fmt.Sprintf("top5=%.1f%% best=%.2f low=%.2f", 100*res.Top5Share, res.PayloadPerMsgBest, res.PayloadPerMsgLow),
+			Y:     res.MeanLatencyMS,
+			Label: fmt.Sprintf("top5=%.1f%% best=%.2f low=%.2f", 100*res.Top5LinkShare, best, low),
 		})
 	}
 	spec := o.spec("ranked")
@@ -411,7 +430,7 @@ func Churn(o Options) *Figure {
 					Kind: scenario.ChurnJoinWave, Count: joiners, Over: traffic.Duration / 2,
 				}}
 			}
-			res := run(spec)
+			res, _ := play(spec)
 			f.AddPoint(name, Point{
 				X:     100 * frac,
 				Y:     100 * res.JoinerCoverage,

@@ -2,13 +2,11 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
 	"emcast/internal/faults"
 	"emcast/internal/peer"
-	"emcast/internal/sim"
 	"emcast/internal/trace"
 )
 
@@ -165,7 +163,7 @@ func (s *Spec) EmulatorOnly() error {
 func (pl *Player) Play(phaseEnd func(i int, p *Phase)) *Report {
 	sub, phases := pl.sub, pl.spec.Phases
 	bounds := make([]edge, 0, len(phases)+1)
-	bounds = append(bounds, pl.edge(false))
+	bounds = append(bounds, takeEdge(sub, false))
 	starts := make([]time.Duration, len(phases))
 	for i := range phases {
 		pl.cur = i
@@ -186,7 +184,7 @@ func (pl *Player) Play(phaseEnd func(i int, p *Phase)) *Report {
 			// in-flight recoveries are accounted somewhere.
 			sub.RunFor(pl.spec.Drain.D())
 		}
-		bounds = append(bounds, pl.edge(last))
+		bounds = append(bounds, takeEdge(sub, last))
 		if phaseEnd != nil {
 			phaseEnd(i, p)
 		}
@@ -194,8 +192,8 @@ func (pl *Player) Play(phaseEnd func(i int, p *Phase)) *Report {
 	return pl.report(starts, bounds)
 }
 
-func (pl *Player) edge(final bool) edge {
-	return edge{Boundary: pl.sub.Boundary(final), live: len(pl.sub.LiveAll())}
+func takeEdge(sub Substrate, final bool) edge {
+	return edge{Boundary: sub.Boundary(final), live: len(sub.LiveAll())}
 }
 
 // schedulePhase installs every traffic arrival, churn event and network
@@ -379,19 +377,13 @@ func (pl *Player) applyNetEvent(ev *NetEvent) {
 }
 
 // report assembles the final Report from the phase starts and edges.
-// Message-scoped figures come from sim.WindowResult over the frozen
+// Message-scoped figures come from windowMetrics over the frozen
 // per-message aggregates, judged against the original nodes still up at
 // the end of the run; interval-scoped counters are edge diffs.
 func (pl *Player) report(starts []time.Duration, bounds []edge) *Report {
 	spec, sub := pl.spec, pl.sub
-	first, last := bounds[0], bounds[len(bounds)-1]
-	msgs := last.Msgs
-	liveSet := make(map[peer.ID]bool, spec.Nodes)
-	for i := 0; i < spec.Nodes; i++ {
-		if pl.alive(i) {
-			liveSet[peer.ID(i)] = true
-		}
-	}
+	last := bounds[len(bounds)-1]
+	msgs, liveSet := last.Msgs, liveOriginals(sub.LiveAll(), spec.Nodes)
 	rep := &Report{
 		Scenario: spec.Name,
 		Seed:     spec.Seed,
@@ -401,15 +393,7 @@ func (pl *Player) report(starts []time.Duration, bounds []edge) *Report {
 		Elapsed:  Duration(last.At),
 	}
 
-	overall := sim.WindowResult(msgs, liveSet, 0, math.MaxInt64)
-	// Late joiners are excluded from the delivery-rate denominator (they
-	// legitimately miss messages sent before they joined); their coverage
-	// is reported separately, after a grace period that absorbs the
-	// bootstrap round trip.
-	overall.JoinerCoverage = sim.MessageJoinerCoverage(msgs, pl.joined,
-		func(id peer.ID) bool { return sub.Failed(int(id)) }, sub.Scale(2*time.Second))
-	rep.Overall = metricsFromResult(overall, 0, last.live)
-	rep.Overall.addCounters(first, last)
+	rep.Overall = overall(sub, liveSet, pl.joined, bounds[0], last)
 	for _, k := range pl.skipped {
 		rep.Overall.SkippedSends += k
 	}
@@ -418,10 +402,11 @@ func (pl *Player) report(starts []time.Duration, bounds []edge) *Report {
 		p := &spec.Phases[i]
 		prev, cur := bounds[i], bounds[i+1]
 		end := starts[i] + sub.Scale(p.Duration.D())
-		m := metricsFromResult(sim.WindowResult(msgs, liveSet, starts[i], end), pl.skipped[i], cur.live)
+		m := windowMetrics(msgs, liveSet, starts[i], end)
+		m.SkippedSends, m.LiveNodes = pl.skipped[i], cur.live
 		if off, disrupted := disruption(p); disrupted {
 			event := starts[i] + sub.Scale(off.D())
-			switch rec, recovered, measured := sim.MessageRecovery(msgs, liveSet, event, end); {
+			switch rec, recovered, measured := messageRecovery(msgs, liveSet, event, end); {
 			case !measured:
 				// No traffic after the event: nothing to judge recovery
 				// by, so stay at 0 rather than claiming a failure.

@@ -32,6 +32,25 @@ func TestRecoveryTimeAfterCrashWave(t *testing.T) {
 	}
 }
 
+// TestRecoveryTimeAfterFaultCrash: a fault-crash is the targeted sibling
+// of the crash wave, so a phase whose only disruption is one is marked
+// and measured like a crash wave.
+func TestRecoveryTimeAfterFaultCrash(t *testing.T) {
+	rep := run(t, testSpec(
+		Phase{Name: "steady", Duration: sec(10), Traffic: poisson(4)},
+		Phase{
+			Name: "crash", Duration: sec(20), Traffic: poisson(4),
+			Network: []NetEvent{{At: sec(5), Kind: NetFaultCrash, Nodes: []int{3, 7, 11}}},
+		},
+	))
+	if got := rep.Phases[1].Metrics.LiveNodes; got != 27 {
+		t.Fatalf("live nodes after the fault-crash = %d, want 27", got)
+	}
+	if rec := rep.Phases[1].Metrics.RecoveryMS; rec == 0 {
+		t.Fatal("fault-crash phase reports no recovery time: the disruption was never measured")
+	}
+}
+
 // TestRecoveryTimeNeverHeals: a partition that is never healed keeps every
 // message from reaching the far side, so the phase must report -1 — the
 // disruption was never absorbed.

@@ -3,11 +3,16 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"time"
 
 	"emcast/internal/disstrace"
+	"emcast/internal/peer"
 	"emcast/internal/sim"
+	"emcast/internal/stats"
+	"emcast/internal/trace"
 )
 
 // Metrics are the measures reported for a whole run or one phase,
@@ -52,9 +57,10 @@ type Metrics struct {
 
 	// RecoveryMS is the time-to-full-delivery after a disruption: how
 	// long after the phase's first disruptive event (a leave/crash/
-	// kill-best churn wave, a partition, or a heal) sustained full
-	// delivery to all live original nodes resumed, measured to the
-	// completion of the first message of the stable suffix. 0 when the
+	// kill-best churn wave, a fault-crash, a partition, or a heal)
+	// sustained full delivery to all live original nodes resumed,
+	// measured to the completion of the first message of the stable
+	// suffix. 0 when the
 	// phase has no disruptive event or carries no traffic after it to
 	// measure recovery by; -1 when messages after the event never
 	// returned to full delivery. The overall value is the worst phase,
@@ -127,23 +133,210 @@ func (m Metrics) line() string {
 	return s
 }
 
-// metricsFromResult maps a sim.Result's message-scoped figures onto the
-// report's Metrics. Interval-scoped counters are filled separately by
-// addCounters.
-func metricsFromResult(res sim.Result, skipped, liveNodes int) Metrics {
-	return Metrics{
-		MessagesSent:   res.MessagesSent,
-		SkippedSends:   skipped,
-		Deliveries:     res.Deliveries,
-		DeliveryRate:   res.DeliveryRate,
-		AtomicRate:     res.AtomicRate,
-		JoinerCoverage: res.JoinerCoverage,
-		MeanLatencyMS:  ms(res.MeanLatency),
-		P50LatencyMS:   ms(res.P50Latency),
-		P95LatencyMS:   ms(res.P95Latency),
-		PayloadPerMsg:  res.PayloadPerMsg,
-		LiveNodes:      liveNodes,
+// Measure computes the whole-run Metrics of a runner driven by hand
+// rather than by a Player (emcast.Cluster, tests): the Player's overall
+// figures, through the same code, with the counters taken from the start
+// of the run — a zero first edge — instead of from the end of warm-up.
+// Delivery is judged against the original nodes still up.
+func Measure(r *sim.Runner) Metrics {
+	sub := emulator{r, r.Network()}
+	joined := make(map[peer.ID]time.Duration)
+	for i := range r.Nodes() {
+		if at, ok := r.JoinedAt(i); ok {
+			joined[peer.ID(i)] = at
+		}
 	}
+	return overall(sub, liveOriginals(r.Live(), len(r.Nodes())), joined, edge{}, takeEdge(sub, true))
+}
+
+// liveOriginals is the set of original nodes (ids below nodes) among the
+// live ones: the denominator delivery is judged against.
+func liveOriginals(live []int, nodes int) map[peer.ID]bool {
+	set := make(map[peer.ID]bool, nodes)
+	for _, n := range live {
+		if n < nodes {
+			set[peer.ID(n)] = true
+		}
+	}
+	return set
+}
+
+// overall computes the whole-run Metrics between the run's first and final
+// edges. The message-scoped figures cover every message of the run, judged
+// against liveSet. Late joiners are outside that denominator — they
+// legitimately miss messages sent before they joined — and are reported
+// separately as JoinerCoverage, after a grace period that absorbs the
+// bootstrap round trip.
+func overall(sub Substrate, liveSet map[peer.ID]bool, joined map[peer.ID]time.Duration, first, last edge) Metrics {
+	m := windowMetrics(last.Msgs, liveSet, 0, math.MaxInt64)
+	m.JoinerCoverage = joinerCoverage(last.Msgs, joined,
+		func(id peer.ID) bool { return sub.Failed(int(id)) }, sub.Scale(2*time.Second))
+	m.LiveNodes = last.live
+	m.addCounters(first, last)
+	return m
+}
+
+// windowMetrics derives the message-scoped metrics from per-message trace
+// aggregates, restricted to the messages multicast in [from, to) and
+// judged against liveSet. Payload counts come from the per-message
+// aggregates, so retransmissions that settle after the window still count
+// towards the message that caused them. The interval-scoped counters are
+// left zero for addCounters.
+func windowMetrics(msgs []trace.MsgStats, liveSet map[peer.ID]bool, from, to time.Duration) Metrics {
+	var m Metrics
+	var lat stats.Welford
+	var latencies, deliveryFracs []float64
+	live, atomic, payloads := len(liveSet), 0, 0
+	for i := range msgs {
+		msg := &msgs[i]
+		if msg.SentAt < from || msg.SentAt >= to {
+			continue
+		}
+		m.MessagesSent++
+		payloads += msg.Payloads
+		m.Deliveries += msg.Deliveries
+		delivered := msg.DeliveredAmong(liveSet)
+		for _, l := range msg.Latencies {
+			lat.Add(l)
+			latencies = append(latencies, l)
+		}
+		if live > 0 {
+			frac := float64(delivered) / float64(live)
+			deliveryFracs = append(deliveryFracs, frac)
+			if delivered == live {
+				atomic++
+			}
+		}
+	}
+	// Latencies pass through time.Duration (whole nanoseconds) on their
+	// way to milliseconds; every committed report depends on that rounding.
+	m.MeanLatencyMS = ms(time.Duration(lat.Mean()))
+	m.P50LatencyMS = ms(time.Duration(stats.Percentile(latencies, 50)))
+	m.P95LatencyMS = ms(time.Duration(stats.Percentile(latencies, 95)))
+	m.DeliveryRate = stats.Mean(deliveryFracs)
+	if m.MessagesSent > 0 {
+		m.AtomicRate = float64(atomic) / float64(m.MessagesSent)
+	}
+	if m.Deliveries > 0 {
+		m.PayloadPerMsg = float64(payloads) / float64(m.Deliveries)
+	}
+	return m
+}
+
+// messageRecovery measures how fast dissemination returned to full
+// delivery after a disruption (a churn wave, a crash, a partition, a heal)
+// at clock time event. It scans the messages multicast in [event, to) and
+// finds the earliest message from which every later message in the window
+// reached all of liveSet — the sustained full-delivery suffix — and
+// reports the instant that first message completed (its last delivery to
+// a live node) relative to event. Deliveries are counted whenever they
+// happened, so lazy retransmissions that settle after the window still
+// count towards the message that caused them.
+//
+// recovered is false when messages exist in the window but no sustained
+// recovery does — the disruption was never fully absorbed. measured is
+// false when the window carried no traffic (or no nodes survived) to
+// judge recovery by at all; callers must not read that as a failed
+// recovery.
+//
+// Under the streaming trace, the window must have been marked with
+// Substrate.MarkRecovery before its traffic ran (the Player marks every
+// disrupted phase); unmarked windows panic rather than silently
+// mis-measure.
+func messageRecovery(msgs []trace.MsgStats, liveSet map[peer.ID]bool, event, to time.Duration) (rec time.Duration, recovered, measured bool) {
+	live := len(liveSet)
+	if live == 0 {
+		return 0, false, false
+	}
+
+	type point struct {
+		sent, completed time.Duration
+		full            bool
+	}
+	var pts []point
+	for i := range msgs {
+		m := &msgs[i]
+		if m.SentAt < event || m.SentAt >= to {
+			continue
+		}
+		completed, ok := m.CompletionAmong(liveSet)
+		if !ok {
+			panic(fmt.Sprintf("scenario: recovery window [%v, %v) was not marked before its traffic ran — call MarkRecovery (or trace.Streaming.RetainCompletions) up front, or use a full trace", event, to))
+		}
+		delivered := m.DeliveredAmong(liveSet)
+		pts = append(pts, point{sent: m.SentAt, completed: completed, full: delivered == live})
+	}
+	if len(pts) == 0 {
+		return 0, false, false
+	}
+	// Multicasts are recorded in clock order, but sort anyway so the
+	// suffix scan never depends on collector internals.
+	sort.SliceStable(pts, func(i, j int) bool { return pts[i].sent < pts[j].sent })
+	start := -1
+	for i := len(pts) - 1; i >= 0; i-- {
+		if !pts[i].full {
+			break
+		}
+		start = i
+	}
+	if start < 0 {
+		return 0, false, true
+	}
+	return pts[start].completed - event, true, true
+}
+
+// joinerCoverage is the mean fraction of post-join messages each surviving
+// joiner delivered, from per-message trace aggregates: 1 when there are no
+// joiners, so the metric is neutral in churn-free runs. grace absorbs the
+// bootstrap round trip after each join.
+func joinerCoverage(msgs []trace.MsgStats, joinedAt map[peer.ID]time.Duration, failed func(peer.ID) bool, grace time.Duration) float64 {
+	if len(joinedAt) == 0 {
+		return 1
+	}
+	// Iterate joiners in id order: float summation is not associative,
+	// so map order would leak into the last ulp of the mean and break
+	// byte-exact reproducibility.
+	joiners := make([]peer.ID, 0, len(joinedAt))
+	for id := range joinedAt {
+		joiners = append(joiners, id)
+	}
+	sort.Slice(joiners, func(i, j int) bool { return joiners[i] < joiners[j] })
+	var fracs []float64
+	survivors := 0
+	for _, id := range joiners {
+		if failed(id) {
+			// A joiner that later crashed or left measures nothing
+			// about the join path; coverage is over joiners still up
+			// at the end of the run.
+			continue
+		}
+		survivors++
+		joined := joinedAt[id]
+		eligible, got := 0, 0
+		for i := range msgs {
+			m := &msgs[i]
+			if m.SentAt < joined+grace {
+				continue
+			}
+			eligible++
+			if m.DeliveredBy(id) {
+				got++
+			}
+		}
+		if eligible > 0 {
+			fracs = append(fracs, float64(got)/float64(eligible))
+		}
+	}
+	if len(fracs) == 0 {
+		if survivors == 0 {
+			// Every joiner died: zero coverage, not the no-churn
+			// neutral value — a run that lost all its joiners must not
+			// score perfect coverage in comparisons.
+			return 0
+		}
+		return 1
+	}
+	return stats.Mean(fracs)
 }
 
 // addCounters fills the interval-scoped counters — everything that
@@ -158,13 +351,28 @@ func (m *Metrics) addCounters(prev, cur edge) {
 	m.Duplicates = cur.CP.Duplicates - prev.CP.Duplicates
 	m.FramesSent = cur.FramesSent - prev.FramesSent
 	m.FramesLost = cur.FramesLost - prev.FramesLost
-	m.Top5LinkShare = sim.LinkTopShare(prev.CP, cur.CP, 0.05)
+	m.Top5LinkShare = linkTopShare(prev.CP, cur.CP, 0.05)
+}
+
+// linkTopShare is the share of payload traffic carried by the top frac of
+// connections between two trace checkpoints: cur's link loads minus
+// prev's (a zero prev measures from the start of the run). This is the
+// emergent-structure metric evaluated over one interval of a run.
+func linkTopShare(prev, cur trace.Checkpoint, frac float64) float64 {
+	loads := make([]float64, 0, cur.Links.Len())
+	cur.Links.Range(func(l trace.Link, load trace.LinkLoad) {
+		if d := load.Payloads - prev.Links.Get(l).Payloads; d > 0 {
+			loads = append(loads, float64(d))
+		}
+	})
+	return stats.TopShare(loads, frac)
 }
 
 // disruption returns the offset of the phase's first disruptive event —
-// a leave, crash or kill-best churn wave, a partition, or a heal — or
-// false when the phase has none. Joins and network-quality shifts are not
-// disruptions: they never take delivery away from live original nodes.
+// a leave, crash or kill-best churn wave, a fault-crash, a partition, or a
+// heal — or false when the phase has none. Joins and network-quality
+// shifts are not disruptions: they never take delivery away from live
+// original nodes.
 func disruption(p *Phase) (Duration, bool) {
 	found := false
 	var min Duration
@@ -181,7 +389,7 @@ func disruption(p *Phase) (Duration, bool) {
 	}
 	for i := range p.Network {
 		switch p.Network[i].Kind {
-		case NetPartition, NetHeal:
+		case NetPartition, NetHeal, NetFaultCrash:
 			consider(p.Network[i].At)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"emcast/internal/peer"
 	"emcast/internal/scenario"
 	"emcast/internal/sim"
 )
@@ -11,9 +12,9 @@ import (
 // TestRankedConcentratesOnHubs: best nodes must carry far more payload per
 // message than regular ones (paper §6.4: hubs ~10.8, regular ~1.2).
 func TestRankedConcentratesOnHubs(t *testing.T) {
-	_, res := play(t, testSpec(50, 60, "ranked"))
-	if res.PayloadPerMsgBest < 3*res.PayloadPerMsgLow {
-		t.Fatalf("hubs %.2f vs low %.2f: no concentration", res.PayloadPerMsgBest, res.PayloadPerMsgLow)
+	r, res := play(t, testSpec(50, 60, "ranked"))
+	if low, best := r.PayloadSplit(); best < 3*low {
+		t.Fatalf("hubs %.2f vs low %.2f: no concentration", best, low)
 	}
 	if res.DeliveryRate < 0.99 {
 		t.Fatalf("delivery rate %.3f", res.DeliveryRate)
@@ -33,9 +34,9 @@ func TestRankedBeatsFlatTradeoff(t *testing.T) {
 	if rf.PayloadPerMsg < rr.PayloadPerMsg*0.85 || rf.PayloadPerMsg > rr.PayloadPerMsg*1.15 {
 		t.Skipf("flat calibration off: flat %.2f vs ranked %.2f", rf.PayloadPerMsg, rr.PayloadPerMsg)
 	}
-	if rr.MeanLatency >= rf.MeanLatency {
-		t.Fatalf("ranked %v not faster than flat %v at similar traffic (%.2f vs %.2f payloads)",
-			rr.MeanLatency, rf.MeanLatency, rr.PayloadPerMsg, rf.PayloadPerMsg)
+	if rr.MeanLatencyMS >= rf.MeanLatencyMS {
+		t.Fatalf("ranked %.1fms not faster than flat %.1fms at similar traffic (%.2f vs %.2f payloads)",
+			rr.MeanLatencyMS, rf.MeanLatencyMS, rr.PayloadPerMsg, rf.PayloadPerMsg)
 	}
 }
 
@@ -62,22 +63,21 @@ func TestGossipRankingStructure(t *testing.T) {
 
 	gossip := testSpec(60, 60, "ranked")
 	gossip.GossipRanking = true
-	_, rg := play(t, gossip)
+	r, rg := play(t, gossip)
 
 	if rg.DeliveryRate < 0.99 {
 		t.Fatalf("gossip ranking broke delivery: %.3f", rg.DeliveryRate)
 	}
 	// Structure still emerges: clearly above the unstructured baseline
 	// (~10-14% for the scaled setup) even if below the oracle's.
-	if rg.Top5Share < 0.7*ro.Top5Share {
+	if rg.Top5LinkShare < 0.7*ro.Top5LinkShare {
 		t.Fatalf("gossip ranking structure %.1f%% too far below oracle %.1f%%",
-			100*rg.Top5Share, 100*ro.Top5Share)
+			100*rg.Top5LinkShare, 100*ro.Top5LinkShare)
 	}
 	// The oracle-best nodes must still carry disproportionate payload:
 	// the approximate ranking found genuinely central nodes.
-	if rg.PayloadPerMsgBest < 1.3*rg.PayloadPerMsgLow {
-		t.Fatalf("approximate ranking lost hub concentration: best %.2f vs low %.2f",
-			rg.PayloadPerMsgBest, rg.PayloadPerMsgLow)
+	if low, best := r.PayloadSplit(); best < 1.3*low {
+		t.Fatalf("approximate ranking lost hub concentration: best %.2f vs low %.2f", best, low)
 	}
 }
 
@@ -103,8 +103,8 @@ func TestDistanceMetricMode(t *testing.T) {
 	if res.DeliveryRate < 0.99 {
 		t.Fatalf("delivery rate %.3f in distance-metric mode", res.DeliveryRate)
 	}
-	if res.Top5Share < 0.10 {
-		t.Fatalf("distance radius produced no structure: %.3f", res.Top5Share)
+	if res.Top5LinkShare < 0.10 {
+		t.Fatalf("distance radius produced no structure: %.3f", res.Top5LinkShare)
 	}
 }
 
@@ -177,16 +177,78 @@ func TestManualDrive(t *testing.T) {
 			t.Fatalf("node %d missing manual multicast", i)
 		}
 	}
-	res := r.Result()
+	res := scenario.Measure(r)
 	if res.MessagesSent != 1 || res.Deliveries != 20 {
-		t.Fatalf("result = %+v", res)
+		t.Fatalf("metrics = %+v", res)
 	}
 }
 
-func TestResultString(t *testing.T) {
-	_, res := play(t, testSpec(20, 5, "eager"))
-	if s := res.String(); s == "" {
-		t.Fatal("empty result string")
+// TestLeaveSilencesNode: a departed node stops delivering and is removed
+// from the delivery-rate denominator.
+func TestLeaveSilencesNode(t *testing.T) {
+	r := sim.New(testConfig(30))
+	r.Warmup()
+	r.Leave(3)
+	if !r.Failed(3) {
+		t.Fatal("Failed(3) = false after Leave")
+	}
+	for _, n := range r.Live() {
+		if n == 3 {
+			t.Fatal("departed node still listed live")
+		}
+	}
+	r.MulticastFrom(0, []byte("after leave"))
+	r.RunFor(10 * time.Second)
+	if res := scenario.Measure(r); res.DeliveryRate < 0.999 {
+		t.Fatalf("delivery rate %.3f among remaining nodes, want ~1", res.DeliveryRate)
+	}
+	for _, m := range r.MessageStats() {
+		if m.DeliveredBy(peer.ID(3)) {
+			t.Fatal("departed node delivered a message")
+		}
+	}
+}
+
+// TestRankedNodesOrder: the ranking must cover all nodes, best-first, and
+// its prefix must coincide with the oracle best set.
+func TestRankedNodesOrder(t *testing.T) {
+	cfg := testConfig(30)
+	cfg.BestFraction = 0.2
+	r := sim.New(cfg)
+	ranked := r.RankedNodes()
+	if len(ranked) != cfg.Nodes {
+		t.Fatalf("ranking covers %d nodes, want %d", len(ranked), cfg.Nodes)
+	}
+	k := int(cfg.BestFraction * float64(cfg.Nodes))
+	for _, id := range ranked[:k] {
+		if !r.Best(id) {
+			t.Fatalf("node %d in ranking prefix but not in best set", id)
+		}
+	}
+	for _, id := range ranked[k:] {
+		if r.Best(id) {
+			t.Fatalf("node %d outside ranking prefix but in best set", id)
+		}
+	}
+}
+
+// TestManualJoinIntegrates: a joiner driven through Runner.Join (the
+// scenario-engine path) must integrate and deliver subsequent messages.
+func TestManualJoinIntegrates(t *testing.T) {
+	cfg := testConfig(30)
+	cfg.LateJoiners = 1
+	r := sim.New(cfg)
+	r.Warmup()
+	joiner := cfg.Nodes
+	r.Join(joiner, 0)
+	if _, ok := r.JoinedAt(joiner); !ok {
+		t.Fatal("join time not recorded")
+	}
+	r.RunFor(10 * time.Second)
+	id := r.MulticastFrom(1, []byte("post-join"))
+	r.RunFor(10 * time.Second)
+	if !r.Nodes()[joiner].Delivered(id) {
+		t.Fatal("joiner missed a message multicast after it joined")
 	}
 }
 

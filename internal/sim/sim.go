@@ -1,19 +1,16 @@
 // Package sim assembles whole-system experiments — an Inet-style topology,
 // the discrete-event network emulator, and one protocol node per client —
 // into a Runner that is driven imperatively (Warmup, MulticastFrom, RunFor,
-// Fail, Leave, Join), and extracts the paper's metrics (latency, payload
-// transmissions per message, delivery rates, emergent-structure link
-// shares). What a run sends, kills and joins is decided elsewhere: by
-// scenario.Player for every Spec, the paper's figures included.
-//
-// Metrics are derived from per-message trace aggregates (trace.MsgStats),
-// not raw event logs: Result/CollectWindow/RecoveryTime work identically
-// over the default streaming trace and a Config.FullTrace run. The
-// deployment-neutral cores — WindowResult, MessageRecovery,
-// MessageJoinerCoverage — are shared with the live TCP harness, so the
-// simulator and real sockets report through one pipeline. Disruption
-// windows whose recovery time will be queried must be declared up front
-// with Runner.MarkRecovery (the scenario engine does this automatically).
+// Fail, Leave, Join) and traced into per-message aggregates
+// (trace.MsgStats). What a run sends, kills and joins is decided
+// elsewhere: by scenario.Player for every Spec, the paper's figures
+// included. The paper's metrics are computed from the trace by package
+// scenario, into its Metrics — for Player runs and hand-driven runners
+// alike (scenario.Measure). The runner answers only what needs its oracle
+// or topology: the low/best payload split (PayloadSplit) and plottable
+// link loads (LinkLoads). Disruption windows whose recovery time will be
+// measured must be declared up front with Runner.MarkRecovery (the Player
+// does this automatically).
 package sim
 
 import (
@@ -222,7 +219,6 @@ type Runner struct {
 	failed     map[peer.ID]bool
 	joinedAt   map[peer.ID]time.Duration
 	rng        *rand.Rand
-	elapsed    time.Duration
 
 	// Observability (optional, never feeds the seeded path).
 	multicasts *obs.Counter
@@ -700,12 +696,6 @@ func (r *Runner) MulticastFrom(node int, payload []byte) ids.ID {
 // RunFor advances virtual time by d.
 func (r *Runner) RunFor(d time.Duration) {
 	r.net.Run(r.net.Now() + d)
-	r.elapsed = r.net.Now()
-}
-
-// Result collects metrics for everything traced so far.
-func (r *Runner) Result() Result {
-	return r.collect()
 }
 
 // Checkpoint copies the cumulative trace counters and link loads, so

@@ -45,17 +45,18 @@ func killBestFirst(spec scenario.Spec, frac float64) scenario.Spec {
 }
 
 // play runs spec through scenario.Player and returns the runner under the
-// engine with its whole-run result.
-func play(t *testing.T, spec scenario.Spec) (*sim.Runner, sim.Result) {
+// engine with the Report's whole-run metrics.
+func play(t *testing.T, spec scenario.Spec) (*sim.Runner, scenario.Metrics) {
 	t.Helper()
 	eng, err := scenario.New(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(); err != nil {
+	rep, err := eng.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return eng.Runner(), eng.Runner().Result()
+	return eng.Runner(), rep.Overall
 }
 
 // TestEagerAtomicDelivery: with pure eager push and no loss, every message
@@ -63,7 +64,7 @@ func play(t *testing.T, spec scenario.Spec) (*sim.Runner, sim.Result) {
 // observes perfect atomic delivery of all messages").
 func TestEagerAtomicDelivery(t *testing.T) {
 	_, res := play(t, testSpec(50, 40, "eager"))
-	t.Logf("%v", res)
+	t.Logf("%+v", res)
 	if res.AtomicRate != 1.0 {
 		t.Fatalf("atomic rate = %.3f, want 1.0", res.AtomicRate)
 	}
@@ -85,7 +86,7 @@ func TestLazySinglePayload(t *testing.T) {
 	spec := testSpec(50, 40, "lazy")
 	spec.Drain = scenario.Duration(20 * time.Second)
 	_, res := play(t, spec)
-	t.Logf("%v", res)
+	t.Logf("%+v", res)
 	if res.DeliveryRate < 0.99 {
 		t.Fatalf("delivery rate = %.3f, want >= 0.99", res.DeliveryRate)
 	}
@@ -106,9 +107,9 @@ func TestLazySlowerThanEager(t *testing.T) {
 
 	_, re := play(t, testSpec(50, 40, "eager"))
 	_, rl := play(t, lazy)
-	t.Logf("eager=%v lazy=%v", re.MeanLatency, rl.MeanLatency)
-	if rl.MeanLatency <= re.MeanLatency {
-		t.Fatalf("lazy latency %v not above eager %v", rl.MeanLatency, re.MeanLatency)
+	t.Logf("eager=%.1fms lazy=%.1fms", re.MeanLatencyMS, rl.MeanLatencyMS)
+	if rl.MeanLatencyMS <= re.MeanLatencyMS {
+		t.Fatalf("lazy latency %.1fms not above eager %.1fms", rl.MeanLatencyMS, re.MeanLatencyMS)
 	}
 	if rl.PayloadPerMsg >= re.PayloadPerMsg {
 		t.Fatalf("lazy payload/msg %.2f not below eager %.2f", rl.PayloadPerMsg, re.PayloadPerMsg)
@@ -122,13 +123,12 @@ func TestDeterministicRuns(t *testing.T) {
 			spec := testSpec(30, 20, strategy)
 			_, a := play(t, spec)
 			_, b := play(t, spec)
-			if a.MeanLatency != b.MeanLatency || a.PayloadPerMsg != b.PayloadPerMsg ||
-				a.Top5Share != b.Top5Share || a.Deliveries != b.Deliveries {
-				t.Fatalf("same seed diverged:\n%v\n%v", a, b)
+			if a != b {
+				t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
 			}
 			spec.Seed = 99
 			_, c := play(t, spec)
-			if a.MeanLatency == c.MeanLatency && a.Top5Share == c.Top5Share {
+			if a.MeanLatencyMS == c.MeanLatencyMS && a.Top5LinkShare == c.Top5LinkShare {
 				t.Fatal("different seeds produced identical results")
 			}
 		})

@@ -174,9 +174,8 @@ func (m *MsgStats) CompletionAmong(live map[peer.ID]bool) (completed time.Durati
 
 // Reader is the query side shared by both collectors: the full Collector
 // (raw events retained, Snapshot available) and the Streaming collector
-// (aggregates only). The metric pipeline — sim.WindowResult,
-// sim.MessageRecovery, the scenario and live report builders — depends
-// only on this interface.
+// (aggregates only). The metric pipeline — package scenario's Report
+// assembly, for both substrates — depends only on this interface.
 type Reader interface {
 	Tracer
 	// Checkpoint copies the cumulative counters and link loads; O(links).

@@ -5,8 +5,8 @@
 // "payload transmissions on each link are also recorded separately").
 //
 // Two collectors implement the shared Reader query interface the metric
-// pipeline (sim.WindowResult, sim.MessageRecovery, the scenario and live
-// report builders) is written against:
+// pipeline (package scenario's Report assembly, for the simulator and the
+// live TCP harness alike) is written against:
 //
 //   - Streaming (the default everywhere) folds each event into running
 //     aggregates — per-message delivered bitsets, latency samples and

@@ -1,7 +1,12 @@
 package emcast
 
 import (
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"emcast/internal/core"
@@ -45,5 +50,52 @@ func TestConfigSurface(t *testing.T) {
 		if n != c.want {
 			t.Errorf("%s has %d exported fields, want %d", c.name, n, c.want)
 		}
+	}
+}
+
+// exportedDecl matches a top-level exported func, method or type
+// declaration — the line-anchored count ROADMAP tracks as the exported
+// surface.
+var exportedDecl = regexp.MustCompile(`^(func (\([^)]*\) )?[A-Z]|type [A-Z])`)
+
+// TestExportedSurface pins the number of exported top-level declarations
+// in the non-test Go files of the module outside bench/ (its own module),
+// testdata/ and dot-directories. Like TestConfigSurface, a change that
+// grows the surface has to raise the number in the same diff; one that
+// shrinks it lowers it.
+func TestExportedSurface(t *testing.T) {
+	const want = 684
+	n := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != "." && (name == "bench" || name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, line := range strings.Split(string(src), "\n") {
+			if exportedDecl.MatchString(line) {
+				n++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("exported declarations: %d", n)
+	if n != want {
+		t.Errorf("%d exported top-level declarations, want %d", n, want)
 	}
 }
