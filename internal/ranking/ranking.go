@@ -25,6 +25,7 @@ import (
 
 	"emcast/internal/msg"
 	"emcast/internal/peer"
+	"emcast/internal/stats"
 )
 
 // Config tunes the ranking table.
@@ -62,15 +63,20 @@ type Table struct {
 	self   peer.ID
 	scores map[peer.ID]entry
 	epoch  uint64
+	// threshold caches Threshold, which IsBest reads on every send;
+	// SetOwnScore and Merge mark it stale and the next read recomputes it.
+	threshold float64
+	stale     bool
 }
 
 // NewTable creates an empty ranking table for node self.
 func NewTable(cfg Config, self peer.ID) *Table {
 	cfg.fill()
 	return &Table{
-		cfg:    cfg,
-		self:   self,
-		scores: make(map[peer.ID]entry),
+		cfg:       cfg,
+		self:      self,
+		scores:    make(map[peer.ID]entry),
+		threshold: math.Inf(-1),
 	}
 }
 
@@ -83,6 +89,7 @@ func (t *Table) SetOwnScore(score float64) {
 	t.epoch++
 	t.scores[t.self] = entry{value: score, epoch: t.epoch}
 	t.prune()
+	t.stale = true
 }
 
 // Merge incorporates received scores: an unknown node is adopted, a known
@@ -99,6 +106,7 @@ func (t *Table) Merge(scores []msg.Score) {
 		t.scores[s.Node] = entry{value: s.Value, epoch: t.epoch}
 	}
 	t.prune()
+	t.stale = true
 }
 
 // prune evicts the stalest entries beyond capacity (never self).
@@ -170,25 +178,27 @@ func (t *Table) IsBest(p peer.ID) bool {
 }
 
 // Threshold returns the score at the best-Fraction quantile of the known
-// scores (+Inf when the table is empty, so nothing qualifies until scores
-// arrive).
+// scores (−Inf when the table is empty, so nothing qualifies until scores
+// arrive). It is selected by stats.Kth once per change of the table and
+// cached between changes.
 func (t *Table) Threshold() float64 {
+	if !t.stale {
+		return t.threshold
+	}
+	t.stale = false
 	if len(t.scores) == 0 {
-		return math.Inf(-1)
+		t.threshold = math.Inf(-1)
+		return t.threshold
 	}
-	values := make([]float64, 0, len(t.scores))
-	for _, e := range t.scores {
-		values = append(values, e.value)
-	}
-	sort.Float64s(values)
-	k := int(math.Ceil(t.cfg.Fraction*float64(len(values)))) - 1
-	if k < 0 {
-		k = 0
-	}
-	if k >= len(values) {
-		k = len(values) - 1
-	}
-	return values[k]
+	k := int(math.Ceil(t.cfg.Fraction*float64(len(t.scores)))) - 1
+	t.threshold = stats.Kth(func(yield func(float64) bool) {
+		for _, e := range t.scores {
+			if !yield(e.value) {
+				return
+			}
+		}
+	}, k)
+	return t.threshold
 }
 
 // Known returns the number of nodes with known scores.

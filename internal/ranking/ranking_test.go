@@ -2,6 +2,8 @@ package ranking
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -184,6 +186,61 @@ func TestQuickTableInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sortedIsBest is the sort-based reference the cached threshold must
+// match: p is best when its score is at most the ⌈Fraction·n⌉-th smallest
+// known score.
+func sortedIsBest(tab *Table, p peer.ID) bool {
+	if _, ok := tab.scores[p]; !ok {
+		return false
+	}
+	values := make([]float64, 0, len(tab.scores))
+	for _, e := range tab.scores {
+		values = append(values, e.value)
+	}
+	sort.Float64s(values)
+	k := min(max(int(math.Ceil(tab.cfg.Fraction*float64(len(values))))-1, 0), len(values)-1)
+	return tab.Score(p) <= values[k]
+}
+
+// TestCachedThresholdMatchesSort drives tables through random sequences of
+// own-score updates, merges and over-capacity prunes, and checks every
+// IsBest answer against a fresh sort of the known scores.
+func TestCachedThresholdMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		tab := NewTable(Config{Fraction: 0.05 + rng.Float64()*0.5, SampleSize: 4, Capacity: 8 + rng.Intn(24)}, 0)
+		for step := 0; step < 200; step++ {
+			if rng.Intn(4) == 0 {
+				tab.SetOwnScore(float64(rng.Intn(50)))
+			} else {
+				batch := make([]msg.Score, 1+rng.Intn(6))
+				for i := range batch {
+					batch[i] = msg.Score{Node: peer.ID(rng.Intn(60)), Value: float64(rng.Intn(50))}
+				}
+				tab.Merge(batch)
+			}
+			for p := peer.ID(0); p < 60; p++ {
+				if got, want := tab.IsBest(p), sortedIsBest(tab, p); got != want {
+					t.Fatalf("trial %d step %d: IsBest(%d) = %v, sort says %v (threshold %v)",
+						trial, step, p, got, want, tab.Threshold())
+				}
+			}
+		}
+	}
+}
+
+func TestIsBestDoesNotAllocate(t *testing.T) {
+	tab := newTable(1)
+	tab.SetOwnScore(5)
+	for i := peer.ID(2); i <= 500; i++ {
+		tab.Merge([]msg.Score{{Node: i, Value: float64(i)}})
+	}
+	tab.IsBest(2)
+	if allocs := testing.AllocsPerRun(100, func() { tab.IsBest(2); tab.IsBest(400) }); allocs != 0 {
+		t.Fatalf("IsBest allocates %v times per call pair, want 0", allocs)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sort"
 	"time"
 
 	"emcast/internal/core"
@@ -59,20 +58,3 @@ func (h frameHandler) HandleFrame(from int, frame []byte) {
 }
 
 var _ emunet.Handler = frameHandler{}
-
-// percentile returns the q-quantile (0..1) of xs without modifying it.
-func percentile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	idx := int(q * float64(len(sorted)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}

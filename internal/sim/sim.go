@@ -16,6 +16,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"emcast/internal/core"
@@ -226,8 +227,8 @@ type Runner struct {
 
 	// Oracle state (§4.3 global knowledge), materialised lazily by
 	// ensureOracle: flat and TTL runs never query it, so they skip the
-	// O(n²) pair scans and sorts entirely — the setup cost that
-	// dominated large sweep cells.
+	// O(n²) pair scans entirely — the setup cost that dominated large
+	// sweep cells.
 	oracleDone bool
 	best       map[peer.ID]bool
 	ranked     []peer.ID
@@ -362,10 +363,10 @@ func (r *Runner) Footprints() []obs.Footprint {
 }
 
 // ensureOracle materialises the §4.3 oracle quantities (ρ, T0, ranking,
-// best set) on first use. The computation scans all node pairs twice and
-// sorts the distributions — quadratic work that strategies without a
-// radius or ranking (flat, ttl) never need, so it is deferred until a
-// strategy, a failure injector, or an explicit accessor asks for it.
+// best set) on first use. The computation scans all node pairs several
+// times — quadratic work that strategies without a radius or ranking
+// (flat, ttl) never need, so it is deferred until a strategy, a failure
+// injector, or an explicit accessor asks for it.
 func (r *Runner) ensureOracle() {
 	if r.oracleDone {
 		return
@@ -374,103 +375,57 @@ func (r *Runner) ensureOracle() {
 	r.computeOracle()
 }
 
-// OracleExactCutoff is the population at or below which the oracle
-// computes its quantiles exactly (full pairwise distributions, sorted and
-// indexed — byte-identical to the historical implementation, which is what
-// pins every existing golden). Above it the oracle streams the latency
-// matrix one row at a time into O(1)-memory P² estimators, so rows can be
-// evicted as they are consumed and the O(n²) float slices never
-// materialise; the resulting ρ and T0 are documented-approximate
-// (typically within ~1% of exact at these sample counts) but still
-// deterministic for a given configuration.
-const OracleExactCutoff = 2048
-
 // computeOracle derives ρ, T0 and the best set from global model knowledge,
 // as the paper's evaluation does (§4.3).
 func (r *Runner) computeOracle() {
-	cfg := r.cfg
-	q := cfg.RadiusQuantile
+	q := r.cfg.RadiusQuantile
 	if q <= 0 {
 		q = 0.10
 	}
-	if cfg.Nodes <= OracleExactCutoff {
-		r.exactOracle(q)
-	} else {
-		r.streamingOracle(q)
-	}
-
-	r.ranked = monitor.Rank(cfg.Nodes, func(a, b peer.ID) float64 {
+	r.rho, r.t0 = r.quantiles(q)
+	r.ranked = monitor.Rank(r.cfg.Nodes, func(a, b peer.ID) float64 {
 		return r.pairMetric(a, b)
 	})
-	r.best = monitor.BestSet(r.ranked, cfg.BestFraction)
+	r.best = monitor.BestSet(r.ranked, r.cfg.BestFraction)
 }
 
-// exactOracle materialises the full pairwise distributions, preallocated
-// to their known n(n-1) size (the append-reallocation churn this loop used
-// to pay is gone), and picks the quantiles by sorted index. The plane is
-// read one source row at a time — one lock and one row resolution per
-// node, not per pair.
-func (r *Runner) exactOracle(q float64) {
+// quantiles returns ρ and T0 at quantile q: the exact q-quantiles of the
+// n(n−1) pairwise metric and latency distributions — element int(q·(N−1))
+// of each sorted distribution — selected by stats.Kth from pairs streamed
+// one latency row at a time, so no pairwise slice is ever built or sorted.
+func (r *Runner) quantiles(q float64) (rho float64, t0 time.Duration) {
 	cfg := r.cfg
-	// all: pairwise metric distribution for the radius quantile. lats:
-	// the latency distribution, for T0.
-	all := make([]float64, 0, cfg.Nodes*(cfg.Nodes-1))
-	lats := make([]float64, 0, cfg.Nodes*(cfg.Nodes-1))
-	row := make([]time.Duration, cfg.Nodes+cfg.LateJoiners)
-	for i := 0; i < cfg.Nodes; i++ {
-		r.matrix.LatencyRowInto(row, i)
-		for j := 0; j < cfg.Nodes; j++ {
-			if i == j {
-				continue
+	n := cfg.Nodes
+	k := int(q * float64(n*(n-1)-1))
+	row := make([]time.Duration, n+cfg.LateJoiners)
+	lats := func(yield func(float64) bool) {
+		for i := 0; i < n; i++ {
+			r.matrix.LatencyRowInto(row, i)
+			for j := 0; j < n; j++ {
+				if i != j && !yield(float64(row[j])) {
+					return
+				}
 			}
-			metric := float64(row[j]) / float64(time.Millisecond) // as pairMetric
-			if cfg.DistanceMetric {
-				metric = r.matrix.Distance(i, j)
-			}
-			all = append(all, metric)
-			lats = append(lats, float64(row[j]))
 		}
 	}
-	r.rho = percentile(all, q)
 	// T0: expected latency within the radius — approximate with the
 	// same quantile of the latency distribution (in time units).
-	r.t0 = time.Duration(percentile(lats, q))
-}
-
-// streamingOracle estimates the same quantiles in a single pass over the
-// latency matrix, one source row at a time: each row is synthesized from
-// the quantized matrix, folded into P² estimators and released, so the
-// scan runs in O(row) transient memory and respects the matrix cache
-// budget — no O(n²) float slice, no forced-resident matrix.
-func (r *Runner) streamingOracle(q float64) {
-	cfg := r.cfg
-	lat := stats.NewP2Quantile(q)
-	var dist *stats.P2Quantile
-	if cfg.DistanceMetric {
-		dist = stats.NewP2Quantile(q)
+	lat := stats.Kth(lats, k)
+	if !cfg.DistanceMetric {
+		// The latency metric is pairMetric's monotone map of the latency,
+		// so its k-th value is the map of the k-th latency.
+		return lat / float64(time.Millisecond), time.Duration(lat)
 	}
-	row := make([]time.Duration, cfg.Nodes+cfg.LateJoiners)
-	for i := 0; i < cfg.Nodes; i++ {
-		r.matrix.LatencyRowInto(row, i)
-		for j := 0; j < cfg.Nodes; j++ {
-			if i == j {
-				continue
-			}
-			lat.Add(float64(row[j]))
-			if dist != nil {
-				dist.Add(r.matrix.Distance(i, j))
+	dists := func(yield func(float64) bool) {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if i != j && !yield(r.matrix.Distance(i, j)) {
+					return
+				}
 			}
 		}
 	}
-	r.t0 = time.Duration(lat.Value())
-	if dist != nil {
-		r.rho = dist.Value()
-	} else {
-		// The metric is latency in milliseconds: the same distribution up
-		// to scale, so derive ρ from the one estimate rather than running
-		// a second, separately-erring estimator.
-		r.rho = lat.Value() / float64(time.Millisecond)
-	}
+	return stats.Kth(dists, k), time.Duration(lat)
 }
 
 // pairMetric is the oracle metric between two clients: one-way latency in
@@ -556,25 +511,16 @@ func (r *Runner) buildNodes() {
 
 // symmetricGraph builds a random undirected graph with degree close to
 // target (never above it): a Hamiltonian ring for guaranteed connectivity
-// plus random matching edges.
+// plus random matching edges. Degrees stay at or below target (15 in the
+// paper), so a duplicate edge is found by scanning adj[a].
 func symmetricGraph(n, target int, rng *rand.Rand) [][]int {
 	adj := make([][]int, n)
-	edges := make(map[[2]int]bool)
-	addEdge := func(a, b int) bool {
-		if a == b {
-			return false
+	addEdge := func(a, b int) {
+		if a == b || len(adj[a]) >= target || len(adj[b]) >= target || slices.Contains(adj[a], b) {
+			return
 		}
-		k := [2]int{a, b}
-		if a > b {
-			k = [2]int{b, a}
-		}
-		if edges[k] || len(adj[a]) >= target || len(adj[b]) >= target {
-			return false
-		}
-		edges[k] = true
 		adj[a] = append(adj[a], b)
 		adj[b] = append(adj[b], a)
-		return true
 	}
 	perm := rng.Perm(n)
 	for i := range perm {

@@ -8,6 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -114,27 +115,26 @@ func (i Interval) String() string {
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It returns 0 for an empty slice. The
-// input is not modified.
+// input is read in place by Kth: neither copied, sorted nor modified.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
+	values := slices.Values(xs)
 	if p <= 0 {
-		return sorted[0]
+		return Kth(values, 0)
 	}
 	if p >= 100 {
-		return sorted[len(sorted)-1]
+		return Kth(values, len(xs)-1)
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := p / 100 * float64(len(xs)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return sorted[lo]
+		return Kth(values, lo)
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return Kth(values, lo)*(1-frac) + Kth(values, hi)*frac
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.

@@ -64,7 +64,7 @@ var exportedDecl = regexp.MustCompile(`^(func (\([^)]*\) )?[A-Z]|type [A-Z])`)
 // grows the surface has to raise the number in the same diff; one that
 // shrinks it lowers it.
 func TestExportedSurface(t *testing.T) {
-	const want = 684
+	const want = 680
 	n := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
