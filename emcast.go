@@ -184,6 +184,7 @@ func (c *Cluster) Size() int { return len(c.runner.Nodes()) }
 
 // Multicast sends payload from the given node to all nodes. Call Run
 // afterwards to advance virtual time and let the dissemination complete.
+// The cluster keeps its own copy, so the caller may reuse the buffer.
 func (c *Cluster) Multicast(node int, payload []byte) (MessageID, error) {
 	if node < 0 || node >= c.Size() {
 		return MessageID{}, fmt.Errorf("emcast: node %d out of range [0, %d)", node, c.Size())

@@ -121,6 +121,11 @@ type Options struct {
 	// its centrality score from EWMA observations and spreads score
 	// samples epidemically. Its IsBest can back the Ranked strategy.
 	Ranking *ranking.Table
+	// Payloads, when non-nil, is the payload store the node keeps
+	// payloads through, shared with the other nodes given the same store
+	// (the simulator gives all of a run's nodes one). Nil keeps a private
+	// copy per node, as a TCP peer does.
+	Payloads *lazy.Payloads
 }
 
 // NewNode assembles a node over env. The caller must route inbound frames
@@ -148,6 +153,7 @@ func NewNode(cfg Config, env *peer.Env, opts Options) *Node {
 	}
 	n.view = membership.NewView(cfg.Membership, env.Self(), env.RNG)
 	n.lazy = lazy.New(cfg.Lazy, env, opts.Strategy, tracer)
+	n.lazy.SetPayloads(opts.Payloads)
 	gen := ids.NewGenerator(cfg.Seed ^ int64(env.Self())<<32 ^ 0x1e3779b97f4a7c15)
 	n.gossip = gossip.New(cfg.Gossip, env.Self(), gen, n.view, n.lazy, n.appDeliver, env.Clock, tracer)
 	n.lazy.SetReceiver(n.gossip)
@@ -202,7 +208,8 @@ func (n *Node) Stop() {
 	}
 }
 
-// Multicast disseminates payload to the overlay and returns the message id.
+// Multicast disseminates payload to the overlay and returns the message
+// id. The node keeps its own copy, so the caller may reuse the buffer.
 func (n *Node) Multicast(payload []byte) ids.ID {
 	return n.gossip.Multicast(payload)
 }
@@ -224,9 +231,10 @@ func (n *Node) PendingRequests() int {
 //
 // Decoding goes through a per-node reused msg.Parsed: the payload aliases
 // the (transport-recycled) frame buffer and views point into scratch, so
-// nothing here escapes per frame — the lazy layer copies the payload
-// exactly once, on first receipt, and the membership merges consume views
-// without retaining them.
+// nothing here escapes per frame — on first receipt the lazy layer keeps
+// the payload through the run's store (shared in the simulator, a private
+// copy on TCP), and the membership merges consume views without
+// retaining them.
 func (n *Node) HandleFrame(from peer.ID, frame []byte) {
 	p := &n.parsed
 	if err := p.Decode(frame); err != nil {

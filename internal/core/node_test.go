@@ -96,6 +96,35 @@ func TestMulticastReachesAllLazy(t *testing.T) {
 	}
 }
 
+// TestMulticastOwnsPayload: the caller may reuse its buffer once Multicast
+// returns. A lazy multicast answers IWANTs from its payload cache long
+// after the call, so the cache must hold the payload, not the caller's
+// buffer.
+func TestMulticastOwnsPayload(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ShufflePeriod = 0
+	h := newHarness(t, 4, cfg, lazyStrategy)
+	buf := []byte("original")
+	id := h.nodes[0].Multicast(buf)
+	copy(buf, "mutated!")
+	h.mesh.Drain()
+	h.advance(time.Second)
+	served := 0
+	for _, fr := range h.mesh.Log() {
+		var p msg.Parsed
+		if err := p.Decode(fr.Data); err != nil || p.Kind != msg.KindMsg || fr.From != 0 || p.ID != id {
+			continue
+		}
+		served++
+		if string(p.Payload) != "original" {
+			t.Fatalf("MSG 0→%d carries %q, want %q", fr.To, p.Payload, "original")
+		}
+	}
+	if served == 0 {
+		t.Fatal("node 0 served no payload")
+	}
+}
+
 func TestMalformedFrameIgnored(t *testing.T) {
 	h := newHarness(t, 2, DefaultConfig(), eagerStrategy)
 	h.nodes[0].HandleFrame(1, []byte{0xFF, 0x00, 0x01}) // garbage

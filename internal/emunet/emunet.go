@@ -24,7 +24,8 @@ import (
 //
 // When the network runs with Config.PooledFrames, the frame slice is
 // recycled as soon as HandleFrame returns: handlers must copy anything
-// they keep.
+// they keep. Protocol nodes keep payloads through the run's store (shared
+// in the simulator, a private copy on TCP), never the frame.
 type Handler interface {
 	HandleFrame(from int, frame []byte)
 }

@@ -15,8 +15,9 @@ import "math/bits"
 // Handler contract: a pooled frame is recycled the moment HandleFrame
 // returns, so handlers must not retain the slice. Protocol code already
 // obeys this (core.Node decodes into per-node scratch and the lazy layer
-// copies payloads on first receipt), but test recorders that stash raw
-// frames do not.
+// keeps payloads through the run's store — shared in the simulator, a
+// private copy on TCP — on first receipt), but test recorders that stash
+// raw frames do not.
 type framePool struct {
 	classes [frameClasses][][]byte
 	bytes   int64

@@ -14,7 +14,8 @@
 //
 // Otherwise the Payload Scheduler is transparent to this layer: gossip
 // only ever calls L-Send and handles L-Receive, exactly as in the paper's
-// architecture (§3.1).
+// architecture (§3.1), and hands it the payload of each own multicast to
+// keep, so that every copy a node retains comes from the scheduler.
 package gossip
 
 import (
@@ -54,9 +55,11 @@ type Sampler interface {
 }
 
 // Sender is the downcall interface to the payload scheduler: the paper's
-// L-Send(i, d, r, p).
+// L-Send(i, d, r, p), and Keep, which returns a copy of a payload that
+// the caller may retain (see lazy.Module.Keep).
 type Sender interface {
 	LSend(id ids.ID, payload []byte, round int, to peer.ID)
+	Keep(id ids.ID, payload []byte) []byte
 }
 
 // DeliverFunc is the application upcall Deliver(d).
@@ -96,12 +99,15 @@ func New(cfg Config, self peer.ID, gen *ids.Generator, sampler Sampler, sender S
 }
 
 // Multicast disseminates payload to all nodes with high probability and
-// returns the message identifier (paper Fig. 2, lines 3-4).
+// returns the message identifier (paper Fig. 2, lines 3-4). The payload
+// is kept (copied) once, before the payload cache or the deliver upcall
+// can retain it, so the caller may reuse its buffer when Multicast
+// returns.
 func (g *Gossip) Multicast(payload []byte) ids.ID {
 	id := g.gen.Next()
 	g.tracer.Multicast(g.self, id, g.clock.Now())
 	g.own.Add(id)
-	g.forward(id, payload, 0)
+	g.forward(id, g.sender.Keep(id, payload), 0)
 	return id
 }
 

@@ -6,13 +6,15 @@ import (
 
 	"emcast/internal/ids"
 	"emcast/internal/msg"
+	"emcast/internal/peer"
 	"emcast/internal/strategy"
 )
 
-// TestModuleFootprint pins the lazy module's byte report against
-// hand-built state: a fresh module reports zero, cached payloads charge
-// map entry + order slot + payload bytes, received ids charge the dedup
-// set, and a pending request charges its struct and source slices.
+// TestModuleFootprint pins the byte report of a module that owns its
+// payloads (no store, as on TCP) against hand-built state: a fresh module
+// reports zero, cached payloads charge map entry + order slot + payload
+// bytes, received ids charge the dedup set, and a pending request charges
+// its struct and source slices.
 func TestModuleFootprint(t *testing.T) {
 	f := newFixture(t, 1, &strategy.Flat{P: 0}, Config{})
 
@@ -78,6 +80,33 @@ func TestModuleFootprint(t *testing.T) {
 	// → 32, total 160. The drained pending table stays allocated (192).
 	if want := int64(384+16+100) + 160 + int64(8*(ids.IDSize+8)); fp.Bytes != want {
 		t.Errorf("after clearing: bytes = %d, want %d", fp.Bytes, want)
+	}
+}
+
+// TestModuleFootprintSharedStore: two modules on one store each charge
+// their dedup set and cache entries, while the payload both cache is held
+// — and charged — once, by the store.
+func TestModuleFootprintSharedStore(t *testing.T) {
+	store := &Payloads{}
+	id := ids.ID{1}
+	for self := peer.ID(1); self <= 2; self++ {
+		f := newFixture(t, self, &strategy.Flat{P: 0}, Config{})
+		f.mod.SetPayloads(store)
+		f.mod.SetReceiver(receiverFunc(func(id ids.ID, payload []byte, round int, _ peer.ID) {
+			f.mod.LSend(id, payload, round+1, 3) // relayed lazily: cached
+		}))
+		f.mod.OnMsg(id, make([]byte, 100), 1, 4)
+		// Received set 144 (see TestModuleFootprint) + cache table 384 +
+		// order slot 16; the 100 payload bytes are the store's.
+		if fp := f.mod.Footprint(); fp.Bytes != 144+384+16 || fp.Items != 2 {
+			t.Errorf("module %d footprint = %+v, want %d bytes / 2 items", self, fp, 144+384+16)
+		}
+		if f.mod.cache.bytes != 100 {
+			t.Errorf("module %d cache tracks %d payload bytes, want 100", self, f.mod.cache.bytes)
+		}
+	}
+	if fp := store.Footprint(); fp.Bytes != 8*(ids.IDSize+24)+100 || fp.Items != 1 {
+		t.Fatalf("store footprint = %+v, want one 100-byte payload (%d bytes)", fp, 8*(ids.IDSize+24)+100)
 	}
 }
 

@@ -77,6 +77,9 @@ type Module struct {
 	received *ids.Set // R: messages whose payload has been received
 	cache    *payloadCache
 	pending  *ids.Map[*pendingRequest]
+	// payloads keeps every payload the module retains past a frame; nil
+	// (the default) means a private copy each, owned by this module.
+	payloads *Payloads
 
 	// scratch is the reusable encode buffer for outbound frames. Safe
 	// because peer.Transport.Send never retains the slice.
@@ -117,6 +120,15 @@ func New(cfg Config, env *peer.Env, strat strategy.Strategy, tracer trace.Tracer
 
 // SetReceiver installs the gossip-layer upcall.
 func (m *Module) SetReceiver(r Receiver) { m.receiver = r }
+
+// SetPayloads makes the module keep payloads through store, shared with
+// every other module that uses it, instead of in private copies.
+func (m *Module) SetPayloads(store *Payloads) { m.payloads = store }
+
+// Keep returns the retainable copy of payload for id, through the module's
+// payload store (see Payloads.Keep): the gossip layer keeps its own
+// multicasts with it, OnMsg every first receipt.
+func (m *Module) Keep(id ids.ID, payload []byte) []byte { return m.payloads.Keep(id, payload) }
 
 // Strategy returns the module's transmission strategy.
 func (m *Module) Strategy() strategy.Strategy { return m.strat }
@@ -211,11 +223,12 @@ func removeSource(req *pendingRequest, src peer.ID) {
 // requests (the paper's Clear(i)) and is handed to the gossip layer;
 // duplicates are counted and dropped.
 //
-// The payload may alias a transport-recycled frame buffer: OnMsg copies
-// it exactly once, on first receipt, before anything downstream (the
+// The payload may alias a transport-recycled frame buffer: on first
+// receipt OnMsg keeps it through the run's store (shared in the
+// simulator, a private copy on TCP) before anything downstream (the
 // gossip forward path, the payload cache, the application deliver
-// upcall) can retain it. Duplicates — the bulk of gossip traffic — never
-// pay the copy.
+// upcall) can retain it. Duplicates — the bulk of gossip traffic — are
+// never kept.
 func (m *Module) OnMsg(id ids.ID, payload []byte, round int, from peer.ID) {
 	if !m.received.Add(id) {
 		m.tracer.DuplicatePayload(m.env.Self(), id)
@@ -224,7 +237,7 @@ func (m *Module) OnMsg(id ids.ID, payload []byte, round int, from peer.ID) {
 		}
 		return
 	}
-	payload = append([]byte(nil), payload...)
+	payload = m.payloads.Keep(id, payload)
 	if m.causal != nil {
 		m.causal.PayloadReceived(from, m.env.Self(), id, m.env.Now())
 	}
@@ -272,15 +285,18 @@ const (
 
 // Footprint implements obs.Footprinter: the retained bytes of the
 // per-node lazy state — the received dedup set R, the payload cache C
-// (map entries plus the cached payload bytes the cache tracks
-// incrementally) and the pending retransmission requests with their
-// source rotation queues. Pure arithmetic over tracked lengths and
-// capacities.
+// (map entries, plus the cached payload bytes the cache tracks
+// incrementally when the module owns them; a shared store reports those
+// once, in its own Footprint) and the pending retransmission requests
+// with their source rotation queues. Pure arithmetic over tracked lengths
+// and capacities.
 func (m *Module) Footprint() obs.Footprint {
 	bytes := m.received.FootprintBytes()
 	bytes += int64(m.cache.entries.TableLen())*(ids.IDSize+cachedEntryBytes) +
-		int64(cap(m.cache.order))*ids.IDSize +
-		m.cache.bytes
+		int64(cap(m.cache.order))*ids.IDSize
+	if m.payloads == nil {
+		bytes += m.cache.bytes
+	}
 	bytes += int64(m.pending.TableLen()) * (ids.IDSize + 8)
 	m.pending.Range(func(_ ids.ID, req *pendingRequest) {
 		bytes += pendingStructBytes + int64(cap(req.sources)+cap(req.asked))*4

@@ -258,8 +258,9 @@ func encodeView(dst []byte, k Kind, view []peer.ID) []byte {
 // arrays retained by the Parsed — all three are valid only until the
 // next Decode call (or until the frame buffer is recycled, whichever
 // comes first). A consumer that retains any of them must copy; the hot
-// delivery path (core.Node.HandleFrame) copies the payload exactly once,
-// on first receipt, and never retains views.
+// delivery path (core.Node.HandleFrame) keeps the payload on first
+// receipt through the run's store (shared in the simulator, a private
+// copy on TCP) and never retains views.
 type Parsed struct {
 	Kind    Kind
 	ID      ids.ID

@@ -1,6 +1,10 @@
 package sim
 
-import "time"
+import (
+	"time"
+
+	"emcast/internal/lazy"
+)
 
 // T0 exposes the oracle's first-request delay, which only strategies read.
 func (r *Runner) T0() time.Duration {
@@ -11,3 +15,6 @@ func (r *Runner) T0() time.Duration {
 // Quantiles exposes the oracle's ρ and T0 at any quantile q, computed
 // afresh; the cached ρ and T0 are Quantiles(Config.RadiusQuantile).
 func (r *Runner) Quantiles(q float64) (float64, time.Duration) { return r.quantiles(q) }
+
+// Payloads exposes the run's shared payload store.
+func (r *Runner) Payloads() *lazy.Payloads { return r.payloads }

@@ -25,6 +25,7 @@ import (
 	"emcast/internal/faults"
 	"emcast/internal/gossip"
 	"emcast/internal/ids"
+	"emcast/internal/lazy"
 	"emcast/internal/monitor"
 	"emcast/internal/obs"
 	"emcast/internal/peer"
@@ -161,7 +162,9 @@ type Config struct {
 	// and the sampled set is a pure function of (Seed, id).
 	TraceSample float64
 	// OnDeliver, when set, is invoked for every application-level
-	// delivery (library embedding; experiments leave it nil).
+	// delivery (library embedding; experiments leave it nil). The payload
+	// is the run's one kept copy of the message, shared by every node:
+	// read-only, so copy it to modify it.
 	OnDeliver func(node peer.ID, id ids.ID, payload []byte)
 
 	// Obs, when set, receives run counters (events, frames,
@@ -211,6 +214,9 @@ type Runner struct {
 	net    *emunet.Network
 	nodes  []*core.Node
 	tracer trace.Reader
+	// payloads is the one store every node keeps payloads through, so a
+	// message's bytes are held once per run, not once per node.
+	payloads *lazy.Payloads
 	// diss is the optional sampling dissemination tracer; nodeTracer is
 	// what nodes actually see (the primary collector, teed with diss
 	// when sampling is on). The metric pipeline keeps querying tracer
@@ -255,8 +261,9 @@ func New(cfg Config) *Runner {
 		Loss: cfg.Loss,
 		Seed: cfg.Seed ^ 0x5ca1ab1e,
 		// Protocol handlers never retain raw frames (core.Node decodes
-		// into per-node scratch and the lazy layer copies payloads on
-		// first receipt), so the runner opts into the frame arena.
+		// into per-node scratch and the lazy layer keeps payloads through
+		// the run's store, which copies them on first receipt), so the
+		// runner opts into the frame arena.
 		PooledFrames: true,
 	})
 	if cfg.Faults != nil {
@@ -342,19 +349,19 @@ func (r *Runner) attachObs() {
 func (r *Runner) Events() uint64 { return r.net.EventsProcessed }
 
 // Footprints walks every per-node state owner (membership view, gossip's
-// own ids, lazy module, core bookkeeping), the emulator, the trace
-// collector and the topology matrix, and returns the per-subsystem
-// retained-byte totals sorted by subsystem name. The walk is pure
-// read-only arithmetic — no allocation inside the observed structures, no
-// RNG, no virtual-time interaction — so calling it at any boundary leaves
-// reports byte-identical. Cost is O(nodes + pending requests); take it at
-// phase boundaries, not per event.
+// own ids, lazy module, core bookkeeping), the shared payload store, the
+// emulator, the trace collector and the topology matrix, and returns the
+// per-subsystem retained-byte totals sorted by subsystem name. The walk is
+// pure read-only arithmetic — no allocation inside the observed
+// structures, no RNG, no virtual-time interaction — so calling it at any
+// boundary leaves reports byte-identical. Cost is O(nodes + pending
+// requests); take it at phase boundaries, not per event.
 func (r *Runner) Footprints() []obs.Footprint {
-	fps := make([]obs.Footprint, 0, 4*len(r.nodes)+3)
+	fps := make([]obs.Footprint, 0, 4*len(r.nodes)+4)
 	for _, n := range r.nodes {
 		fps = append(fps, n.Footprints()...)
 	}
-	fps = append(fps, r.net.Footprint())
+	fps = append(fps, r.payloads.Footprint(), r.net.Footprint())
 	if t, ok := r.tracer.(obs.Footprinter); ok {
 		fps = append(fps, t.Footprint())
 	}
@@ -445,6 +452,7 @@ func (r *Runner) buildNodes() {
 	}
 	total := cfg.Nodes + cfg.LateJoiners
 	r.nodes = make([]*core.Node, total)
+	r.payloads = &lazy.Payloads{}
 	for i := 0; i < total; i++ {
 		id := peer.ID(i)
 		env := &peer.Env{
@@ -486,6 +494,7 @@ func (r *Runner) buildNodes() {
 			Tracer:   r.nodeTracer,
 			EWMA:     ewma,
 			Ranking:  table,
+			Payloads: r.payloads,
 		})
 		r.nodes[i] = node
 		r.net.Register(i, frameHandler{node: node})

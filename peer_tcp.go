@@ -318,7 +318,8 @@ func (p *Peer) Stall(d time.Duration) {
 	p.transport.Stall(d)
 }
 
-// Multicast disseminates payload to the whole group.
+// Multicast disseminates payload to the whole group. The peer keeps its
+// own copy, so the caller may reuse the buffer once Multicast returns.
 func (p *Peer) Multicast(payload []byte) MessageID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
