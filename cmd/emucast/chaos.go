@@ -1,118 +1,56 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
-	"os"
+	"runtime"
 	"time"
 
-	"emcast/internal/live"
+	"emcast/internal/scenario"
 )
 
-// runChaos implements the `emucast chaos` subcommand: a live-fleet soak
-// under injected faults. A fleet of real TCP peers on loopback takes a
-// baseline delivery wave, then runs under link drop + a crash wave + a
-// transport stall, heals, and must return to 100% delivery coverage
-// within the heal window — with zero leaked goroutines after a graceful
-// shutdown. Exits non-zero when any recovery invariant is violated.
+// runChaos implements the `emucast chaos` subcommand: `emucast live` on a
+// spec that schedules fault-* events, plus a recovery verdict on stderr.
+// It exits non-zero unless the fleet delivered atomically in the first
+// phase (healthy before the faults) and in the last (recovered after the
+// clear), and the goroutine count settles back once the fleet is closed.
 func runChaos(args []string, out, errOut io.Writer) error {
-	fs := flag.NewFlagSet("emucast chaos", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	var (
-		nodes       = fs.Int("nodes", 32, "fleet size")
-		seed        = fs.Int64("seed", 1, "seed for victim selection and the fault injector")
-		strategy    = fs.String("strategy", "eager", "gossip strategy (eager, lazy, flat)")
-		drop        = fs.Float64("drop", 0.3, "injected per-frame drop probability while faults are active")
-		crashes     = fs.Int("crashes", 3, "crash wave size")
-		stall       = fs.Duration("stall", 10*time.Second, "transport stall injected on one survivor (0 disables)")
-		warmup      = fs.Duration("warmup", 2*time.Second, "settling time before the baseline wave")
-		waveMsgs    = fs.Int("wave-msgs", 5, "multicasts per coverage wave")
-		waveTimeout = fs.Duration("wave-timeout", 15*time.Second, "deadline for the baseline and fault waves")
-		healWindow  = fs.Duration("heal-window", 30*time.Second, "deadline for coverage to return to 100% after faults clear")
-		timelinePth = fs.String("timeline", "", "write the JSONL recovery timeline to this file")
-		jsonPath    = fs.String("json", "", "write the chaos result JSON to this file")
-		quiet       = fs.Bool("q", false, "suppress progress logging on stderr")
-	)
-	var ofl obsFlags
-	ofl.register(fs)
-	fs.Usage = func() {
-		fmt.Fprintf(errOut, "usage: emucast chaos [flags]\n"+
-			"Runs a live TCP fleet under injected faults (link drop, crash wave,\n"+
-			"transport stall) and asserts it recovers: 100%% delivery coverage within\n"+
-			"the heal window, zero leaked goroutines after graceful shutdown.\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 0 {
-		fs.Usage()
-		return fmt.Errorf("chaos takes no positional arguments")
-	}
-
-	plane, err := ofl.open(errOut)
+	c, err := parseLive("chaos", "Plays a scenario Spec with fault-* events on real TCP peers, like\n"+
+		"`emucast live`, and fails unless the fleet recovers: atomic delivery in\n"+
+		"the first and last phases, no goroutine left behind.\n", args, errOut)
 	if err != nil {
 		return err
 	}
-	defer plane.close()
-
-	cfg := live.ChaosConfig{
-		Nodes:       *nodes,
-		Seed:        *seed,
-		Strategy:    *strategy,
-		Drop:        *drop,
-		Crashes:     *crashes,
-		Stall:       *stall,
-		Warmup:      *warmup,
-		WaveMsgs:    *waveMsgs,
-		WaveTimeout: *waveTimeout,
-		HealWindow:  *healWindow,
-		Obs:         plane.reg,
+	if !c.spec.HasFaults() {
+		return fmt.Errorf("chaos: spec %q schedules no fault-* events", c.spec.Name)
 	}
-	if !*quiet {
-		cfg.Logf = func(format string, args ...interface{}) {
-			fmt.Fprintf(errOut, format+"\n", args...)
-		}
-	}
-	if *timelinePth != "" {
-		f, err := os.Create(*timelinePth)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		cfg.Timeline = f
-	}
-
-	res, err := live.RunChaos(cfg)
+	g0 := runtime.NumGoroutine()
+	rep, err := c.play(out, errOut)
 	if err != nil {
 		return err
 	}
-
-	enc, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
+	g1 := runtime.NumGoroutine()
+	for deadline := time.Now().Add(10 * time.Second); g1 > g0 && time.Now().Before(deadline); g1 = runtime.NumGoroutine() {
+		time.Sleep(100 * time.Millisecond)
 	}
-	fmt.Fprintf(out, "%s\n", enc)
-	if *jsonPath != "" {
-		if err := os.WriteFile(*jsonPath, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
+	err = chaosVerdict(rep, g0, g1)
+	verdict := map[bool]string{true: "recovered", false: "FAILED"}[err == nil]
+	fmt.Fprintf(errOut, "chaos: %s; goroutines %d before the run, %d after\n", verdict, g0, g1)
+	return err
+}
 
-	// The recovery invariants, each reported before the exit status.
+// chaosVerdict judges a chaos run from its Report (a validated Spec has
+// at least one phase) and the goroutine counts before the run and after
+// it settled.
+func chaosVerdict(rep *scenario.Report, g0, g1 int) error {
+	first, last := rep.Phases[0], rep.Phases[len(rep.Phases)-1]
 	switch {
-	case res.BaselineCoverage < 1:
-		return fmt.Errorf("chaos: baseline coverage %.3f < 1 — fleet unhealthy before faults", res.BaselineCoverage)
-	case !res.Recovered:
-		return fmt.Errorf("chaos: coverage %.3f after %v heal window — fleet did not recover", res.HealCoverage, *healWindow)
-	case res.Leaked > 0:
-		return fmt.Errorf("chaos: %d goroutines leaked (start %d, end %d)", res.Leaked, res.GoroutinesStart, res.GoroutinesEnd)
-	}
-	if !*quiet {
-		fmt.Fprintf(errOut, "chaos: recovered in %v, %d reconnects, %d frames lost to faults, no leaks\n",
-			res.HealTime.Round(time.Millisecond), res.Transport.Reconnects, res.Transport.LostFault)
+	case first.Metrics.AtomicRate < 1:
+		return fmt.Errorf("chaos: first phase %q atomic rate %.3f < 1: fleet unhealthy before the faults", first.Name, first.Metrics.AtomicRate)
+	case last.Metrics.AtomicRate < 1:
+		return fmt.Errorf("chaos: last phase %q atomic rate %.3f < 1: fleet did not recover", last.Name, last.Metrics.AtomicRate)
+	case g1 > g0:
+		return fmt.Errorf("chaos: %d goroutines leaked (%d before the run, %d after)", g1-g0, g0, g1)
 	}
 	return nil
 }

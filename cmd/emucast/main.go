@@ -35,12 +35,12 @@
 //
 //	emucast live -spec examples/scenarios/live-smoke.json -compare-sim
 //
-// The chaos subcommand soaks a live TCP fleet under injected faults —
-// link drop, a crash wave, a transport stall — and asserts the recovery
-// invariants: delivery coverage back at 100% within the heal window and
-// zero leaked goroutines after a graceful shutdown:
+// The chaos subcommand is live on a Spec that schedules fault-* events —
+// link drop, slow links, a transport stall, a crash wave — plus a
+// recovery verdict: atomic delivery in the first phase and in the last
+// (after the clear), and no goroutine left behind once the fleet closes:
 //
-//	emucast chaos -nodes 32 -drop 0.3 -crashes 3 -stall 10s -timeline chaos.jsonl
+//	emucast chaos -spec examples/scenarios/chaos-faults.json -obs-log chaos.jsonl
 //
 // The trace subcommand runs one scenario with dissemination tracing on
 // and writes the full artifact set — per-message tree report, Chrome
@@ -108,7 +108,7 @@ func run(args []string, out, errOut io.Writer) error {
 				"       emucast scenario [flags] {-f <file.json> | <builtin>}\n"+
 				"       emucast sweep [flags] [-f <sweep.json>]\n"+
 				"       emucast live [flags] {-spec <file.json> | <builtin>}\n"+
-				"       emucast chaos [flags]\n"+
+				"       emucast chaos [flags] {-spec <file.json> | <builtin>}\n"+
 				"       emucast trace [flags] {-f <file.json> | <builtin>}\n"+
 				"       emucast bench [flags]\n")
 		fs.PrintDefaults()

@@ -137,43 +137,40 @@ func TestBreakdownDoesNotPerturbRun(t *testing.T) {
 // TestNetworkFootprint pins the emulator's byte report on a hand-built
 // queue: pending deliver frames charge their payload bytes plus every
 // retained scheduler slot, and draining the queue returns the payload
-// charge to zero while the slots stay retained (arena semantics). Run for
-// both schedulers, since each accounts its slots its own way.
+// charge to zero while the slots stay retained (arena semantics).
 func TestNetworkFootprint(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedulerWheel, SchedulerHeap} {
-		t.Run(kind.String(), func(t *testing.T) {
-			n := New(2, constLatency(time.Millisecond), Config{Scheduler: kind})
-			rec := &recorder{net: n}
-			n.Register(1, rec)
+	t.Run("wheel", func(t *testing.T) {
+		n := New(2, constLatency(time.Millisecond), Config{})
+		rec := &recorder{net: n}
+		n.Register(1, rec)
 
-			n.Send(0, 1, make([]byte, 30))
-			n.Send(0, 1, make([]byte, 70))
-			fp := n.Footprint()
-			if fp.Subsystem != "emunet" {
-				t.Fatalf("subsystem = %q", fp.Subsystem)
-			}
-			if fp.Items != 2 {
-				t.Fatalf("items = %d, want 2 queued events", fp.Items)
-			}
-			want := n.sched.slotCap()*eventSlotBytes + 100 +
-				int64(len(n.handlers))*(16+1+8)
-			if fp.Bytes != want {
-				t.Fatalf("bytes = %d, want %d", fp.Bytes, want)
-			}
-			if n.QueuedFrames() != 2 {
-				t.Fatalf("QueuedFrames = %d, want 2", n.QueuedFrames())
-			}
+		n.Send(0, 1, make([]byte, 30))
+		n.Send(0, 1, make([]byte, 70))
+		fp := n.Footprint()
+		if fp.Subsystem != "emunet" {
+			t.Fatalf("subsystem = %q", fp.Subsystem)
+		}
+		if fp.Items != 2 {
+			t.Fatalf("items = %d, want 2 queued events", fp.Items)
+		}
+		want := n.wheel.slotCap()*eventSlotBytes + 100 +
+			int64(len(n.handlers))*(16+1+8)
+		if fp.Bytes != want {
+			t.Fatalf("bytes = %d, want %d", fp.Bytes, want)
+		}
+		if n.QueuedFrames() != 2 {
+			t.Fatalf("QueuedFrames = %d, want 2", n.QueuedFrames())
+		}
 
-			n.RunUntilIdle(0)
-			fp = n.Footprint()
-			if fp.Items != 0 || n.QueuedFrames() != 0 {
-				t.Fatalf("after drain: items=%d queued=%d, want 0/0", fp.Items, n.QueuedFrames())
-			}
-			// Payload charge gone; only retained slots and fixed slices remain.
-			want = n.sched.slotCap()*eventSlotBytes + int64(len(n.handlers))*(16+1+8)
-			if fp.Bytes != want {
-				t.Fatalf("after drain: bytes = %d, want %d", fp.Bytes, want)
-			}
-		})
-	}
+		n.RunUntilIdle(0)
+		fp = n.Footprint()
+		if fp.Items != 0 || n.QueuedFrames() != 0 {
+			t.Fatalf("after drain: items=%d queued=%d, want 0/0", fp.Items, n.QueuedFrames())
+		}
+		// Payload charge gone; only retained slots and fixed slices remain.
+		want = n.wheel.slotCap()*eventSlotBytes + int64(len(n.handlers))*(16+1+8)
+		if fp.Bytes != want {
+			t.Fatalf("after drain: bytes = %d, want %d", fp.Bytes, want)
+		}
+	})
 }

@@ -52,11 +52,6 @@ type Config struct {
 	Jitter time.Duration
 	// Seed drives loss and jitter randomness.
 	Seed int64
-	// Scheduler selects the event-queue implementation. The zero value is
-	// the timer wheel; SchedulerHeap restores the original binary heap.
-	// Both pop in the identical (time, seq) total order, so results do
-	// not depend on the choice — only speed does.
-	Scheduler SchedulerKind
 	// PooledFrames recycles in-flight frame buffers through an arena
 	// instead of allocating per send. It tightens the Handler contract
 	// (frames must not be retained past HandleFrame), so it is opt-in;
@@ -71,14 +66,9 @@ type Network struct {
 	rng     *rand.Rand
 	now     time.Duration
 	seq     uint64
-	// sched is the cold-path scheduler handle (len/slotCap/stats).
-	// Exactly one of wheel/heap is non-nil and aliases it: hot-path
-	// push/pop/peek dispatch on the concrete type so event pointers
-	// provably do not escape (an interface call would heap-allocate
-	// every pushed event) and calls inline.
-	sched    scheduler
+	// wheel is the event queue (see wheel.go), called on its concrete
+	// type so calls inline and event pointers provably do not escape.
 	wheel    *timerWheel
-	heap     *heapSched
 	handlers []Handler
 	silenced []bool
 	linkBusy map[linkKey]time.Duration
@@ -207,52 +197,22 @@ type linkKey struct{ from, to int }
 
 // New creates a network of n nodes with the given one-way latency model.
 func New(n int, latency LatencyFunc, cfg Config) *Network {
-	net := &Network{
+	return &Network{
 		cfg:       cfg,
 		latency:   latency,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		wheel:     newTimerWheel(),
 		handlers:  make([]Handler, n),
 		silenced:  make([]bool, n),
 		linkBusy:  make(map[linkKey]time.Duration),
 		latFactor: 1,
 		group:     make([]int, n),
 	}
-	if cfg.Scheduler == SchedulerHeap {
-		net.heap = &heapSched{}
-		net.sched = net.heap
-	} else {
-		net.wheel = newTimerWheel()
-		net.sched = net.wheel
-	}
-	return net
-}
-
-// schedPop, schedPopMatch and schedPeekAt dispatch on the concrete
-// scheduler type — see the Network.sched field comment.
-func (n *Network) schedPop() (event, bool) {
-	if n.wheel != nil {
-		return n.wheel.pop()
-	}
-	return n.heap.pop()
-}
-
-func (n *Network) schedPopMatch(at time.Duration, from, to int) (event, bool) {
-	if n.wheel != nil {
-		return n.wheel.popMatchDeliver(at, from, to)
-	}
-	return n.heap.popMatchDeliver(at, from, to)
-}
-
-func (n *Network) schedPeekAt() (time.Duration, bool) {
-	if n.wheel != nil {
-		return n.wheel.peekAt()
-	}
-	return n.heap.peekAt()
 }
 
 // SchedStats returns the scheduler's internal counters (cascades, bucket
 // sorts, sorted inserts, overflow spills) for bench reporting.
-func (n *Network) SchedStats() SchedStats { return n.sched.stats() }
+func (n *Network) SchedStats() SchedStats { return n.wheel.stats() }
 
 // Size returns the number of nodes in the network.
 func (n *Network) Size() int { return len(n.handlers) }
@@ -432,26 +392,13 @@ func (n *Network) queueDeliver(at time.Duration, from, to int, frame []byte) {
 	}
 	n.queuedFrames++
 	n.queuedFrameBytes += int64(len(cp))
-	// Zero-copy fast path: reserve the bucket slot and write the event
-	// fields straight into it — no 80-byte stack event, no block copy.
-	if n.wheel != nil {
-		s := n.pushSlot(at)
-		s.kind = evDeliver
-		s.from = from
-		s.to = to
-		s.frame = cp
-		return
-	}
-	// Heap oracle path. Field-by-field init: a composite literal
-	// assigned to an address-taken local is built in a temporary and
-	// block-copied — an 80-byte duffcopy per frame that the stores
-	// below avoid.
-	var ev event
-	ev.kind = evDeliver
-	ev.from = from
-	ev.to = to
-	ev.frame = cp
-	n.push(at, &ev)
+	// Zero-copy: reserve the bucket slot and write the event fields
+	// straight into it — no 80-byte stack event, no block copy.
+	s := n.pushSlot(at)
+	s.kind = evDeliver
+	s.from = from
+	s.to = to
+	s.frame = cp
 }
 
 // releaseFrame recycles a delivered (or dropped) frame buffer back into
@@ -490,19 +437,11 @@ func (n *Network) AfterFunc(d time.Duration, fn func()) *Timer {
 		d = 0
 	}
 	t := &Timer{n: n}
-	if n.wheel != nil {
-		s := n.pushSlot(n.now + d)
-		s.kind = evTimer
-		s.fn = fn
-		s.timer = t
-		t.seq = s.seq
-		return t
-	}
-	var ev event
-	ev.kind = evTimer
-	ev.fn = fn
-	ev.timer = t
-	t.seq = n.push(n.now+d, &ev)
+	s := n.pushSlot(n.now + d)
+	s.kind = evTimer
+	s.fn = fn
+	s.timer = t
+	t.seq = s.seq
 	return t
 }
 
@@ -531,7 +470,7 @@ func (n *Network) execEvent(ev *event) bool {
 	n.ins.Events.Inc()
 	sampled := n.timed && n.EventsProcessed%n.stride == 0
 	if sampled {
-		depth := int64(n.sched.len())
+		depth := int64(n.wheel.len())
 		n.ins.QueueDepth.Set(depth)
 		n.ins.QueueDepthHist.Observe(float64(depth))
 	}
@@ -593,7 +532,7 @@ func (n *Network) execEvent(ev *event) bool {
 // real execution or the queue drains.
 func (n *Network) Step() bool {
 	for {
-		ev, ok := n.schedPop()
+		ev, ok := n.wheel.pop()
 		if !ok {
 			break
 		}
@@ -610,16 +549,16 @@ func (n *Network) Step() bool {
 
 // Per-entry sizes for Footprint. eventSlotBytes is the exact size of the
 // event struct (pinned by a unsafe.Sizeof unit test), the unit of every
-// scheduler slot — heap capacity, wheel bucket cells, free-list cells and
-// the overflow heap alike.
+// scheduler slot — wheel bucket cells, free-list cells and the overflow
+// heap alike.
 const (
 	eventSlotBytes = 80 // at, seq, kind, from, to, frame header, fn, timer
 	linkBusyEntry  = 16 + 8 + obs.MapEntryOverhead
 )
 
 // Footprint implements obs.Footprinter: every event slot the scheduler
-// retains (the wheel walks its bucket cells, free list and overflow heap;
-// the legacy heap reports its capacity), the bytes of in-flight frames
+// retains (the wheel walks its bucket cells, free list and overflow
+// heap), the bytes of in-flight frames
 // (the pool's full arena when pooling is on — pooled buffers are never
 // returned to the GC, so retained capacity is the truthful number —
 // otherwise the incrementally tracked queued-frame bytes), the bandwidth
@@ -632,11 +571,11 @@ func (n *Network) Footprint() obs.Footprint {
 	}
 	return obs.Footprint{
 		Subsystem: "emunet",
-		Bytes: n.sched.slotCap()*eventSlotBytes +
+		Bytes: n.wheel.slotCap()*eventSlotBytes +
 			frameBytes +
 			int64(len(n.linkBusy))*linkBusyEntry +
 			int64(len(n.handlers))*(16+1+8), // handler iface + silenced + group
-		Items: int64(n.sched.len()),
+		Items: int64(n.wheel.len()),
 	}
 }
 
@@ -650,7 +589,7 @@ func (n *Network) QueuedFrames() int64 { return n.queuedFrames }
 // Run is the hot loop, and it batches: after a frame delivery it drains
 // every further delivery pending at the same virtual instant on the same
 // directed link straight through the handler path, without re-entering
-// the generic pop dispatch. Batching cannot reorder anything — the
+// the generic pop. Batching cannot reorder anything — the
 // batched events are by construction exactly the next events in (time,
 // seq) order — and every per-frame drop check still runs, because a
 // handler executed mid-batch may silence a node or cut a partition under
@@ -658,7 +597,7 @@ func (n *Network) QueuedFrames() int64 { return n.queuedFrames }
 func (n *Network) Run(deadline time.Duration) int {
 	steps := 0
 	for {
-		at, ok := n.schedPeekAt()
+		at, ok := n.wheel.peekAt()
 		if !ok || at > deadline {
 			break
 		}
@@ -666,14 +605,14 @@ func (n *Network) Run(deadline time.Duration) int {
 		// real execution (or the queue drains under the skips).
 		stepped := false
 		for !stepped {
-			ev, ok := n.schedPop()
+			ev, ok := n.wheel.pop()
 			if !ok {
 				break
 			}
 			stepped = n.execEvent(&ev)
 			if stepped && ev.kind == evDeliver {
 				for {
-					bev, ok := n.schedPopMatch(ev.at, ev.from, ev.to)
+					bev, ok := n.wheel.popMatchDeliver(ev.at, ev.from, ev.to)
 					if !ok {
 						break
 					}
@@ -726,20 +665,8 @@ type event struct {
 	timer *Timer
 }
 
-func (n *Network) push(at time.Duration, ev *event) uint64 {
-	n.seq++
-	ev.at = at
-	ev.seq = n.seq
-	if n.wheel != nil {
-		n.wheel.push(ev)
-	} else {
-		n.heap.push(ev)
-	}
-	return ev.seq
-}
-
 // pushSlot reserves the next event slot at virtual time at in the wheel
-// and returns it for in-place field writes. Wheel scheduler only.
+// and returns it for in-place field writes.
 func (n *Network) pushSlot(at time.Duration) *event {
 	n.seq++
 	return n.wheel.pushSlot(at, n.seq)

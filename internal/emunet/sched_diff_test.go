@@ -1,6 +1,7 @@
 package emunet
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 	"time"
@@ -13,6 +14,57 @@ import (
 // path and its miss cases. The program generator is seeded, so every
 // failure is a one-line reproduction, and FuzzSchedulerOrder feeds the
 // same harness from the fuzzer.
+
+// heapSched is the oracle: the emulator's original scheduler,
+// container/heap over a slice ordered by (at, seq), with the wheel's
+// pop, popMatchDeliver and len.
+type heapSched struct {
+	events eventHeap
+}
+
+func (h *heapSched) push(ev *event) {
+	heap.Push(&h.events, *ev)
+}
+
+func (h *heapSched) pop() (event, bool) {
+	if len(h.events) == 0 {
+		return event{}, false
+	}
+	return heap.Pop(&h.events).(event), true
+}
+
+func (h *heapSched) popMatchDeliver(at time.Duration, from, to int) (event, bool) {
+	if len(h.events) == 0 {
+		return event{}, false
+	}
+	head := &h.events[0]
+	if head.at != at || head.kind != evDeliver || head.from != from || head.to != to {
+		return event{}, false
+	}
+	return heap.Pop(&h.events).(event), true
+}
+
+func (h *heapSched) len() int { return len(h.events) }
+
+type eventHeap []event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
+func (h *eventHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	ev := old[n-1]
+	old[n-1] = event{}
+	*h = old[:n-1]
+	return ev
+}
 
 // randDelta draws a push offset whose distribution exercises every wheel
 // tier: same-tick inserts (insertCur), L0/L1/L2 buckets across cascade
@@ -272,28 +324,26 @@ func TestPropertyPerLinkFIFO(t *testing.T) {
 // timer fire — FramesDelivered + TimerFires == EventsProcessed — and the
 // per-class instruments agree.
 func TestPropertyEventAccounting(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedulerWheel, SchedulerHeap} {
-		rng := rand.New(rand.NewSource(9))
-		n := New(4, constLatency(3*time.Millisecond), Config{Scheduler: kind})
-		for i := 0; i < 4; i++ {
-			n.Register(i, HandlerFunc(func(int, []byte) {}))
+	rng := rand.New(rand.NewSource(9))
+	n := New(4, constLatency(3*time.Millisecond), Config{})
+	for i := 0; i < 4; i++ {
+		n.Register(i, HandlerFunc(func(int, []byte) {}))
+	}
+	timers := 0
+	for i := 0; i < 500; i++ {
+		if rng.Intn(4) == 0 {
+			n.AfterFunc(time.Duration(rng.Intn(50))*time.Millisecond, func() {})
+			timers++
+		} else {
+			n.Send(rng.Intn(4), rng.Intn(4), []byte("x"))
 		}
-		timers := 0
-		for i := 0; i < 500; i++ {
-			if rng.Intn(4) == 0 {
-				n.AfterFunc(time.Duration(rng.Intn(50))*time.Millisecond, func() {})
-				timers++
-			} else {
-				n.Send(rng.Intn(4), rng.Intn(4), []byte("x"))
-			}
-		}
-		n.RunUntilIdle(0)
-		if n.EventsProcessed != n.FramesDelivered+n.TimerFires {
-			t.Fatalf("%v: EventsProcessed=%d, FramesDelivered=%d + TimerFires=%d",
-				kind, n.EventsProcessed, n.FramesDelivered, n.TimerFires)
-		}
-		if n.TimerFires != uint64(timers) {
-			t.Fatalf("%v: TimerFires=%d, scheduled %d", kind, n.TimerFires, timers)
-		}
+	}
+	n.RunUntilIdle(0)
+	if n.EventsProcessed != n.FramesDelivered+n.TimerFires {
+		t.Fatalf("EventsProcessed=%d, FramesDelivered=%d + TimerFires=%d",
+			n.EventsProcessed, n.FramesDelivered, n.TimerFires)
+	}
+	if n.TimerFires != uint64(timers) {
+		t.Fatalf("TimerFires=%d, scheduled %d", n.TimerFires, timers)
 	}
 }

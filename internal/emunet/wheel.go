@@ -10,14 +10,15 @@ import (
 // three levels of 256 buckets over a 2^13 ns (~8.2 µs) tick, giving
 // direct coverage out to ~137 virtual seconds, with a plain (at, seq)
 // min-heap catching anything farther out. Push and pop are O(1)
-// amortised and interface-free — the container/heap scheduler paid
-// O(log n) comparisons plus an interface boxing allocation per event,
-// which profiling pinned at ~30% of hot-loop CPU and ~220 MB of garbage
-// per 1k-node cell.
+// amortised and interface-free — the container/heap scheduler it
+// replaced paid O(log n) comparisons plus an interface boxing allocation
+// per event, which profiling pinned at ~30% of hot-loop CPU and ~220 MB
+// of garbage per 1k-node cell.
 //
 // Determinism contract: pops come out in exactly ascending (at, seq) —
-// the same total order as the binary heap, pinned by the differential
-// and golden tests. Three mechanisms uphold it:
+// the same total order as a binary heap, pinned by the differential
+// tests (against a test-only heap oracle) and the golden tests. Three
+// mechanisms uphold it:
 //
 //  1. Bucketing is by tick (at >> tickShift). An L0 bucket within one
 //     wheel lap holds exactly one tick value, but distinct `at` values
@@ -105,11 +106,6 @@ func eventLess(a, b *event) bool {
 }
 
 func (w *timerWheel) len() int { return w.count }
-
-func (w *timerWheel) push(ev *event) {
-	s := w.pushSlot(ev.at, ev.seq)
-	*s = *ev
-}
 
 // pushSlot reserves the slot for a new event with the given (at, seq)
 // and returns it for the caller to fill the payload fields in place —
@@ -492,3 +488,16 @@ func (w *timerWheel) slotCap() int64 {
 }
 
 func (w *timerWheel) stats() SchedStats { return w.st }
+
+// SchedStats are scheduler-internal counters surfaced in `emucast bench`
+// columns: how often the wheel cascaded a higher-level bucket, sorted a
+// current-tick bucket, took the sorted-insert slow path, or spilled to
+// the far-future overflow heap.
+type SchedStats struct {
+	Kind       string `json:"kind"`
+	Cascades   uint64 `json:"cascades,omitempty"`
+	Sorts      uint64 `json:"sorts,omitempty"`
+	CurInserts uint64 `json:"cur_inserts,omitempty"`
+	Overflow   uint64 `json:"overflow,omitempty"`
+	MaxBucket  int    `json:"max_bucket,omitempty"`
+}

@@ -438,7 +438,7 @@ func (s *Set) evict() {
 // Mix64 is the splitmix64 finaliser: one step of the generator when fed
 // its own output, and a stateless hash of x otherwise. The seeded draw
 // streams outside math/rand (fault verdicts, backoff jitter, trace
-// sampling, chaos victim picks) all advance through it.
+// sampling) all advance through it.
 func Mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -1,6 +1,8 @@
 package live
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -8,10 +10,12 @@ import (
 	"emcast/internal/scenario"
 )
 
-// faultSpec plays every fault kind with a live realisation: a drop+dup
-// link rule, a slow pair, a stall, a targeted crash, and a clear that
-// heals it all before the drain.
+// faultSpec plays every fault kind with a live realisation between a
+// clean phase and a healed one: a drop+dup link rule, a slow pair, a
+// stall and a targeted crash, all cleared as the last phase starts — the
+// shape of examples/scenarios/chaos-faults.json, scaled down.
 func faultSpec() scenario.Spec {
+	traffic := []scenario.TrafficSpec{{Kind: scenario.TrafficConstant, Rate: 5}}
 	return scenario.Spec{
 		Name:          "live-faults",
 		Seed:          11,
@@ -20,63 +24,121 @@ func faultSpec() scenario.Spec {
 		TopologyScale: 8,
 		Drain:         scenario.Duration(2 * time.Second),
 		Phases: []scenario.Phase{
+			{Name: "clean", Duration: scenario.Duration(time.Second), Traffic: traffic},
 			{
 				Name:     "chaotic",
-				Duration: scenario.Duration(4 * time.Second),
-				Traffic:  []scenario.TrafficSpec{{Kind: scenario.TrafficConstant, Rate: 5}},
+				Duration: scenario.Duration(3 * time.Second),
+				Traffic:  traffic,
 				Network: []scenario.NetEvent{
-					{At: scenario.Duration(500 * time.Millisecond), Kind: scenario.NetFaultLink, Drop: 0.4, Duplicate: 0.1},
-					{At: scenario.Duration(800 * time.Millisecond), Kind: scenario.NetFaultSlow, Nodes: []int{2}, Delay: scenario.Duration(20 * time.Millisecond)},
-					{At: scenario.Duration(time.Second), Kind: scenario.NetFaultStall, Nodes: []int{1}, For: scenario.Duration(time.Second)},
-					{At: scenario.Duration(1500 * time.Millisecond), Kind: scenario.NetFaultCrash, Nodes: []int{7}},
-					{At: scenario.Duration(2500 * time.Millisecond), Kind: scenario.NetFaultClear},
+					{At: scenario.Duration(300 * time.Millisecond), Kind: scenario.NetFaultLink, Drop: 0.4, Duplicate: 0.1},
+					{At: scenario.Duration(500 * time.Millisecond), Kind: scenario.NetFaultSlow, Nodes: []int{2}, Delay: scenario.Duration(20 * time.Millisecond)},
+					{At: scenario.Duration(800 * time.Millisecond), Kind: scenario.NetFaultStall, Nodes: []int{1}, For: scenario.Duration(time.Second)},
+					{At: scenario.Duration(1200 * time.Millisecond), Kind: scenario.NetFaultCrash, Nodes: []int{7}},
 				},
+			},
+			{
+				Name:     "healed",
+				Duration: scenario.Duration(time.Second),
+				Traffic:  traffic,
+				Network:  []scenario.NetEvent{{Kind: scenario.NetFaultClear}},
 			},
 		},
 	}
 }
 
-// TestLiveFaultEventsPlay drives the whole fault-* vocabulary through
-// the harness on real sockets: the run must complete, the shared
-// injector must have dropped and delayed frames (counted under the
-// fault loss reason), the crash victim must be down, and after the
-// clear the surviving fleet must still deliver.
-func TestLiveFaultEventsPlay(t *testing.T) {
+// faultRun is one play of faultSpec on real sockets, with the goroutine
+// counts before Run and once the closed fleet has unwound.
+type faultRun struct {
+	h      *Harness
+	rep    *scenario.Report
+	reg    *obs.Registry
+	g0, g  int
+	err    error
+	played sync.Once
+}
+
+// sharedFaultRun plays faultSpec once per test binary: a live run takes
+// seconds, and TestLiveFaultEventsPlay and TestChaosSoakRecovery judge
+// the same run from two sides.
+var sharedFaultRun faultRun
+
+func playFaultSpec(t *testing.T) *faultRun {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("live fault playback takes several seconds")
 	}
+	r := &sharedFaultRun
+	r.played.Do(func() {
+		spec := faultSpec()
+		r.reg = obs.NewRegistry()
+		if r.h, r.err = New(spec, Options{Logf: t.Logf, Obs: r.reg}); r.err != nil {
+			return
+		}
+		r.g0 = runtime.NumGoroutine()
+		if r.rep, r.err = r.h.Run(); r.err != nil {
+			return
+		}
+		// Run closes the fleet; what the transports leave behind
+		// unwinds within moments.
+		r.g = runtime.NumGoroutine()
+		for deadline := time.Now().Add(10 * time.Second); r.g > r.g0 && time.Now().Before(deadline); r.g = runtime.NumGoroutine() {
+			time.Sleep(50 * time.Millisecond)
+		}
+	})
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return r
+}
+
+// TestLiveFaultEventsPlay drives the whole fault-* vocabulary through
+// the harness on real sockets: the shared injector must have dropped and
+// delayed frames (counted under the fault loss reason), the crash victim
+// must be down, and after the clear the surviving fleet must still
+// deliver.
+func TestLiveFaultEventsPlay(t *testing.T) {
 	spec := faultSpec()
 	if err := Supported(&spec); err != nil {
 		t.Fatalf("fault events rejected by Supported: %v", err)
 	}
-	reg := obs.NewRegistry()
-	h, err := New(spec, Options{Logf: t.Logf, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Faults() == nil {
+	r := playFaultSpec(t)
+	if r.h.Faults() == nil {
 		t.Fatal("fault spec did not provision an injector")
 	}
-	rep, err := h.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if s := h.Faults().Stats(); s.Dropped == 0 || s.Delayed == 0 {
+	if s := r.h.Faults().Stats(); s.Dropped == 0 || s.Delayed == 0 {
 		t.Fatalf("injector stats show no activity: %+v", s)
 	}
-	fs := h.tcp.stats()
-	if fs.LostFault == 0 {
+	if fs := r.h.tcp.stats(); fs.LostFault == 0 {
 		t.Fatalf("no frames accounted to the fault reason: %+v", fs)
 	}
-	if rep.Overall.LiveNodes != spec.Nodes-1 {
-		t.Fatalf("live nodes %d, want %d (one crash victim)", rep.Overall.LiveNodes, spec.Nodes-1)
+	if r.rep.Overall.LiveNodes != spec.Nodes-1 {
+		t.Fatalf("live nodes %d, want %d (one crash victim)", r.rep.Overall.LiveNodes, spec.Nodes-1)
 	}
 	// Post-clear traffic plus the drain: survivors keep delivering.
-	if rep.Overall.DeliveryRate < 0.5 {
-		t.Fatalf("delivery rate %.3f after heal, want >= 0.5", rep.Overall.DeliveryRate)
+	if r.rep.Overall.DeliveryRate < 0.5 {
+		t.Fatalf("delivery rate %.3f after heal, want >= 0.5", r.rep.Overall.DeliveryRate)
 	}
-	if v, ok := reg.Value("neem_frames_lost", obs.Label{Key: "reason", Value: "fault"}); !ok || v == 0 {
+}
+
+// TestChaosSoakRecovery holds the faultSpec run to the recovery
+// invariants `emucast chaos` judges: atomic delivery before the faults
+// and after the clear, and no goroutine left behind once Run returns.
+// The graceful close must announce departures, and the obs plane must
+// carry the fault-labelled losses.
+func TestChaosSoakRecovery(t *testing.T) {
+	r := playFaultSpec(t)
+	for _, i := range []int{0, len(r.rep.Phases) - 1} {
+		if p := r.rep.Phases[i]; p.Metrics.AtomicRate != 1 {
+			t.Errorf("phase %q atomic rate %.3f over %d messages, want 1", p.Name, p.Metrics.AtomicRate, p.Metrics.MessagesSent)
+		}
+	}
+	if r.g > r.g0 {
+		t.Errorf("%d goroutines before Run, %d after: leaked", r.g0, r.g)
+	}
+	if fs := r.h.tcp.stats(); fs.DeparturesSent == 0 {
+		t.Errorf("graceful close sent no departures: %+v", fs)
+	}
+	if v, ok := r.reg.Value("neem_frames_lost", obs.Label{Key: "reason", Value: "fault"}); !ok || v == 0 {
 		t.Fatalf("neem_frames_lost{reason=fault} = %v (ok=%v), want > 0", v, ok)
 	}
 }

@@ -12,12 +12,12 @@ import (
 )
 
 // fleet is the bookkeeping of a set of in-process emcast.Peer nodes on
-// loopback sockets, shared by the scenario Harness and RunChaos: start N
-// peers and wire their address books, a link filter that silences crashed
-// peers and enforces partitions, stat retirement so fleet counters only
-// grow as members churn, the obs instruments, and shutdown. One goroutine
-// drives it; the locks are for transport goroutines (the filter) and obs
-// scrapes (the stats).
+// loopback sockets, the population behind the Harness's TCP substrate:
+// start N peers and wire their address books, a link filter that silences
+// crashed peers and enforces partitions, stat retirement so fleet
+// counters only grow as members churn, the obs instruments, and shutdown.
+// One goroutine drives it; the locks are for transport goroutines (the
+// filter), background closes and obs scrapes (the stats).
 type fleet struct {
 	// base is what every member's config shares; config fills the rest.
 	base  emcast.PeerConfig
@@ -26,9 +26,10 @@ type fleet struct {
 	logf  func(format string, args ...interface{})
 
 	mu       sync.Mutex
-	peers    map[int]*emcast.Peer     // members currently up
-	addrs    map[emcast.NodeID]string // every address ever bound
-	retired  neem.Stats               // final stat snapshots of closed members
+	peers    map[int]*emcast.Peer      // members currently up
+	leaving  map[*emcast.Peer]struct{} // members whose Close has not returned
+	addrs    map[emcast.NodeID]string  // every address ever bound
+	retired  neem.Stats                // final stat snapshots of closed members
 	closing  sync.WaitGroup
 	obsFuncs []*obs.Func
 
@@ -44,12 +45,13 @@ func newFleet(base emcast.PeerConfig, seed int64, logf func(string, ...interface
 		logf = func(string, ...interface{}) {}
 	}
 	return &fleet{
-		base:  base,
-		seed:  seed,
-		logf:  logf,
-		peers: make(map[int]*emcast.Peer),
-		addrs: make(map[emcast.NodeID]string),
-		dead:  make(map[emcast.NodeID]bool),
+		base:    base,
+		seed:    seed,
+		logf:    logf,
+		peers:   make(map[int]*emcast.Peer),
+		leaving: make(map[*emcast.Peer]struct{}),
+		addrs:   make(map[emcast.NodeID]string),
+		dead:    make(map[emcast.NodeID]bool),
 	}
 }
 
@@ -199,7 +201,7 @@ func (f *fleet) Kill(node int, leave bool) {
 	p := f.peers[node]
 	if p != nil {
 		delete(f.peers, node)
-		f.retire(p)
+		f.leaving[p] = struct{}{}
 	}
 	f.mu.Unlock()
 	if p == nil {
@@ -211,43 +213,40 @@ func (f *fleet) Kill(node int, leave bool) {
 		f.fmu.Unlock()
 	}
 	f.logf("live: node %d %s", node, map[bool]string{true: "leaves", false: "crashes"}[leave])
+	f.closeAndRetire(p)
+}
+
+// closeAndRetire closes a member already moved from peers to leaving, in
+// the background. It stays on the books while it drains and is retired
+// when Close returns, so the drain's activity — departure announcements
+// above all — is counted once and the fleet counters never dip.
+func (f *fleet) closeAndRetire(p *emcast.Peer) {
 	f.closing.Add(1)
 	go func() {
 		defer f.closing.Done()
 		p.Close()
+		f.mu.Lock()
+		delete(f.leaving, p)
+		s := p.TransportStats()
+		// Queued frames are not carried over — the close path accounts
+		// them as lost on its own.
+		s.QueueDepth = 0
+		f.retired.Add(s)
+		f.mu.Unlock()
 	}()
 }
 
-// retire folds a member's stat snapshot into the retired accumulator.
-// Queued frames are not carried over — the close path accounts them as
-// lost on its own. Callers hold f.mu.
-func (f *fleet) retire(p *emcast.Peer) {
-	s := p.TransportStats()
-	s.QueueDepth = 0
-	f.retired.Add(s)
-}
-
-// closeAll closes every remaining member and waits for background closes.
-// Members stay on the books until closed, and are retired after, so the
-// drain's activity — departure announcements above all — is counted and
-// the fleet counters never dip.
+// closeAll closes every remaining member and waits for every background
+// close, Kill's included.
 func (f *fleet) closeAll() {
 	f.mu.Lock()
-	for _, p := range f.peers {
-		f.closing.Add(1)
-		go func() {
-			defer f.closing.Done()
-			p.Close()
-		}()
+	for id, p := range f.peers {
+		delete(f.peers, id)
+		f.leaving[p] = struct{}{}
+		f.closeAndRetire(p)
 	}
 	f.mu.Unlock()
 	f.closing.Wait()
-	f.mu.Lock()
-	for id, p := range f.peers {
-		f.retire(p)
-		delete(f.peers, id)
-	}
-	f.mu.Unlock()
 }
 
 // LiveAll returns the members currently up, ascending.
@@ -272,13 +271,16 @@ func (f *fleet) peer(node int) *emcast.Peer {
 
 func (f *fleet) Failed(node int) bool { return f.peer(node) == nil }
 
-// stats aggregates transport stats across the whole fleet, retired
-// members included, so the counters only grow as members churn.
+// stats aggregates transport stats across the whole fleet, leaving and
+// retired members included, so the counters only grow as members churn.
 func (f *fleet) stats() neem.Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	agg := f.retired
 	for _, p := range f.peers {
+		agg.Add(p.TransportStats())
+	}
+	for p := range f.leaving {
 		agg.Add(p.TransportStats())
 	}
 	return agg

@@ -8,13 +8,14 @@
 // means — arrivals, sender/contact/victim picks, churn expansion, the
 // Report — and drives a scenario.Substrate; Harness supplies the TCP one
 // (tcp: wall clock, paced timeline, the shared streaming trace), built on
-// fleet, the peer bookkeeping RunChaos also uses. Deliveries flow through
-// the same trace.Streaming pipeline the simulator uses (one collector
-// shared by the whole fleet behind trace.Locked, folded as transport
-// goroutines deliver), so
-// the report has the simulator's exact schema — and Compare diffs a live
-// report against a simulator prediction metric by metric, the step that
-// validates the model against real sockets.
+// fleet, the peer bookkeeping. Deliveries flow through the same
+// trace.Streaming pipeline the simulator uses (one collector shared by
+// the whole fleet behind trace.Locked, folded as transport goroutines
+// deliver), so the report has the simulator's exact schema — and Compare
+// diffs a live report against a simulator prediction metric by metric,
+// the step that validates the model against real sockets. A fault soak
+// is a Spec with fault-* events played the same way; `emucast chaos`
+// judges its Report.
 //
 // What has a real-network meaning plays: every traffic generator and
 // sender picker, join/flash-crowd/leave/crash churn (joiners start on
@@ -202,7 +203,6 @@ func (h *Harness) Run() (*scenario.Report, error) {
 	if err := f.start(h.spec.Nodes); err != nil {
 		return nil, fmt.Errorf("live: %v", err)
 	}
-	defer f.closeAll()
 	f.attachObs(h.opts.Obs)
 	defer f.releaseObs()
 	h.opts.EventLog.Event("run_start", map[string]interface{}{
@@ -231,6 +231,9 @@ func (h *Harness) Run() (*scenario.Report, error) {
 		// the disstrace histograms populate (releaseObs runs deferred).
 		h.diss.Report()
 	}
+	// Close before run_end, so its metrics snapshot counts the graceful
+	// departures and the frames the closing drain lost.
+	f.closeAll()
 	h.opts.EventLog.Event("run_end", map[string]interface{}{
 		"scenario": h.spec.Name,
 		"wall_s":   h.tcp.Now().Seconds(),
