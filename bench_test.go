@@ -479,16 +479,14 @@ func BenchmarkSetup1kRanked(b *testing.B) { benchSetup(b, sim.StrategyRanked, tr
 
 // --- Streaming trace: sweep-cell trace memory at 10k nodes ---
 
-// benchTrace10k replays a synthetic 10k-node trace — 40 messages, every
-// node delivering, fanout-11 payload sends — against one collector and
-// reports the bytes it retains, including three phase-edge captures (a
-// 3-phase scenario run takes one more before traffic starts, when the
-// log is still empty). The full collector retains raw
-// Delivery records and deep-copied boundary snapshots (the pre-streaming
-// pipeline); the streaming collector retains per-message aggregates and
-// O(links) checkpoints. The gap between these two numbers is what lets a
-// 10k-node sweep cell finish in bounded memory.
-func benchTrace10k(b *testing.B, full bool) {
+// BenchmarkTrace10kStreaming replays a synthetic 10k-node trace — 40
+// messages, every node delivering, fanout-11 payload sends — against the
+// streaming collector and reports the bytes it retains, including three
+// phase-edge checkpoints (a 3-phase scenario run takes one more before
+// traffic starts, when the log is still empty): per-message aggregates
+// and O(links) checkpoints, never raw delivery records, which is what lets
+// a 10k-node sweep cell finish in bounded memory.
+func BenchmarkTrace10kStreaming(b *testing.B) {
 	const nodes, messages = 10000, 40
 	var retained float64
 	for i := 0; i < b.N; i++ {
@@ -496,12 +494,9 @@ func benchTrace10k(b *testing.B, full bool) {
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
 
-		var tr trace.Reader = trace.NewStreaming()
-		if full {
-			tr = trace.NewCollector()
-		}
+		tr := trace.NewStreaming()
 		g := ids.NewGenerator(int64(i + 1))
-		var bounds []interface{}
+		var bounds []trace.Checkpoint
 		at := time.Duration(0)
 		for m := 0; m < messages; m++ {
 			id := g.Next()
@@ -515,14 +510,8 @@ func benchTrace10k(b *testing.B, full bool) {
 				tr.Delivered(peer.ID(n), id, at+time.Duration(n)*time.Microsecond)
 			}
 			if m%(messages/3) == messages/3-1 {
-				// Phase boundary: the old pipeline kept a full deep-copy
-				// snapshot here; the new one keeps a counters+links
-				// checkpoint.
-				if c, ok := tr.(*trace.Collector); ok {
-					bounds = append(bounds, c.Snapshot())
-				} else {
-					bounds = append(bounds, tr.Checkpoint())
-				}
+				// Phase boundary: a counters+links checkpoint.
+				bounds = append(bounds, tr.Checkpoint())
 			}
 		}
 
@@ -536,14 +525,11 @@ func benchTrace10k(b *testing.B, full bool) {
 	b.ReportMetric(retained/(1<<20), "retained-MB")
 }
 
-func BenchmarkTrace10kFullBoundaries(b *testing.B) { benchTrace10k(b, true) }
-func BenchmarkTrace10kStreaming(b *testing.B)      { benchTrace10k(b, false) }
-
-// benchRun1k runs a complete 1k-node eager-flat experiment per iteration
-// and reports the heap retained by the runner afterwards — the end-to-end
-// counterpart of the synthetic trace benchmark (topology matrix rows and
-// protocol state included).
-func benchRun1k(b *testing.B, full bool) {
+// BenchmarkRun1kFlatStreaming runs a complete 1k-node eager-flat
+// experiment per iteration and reports the heap retained by the runner
+// afterwards — the end-to-end counterpart of the synthetic trace benchmark
+// (topology matrix rows and protocol state included).
+func BenchmarkRun1kFlatStreaming(b *testing.B) {
 	var retained float64
 	for i := 0; i < b.N; i++ {
 		runtime.GC()
@@ -553,7 +539,7 @@ func benchRun1k(b *testing.B, full bool) {
 		// A half-size router population still offers enough stubs for 1k
 		// clients; 60 s of the paper's traffic is an expected 120 messages.
 		spec := benchConfig(int64(i + 1))
-		spec.Nodes, spec.Strategy, spec.TopologyScale, spec.FullTrace = 1000, "eager", 2, full
+		spec.Nodes, spec.Strategy, spec.TopologyScale = 1000, "eager", 2
 		spec.Phases[0].Duration = scenario.Duration(60 * time.Second)
 		r, res := playSim(b, spec)
 		if res.DeliveryRate < 0.99 {
@@ -568,9 +554,6 @@ func benchRun1k(b *testing.B, full bool) {
 	}
 	b.ReportMetric(retained/(1<<20), "retained-MB")
 }
-
-func BenchmarkRun1kFlatFullTrace(b *testing.B) { benchRun1k(b, true) }
-func BenchmarkRun1kFlatStreaming(b *testing.B) { benchRun1k(b, false) }
 
 // --- Sweep engine: the full comparison-matrix pipeline ---
 

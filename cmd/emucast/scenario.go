@@ -27,7 +27,6 @@ func runScenario(args []string, out, errOut io.Writer) error {
 		nodes    = fs.Int("nodes", 0, "override the initial overlay size")
 		seed     = fs.Int64("seed", 0, "override the scenario seed")
 		scale    = fs.Int("scale", 0, "override the topology scale-down factor")
-		full     = fs.Bool("full-trace", false, "retain raw delivery events instead of streaming aggregates\n(identical report, O(messages × nodes) memory; for debugging)")
 		sample   = fs.Float64("trace-sample", 0, "sample this fraction of message ids with the dissemination\ntracer (deterministic per seed; report bytes are unchanged)")
 		trees    = fs.String("trees", "", "write the sampled tree report JSON to this file, or '-' to\nembed it in the report output (implies -trace-sample 0.01)")
 		timeline = fs.String("timeline", "", "write all sampled message timelines as Chrome trace-event /\nPerfetto JSON to this file (implies -trace-sample 0.01)")
@@ -53,9 +52,6 @@ func runScenario(args []string, out, errOut io.Writer) error {
 	spec, err := loadSpec(fs, "f", *file, *nodes, *seed, *scale)
 	if err != nil {
 		return err
-	}
-	if *full {
-		spec.FullTrace = true
 	}
 	if *sample > 0 {
 		spec.TraceSample = *sample

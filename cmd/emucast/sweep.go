@@ -32,7 +32,6 @@ func runSweep(args []string, out, errOut io.Writer) error {
 		nodesCSV   = fs.String("nodes", "", "comma-separated overlay-size axis (default: each scenario's own)")
 		scale      = fs.Int("scale", 0, "topology scale-down factor override")
 		workers    = fs.Int("workers", 0, "concurrent cell runs (default GOMAXPROCS)")
-		full       = fs.Bool("full-trace", false, "retain raw delivery events per cell instead of streaming\naggregates (identical matrix, far more memory; for debugging)")
 		sample     = fs.Float64("trace-sample", 0, "sample this fraction of each cell's message ids with the\ndissemination tracer (matrix bytes are unchanged)")
 		treesPath  = fs.String("trees", "", "write per-cell sampled tree reports as JSON to this file\n(implies -trace-sample 0.01)")
 		format     = fs.String("format", "table", "output format: table, markdown, csv or json")
@@ -121,9 +120,6 @@ func runSweep(args []string, out, errOut io.Writer) error {
 	}
 	if *workers > 0 {
 		spec.Workers = *workers
-	}
-	if *full {
-		spec.FullTrace = true
 	}
 	if *sample > 0 {
 		spec.TraceSample = *sample

@@ -45,7 +45,7 @@ var _ peer.Clock = zeroClock{}
 
 func newGossipStd(t *testing.T, cfg Config, rec *recorder, deliver DeliverFunc) *Gossip {
 	t.Helper()
-	return New(cfg, 1, ids.NewGenerator(1), rec, rec, deliver, zeroClock{}, trace.NewCollector())
+	return New(cfg, 1, ids.NewGenerator(1), rec, rec, deliver, zeroClock{}, trace.NewStreaming())
 }
 
 func TestMulticastDeliversLocallyAndRelays(t *testing.T) {

@@ -20,7 +20,7 @@ type fixture struct {
 	sim    *peertest.Sim
 	mesh   *peertest.Mesh
 	mod    *Module
-	tracer *trace.Collector
+	tracer *trace.Streaming
 	recv   []received
 }
 
@@ -40,7 +40,7 @@ func newFixture(t *testing.T, self peer.ID, strat strategy.Strategy, cfg Config)
 	f := &fixture{
 		sim:    peertest.NewSim(),
 		mesh:   peertest.NewMesh(),
-		tracer: trace.NewCollector(),
+		tracer: trace.NewStreaming(),
 	}
 	env := &peer.Env{
 		Transport: f.mesh.Endpoint(self, nil),
@@ -86,9 +86,9 @@ func TestEagerSendsPayloadImmediately(t *testing.T) {
 	if ih := f.framesOfKind(t, msg.KindIHave); len(ih) != 0 {
 		t.Fatal("eager send also advertised")
 	}
-	snap := f.tracer.Snapshot()
-	if snap.EagerPayloads != 1 || snap.LazyPayloads != 0 {
-		t.Fatalf("trace: eager=%d lazy=%d", snap.EagerPayloads, snap.LazyPayloads)
+	counts := f.tracer.Checkpoint().Counters
+	if counts.EagerPayloads != 1 || counts.LazyPayloads != 0 {
+		t.Fatalf("trace: eager=%d lazy=%d", counts.EagerPayloads, counts.LazyPayloads)
 	}
 }
 
@@ -114,9 +114,9 @@ func TestLazySendsIHaveAndServesIWant(t *testing.T) {
 	if m.Round != 2 || !bytes.Equal(m.Payload, []byte("data")) {
 		t.Fatalf("served %+v", m)
 	}
-	snap := f.tracer.Snapshot()
-	if snap.LazyPayloads != 1 || snap.EagerPayloads != 0 {
-		t.Fatalf("trace: eager=%d lazy=%d", snap.EagerPayloads, snap.LazyPayloads)
+	counts := f.tracer.Checkpoint().Counters
+	if counts.LazyPayloads != 1 || counts.EagerPayloads != 0 {
+		t.Fatalf("trace: eager=%d lazy=%d", counts.EagerPayloads, counts.LazyPayloads)
 	}
 }
 
@@ -126,8 +126,8 @@ func TestIWantMissTraced(t *testing.T) {
 	if m := f.framesOfKind(t, msg.KindMsg); len(m) != 0 {
 		t.Fatal("miss served a payload")
 	}
-	if snap := f.tracer.Snapshot(); snap.RequestMisses != 1 {
-		t.Fatalf("RequestMisses = %d, want 1", snap.RequestMisses)
+	if counts := f.tracer.Checkpoint().Counters; counts.RequestMisses != 1 {
+		t.Fatalf("RequestMisses = %d, want 1", counts.RequestMisses)
 	}
 }
 
@@ -222,8 +222,8 @@ func TestDuplicatePayloadCountedOnce(t *testing.T) {
 	if len(f.recv) != 1 {
 		t.Fatalf("upcalls = %d, want 1", len(f.recv))
 	}
-	if snap := f.tracer.Snapshot(); snap.Duplicates != 2 {
-		t.Fatalf("duplicates = %d, want 2", snap.Duplicates)
+	if counts := f.tracer.Checkpoint().Counters; counts.Duplicates != 2 {
+		t.Fatalf("duplicates = %d, want 2", counts.Duplicates)
 	}
 	if !f.mod.Received(testID) {
 		t.Fatal("Received() false after receipt")
@@ -257,8 +257,8 @@ func TestCacheEviction(t *testing.T) {
 	if len(f.framesOfKind(t, msg.KindMsg)) != 0 {
 		t.Fatal("evicted payload served")
 	}
-	if snap := f.tracer.Snapshot(); snap.RequestMisses != 1 {
-		t.Fatalf("misses = %d, want 1", snap.RequestMisses)
+	if counts := f.tracer.Checkpoint().Counters; counts.RequestMisses != 1 {
+		t.Fatalf("misses = %d, want 1", counts.RequestMisses)
 	}
 }
 

@@ -100,7 +100,6 @@ func simConfig(spec *Spec) sim.Config {
 	cfg.UseEWMAMonitor = spec.EWMAMonitor
 	cfg.DistanceMetric = spec.DistanceMetric
 	cfg.LateJoiners = spec.Joiners()
-	cfg.FullTrace = spec.FullTrace
 	cfg.TraceSample = spec.TraceSample
 	cfg.Obs = spec.Obs
 	cfg.Strategy, cfg.FlatP, _ = sim.ParseStrategy(spec.Strategy, spec.FlatP) // name vetted by Validate

@@ -261,7 +261,7 @@ func messageRecovery(msgs []trace.MsgStats, liveSet map[peer.ID]bool, event, to 
 		}
 		completed, ok := m.CompletionAmong(liveSet)
 		if !ok {
-			panic(fmt.Sprintf("scenario: recovery window [%v, %v) was not marked before its traffic ran — call MarkRecovery (or trace.Streaming.RetainCompletions) up front, or use a full trace", event, to))
+			panic(fmt.Sprintf("scenario: recovery window [%v, %v) was not marked before its traffic ran — call MarkRecovery (or trace.Streaming.RetainCompletions) up front", event, to))
 		}
 		delivered := m.DeliveredAmong(liveSet)
 		pts = append(pts, point{sent: m.SentAt, completed: completed, full: delivered == live})

@@ -101,11 +101,6 @@ type Spec struct {
 	// Drain keeps the simulation running after the last phase so
 	// in-flight lazy recoveries settle (default 10s).
 	Drain Duration `json:"drain,omitempty"`
-	// FullTrace retains every raw delivery event instead of the default
-	// streaming aggregates. Reports are byte-identical either way; the
-	// full trace exists for raw-event debugging and the equivalence
-	// tests, and its memory grows with messages × nodes.
-	FullTrace bool `json:"full_trace,omitempty"`
 	// TraceSample, when positive, samples this fraction of message ids
 	// with the dissemination tracer (internal/disstrace), which
 	// reconstructs their full hop graphs. Strictly observational: the

@@ -82,6 +82,7 @@ func TestValidateRejections(t *testing.T) {
 		{"bad loss event", `{"phases": [{"duration": "1s", "network": [{"kind": "loss", "loss": 1.5}]}]}`, "loss"},
 		{"bad factor", `{"phases": [{"duration": "1s", "network": [{"kind": "latency-factor"}]}]}`, "factor"},
 		{"bad noise", `{"noise": 2, "phases": [{"duration": "1s"}]}`, "noise"},
+		{"retired full_trace key", `{"full_trace": true, "phases": [{"duration": "1s"}]}`, "full_trace"},
 	}
 	for _, c := range cases {
 		_, err := ParseString(c.json)

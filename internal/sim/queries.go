@@ -8,14 +8,11 @@ import (
 )
 
 // MarkRecovery declares [from, to) a disruption window whose recovery
-// time will be queried: under the streaming trace, per-delivery
-// completion records of the window's messages are retained so the
-// measurement is exact. Call it before the window's traffic is
-// multicast. With a full trace this is a no-op (everything is retained).
+// time will be queried: per-delivery completion records of the window's
+// messages are retained so the measurement is exact. Call it before the
+// window's traffic is multicast.
 func (r *Runner) MarkRecovery(from, to time.Duration) {
-	if s, ok := r.tracer.(*trace.Streaming); ok {
-		s.RetainCompletions(from, to)
-	}
+	r.tracer.RetainCompletions(from, to)
 }
 
 // PayloadSplit returns the payloads each original node still up sent per

@@ -147,17 +147,10 @@ type Config struct {
 	// Eager? metric still uses the oracle unless UseEWMAMonitor is also
 	// set.
 	UseGossipRanking bool
-	// FullTrace retains every raw delivery event (trace.Collector)
-	// instead of the default streaming aggregates (trace.Streaming).
-	// Metric outputs are identical either way — the equivalence tests
-	// pin that — but the full trace keeps O(messages × nodes) Delivery
-	// records alive for the whole run; use it for debugging, not for
-	// large runs.
-	FullTrace bool
 	// TraceSample, when positive, attaches a dissemination tracer
 	// (internal/disstrace) that records the full hop graph of a
 	// deterministic sample of message ids at this rate. The tracer rides
-	// a trace.Tee beside the primary collector and never feeds the
+	// a trace.Tee beside the run's collector and never feeds the
 	// seeded path: reports are byte-identical with sampling on or off,
 	// and the sampled set is a pure function of (Seed, id).
 	TraceSample float64
@@ -213,14 +206,13 @@ type Runner struct {
 	matrix *topology.Matrix
 	net    *emunet.Network
 	nodes  []*core.Node
-	tracer trace.Reader
+	tracer *trace.Streaming
 	// payloads is the one store every node keeps payloads through, so a
 	// message's bytes are held once per run, not once per node.
 	payloads *lazy.Payloads
 	// diss is the optional sampling dissemination tracer; nodeTracer is
-	// what nodes actually see (the primary collector, teed with diss
-	// when sampling is on). The metric pipeline keeps querying tracer
-	// directly — recovery marking type-asserts its concrete type.
+	// what nodes actually see (tracer, teed with diss when sampling is
+	// on). The metric pipeline keeps querying tracer directly.
 	diss       *disstrace.Tracer
 	nodeTracer trace.Tracer
 	failed     map[peer.ID]bool
@@ -270,15 +262,10 @@ func New(cfg Config) *Runner {
 		net.SetFaults(cfg.Faults)
 	}
 
-	var tracer trace.Reader = trace.NewStreaming()
-	if cfg.FullTrace {
-		tracer = trace.NewCollector()
-	}
+	tracer := trace.NewStreaming()
 	// Presize per-message aggregates to the known population so the
 	// per-delivery fold stops growing slices mid-run.
-	if p, ok := tracer.(interface{ Presize(int) }); ok {
-		p.Presize(total)
-	}
+	tracer.Presize(total)
 	r := &Runner{
 		cfg:        cfg,
 		topo:       topo,
@@ -361,11 +348,7 @@ func (r *Runner) Footprints() []obs.Footprint {
 	for _, n := range r.nodes {
 		fps = append(fps, n.Footprints()...)
 	}
-	fps = append(fps, r.payloads.Footprint(), r.net.Footprint())
-	if t, ok := r.tracer.(obs.Footprinter); ok {
-		fps = append(fps, t.Footprint())
-	}
-	fps = append(fps, r.matrix.Footprint())
+	fps = append(fps, r.payloads.Footprint(), r.net.Footprint(), r.tracer.Footprint(), r.matrix.Footprint())
 	return obs.MergeFootprints(fps)
 }
 

@@ -12,11 +12,9 @@
 // the same spec and seeds produce a byte-identical JSON matrix at any
 // worker count.
 //
-// Cells collect through the streaming trace by default (per-message
-// aggregates instead of raw event logs — see internal/trace), which
-// bounds per-cell memory and makes 10k-node cells feasible; Spec.FullTrace
-// opts every cell back into raw-event retention for debugging, with a
-// byte-identical matrix either way.
+// Cells collect through the streaming trace (per-message aggregates
+// instead of raw event logs — see internal/trace), which bounds per-cell
+// memory and makes 10k-node cells feasible.
 package sweep
 
 import (
@@ -67,12 +65,6 @@ type Spec struct {
 	// Workers caps concurrent cell runs (0 = GOMAXPROCS). It affects
 	// wall-clock only, never results.
 	Workers int `json:"workers,omitempty"`
-	// FullTrace makes every cell retain raw delivery events instead of
-	// the default streaming aggregates. The matrix is byte-identical
-	// either way (the streaming pipeline is pinned against the full one);
-	// full traces exist for raw-event debugging and cost O(messages ×
-	// nodes) memory per in-flight cell.
-	FullTrace bool `json:"full_trace,omitempty"`
 	// TraceSample, when positive, samples this fraction of each cell's
 	// message ids with the dissemination tracer. The matrix is
 	// byte-identical with sampling on or off; per-cell tree reports
@@ -309,9 +301,6 @@ func (s *Spec) cells() []cell {
 					}
 					if s.TopologyScale > 0 {
 						sc.TopologyScale = s.TopologyScale
-					}
-					if s.FullTrace {
-						sc.FullTrace = true
 					}
 					if s.TraceSample > 0 {
 						sc.TraceSample = s.TraceSample

@@ -309,6 +309,7 @@ func TestSweepValidation(t *testing.T) {
 		"bad builtin":      `{"scenarios": ["no-such-archetype"]}`,
 		"bad nodes":        `{"scenarios": ["steady-poisson"], "nodes": [-5]}`,
 		"unknown field":    `{"scenarios": ["steady-poisson"], "bogus": 1}`,
+		"retired key":      `{"scenarios": ["steady-poisson"], "full_trace": true}`,
 		"ambiguous ref":    `{"scenarios": [{"builtin": "steady-poisson", "file": "x.json"}]}`,
 		"duplicate names":  `{"scenarios": ["steady-poisson", "steady-poisson"]}`,
 		"unnamed inline":   `{"scenarios": [{"spec": {"phases": [{"duration": "1s"}]}}]}`,

@@ -14,8 +14,8 @@ import (
 // DuplicatePayload no source); the lazy point-to-point module — the one
 // place where every frame's sender, receiver, message id and local clock
 // are all in hand — emits these richer events to tracers that ask for
-// them via a type assertion. Collectors that only aggregate counters
-// (Streaming, Collector) do not implement it and pay nothing.
+// them via a type assertion. The Streaming collector, which only folds
+// aggregates, does not implement it and pays nothing.
 //
 // Implementations must be safe for concurrent use, like Tracer.
 type CausalTracer interface {
@@ -44,12 +44,9 @@ type tee struct {
 // Tee combines tracers into one. Nil members are dropped; a single
 // remaining member is returned unwrapped. The result implements
 // CausalTracer (forwarding to whichever members implement it), so a
-// causal collector can ride alongside the run's primary Reader without
-// the node layer knowing either exists.
-//
-// Tee returns a Tracer, never a Reader: the metric pipeline must keep
-// querying the primary collector directly (the simulator's recovery
-// marking type-asserts the concrete Streaming collector).
+// causal collector can ride alongside the run's Streaming collector
+// without the node layer knowing either exists. The metric pipeline keeps
+// querying the Streaming collector directly, never through the Tee.
 func Tee(tracers ...Tracer) Tracer {
 	kept := make([]Tracer, 0, len(tracers))
 	for _, t := range tracers {

@@ -5,7 +5,7 @@ import (
 	"emcast/internal/obs"
 )
 
-// Per-entry size estimates for the Footprint walks. Like every other
+// Per-entry size estimates for the Footprint walk. Like every other
 // subsystem's accounting these are deterministic arithmetic over lengths
 // and capacities — the walk reads and never allocates or mutates, so it
 // cannot perturb a seeded run.
@@ -14,10 +14,7 @@ const (
 	// time, counters and the three slice headers (latencies, bitset words,
 	// completions).
 	msgStatsBytes = 16 + 8 + 8 + 8 + 8 + 3*24
-	// messageBytes is the fixed part of one Collector Message: ID, origin,
-	// sent time and the deliveries slice header.
-	messageBytes = 16 + 8 + 8 + 24
-	// deliveryBytes is one retained Delivery record (peer.ID + instant,
+	// deliveryBytes is one retained completion record (peer.ID + instant,
 	// padded).
 	deliveryBytes = 16
 	// linkLoadBytes is one LinkLoad value (two ints).
@@ -26,7 +23,7 @@ const (
 	spanBytes = 16
 )
 
-// footprintBytes charges the shared counterCore state: the open-addressing
+// footprintBytes charges the counterCore state: the open-addressing
 // link table (8-byte key word plus inline LinkLoad per slot, empty slots
 // included — the table is allocated whole) and the dense per-sender count
 // slice. The scalar Counters live inline in the collector struct and are
@@ -51,7 +48,7 @@ func msgStatsFootprint(m *MsgStats) int64 {
 // Footprint implements obs.Footprinter: the retained bytes of the
 // streaming fold — per-message aggregates (latency samples, delivered
 // bitsets, retained completions), the multicast order, pending payload
-// counts, retention spans and the shared link/node counters.
+// counts, retention spans and the link/node counters.
 func (s *Streaming) Footprint() obs.Footprint {
 	bytes := int64(cap(s.order))*ids.IDSize +
 		int64(s.messages.TableLen())*(ids.IDSize+8) +
@@ -68,27 +65,4 @@ func (s *Streaming) Footprint() obs.Footprint {
 	}
 }
 
-// Footprint implements obs.Footprinter: the retained bytes of the full
-// collector — every raw Delivery record, per-message payload counts, the
-// multicast order and the shared link/node counters.
-func (c *Collector) Footprint() obs.Footprint {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	bytes := int64(cap(c.order))*ids.IDSize +
-		int64(len(c.messages))*(ids.IDSize+8+obs.MapEntryOverhead) +
-		int64(len(c.payloadByMsg))*(ids.IDSize+8+obs.MapEntryOverhead) +
-		c.core.footprintBytes()
-	for _, m := range c.messages {
-		bytes += messageBytes + int64(cap(m.Deliveries))*deliveryBytes
-	}
-	return obs.Footprint{
-		Subsystem: "trace",
-		Bytes:     bytes,
-		Items:     int64(len(c.messages)),
-	}
-}
-
-var (
-	_ obs.Footprinter = (*Streaming)(nil)
-	_ obs.Footprinter = (*Collector)(nil)
-)
+var _ obs.Footprinter = (*Streaming)(nil)

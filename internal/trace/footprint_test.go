@@ -7,37 +7,9 @@ import (
 	"emcast/internal/ids"
 )
 
-// TestCollectorFootprint pins the full collector's byte report on a
-// hand-built trace: one message, two deliveries, one payload on one link.
-func TestCollectorFootprint(t *testing.T) {
-	c := NewCollector()
-	fp := c.Footprint()
-	if fp.Subsystem != "trace" || fp.Bytes != 0 || fp.Items != 0 {
-		t.Fatalf("empty collector footprint = %+v, want trace/0/0", fp)
-	}
-
-	id := ids.ID{1}
-	c.Multicast(0, id, 0)
-	c.Delivered(0, id, 0)
-	c.Delivered(1, id, 10*time.Millisecond)
-	c.PayloadSent(0, 1, id, 300, true)
-
-	fp = c.Footprint()
-	if fp.Items != 1 {
-		t.Fatalf("items = %d, want 1", fp.Items)
-	}
-	// Hand arithmetic: order cap 1 → 16; messages map 1×(16+8+16) = 40;
-	// payloadByMsg 1×40; core: 8-slot link table (8×8 keys + 8×16 vals =
-	// 192) + sender-count slice cap 1 → 8; Message struct 56 + deliveries
-	// cap 2 ×16 = 88.
-	want := int64(16 + 40 + 40 + 192 + 8 + messageBytes + 2*deliveryBytes)
-	if fp.Bytes != want {
-		t.Fatalf("bytes = %d, want %d", fp.Bytes, want)
-	}
-}
-
-// TestStreamingFootprint pins the streaming collector's report on the
-// same hand-built trace, retained-completions span included.
+// TestStreamingFootprint pins the streaming collector's byte report on a
+// hand-built trace — one message, two deliveries, one payload on one
+// link — retained-completions span included.
 func TestStreamingFootprint(t *testing.T) {
 	s := NewStreaming()
 	fp := s.Footprint()

@@ -8,7 +8,7 @@ import (
 	"emcast/internal/peer"
 )
 
-// Counters are the cumulative scalar event counts every collector keeps.
+// Counters are the cumulative scalar event counts of a run.
 // They are cheap to copy, so phase-boundary accounting diffs Counters
 // (via Checkpoint) instead of deep-copying whole snapshots.
 type Counters struct {
@@ -102,10 +102,8 @@ func (b *bitset) get(i uint32) bool {
 // MsgStats is the per-message running aggregate the metric pipeline
 // consumes: who delivered (as a bitset), the non-origin delivery latencies
 // in delivery order, and the payload transmissions attributed to the
-// message. Both collectors expose the run as []MsgStats, so every derived
-// metric (window results, recovery times, joiner coverage) is computed
-// from aggregates — identically whether the events were folded as they
-// happened (Streaming) or retained raw (Collector).
+// message. Every derived metric (window results, recovery times, joiner
+// coverage) is computed from these aggregates, never from raw events.
 type MsgStats struct {
 	ID     ids.ID
 	Origin peer.ID
@@ -115,15 +113,21 @@ type MsgStats struct {
 	// included.
 	Deliveries int
 	// Latencies are the end-to-end latencies of non-origin deliveries, in
-	// delivery order, as float64 nanoseconds — exactly the samples the
-	// full trace yields, so means, intervals and percentiles match to the
-	// last bit. Empty for messages whose multicast was never traced.
+	// delivery order, as float64 nanoseconds — one exact sample per
+	// delivery, so means, intervals and percentiles are exact to the last
+	// bit. Empty for messages whose multicast was never traced.
 	Latencies []float64
 	// Payloads counts payload transmissions attributed to this message.
 	Payloads int
 
 	delivered   bitset
-	completions []Delivery // per-delivery (node, at); nil unless retained
+	completions []delivery // per-delivery (node, at); nil unless retained
+}
+
+// delivery is one retained completion record.
+type delivery struct {
+	node peer.ID
+	at   time.Duration
 }
 
 // DeliveredBy reports whether the node delivered the message.
@@ -150,11 +154,6 @@ func (m *MsgStats) DeliveredAmong(live map[peer.ID]bool) int {
 	return n
 }
 
-// HasCompletions reports whether per-delivery completion times were
-// retained for this message (always true for the full Collector; true for
-// Streaming only inside spans marked with RetainCompletions).
-func (m *MsgStats) HasCompletions() bool { return m.completions != nil }
-
 // CompletionAmong returns the instant of the last delivery to a node of
 // the live set — the message's completion time for recovery accounting —
 // or 0 when no live node delivered it. ok is false when completion times
@@ -165,29 +164,11 @@ func (m *MsgStats) CompletionAmong(live map[peer.ID]bool) (completed time.Durati
 		return 0, m.Deliveries == 0
 	}
 	for _, d := range m.completions {
-		if live[d.Node] && d.At > completed {
-			completed = d.At
+		if live[d.node] && d.at > completed {
+			completed = d.at
 		}
 	}
 	return completed, true
-}
-
-// Reader is the query side shared by both collectors: the full Collector
-// (raw events retained, Snapshot available) and the Streaming collector
-// (aggregates only). The metric pipeline — package scenario's Report
-// assembly, for both substrates — depends only on this interface.
-type Reader interface {
-	Tracer
-	// Checkpoint copies the cumulative counters and link loads; O(links).
-	Checkpoint() Checkpoint
-	// MessageStats returns the per-message aggregates in multicast order.
-	// The aggregates' internal state is shared with the collector: treat
-	// them as read-only, and only rely on them while no events are being
-	// traced (the simulator collects with virtual time paused; the live
-	// harness takes Locked.CheckpointAndMessages, which copies).
-	MessageStats() []MsgStats
-	// NodePayloads copies the per-node payload transmission counts.
-	NodePayloads() map[peer.ID]int
 }
 
 // span is a half-open virtual-time interval [from, to).
@@ -195,12 +176,9 @@ type span struct {
 	from, to time.Duration
 }
 
-// counterCore is the bookkeeping shared verbatim by both collectors:
-// per-link loads, per-node payload counts and the scalar Counters. Every
-// mutation lives here exactly once, so a new counter or event kind cannot
-// be bumped in one collector and silently missed in the other — the
-// byte-identical streaming/full equivalence depends on that. The owning
-// collector serialises access.
+// counterCore is Streaming's message-independent bookkeeping: per-link
+// loads and the scalar Counters, which a Checkpoint copies, and per-node
+// payload counts. The owning collector serialises access.
 type counterCore struct {
 	// links maps the normalised endpoint pair packed into a uint64
 	// (A<<32|B) to its load, via an open-addressing table with inline
@@ -216,10 +194,6 @@ type counterCore struct {
 	payloadByNode    []int
 	payloadByNodeOOB map[peer.ID]int
 	counters         Counters
-}
-
-func newCounterCore() counterCore {
-	return counterCore{}
 }
 
 // payloadByNodeMax bounds the dense per-sender slice: IDs at or above it
@@ -346,10 +320,6 @@ func packLink(a, b peer.ID) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
-func (c *counterCore) deliveredEvent() {
-	c.counters.TotalDelivered++
-}
-
 func (c *counterCore) payloadEvent(from, to peer.ID, bytes int, eager bool) {
 	load := c.links.load(packLink(from, to))
 	load.Payloads++
@@ -362,19 +332,6 @@ func (c *counterCore) payloadEvent(from, to peer.ID, bytes int, eager bool) {
 	} else {
 		c.counters.LazyPayloads++
 	}
-}
-
-func (c *counterCore) controlEvent(bytes int) {
-	c.counters.ControlFrames++
-	c.counters.ControlBytes += bytes
-}
-
-func (c *counterCore) duplicateEvent() {
-	c.counters.Duplicates++
-}
-
-func (c *counterCore) requestMissEvent() {
-	c.counters.RequestMisses++
 }
 
 func (c *counterCore) checkpoint() Checkpoint {
@@ -405,8 +362,8 @@ func (c *counterCore) nodePayloads() map[peer.ID]int {
 // instead of retaining it: deliveries become one bit, one latency sample
 // and one counter increment, and payload transmissions become per-link /
 // per-node / per-message counters. Nothing in it grows with the raw event
-// log except the latency samples (8 bytes per delivery, against the full
-// Collector's 16-byte Delivery records plus per-boundary deep copies) —
+// log except the latency samples (8 bytes per delivery, half of a raw
+// (node, instant) record, and never deep-copied at a phase boundary) —
 // the difference between a 10k-node sweep cell finishing and stalling on
 // memory.
 //
@@ -442,7 +399,6 @@ func NewStreaming() *Streaming {
 	return &Streaming{
 		messages:        ids.NewMap[*MsgStats](0),
 		pendingPayloads: ids.NewMap[int](0),
-		core:            newCounterCore(),
 	}
 }
 
@@ -488,8 +444,8 @@ func (s *Streaming) retained(at time.Duration) bool {
 }
 
 // message returns the state for id, creating it as an orphan (unknown
-// origin, SentAt -1) when the multicast was never traced — the full
-// Collector's convention for partial traces.
+// origin, SentAt -1) when the multicast was never traced, as happens in
+// partial traces. A later Multicast for id does not resurrect it.
 func (s *Streaming) message(id ids.ID) *MsgStats {
 	m, ok := s.messages.Get(id)
 	if !ok {
@@ -515,7 +471,7 @@ func (s *Streaming) Multicast(origin peer.ID, id ids.ID, at time.Duration) {
 		s.pendingPayloads.Delete(id)
 	}
 	if s.retained(at) {
-		m.completions = []Delivery{}
+		m.completions = []delivery{}
 	}
 	s.messages.Put(id, m)
 	s.order = append(s.order, id)
@@ -525,7 +481,7 @@ func (s *Streaming) Multicast(origin peer.ID, id ids.ID, at time.Duration) {
 func (s *Streaming) Delivered(node peer.ID, id ids.ID, at time.Duration) {
 	m := s.message(id)
 	m.Deliveries++
-	s.core.deliveredEvent()
+	s.core.counters.TotalDelivered++
 	if node != peer.None {
 		m.delivered.set(uint32(node))
 	}
@@ -533,7 +489,7 @@ func (s *Streaming) Delivered(node peer.ID, id ids.ID, at time.Duration) {
 		m.Latencies = append(m.Latencies, float64(at-m.SentAt))
 	}
 	if m.completions != nil {
-		m.completions = append(m.completions, Delivery{Node: node, At: at})
+		m.completions = append(m.completions, delivery{node: node, at: at})
 	}
 }
 
@@ -550,23 +506,28 @@ func (s *Streaming) PayloadSent(from, to peer.ID, id ids.ID, bytes int, eager bo
 
 // ControlSent implements Tracer.
 func (s *Streaming) ControlSent(from, to peer.ID, kind string, bytes int) {
-	s.core.controlEvent(bytes)
+	s.core.counters.ControlFrames++
+	s.core.counters.ControlBytes += bytes
 }
 
 // DuplicatePayload implements Tracer.
 func (s *Streaming) DuplicatePayload(node peer.ID, id ids.ID) {
-	s.core.duplicateEvent()
+	s.core.counters.Duplicates++
 }
 
 // RequestMiss implements Tracer.
 func (s *Streaming) RequestMiss(node peer.ID, id ids.ID) {
-	s.core.requestMissEvent()
+	s.core.counters.RequestMisses++
 }
 
-// Checkpoint implements Reader.
+// Checkpoint copies the cumulative counters and link loads; O(links).
 func (s *Streaming) Checkpoint() Checkpoint { return s.core.checkpoint() }
 
-// MessageStats implements Reader.
+// MessageStats returns the per-message aggregates in multicast order. The
+// aggregates' internal state is shared with the collector: treat them as
+// read-only, and only rely on them while no events are being traced (the
+// simulator collects with virtual time paused; the live harness takes
+// Locked.CheckpointAndMessages, which copies).
 func (s *Streaming) MessageStats() []MsgStats {
 	out := make([]MsgStats, 0, len(s.order))
 	for _, id := range s.order {
@@ -576,9 +537,9 @@ func (s *Streaming) MessageStats() []MsgStats {
 	return out
 }
 
-// NodePayloads implements Reader.
+// NodePayloads copies the per-node payload transmission counts.
 func (s *Streaming) NodePayloads() map[peer.ID]int {
 	return s.core.nodePayloads()
 }
 
-var _ Reader = (*Streaming)(nil)
+var _ Tracer = (*Streaming)(nil)

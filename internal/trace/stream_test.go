@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -39,58 +40,192 @@ func feed(tr Tracer) {
 	tr.Delivered(5, c, 70*time.Millisecond)
 }
 
-// TestStreamingMatchesCollector pins the streaming fold against the full
-// collector: identical aggregates, counters and link loads from the same
-// event sequence.
-func TestStreamingMatchesCollector(t *testing.T) {
-	full := NewCollector()
-	str := NewStreaming()
-	str.RetainCompletions(0, time.Hour) // completions comparable too
-	feed(full)
-	feed(str)
+// retainTracer is a Tracer that takes recovery-span marks: Streaming and
+// its test reference.
+type retainTracer interface {
+	Tracer
+	RetainCompletions(from, to time.Duration)
+}
 
-	if got, want := str.Checkpoint(), full.Checkpoint(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("checkpoints differ:\nstreaming: %+v\nfull:      %+v", got, want)
+// randomFeed replays a seeded random sequence of n events into every
+// tracer: a small pool of message ids, so multicasts repeat and
+// deliveries and payloads land before their multicast (orphans and pending
+// payloads), a peer.None delivery now and then, senders beyond the dense
+// per-node range, and recovery-span marks between the events.
+func randomFeed(seed int64, n int, trs ...retainTracer) {
+	rng := rand.New(rand.NewSource(seed))
+	g := ids.NewGenerator(seed)
+	pool := make([]ids.ID, 4+rng.Intn(16))
+	for i := range pool {
+		pool[i] = g.Next()
 	}
-	if got, want := str.NodePayloads(), full.NodePayloads(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("node payloads differ: %v vs %v", got, want)
+	const nodes = 12
+	node := func() peer.ID {
+		if rng.Intn(40) == 0 {
+			return payloadByNodeMax + peer.ID(rng.Intn(3))
+		}
+		return peer.ID(rng.Intn(nodes))
 	}
-
-	fm, sm := full.MessageStats(), str.MessageStats()
-	if len(fm) != len(sm) {
-		t.Fatalf("message counts differ: %d vs %d", len(fm), len(sm))
-	}
-	live := map[peer.ID]bool{0: true, 1: true, 2: true, 3: true, 4: true, 5: true}
-	for i := range fm {
-		f, s := &fm[i], &sm[i]
-		if f.ID != s.ID || f.Origin != s.Origin || f.SentAt != s.SentAt {
-			t.Fatalf("message %d identity differs: %+v vs %+v", i, f, s)
-		}
-		if f.Deliveries != s.Deliveries || f.Payloads != s.Payloads {
-			t.Fatalf("message %d counts differ: %+v vs %+v", i, f, s)
-		}
-		if !reflect.DeepEqual(f.Latencies, s.Latencies) {
-			t.Fatalf("message %d latencies differ: %v vs %v", i, f.Latencies, s.Latencies)
-		}
-		if f.DeliveredAmong(live) != s.DeliveredAmong(live) {
-			t.Fatalf("message %d delivered-among differs", i)
-		}
-		// Orphans (multicast never traced) sit outside every markable
-		// span, and every recovery window starts at >= 0, so their
-		// completions are never queried; compare real messages only.
-		if f.SentAt >= 0 {
-			fc, fok := f.CompletionAmong(live)
-			sc, sok := s.CompletionAmong(live)
-			if fc != sc || fok != sok {
-				t.Fatalf("message %d completion differs: %v/%v vs %v/%v", i, fc, fok, sc, sok)
+	var at time.Duration
+	for i := 0; i < n; i++ {
+		at += time.Duration(rng.Intn(5)) * time.Millisecond
+		id := pool[rng.Intn(len(pool))]
+		switch k := rng.Intn(100); {
+		case k < 12:
+			origin := peer.ID(rng.Intn(nodes))
+			for _, tr := range trs {
+				tr.Multicast(origin, id, at)
+			}
+		case k < 45:
+			dst := peer.ID(rng.Intn(nodes))
+			if rng.Intn(25) == 0 {
+				dst = peer.None
+			}
+			for _, tr := range trs {
+				tr.Delivered(dst, id, at)
+			}
+		case k < 75:
+			from, to, bytes, eager := node(), node(), 1+rng.Intn(1024), rng.Intn(3) > 0
+			for _, tr := range trs {
+				tr.PayloadSent(from, to, id, bytes, eager)
+			}
+		case k < 85:
+			from, to, bytes := node(), node(), 1+rng.Intn(64)
+			for _, tr := range trs {
+				tr.ControlSent(from, to, "ihave", bytes)
+			}
+		case k < 90:
+			for _, tr := range trs {
+				tr.DuplicatePayload(peer.ID(rng.Intn(nodes)), id)
+			}
+		case k < 95:
+			for _, tr := range trs {
+				tr.RequestMiss(peer.ID(rng.Intn(nodes)), id)
+			}
+		default:
+			from := at + time.Duration(rng.Intn(200)-50)*time.Millisecond
+			to := from + time.Duration(rng.Intn(300))*time.Millisecond
+			for _, tr := range trs {
+				tr.RetainCompletions(from, to)
 			}
 		}
-		for n := peer.ID(0); n < 8; n++ {
-			if f.DeliveredBy(n) != s.DeliveredBy(n) {
-				t.Fatalf("message %d DeliveredBy(%d) differs", i, n)
+	}
+}
+
+// TestStreamingMatchesReference pins the streaming fold against the raw
+// event log of reference_test.go, through the exported accessors only:
+// identical counters, link loads, per-node payloads and per-message
+// aggregates, on the hand-built feed and on seeded random sequences.
+func TestStreamingMatchesReference(t *testing.T) {
+	t.Run("feed", func(t *testing.T) {
+		s, r := NewStreaming(), &reference{}
+		s.RetainCompletions(0, time.Hour)
+		r.RetainCompletions(0, time.Hour)
+		feed(s)
+		feed(r)
+		checkAgainstReference(t, s, r)
+	})
+	for seed := int64(1); seed <= 200; seed++ {
+		s, r := NewStreaming(), &reference{}
+		if seed%2 == 0 {
+			s.Presize(12) // the presized fold must not change a value
+		}
+		randomFeed(seed, 300, s, r)
+		if !checkAgainstReference(t, s, r) {
+			t.Fatalf("seed %d: streaming fold diverged from the reference", seed)
+		}
+	}
+}
+
+// checkAgainstReference reports every difference between s and r and
+// whether there was none.
+func checkAgainstReference(t *testing.T, s *Streaming, r *reference) bool {
+	t.Helper()
+	ok := true
+	fail := func(format string, args ...interface{}) {
+		t.Helper()
+		t.Errorf(format, args...)
+		ok = false
+	}
+	cp := s.Checkpoint()
+	if want := r.counters(); cp.Counters != want {
+		fail("counters = %+v, want %+v", cp.Counters, want)
+	}
+	links := r.links()
+	if cp.Links.Len() != len(links) {
+		fail("links = %d, want %d", cp.Links.Len(), len(links))
+	}
+	for l, want := range links {
+		if got := cp.Links.Get(l); got != want {
+			fail("link %v = %+v, want %+v", l, got, want)
+		}
+	}
+	cp.Links.Range(func(l Link, got LinkLoad) {
+		if want, seen := links[l]; !seen || got != want {
+			fail("ranged link %v = %+v, want %+v (present %v)", l, got, want, seen)
+		}
+	})
+	if got, want := s.NodePayloads(), r.nodePayloads(); !reflect.DeepEqual(got, want) {
+		fail("node payloads = %v, want %v", got, want)
+	}
+
+	sm, rm := s.MessageStats(), r.messages()
+	if len(sm) != len(rm) {
+		fail("messages = %d, want %d", len(sm), len(rm))
+		return false
+	}
+	all, even := map[peer.ID]bool{}, map[peer.ID]bool{}
+	for n := peer.ID(0); n < 16; n++ {
+		all[n] = true
+		if n%2 == 0 {
+			even[n] = true
+		}
+	}
+	for i := range sm {
+		got, want := &sm[i], rm[i]
+		if got.ID != want.id || got.Origin != want.origin || got.SentAt != want.sentAt {
+			fail("message %d = %v/%d/%v, want %v/%d/%v", i, got.ID, got.Origin, got.SentAt, want.id, want.origin, want.sentAt)
+			continue
+		}
+		if got.Deliveries != len(want.deliveries) || got.Payloads != want.payloads {
+			fail("message %d deliveries/payloads = %d/%d, want %d/%d", i, got.Deliveries, got.Payloads, len(want.deliveries), want.payloads)
+		}
+		if lat := want.latencies(); len(got.Latencies) != len(lat) {
+			fail("message %d latencies = %v, want %v", i, got.Latencies, lat)
+		} else {
+			for j := range lat {
+				if got.Latencies[j] != lat[j] {
+					fail("message %d latencies = %v, want %v", i, got.Latencies, lat)
+					break
+				}
+			}
+		}
+		for n := peer.ID(0); n < 16; n++ {
+			if got.DeliveredBy(n) != want.delivered[n] {
+				fail("message %d DeliveredBy(%d) = %v", i, n, got.DeliveredBy(n))
+			}
+		}
+		if got.DeliveredBy(peer.None) {
+			fail("message %d delivered by peer.None", i)
+		}
+		for _, live := range []map[peer.ID]bool{all, even} {
+			n := 0
+			for p := range want.delivered {
+				if live[p] {
+					n++
+				}
+			}
+			if got.DeliveredAmong(live) != n {
+				fail("message %d DeliveredAmong = %d, want %d", i, got.DeliveredAmong(live), n)
+			}
+			gc, gok := got.CompletionAmong(live)
+			wc, wok := want.completionAmong(live)
+			if gc != wc || gok != wok {
+				fail("message %d CompletionAmong = %v/%v, want %v/%v", i, gc, gok, wc, wok)
 			}
 		}
 	}
+	return ok
 }
 
 // TestStreamingRetiresCompletions: outside marked spans no per-delivery
@@ -108,13 +243,13 @@ func TestStreamingRetiresCompletions(t *testing.T) {
 
 	live := map[peer.ID]bool{0: true, 1: true}
 	msgs := s.MessageStats()
-	if !msgs[0].HasCompletions() {
+	if msgs[0].completions == nil {
 		t.Fatal("message inside the marked span lost its completions")
 	}
 	if c, ok := msgs[0].CompletionAmong(live); !ok || c != 160*time.Millisecond {
 		t.Fatalf("marked completion = %v/%v, want 160ms/true", c, ok)
 	}
-	if msgs[1].HasCompletions() {
+	if msgs[1].completions != nil {
 		t.Fatal("message outside the marked span retained completions")
 	}
 	if _, ok := msgs[1].CompletionAmong(live); ok {
@@ -127,9 +262,9 @@ func TestStreamingRetiresCompletions(t *testing.T) {
 	}
 }
 
-// TestStreamingOrphanStaysOrphan mirrors the full collector's partial-
-// trace convention: a delivery for an untraced multicast records an
-// unknown-origin message, and a late Multicast does not resurrect it.
+// TestStreamingOrphanStaysOrphan pins the partial-trace convention: a
+// delivery for an untraced multicast records an unknown-origin message,
+// and a late Multicast does not resurrect it.
 func TestStreamingOrphanStaysOrphan(t *testing.T) {
 	s := NewStreaming()
 	id := ids.NewGenerator(3).Next()

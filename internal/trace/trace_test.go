@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -24,120 +23,78 @@ func TestMakeLinkNormalises(t *testing.T) {
 	}
 }
 
-func TestCollectorMessageLifecycle(t *testing.T) {
-	c := NewCollector()
-	c.Multicast(1, idA, 100*time.Millisecond)
-	c.Delivered(1, idA, 100*time.Millisecond)
-	c.Delivered(2, idA, 150*time.Millisecond)
-	c.Delivered(3, idA, 160*time.Millisecond)
+// The TestCollector* tests pin the Streaming collector's bookkeeping
+// against hand-computed expectations.
 
-	snap := c.Snapshot()
-	if len(snap.Messages) != 1 {
-		t.Fatalf("messages = %d", len(snap.Messages))
+func TestCollectorMessageLifecycle(t *testing.T) {
+	s := NewStreaming()
+	s.Multicast(1, idA, 100*time.Millisecond)
+	s.Delivered(1, idA, 100*time.Millisecond)
+	s.Delivered(2, idA, 150*time.Millisecond)
+	s.Delivered(3, idA, 160*time.Millisecond)
+
+	msgs := s.MessageStats()
+	if len(msgs) != 1 {
+		t.Fatalf("messages = %d", len(msgs))
 	}
-	m := snap.Messages[0]
+	m := msgs[0]
 	if m.Origin != 1 || m.SentAt != 100*time.Millisecond {
 		t.Fatalf("message meta = %+v", m)
 	}
-	if len(m.Deliveries) != 3 || snap.TotalDelivered != 3 {
-		t.Fatalf("deliveries = %d / %d", len(m.Deliveries), snap.TotalDelivered)
+	if delivered := s.Checkpoint().TotalDelivered; m.Deliveries != 3 || delivered != 3 {
+		t.Fatalf("deliveries = %d / %d", m.Deliveries, delivered)
 	}
 }
 
 func TestCollectorDeliveryWithoutMulticast(t *testing.T) {
-	c := NewCollector()
-	c.Delivered(2, idB, time.Second)
-	snap := c.Snapshot()
-	if len(snap.Messages) != 1 {
+	s := NewStreaming()
+	s.Delivered(2, idB, time.Second)
+	msgs := s.MessageStats()
+	if len(msgs) != 1 {
 		t.Fatal("orphan delivery not recorded")
 	}
-	if snap.Messages[0].Origin != peer.None || snap.Messages[0].SentAt >= 0 {
-		t.Fatalf("orphan message meta = %+v", snap.Messages[0])
+	if msgs[0].Origin != peer.None || msgs[0].SentAt >= 0 {
+		t.Fatalf("orphan message meta = %+v", msgs[0])
 	}
 }
 
 func TestCollectorLinkAggregation(t *testing.T) {
-	c := NewCollector()
-	c.PayloadSent(1, 2, idA, 100, true)
-	c.PayloadSent(2, 1, idA, 50, false) // same undirected connection
-	c.PayloadSent(1, 3, idB, 25, true)
+	s := NewStreaming()
+	s.PayloadSent(1, 2, idA, 100, true)
+	s.PayloadSent(2, 1, idA, 50, false) // same undirected connection
+	s.PayloadSent(1, 3, idB, 25, true)
 
-	snap := c.Snapshot()
-	if len(snap.Links) != 2 {
-		t.Fatalf("links = %d, want 2", len(snap.Links))
+	cp := s.Checkpoint()
+	if cp.Links.Len() != 2 {
+		t.Fatalf("links = %d, want 2", cp.Links.Len())
 	}
-	l12 := snap.Links[MakeLink(1, 2)]
+	l12 := cp.Links.Get(MakeLink(1, 2))
 	if l12.Payloads != 2 || l12.Bytes != 150 {
 		t.Fatalf("link 1-2 = %+v", l12)
 	}
-	if snap.EagerPayloads != 2 || snap.LazyPayloads != 1 {
-		t.Fatalf("eager=%d lazy=%d", snap.EagerPayloads, snap.LazyPayloads)
+	if cp.EagerPayloads != 2 || cp.LazyPayloads != 1 {
+		t.Fatalf("eager=%d lazy=%d", cp.EagerPayloads, cp.LazyPayloads)
 	}
-	if snap.PayloadByNode[1] != 2 || snap.PayloadByNode[2] != 1 {
-		t.Fatalf("per-node = %v", snap.PayloadByNode)
+	if byNode := s.NodePayloads(); byNode[1] != 2 || byNode[2] != 1 {
+		t.Fatalf("per-node = %v", byNode)
 	}
-	if snap.PayloadBytes != 175 {
-		t.Fatalf("bytes = %d", snap.PayloadBytes)
+	if cp.PayloadBytes != 175 {
+		t.Fatalf("bytes = %d", cp.PayloadBytes)
 	}
 }
 
 func TestCollectorCounters(t *testing.T) {
-	c := NewCollector()
-	c.ControlSent(1, 2, "IHAVE", 17)
-	c.ControlSent(1, 2, "IWANT", 17)
-	c.DuplicatePayload(3, idA)
-	c.RequestMiss(4, idA)
-	snap := c.Snapshot()
-	if snap.ControlFrames != 2 || snap.ControlBytes != 34 {
-		t.Fatalf("control = %d/%d", snap.ControlFrames, snap.ControlBytes)
+	s := NewStreaming()
+	s.ControlSent(1, 2, "IHAVE", 17)
+	s.ControlSent(1, 2, "IWANT", 17)
+	s.DuplicatePayload(3, idA)
+	s.RequestMiss(4, idA)
+	cp := s.Checkpoint()
+	if cp.ControlFrames != 2 || cp.ControlBytes != 34 {
+		t.Fatalf("control = %d/%d", cp.ControlFrames, cp.ControlBytes)
 	}
-	if snap.Duplicates != 1 || snap.RequestMisses != 1 {
-		t.Fatalf("dup=%d miss=%d", snap.Duplicates, snap.RequestMisses)
-	}
-}
-
-func TestSnapshotIsolation(t *testing.T) {
-	c := NewCollector()
-	c.Multicast(1, idA, 0)
-	c.Delivered(2, idA, time.Millisecond)
-	snap := c.Snapshot()
-	// Mutating the snapshot must not affect the collector.
-	snap.Messages[0].Deliveries = append(snap.Messages[0].Deliveries, Delivery{Node: 99})
-	snap.PayloadByNode[77] = 1
-	snap2 := c.Snapshot()
-	if len(snap2.Messages[0].Deliveries) != 1 {
-		t.Fatal("snapshot shares delivery slices with the collector")
-	}
-	if _, ok := snap2.PayloadByNode[77]; ok {
-		t.Fatal("snapshot shares maps with the collector")
-	}
-}
-
-func TestCollectorConcurrentUse(t *testing.T) {
-	// The collector is shared by all nodes in real-transport runs; a
-	// quick hammer under -race catches locking regressions.
-	c := NewCollector()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				id := ids.ID{byte(g), byte(i)}
-				c.Multicast(peer.ID(g), id, 0)
-				c.Delivered(peer.ID(g), id, time.Duration(i))
-				c.PayloadSent(peer.ID(g), peer.ID(g+1), id, 10, i%2 == 0)
-				c.ControlSent(peer.ID(g), peer.ID(g+1), "IHAVE", 17)
-			}
-		}(g)
-	}
-	wg.Wait()
-	snap := c.Snapshot()
-	if snap.TotalDelivered != 8*200 {
-		t.Fatalf("delivered = %d, want %d", snap.TotalDelivered, 8*200)
-	}
-	if snap.TotalPayloads != 8*200 {
-		t.Fatalf("payloads = %d", snap.TotalPayloads)
+	if cp.Duplicates != 1 || cp.RequestMisses != 1 {
+		t.Fatalf("dup=%d miss=%d", cp.Duplicates, cp.RequestMisses)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestStreamingDeliveredZeroAlloc(t *testing.T) {
 // doubled per bump and a few dozen sequential senders exhausted memory.
 // Growth must stay within a constant factor of the highest ID seen.
 func TestNodePayloadGrowthBounded(t *testing.T) {
-	c := newCounterCore()
+	var c counterCore
 	const n = 1000
 	for i := 0; i < n; i++ {
 		c.bumpNodePayload(peer.ID(i))

@@ -30,9 +30,9 @@ func TestConfigSurface(t *testing.T) {
 		cfg  interface{}
 		want int
 	}{
-		{"sim.Config", sim.Config{}, 20},
-		{"scenario.Spec", scenario.Spec{}, 20},
-		{"sweep.Spec", sweep.Spec{}, 13},
+		{"sim.Config", sim.Config{}, 19},
+		{"scenario.Spec", scenario.Spec{}, 19},
+		{"sweep.Spec", sweep.Spec{}, 12},
 		{"emcast.ClusterConfig", ClusterConfig{}, 11},
 		{"emcast.PeerConfig", PeerConfig{}, 18},
 		{"neem.Config", neem.Config{}, 14},
@@ -64,7 +64,7 @@ var exportedDecl = regexp.MustCompile(`^(func (\([^)]*\) )?[A-Z]|type [A-Z])`)
 // grows the surface has to raise the number in the same diff; one that
 // shrinks it lowers it.
 func TestExportedSurface(t *testing.T) {
-	const want = 675
+	const want = 657
 	n := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
