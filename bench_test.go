@@ -282,7 +282,7 @@ func benchRotation(b *testing.B, maxRequests int) {
 	var res scenario.Metrics
 	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig()
-		cfg.Nodes, cfg.Seed, cfg.FlatP, cfg.Loss = 50, int64(i+1), 0, 0.05
+		cfg.Nodes, cfg.Seed, cfg.Strategy, cfg.Loss = 50, int64(i+1), "lazy", 0.05
 		tp := topology.DefaultParams().Scaled(8)
 		cfg.Topology = &tp
 		if maxRequests > 0 {
@@ -456,7 +456,7 @@ func BenchmarkMatrix10k(b *testing.B) {
 // ranking skip the O(n²) oracle (pair scans, distribution sorts, and the
 // row fills of the whole plane behind them), so flat setup stays near-linear
 // while ranked pays the full oracle on first use.
-func benchSetup(b *testing.B, strat sim.StrategyKind, oracle bool) {
+func benchSetup(b *testing.B, strat string, oracle bool) {
 	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig()
 		cfg.Nodes = 1000
@@ -474,8 +474,8 @@ func benchSetup(b *testing.B, strat sim.StrategyKind, oracle bool) {
 	}
 }
 
-func BenchmarkSetup1kFlat(b *testing.B)   { benchSetup(b, sim.StrategyFlat, false) }
-func BenchmarkSetup1kRanked(b *testing.B) { benchSetup(b, sim.StrategyRanked, true) }
+func BenchmarkSetup1kFlat(b *testing.B)   { benchSetup(b, "flat", false) }
+func BenchmarkSetup1kRanked(b *testing.B) { benchSetup(b, "ranked", true) }
 
 // --- Streaming trace: sweep-cell trace memory at 10k nodes ---
 

@@ -35,6 +35,7 @@ import (
 	"emcast/internal/peer"
 	"emcast/internal/scenario"
 	"emcast/internal/sim"
+	"emcast/internal/strategy"
 	"emcast/internal/topology"
 )
 
@@ -45,7 +46,8 @@ type MessageID = ids.ID
 // NodeID identifies a protocol node.
 type NodeID = peer.ID
 
-// Strategy names a transmission strategy (paper §4.1, §6.4).
+// Strategy names a transmission strategy (paper §4.1, §6.4): one of the
+// constants below, the vocabulary of strategy.Names.
 type Strategy string
 
 // Available strategies.
@@ -119,6 +121,17 @@ type Cluster struct {
 
 // NewCluster builds a simulated deployment.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
+	p := strategy.Params{
+		Strategy: string(cfg.Strategy), FlatP: cfg.FlatP, TTLRounds: cfg.TTLRounds,
+		RadiusQuantile: cfg.RadiusQuantile, BestFraction: cfg.BestFraction, Noise: cfg.Noise,
+		GossipRanking: cfg.GossipRanking,
+	}
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("emcast: %v", err)
+	}
+	if cfg.Loss < 0 || cfg.Loss >= 1 {
+		return nil, fmt.Errorf("emcast: loss %v outside [0, 1)", cfg.Loss)
+	}
 	sc := sim.DefaultConfig()
 	if cfg.Nodes > 0 {
 		sc.Nodes = cfg.Nodes
@@ -126,40 +139,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Seed != 0 {
 		sc.Seed = cfg.Seed
 	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"flat probability", cfg.FlatP}, {"radius quantile", cfg.RadiusQuantile}, {"best fraction", cfg.BestFraction},
-		{"noise", cfg.Noise},
-	} {
-		if f.v < 0 || f.v > 1 {
-			return nil, fmt.Errorf("emcast: %s %v outside [0, 1]", f.name, f.v)
-		}
-	}
-	name := cfg.Strategy
-	if name == "" {
-		name = Eager
-	}
-	var err error
-	if sc.Strategy, sc.FlatP, err = sim.ParseStrategy(string(name), cfg.FlatP); err != nil {
-		return nil, fmt.Errorf("emcast: %v", err)
-	}
-	if cfg.TTLRounds > 0 {
-		sc.TTLRounds = cfg.TTLRounds
-	}
-	if cfg.RadiusQuantile > 0 {
-		sc.RadiusQuantile = cfg.RadiusQuantile
-	}
-	if cfg.BestFraction > 0 {
-		sc.BestFraction = cfg.BestFraction
-	}
-	sc.Noise = cfg.Noise
-	if cfg.Loss < 0 || cfg.Loss >= 1 {
-		return nil, fmt.Errorf("emcast: loss %v outside [0, 1)", cfg.Loss)
-	}
+	sc.Params = p
 	sc.Loss = cfg.Loss
-	sc.UseGossipRanking = cfg.GossipRanking
 	if cfg.TopologyScale > 1 {
 		tp := topology.DefaultParams().Scaled(cfg.TopologyScale)
 		sc.Topology = &tp

@@ -2,11 +2,14 @@ package emcast
 
 import (
 	"bytes"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"emcast/internal/trace"
 )
 
 // startTCPGroup starts n loopback peers on ephemeral ports (listen on
@@ -390,6 +393,87 @@ func TestPeerRankedWithoutHubs(t *testing.T) {
 	peers[0].BelievesHub(1)
 }
 
+// TestPeerRejectsInvalidStrategy: a peer checks its strategy like every
+// other surface, and before it binds a socket — the listen address here is
+// taken, so a peer that bound first would report that instead.
+func TestPeerRejectsInvalidStrategy(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	for _, c := range []struct {
+		cfg  PeerConfig
+		want string
+	}{
+		{PeerConfig{Strategy: "bogus"}, "unknown strategy"},
+		{PeerConfig{Strategy: Flat, FlatP: 5}, "flat_p 5 outside [0, 1]"},
+		{PeerConfig{Strategy: Flat, FlatP: -0.1}, "flat_p -0.1 outside [0, 1]"},
+		{PeerConfig{Strategy: Ranked, BestFraction: 2}, "best_fraction 2 outside [0, 1]"},
+		{PeerConfig{Strategy: Radius}, "requires RadiusMs"},
+		{PeerConfig{Strategy: Hybrid, Hubs: []NodeID{1}}, "requires RadiusMs"},
+	} {
+		c.cfg.ListenAddr = taken.Addr().String()
+		p, err := NewPeer(c.cfg)
+		if err == nil {
+			p.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.cfg.Strategy, err, c.want)
+		}
+	}
+}
+
+// TestPeerFlatDefaultsToHalf: a Flat peer without FlatP pushes eagerly
+// with probability 0.5, as a flat Cluster or Spec does — not pure lazy.
+func TestPeerFlatDefaultsToHalf(t *testing.T) {
+	tracer := trace.NewLocked(trace.NewStreaming())
+	peers := startTCPGroup(t, 4, func(cfg *PeerConfig) {
+		cfg.Strategy = Flat
+		cfg.Fanout = 3
+		cfg.Tracer = tracer
+	})
+	for i := 0; i < 8; i++ {
+		id := peers[i%4].Multicast([]byte("half"))
+		if !waitDelivered(peers, id, 5*time.Second) {
+			t.Fatalf("message %d not delivered everywhere", i)
+		}
+	}
+	if cp := tracer.Checkpoint(); cp.EagerPayloads == 0 {
+		t.Fatalf("flat peers sent no eager payload (%d lazy): FlatP defaulted to 0", cp.LazyPayloads)
+	}
+}
+
+// TestPeerNearStrategies runs radius and hybrid on real sockets: distances
+// come from the RTT monitor, the radius from RadiusMs, hybrid's hubs from
+// Hubs or, without them, from gossip ranking.
+func TestPeerNearStrategies(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		strategy Strategy
+		hubs     []NodeID
+	}{
+		{"radius", Radius, nil},
+		{"hybrid", Hybrid, []NodeID{1}},
+		{"hybrid-gossip-ranked", Hybrid, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			peers := startTCPGroup(t, 4, func(cfg *PeerConfig) {
+				cfg.Strategy = c.strategy
+				cfg.RadiusMs = 5
+				cfg.Hubs = c.hubs
+				cfg.Fanout = 3
+			})
+			for i := 0; i < 6; i++ {
+				id := peers[i%4].Multicast([]byte(c.name))
+				if !waitDelivered(peers, id, 5*time.Second) {
+					t.Fatalf("message %d not delivered everywhere", i)
+				}
+			}
+		})
+	}
+}
+
 func TestPeerBelievesHubExplicit(t *testing.T) {
 	p, err := NewPeer(PeerConfig{
 		Self:       9,
@@ -419,9 +503,9 @@ func TestPeerPublicMethodsUnderTraffic(t *testing.T) {
 		cfg.Strategy = Ranked // no Hubs: the ranking table is live
 		cfg.Fanout = 3
 	})
-	// Pings and score gossip run on 1 s (±25 %) periods: the first scores
-	// reach a table after about two of them.
-	time.Sleep(2500 * time.Millisecond)
+	// Pings and score gossip run on 500 ms (±25 %) periods: the first
+	// scores reach a table after about two of them.
+	time.Sleep(1250 * time.Millisecond)
 	deadline := time.Now().Add(time.Second)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

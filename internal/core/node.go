@@ -36,17 +36,15 @@ type Config struct {
 	// Zero disables shuffling (the simulator seeds warm views, matching
 	// the paper's measured phase which starts after overlay warm-up).
 	ShufflePeriod time.Duration
-	// PingPeriod is how often the node probes a random neighbour to feed
-	// the run-time latency monitor. Zero disables probing.
-	PingPeriod time.Duration
-	// RankGossipPeriod is how often the node refreshes its own
-	// centrality score and pushes a score sample to a random neighbour
-	// (gossip-based ranking, paper §4.1). Zero disables; requires
-	// Options.Ranking and Options.EWMA.
-	RankGossipPeriod time.Duration
 	// Seed drives the node's protocol randomness and id generation.
 	Seed int64
 }
+
+// probePeriod is how often a node with a run-time monitor probes a random
+// neighbour, and how often a node with a ranking table refreshes its own
+// centrality score and pushes a score sample to a random neighbour
+// (gossip-based ranking, paper §4.1).
+const probePeriod = 500 * time.Millisecond
 
 // DefaultConfig returns the paper's evaluation configuration.
 func DefaultConfig() Config {
@@ -113,11 +111,11 @@ type Options struct {
 	Deliver gossip.DeliverFunc
 	// Tracer records protocol events (optional).
 	Tracer trace.Tracer
-	// EWMA, when non-nil, is fed by ping/pong round trips (enable with
-	// Config.PingPeriod) and can back run-time Radius/Ranked strategies.
+	// EWMA, when non-nil, is fed by ping/pong round trips every
+	// probePeriod and can back run-time Radius/Hybrid strategies.
 	EWMA *monitor.EWMA
 	// Ranking, when non-nil, participates in the gossip-based ranking
-	// protocol (enable with Config.RankGossipPeriod): the node derives
+	// protocol every probePeriod (it needs EWMA too): the node derives
 	// its centrality score from EWMA observations and spreads score
 	// samples epidemically. Its IsBest can back the Ranked strategy.
 	Ranking *ranking.Table
@@ -160,6 +158,33 @@ func NewNode(cfg Config, env *peer.Env, opts Options) *Node {
 	return n
 }
 
+// Assemble builds the node over env the same way on every substrate: it
+// fills env.RNG from cfg.Seed when unset (the stream NewNode would
+// create), gives the node an EWMA monitor when p takes the Eager? metric
+// from it or ranks by gossip, and a ranking table when p ranks by gossip,
+// then builds p's strategy from them and k. Callers leave opts.Strategy,
+// EWMA and Ranking unset; p must have passed Validate.
+func Assemble(cfg Config, env *peer.Env, p strategy.Params, k strategy.Knowledge, opts Options) *Node {
+	if env.RNG == nil {
+		env.RNG = rand.New(rand.NewSource(cfg.Seed))
+	}
+	p = p.Filled()
+	var mon monitor.Monitor
+	if p.EWMAMonitor || p.GossipRanking {
+		opts.EWMA = monitor.NewEWMA(0.125)
+	}
+	if p.EWMAMonitor {
+		mon = opts.EWMA
+	}
+	var best func(peer.ID) bool
+	if p.GossipRanking {
+		opts.Ranking = ranking.NewTable(ranking.Config{Fraction: p.BestFraction}, env.Self())
+		best = opts.Ranking.IsBest
+	}
+	opts.Strategy = strategy.New(p, env.Self(), env.RNG, k, mon, best)
+	return NewNode(cfg, env, opts)
+}
+
 func (n *Node) appDeliver(id ids.ID, payload []byte) {
 	if n.deliver != nil {
 		n.deliver(id, payload)
@@ -186,10 +211,10 @@ func (n *Node) Start() {
 	if n.cfg.ShufflePeriod > 0 {
 		n.scheduleShuffle()
 	}
-	if n.cfg.PingPeriod > 0 && n.ewma != nil {
+	if n.ewma != nil {
 		n.schedulePing()
 	}
-	if n.cfg.RankGossipPeriod > 0 && n.ranking != nil {
+	if n.ranking != nil {
 		n.scheduleRankGossip()
 	}
 }
@@ -304,7 +329,7 @@ func (n *Node) scheduleShuffle() {
 }
 
 func (n *Node) schedulePing() {
-	n.pingT = n.env.Timers.AfterFunc(n.jittered(n.cfg.PingPeriod), func() {
+	n.pingT = n.env.Timers.AfterFunc(n.jittered(probePeriod), func() {
 		if n.stopped {
 			return
 		}
@@ -317,7 +342,7 @@ func (n *Node) schedulePing() {
 		// Probes whose pong was lost would otherwise accumulate
 		// forever; anything older than a few periods is dead.
 		if len(n.pingSent) > 64 {
-			cutoff := n.env.Now() - 8*n.cfg.PingPeriod
+			cutoff := n.env.Now() - 8*probePeriod
 			for nonce, probe := range n.pingSent {
 				if probe.at < cutoff {
 					delete(n.pingSent, nonce)
@@ -329,7 +354,7 @@ func (n *Node) schedulePing() {
 }
 
 func (n *Node) scheduleRankGossip() {
-	n.rankT = n.env.Timers.AfterFunc(n.jittered(n.cfg.RankGossipPeriod), func() {
+	n.rankT = n.env.Timers.AfterFunc(n.jittered(probePeriod), func() {
 		if n.stopped {
 			return
 		}

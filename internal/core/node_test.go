@@ -144,7 +144,6 @@ func TestPingPongFeedsEWMA(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.ShufflePeriod = 0
-	cfg.PingPeriod = 100 * time.Millisecond
 
 	envA := &peer.Env{Transport: mesh.Endpoint(1, nil), Clock: sim, Timers: sim}
 	a := NewNode(cfg, envA, Options{Strategy: &strategy.Flat{P: 1}, EWMA: ewma})
@@ -179,13 +178,12 @@ func TestPongFromWrongPeerIgnored(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.ShufflePeriod = 0
-	cfg.PingPeriod = 100 * time.Millisecond
 	env := &peer.Env{Transport: mesh.Endpoint(1, nil), Clock: sim, Timers: sim}
 	n := NewNode(cfg, env, Options{Strategy: &strategy.Flat{P: 1}, EWMA: ewma})
 	mesh.SetHandler(1, n.HandleFrame)
 	n.SeedView([]peer.ID{2}) // pings go to 2, which never answers
 	n.Start()
-	sim.Advance(500 * time.Millisecond)
+	sim.Advance(time.Second) // at least one 500 ms (±25 %) probe
 	mesh.Drain()
 	// A third party forges pongs with plausible nonces.
 	for nonce := uint64(1); nonce < 10; nonce++ {
@@ -310,8 +308,6 @@ func TestRankGossipSpreadsScores(t *testing.T) {
 	mesh := peertest.NewMesh()
 	cfg := DefaultConfig()
 	cfg.ShufflePeriod = 0
-	cfg.PingPeriod = 50 * time.Millisecond
-	cfg.RankGossipPeriod = 100 * time.Millisecond
 
 	const n = 4
 	nodes := make([]*Node, n)

@@ -79,10 +79,14 @@ func play(spec scenario.Spec) (scenario.Metrics, *sim.Runner) {
 }
 
 // summary renders a run in one line, as Fig. 4's labels and S1's note
-// print it: the strategy by its kind (eager prints as flat) and the mean
-// latency rounded to the millisecond.
+// print it: the strategy by its kind (eager and lazy print as flat, which
+// they are at p=1 and p=0) and the mean latency rounded to the
+// millisecond.
 func summary(spec scenario.Spec, m scenario.Metrics, r *sim.Runner) string {
-	kind, _, _ := sim.ParseStrategy(spec.Strategy, spec.FlatP)
+	kind := spec.Strategy
+	if kind == "eager" || kind == "lazy" {
+		kind = "flat"
+	}
 	low, best := r.PayloadSplit()
 	return fmt.Sprintf(
 		"%s: latency=%v payload/msg=%.2f (low=%.2f best=%.2f) deliveries=%.1f%% top5=%.1f%% dup=%d",

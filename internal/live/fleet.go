@@ -55,24 +55,6 @@ func newFleet(base emcast.PeerConfig, seed int64, logf func(string, ...interface
 	}
 }
 
-// strategyConfig is the one place a strategy name becomes an
-// emcast.Strategy for a TCP fleet. Radius and hybrid are refused: they
-// need the simulator's latency oracle.
-func strategyConfig(cfg *emcast.PeerConfig, name string) error {
-	switch s := emcast.Strategy(name); s {
-	case emcast.Eager, emcast.Lazy, emcast.Flat, emcast.TTL, emcast.Ranked:
-		// Ranked gets no explicit hubs: the decentralized gossip-based
-		// ranking discovers them from run-time RTT measurements.
-		cfg.Strategy = s
-	default:
-		return fmt.Errorf("strategy %q needs the simulator's latency oracle (supported on TCP: eager, lazy, flat, ttl, ranked)", name)
-	}
-	if cfg.FlatP <= 0 {
-		cfg.FlatP = 0.5 // flat's default, as in the simulator
-	}
-	return nil
-}
-
 // config completes the shared config for member self.
 func (f *fleet) config(self int) emcast.PeerConfig {
 	cfg := f.base

@@ -14,11 +14,7 @@ import (
 // so the departures it announces on the way out are counted — once — and
 // the counters never dip while it moves to the retired total.
 func TestFleetKillCountsDrain(t *testing.T) {
-	var base emcast.PeerConfig
-	if err := strategyConfig(&base, "eager"); err != nil {
-		t.Fatal(err)
-	}
-	f := newFleet(base, 1, t.Logf)
+	f := newFleet(emcast.PeerConfig{Strategy: emcast.Eager}, 1, t.Logf)
 	if err := f.start(4); err != nil {
 		t.Fatal(err)
 	}

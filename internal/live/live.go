@@ -90,11 +90,12 @@ func (o *Options) fill(spec *scenario.Spec) {
 // Supported reports whether the spec can be played on real TCP peers,
 // with a descriptive error naming the first unsupported feature: a
 // strategy or knob that exists only in the simulator's model (radius and
-// hybrid's latency oracle, loss and noise injection), or an event only an
-// emulator substrate can play (scenario.Spec.EmulatorOnly).
+// hybrid's radius, which a Spec places on a quantile of the latency
+// oracle; loss and noise injection), or an event only an emulator
+// substrate can play (scenario.Spec.EmulatorOnly).
 func Supported(spec *scenario.Spec) error {
-	if err := strategyConfig(&emcast.PeerConfig{}, spec.Strategy); err != nil {
-		return fmt.Errorf("live: %v", err)
+	if spec.Strategy == "radius" || spec.Strategy == "hybrid" {
+		return fmt.Errorf("live: strategy %q needs a radius in milliseconds, and a Spec gives radius_quantile, a quantile of the emulator's latency oracle", spec.Strategy)
 	}
 	if spec.Loss > 0 {
 		return fmt.Errorf("live: loss injection is emulator-only (TCP does not lose frames on demand)")
@@ -142,6 +143,7 @@ func New(spec scenario.Spec, opts Options) (*Harness, error) {
 		Fanout:       opts.Fanout,
 		Tracer:       tracer,
 		Faults:       spec.Injector(),
+		Strategy:     emcast.Strategy(spec.Strategy),
 		FlatP:        spec.FlatP,
 		TTLRounds:    spec.TTLRounds,
 		BestFraction: spec.BestFraction,
@@ -156,9 +158,6 @@ func New(spec scenario.Spec, opts Options) (*Harness, error) {
 			Obs:  opts.Obs,
 		})
 		base.Tracer = trace.Tee(tracer, h.diss)
-	}
-	if err := strategyConfig(&base, spec.Strategy); err != nil {
-		return nil, fmt.Errorf("live: %v", err)
 	}
 	h.tcp = &tcp{
 		fleet:     newFleet(base, spec.Seed, opts.Logf),

@@ -91,18 +91,11 @@ func simConfig(spec *Spec) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Nodes = spec.Nodes
 	cfg.Seed = spec.Seed
-	cfg.TTLRounds = spec.TTLRounds
-	cfg.RadiusQuantile = spec.RadiusQuantile
-	cfg.BestFraction = spec.BestFraction
-	cfg.Noise = spec.Noise
+	cfg.Params = spec.params()
 	cfg.Loss = spec.Loss
-	cfg.UseGossipRanking = spec.GossipRanking
-	cfg.UseEWMAMonitor = spec.EWMAMonitor
-	cfg.DistanceMetric = spec.DistanceMetric
 	cfg.LateJoiners = spec.Joiners()
 	cfg.TraceSample = spec.TraceSample
 	cfg.Obs = spec.Obs
-	cfg.Strategy, cfg.FlatP, _ = sim.ParseStrategy(spec.Strategy, spec.FlatP) // name vetted by Validate
 	if spec.TopologyScale > 1 {
 		tp := topology.DefaultParams().Scaled(spec.TopologyScale)
 		cfg.Topology = &tp

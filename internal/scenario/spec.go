@@ -21,7 +21,7 @@ import (
 	"emcast/internal/faults"
 	"emcast/internal/msg"
 	"emcast/internal/obs"
-	"emcast/internal/sim"
+	"emcast/internal/strategy"
 )
 
 // Duration is a time.Duration that marshals as a Go duration string
@@ -376,12 +376,27 @@ func ParseString(s string) (Spec, error) {
 // Normalize applies defaults in place and validates the result — what
 // Parse does after decoding. Programmatic spec producers (the sweep
 // engine, tests) call it so hand-built specs go through the same
-// pipeline as file-loaded ones. It is idempotent and, once applied,
-// later applications never write, so a normalized spec may be shared
-// read-only across concurrent engine runs.
+// pipeline as file-loaded ones. It is idempotent, and the engine fills
+// its own copy, so a normalized spec may be shared read-only across
+// concurrent engine runs.
 func (s *Spec) Normalize() error {
 	s.fill()
 	return s.Validate()
+}
+
+// params gathers the spec's strategy keys.
+func (s *Spec) params() strategy.Params {
+	return strategy.Params{
+		Strategy:       s.Strategy,
+		FlatP:          s.FlatP,
+		TTLRounds:      s.TTLRounds,
+		RadiusQuantile: s.RadiusQuantile,
+		BestFraction:   s.BestFraction,
+		Noise:          s.Noise,
+		GossipRanking:  s.GossipRanking,
+		DistanceMetric: s.DistanceMetric,
+		EWMAMonitor:    s.EWMAMonitor,
+	}
 }
 
 // fill applies defaults in place.
@@ -392,18 +407,9 @@ func (s *Spec) fill() {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-	if s.Strategy == "" {
-		s.Strategy = "eager"
-	}
-	if s.TTLRounds <= 0 {
-		s.TTLRounds = 2
-	}
-	if s.RadiusQuantile <= 0 {
-		s.RadiusQuantile = 0.10
-	}
-	if s.BestFraction <= 0 {
-		s.BestFraction = 0.20
-	}
+	// flat_p stays as given, so a dumped spec does not gain the key.
+	p := s.params().Filled()
+	s.Strategy, s.TTLRounds, s.RadiusQuantile, s.BestFraction = p.Strategy, p.TTLRounds, p.RadiusQuantile, p.BestFraction
 	if s.Drain <= 0 {
 		s.Drain = Duration(10 * time.Second)
 	}
@@ -438,19 +444,11 @@ func (s *Spec) fill() {
 // Validate checks the spec for contradictions. fill must run first (Parse
 // and the engine do).
 func (s *Spec) Validate() error {
-	if _, _, err := sim.ParseStrategy(s.Strategy, s.FlatP); err != nil {
+	if err := s.params().Validate(); err != nil {
 		return fmt.Errorf("scenario: %v", err)
 	}
-	for _, f := range []struct {
-		key string
-		v   float64
-	}{
-		{"flat_p", s.FlatP}, {"radius_quantile", s.RadiusQuantile}, {"best_fraction", s.BestFraction},
-		{"noise", s.Noise}, {"trace_sample", s.TraceSample},
-	} {
-		if f.v < 0 || f.v > 1 {
-			return fmt.Errorf("scenario: %s %v outside [0, 1]", f.key, f.v)
-		}
+	if s.TraceSample < 0 || s.TraceSample > 1 {
+		return fmt.Errorf("scenario: trace_sample %v outside [0, 1]", s.TraceSample)
 	}
 	if s.Loss < 0 || s.Loss >= 1 {
 		return fmt.Errorf("scenario: loss %v outside [0, 1)", s.Loss)

@@ -6,6 +6,15 @@ import (
 	"emcast/internal/lazy"
 )
 
+// Rho exposes the oracle's radius threshold.
+func (r *Runner) Rho() float64 {
+	r.ensureOracle()
+	return r.rho
+}
+
+// OracleDone reports whether the oracle has been computed.
+func (r *Runner) OracleDone() bool { return r.oracleDone }
+
 // T0 exposes the oracle's first-request delay, which only strategies read.
 func (r *Runner) T0() time.Duration {
 	r.ensureOracle()

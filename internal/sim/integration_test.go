@@ -7,6 +7,7 @@ import (
 	"emcast/internal/peer"
 	"emcast/internal/scenario"
 	"emcast/internal/sim"
+	"emcast/internal/strategy"
 )
 
 // TestRankedConcentratesOnHubs: best nodes must carry far more payload per
@@ -252,18 +253,60 @@ func TestManualJoinIntegrates(t *testing.T) {
 	}
 }
 
+// TestStrategyKindString pins the strategy vocabulary: every name in
+// strategy.Names validates, no name appears twice, and an unknown one is
+// refused.
 func TestStrategyKindString(t *testing.T) {
-	kinds := []sim.StrategyKind{sim.StrategyFlat, sim.StrategyTTL, sim.StrategyRadius, sim.StrategyRanked, sim.StrategyHybrid}
 	seen := map[string]bool{}
-	for _, k := range kinds {
-		if s := k.String(); s == "" || seen[s] {
-			t.Fatalf("bad name for %d: %q", k, s)
-		} else {
-			seen[s] = true
+	for _, name := range strategy.Names {
+		if err := (strategy.Params{Strategy: name}).Validate(); err != nil || seen[name] {
+			t.Fatalf("name %q: err = %v, seen before = %v", name, err, seen[name])
+		}
+		seen[name] = true
+	}
+	if err := (strategy.Params{Strategy: "nosuch"}).Validate(); err == nil {
+		t.Fatal("unknown strategy name accepted")
+	}
+}
+
+// TestFlatRunSkipsOracle: strategies that read no strategy.Knowledge —
+// flat, ttl and gossip-ranked ranked — build and run without the O(n²)
+// oracle; radius builds with it.
+func TestFlatRunSkipsOracle(t *testing.T) {
+	for _, c := range []struct {
+		p      strategy.Params
+		oracle bool
+	}{
+		{strategy.Params{Strategy: "flat"}, false},
+		{strategy.Params{Strategy: "ttl"}, false},
+		{strategy.Params{Strategy: "ranked", GossipRanking: true}, false},
+		{strategy.Params{Strategy: "radius"}, true},
+	} {
+		cfg := testConfig(30)
+		cfg.Params = c.p
+		r := sim.New(cfg)
+		r.Warmup()
+		r.MulticastFrom(0, []byte("m"))
+		r.RunFor(5 * time.Second)
+		if r.OracleDone() != c.oracle {
+			t.Errorf("%+v: oracle computed = %v, want %v", c.p, r.OracleDone(), c.oracle)
 		}
 	}
-	if sim.StrategyKind(99).String() == "" {
-		t.Fatal("unknown kind must still render")
+}
+
+// TestDefaultConfigFlatIsHalf: a DefaultConfig that only names flat runs
+// flat's default p = 0.5, as a flat Spec or Cluster does, not pure eager.
+func TestDefaultConfigFlatIsHalf(t *testing.T) {
+	cfg := testConfig(30)
+	cfg.Strategy = "flat"
+	r := sim.New(cfg)
+	r.Warmup()
+	for i := 0; i < 10; i++ {
+		r.MulticastFrom(i, []byte("m"))
+	}
+	r.RunFor(5 * time.Second)
+	if cp := r.Checkpoint(); cp.EagerPayloads == 0 || cp.LazyPayloads == 0 {
+		t.Fatalf("flat run sent %d eager and %d lazy payloads, want both", cp.EagerPayloads, cp.LazyPayloads)
 	}
 }
 

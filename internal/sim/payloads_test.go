@@ -20,7 +20,7 @@ import (
 func TestNodesShareOnePayloadPerMessage(t *testing.T) {
 	const nodes, messages = 200, 5
 	cfg := testConfig(nodes)
-	cfg.FlatP = 0 // lazy push: every hop caches the payload
+	cfg.Strategy = "lazy" // every hop caches the payload
 	delivered := make(map[ids.ID][][]byte)
 	cfg.OnDeliver = func(_ peer.ID, id ids.ID, payload []byte) {
 		delivered[id] = append(delivered[id], payload)
@@ -49,6 +49,9 @@ func TestNodesShareOnePayloadPerMessage(t *testing.T) {
 				t.Fatalf("message %v: delivery %d holds its own copy, not the store's", id, i)
 			}
 		}
+	}
+	if cp := r.Checkpoint(); cp.LazyPayloads == 0 || cp.EagerPayloads != 0 {
+		t.Fatalf("lazy run sent %d lazy and %d eager payloads, want only lazy ones", cp.LazyPayloads, cp.EagerPayloads)
 	}
 	if fp := r.Payloads().Footprint(); fp.Items != messages {
 		t.Fatalf("store keeps %d payloads, want one per message (%d)", fp.Items, messages)

@@ -27,7 +27,7 @@ func (r *Runner) MarkRecovery(from, to time.Duration) {
 // the oracle best set is the ground truth the decentralized pipeline is
 // compared against) or has already been computed.
 func (r *Runner) PayloadSplit() (low, best float64) {
-	if !r.oracleDone && r.cfg.Strategy != StrategyRanked && r.cfg.Strategy != StrategyHybrid {
+	if !r.oracleDone && r.cfg.Strategy != "ranked" && r.cfg.Strategy != "hybrid" {
 		return 0, 0
 	}
 	r.ensureOracle()

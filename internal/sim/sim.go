@@ -14,7 +14,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"time"
@@ -29,65 +28,11 @@ import (
 	"emcast/internal/monitor"
 	"emcast/internal/obs"
 	"emcast/internal/peer"
-	"emcast/internal/ranking"
 	"emcast/internal/stats"
 	"emcast/internal/strategy"
 	"emcast/internal/topology"
 	"emcast/internal/trace"
 )
-
-// StrategyKind selects the transmission strategy under test.
-type StrategyKind int
-
-// Strategies (paper §4.1, §6.4).
-const (
-	StrategyFlat StrategyKind = iota + 1
-	StrategyTTL
-	StrategyRadius
-	StrategyRanked
-	StrategyHybrid
-)
-
-// String returns the strategy mnemonic.
-func (k StrategyKind) String() string {
-	switch k {
-	case StrategyFlat:
-		return "flat"
-	case StrategyTTL:
-		return "ttl"
-	case StrategyRadius:
-		return "radius"
-	case StrategyRanked:
-		return "ranked"
-	case StrategyHybrid:
-		return "hybrid"
-	default:
-		return fmt.Sprintf("StrategyKind(%d)", int(k))
-	}
-}
-
-// ParseStrategy maps a name of the strategy vocabulary every Spec, sweep
-// and Cluster shares — eager, lazy, flat, ttl, radius, ranked, hybrid —
-// onto its kind and Flat's eager probability: eager and lazy are flat at 1
-// and 0, and flat takes flatP, where 0 means the default 0.5.
-func ParseStrategy(name string, flatP float64) (StrategyKind, float64, error) {
-	switch name {
-	case "eager":
-		return StrategyFlat, 1, nil
-	case "lazy":
-		return StrategyFlat, 0, nil
-	case "flat":
-		if flatP <= 0 {
-			flatP = 0.5
-		}
-	}
-	for k := StrategyFlat; k <= StrategyHybrid; k++ {
-		if k.String() == name {
-			return k, flatP, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("unknown strategy %q", name)
-}
 
 // Config describes one simulated experiment run.
 type Config struct {
@@ -97,27 +42,9 @@ type Config struct {
 	// Seed drives all randomness: topology, emulator, node protocols.
 	Seed int64
 
-	// Strategy selects the transmission strategy; parameters below.
-	Strategy StrategyKind
-	// FlatP is Flat's eager probability.
-	FlatP float64
-	// TTLRounds is TTL's u.
-	TTLRounds int
-	// RadiusQuantile positions Radius' ρ at this quantile of the
-	// pairwise latency distribution (e.g. 0.1 ⇒ the closest 10% of
-	// pairs are within the radius).
-	RadiusQuantile float64
-	// BestFraction is the fraction of nodes designated best for Ranked
-	// and Hybrid (paper §6.4 uses 20%).
-	BestFraction float64
-	// DistanceMetric switches oracle monitors from latency to geographic
-	// distance (paper §6.1 uses the pseudo-geographic oracle for the
-	// emergent-structure plots).
-	DistanceMetric bool
-
-	// Noise is the §4.3 noise ratio o in [0, 1]; zero disables the
-	// wrapper.
-	Noise float64
+	// Params selects the transmission strategy. Its Knowledge is the
+	// runner's oracle, computed only when Params.UsesKnowledge.
+	strategy.Params
 
 	// LateJoiners adds this many extra nodes that start outside the
 	// overlay; each enters through the Join protocol when the caller
@@ -136,17 +63,6 @@ type Config struct {
 	// defaults.
 	Core *core.Config
 
-	// UseEWMAMonitor switches Radius/Ranked/Hybrid monitors from the
-	// model oracle to the run-time ping-driven EWMA monitor.
-	UseEWMAMonitor bool
-	// UseGossipRanking switches the Ranked/Hybrid best set from the
-	// model oracle to the fully decentralized pipeline: ping-driven EWMA
-	// monitors feed per-node centrality scores spread by the
-	// gossip-based ranking protocol (paper §4.1). Implies
-	// UseEWMAMonitor-style probing for score derivation while the
-	// Eager? metric still uses the oracle unless UseEWMAMonitor is also
-	// set.
-	UseGossipRanking bool
 	// TraceSample, when positive, attaches a dissemination tracer
 	// (internal/disstrace) that records the full hop graph of a
 	// deterministic sample of message ids at this rate. The tracer rides
@@ -177,26 +93,19 @@ type Config struct {
 }
 
 // DefaultConfig is the paper's standard deployment: 100 nodes, eager push,
-// fanout 11, overlay 15, T=400 ms.
+// fanout 11, overlay 15, T=400 ms. FlatP stays zero, so a caller that only
+// names another strategy gets that strategy's default (flat: 0.5).
 func DefaultConfig() Config {
-	return Config{
-		Nodes:          100,
-		Seed:           1,
-		Strategy:       StrategyFlat,
-		FlatP:          1.0,
-		TTLRounds:      2,
-		RadiusQuantile: 0.10,
-		BestFraction:   0.20,
-	}
+	p := strategy.Params{}.Filled()
+	p.FlatP = 0
+	return Config{Nodes: 100, Seed: 1, Params: p}
 }
 
 func (c *Config) fill() {
 	if c.Nodes <= 0 {
 		c.Nodes = 100
 	}
-	if c.BestFraction <= 0 {
-		c.BestFraction = 0.20
-	}
+	c.Params = c.Params.Filled()
 }
 
 // Runner is an assembled simulation ready to execute.
@@ -224,8 +133,8 @@ type Runner struct {
 	deliveries *obs.Counter
 
 	// Oracle state (§4.3 global knowledge), materialised lazily by
-	// ensureOracle: flat and TTL runs never query it, so they skip the
-	// O(n²) pair scans entirely — the setup cost that dominated large
+	// ensureOracle: flat, TTL and gossip-ranked ranked runs never query
+	// it, so they skip the O(n²) pair scans entirely — the setup cost that dominated large
 	// sweep cells.
 	oracleDone bool
 	best       map[peer.ID]bool
@@ -354,9 +263,9 @@ func (r *Runner) Footprints() []obs.Footprint {
 
 // ensureOracle materialises the §4.3 oracle quantities (ρ, T0, ranking,
 // best set) on first use. The computation scans all node pairs several
-// times — quadratic work that strategies without a radius or ranking
-// (flat, ttl) never need, so it is deferred until a strategy, a failure
-// injector, or an explicit accessor asks for it.
+// times — quadratic work that strategies not reading strategy.Knowledge
+// (Params.UsesKnowledge) never need, so it is deferred until a strategy, a
+// failure injector, or an explicit accessor asks for it.
 func (r *Runner) ensureOracle() {
 	if r.oracleDone {
 		return
@@ -368,11 +277,7 @@ func (r *Runner) ensureOracle() {
 // computeOracle derives ρ, T0 and the best set from global model knowledge,
 // as the paper's evaluation does (§4.3).
 func (r *Runner) computeOracle() {
-	q := r.cfg.RadiusQuantile
-	if q <= 0 {
-		q = 0.10
-	}
-	r.rho, r.t0 = r.quantiles(q)
+	r.rho, r.t0 = r.quantiles(r.cfg.RadiusQuantile)
 	r.ranked = monitor.Rank(r.cfg.Nodes, func(a, b peer.ID) float64 {
 		return r.pairMetric(a, b)
 	})
@@ -436,6 +341,12 @@ func (r *Runner) buildNodes() {
 	total := cfg.Nodes + cfg.LateJoiners
 	r.nodes = make([]*core.Node, total)
 	r.payloads = &lazy.Payloads{}
+	var k strategy.Knowledge
+	if cfg.UsesKnowledge() {
+		r.ensureOracle()
+		best := r.best
+		k = strategy.Knowledge{Rho: r.rho, T0: r.t0, Metric: r.pairMetric, IsBest: func(p peer.ID) bool { return best[p] }}
+	}
 	for i := 0; i < total; i++ {
 		id := peer.ID(i)
 		env := &peer.Env{
@@ -446,21 +357,6 @@ func (r *Runner) buildNodes() {
 		}
 		nodeCfg := coreCfg
 		nodeCfg.Seed = cfg.Seed ^ int64(i)<<20
-		var ewma *monitor.EWMA
-		if cfg.UseEWMAMonitor || cfg.UseGossipRanking {
-			ewma = monitor.NewEWMA(0.125)
-			if nodeCfg.PingPeriod <= 0 {
-				nodeCfg.PingPeriod = 500 * time.Millisecond
-			}
-		}
-		var table *ranking.Table
-		if cfg.UseGossipRanking {
-			table = ranking.NewTable(ranking.Config{Fraction: cfg.BestFraction}, id)
-			if nodeCfg.RankGossipPeriod <= 0 {
-				nodeCfg.RankGossipPeriod = 500 * time.Millisecond
-			}
-		}
-		strat := r.buildStrategy(id, env, ewma, table)
 		var deliver gossip.DeliverFunc
 		if cfg.OnDeliver != nil {
 			onDeliver := cfg.OnDeliver
@@ -471,12 +367,9 @@ func (r *Runner) buildNodes() {
 		} else if r.deliveries != nil {
 			deliver = func(mid ids.ID, payload []byte) { r.deliveries.Inc() }
 		}
-		node := core.NewNode(nodeCfg, env, core.Options{
-			Strategy: strat,
+		node := core.Assemble(nodeCfg, env, cfg.Params, k, core.Options{
 			Deliver:  deliver,
 			Tracer:   r.nodeTracer,
-			EWMA:     ewma,
-			Ranking:  table,
 			Payloads: r.payloads,
 		})
 		r.nodes[i] = node
@@ -526,80 +419,10 @@ func symmetricGraph(n, target int, rng *rand.Rand) [][]int {
 	return adj
 }
 
-func (r *Runner) buildStrategy(self peer.ID, env *peer.Env, ewma *monitor.EWMA, table *ranking.Table) strategy.Strategy {
-	cfg := r.cfg
-	var mon monitor.Monitor
-	if cfg.UseEWMAMonitor && ewma != nil {
-		mon = ewma
-	} else {
-		mon = monitor.Func(func(p peer.ID) float64 { return r.pairMetric(self, p) })
-	}
-	isBest := func(p peer.ID) bool { return r.best[p] }
-	if table != nil {
-		isBest = table.IsBest
-	}
-	var base strategy.Strategy
-	switch cfg.Strategy {
-	case StrategyFlat:
-		base = &strategy.Flat{P: cfg.FlatP, RNG: env.RNG}
-	case StrategyTTL:
-		base = &strategy.TTL{U: cfg.TTLRounds}
-	case StrategyRadius:
-		r.ensureOracle()
-		base = &strategy.Radius{Rho: r.rho, Monitor: mon, T0: r.t0}
-	case StrategyRanked:
-		if table == nil {
-			r.ensureOracle()
-		}
-		base = &strategy.Ranked{Self: self, IsBest: isBest}
-	case StrategyHybrid:
-		r.ensureOracle()
-		base = &strategy.Hybrid{
-			Self: self, IsBest: isBest,
-			Rho: r.rho, U: cfg.TTLRounds, Monitor: mon, T0: r.t0,
-		}
-	default:
-		panic(fmt.Sprintf("sim: unknown strategy %v", cfg.Strategy))
-	}
-	if cfg.Noise > 0 {
-		return &strategy.Noisy{Base: base, O: cfg.Noise, RNG: env.RNG, C: r.globalEagerRate()}
-	}
-	return base
-}
-
-// globalEagerRate returns the system-wide probability that Eager? is true
-// under the configured strategy — the paper's constant c (§4.3), "set such
-// that the overall probability of Eager? returning true is unchanged".
-// Strategies without a closed form return -1 and fall back to a per-node
-// running estimate.
-func (r *Runner) globalEagerRate() float64 {
-	cfg := r.cfg
-	switch cfg.Strategy {
-	case StrategyFlat:
-		return cfg.FlatP
-	case StrategyRadius:
-		// ρ sits at this quantile of the pairwise metric distribution,
-		// so that fraction of (sender, target) pairs is eager.
-		return cfg.RadiusQuantile
-	case StrategyRanked:
-		// Eager iff either endpoint is best.
-		beta := cfg.BestFraction
-		return 1 - (1-beta)*(1-beta)
-	default:
-		return -1
-	}
-}
-
 // Best reports whether a node is in the oracle best set.
 func (r *Runner) Best(p peer.ID) bool {
 	r.ensureOracle()
 	return r.best[p]
-}
-
-// Rho returns the radius threshold derived from the oracle.
-func (r *Runner) Rho() float64 {
-	r.ensureOracle()
-	return r.rho
 }
 
 // Matrix exposes the client latency matrix (for tests and monitors).
@@ -617,7 +440,7 @@ func (r *Runner) Nodes() []*core.Node { return r.nodes }
 // the EWMA estimators and score samples spread before measurements begin.
 func (r *Runner) Warmup() {
 	warm := 5 * time.Second
-	if r.cfg.UseEWMAMonitor || r.cfg.UseGossipRanking {
+	if r.cfg.EWMAMonitor || r.cfg.GossipRanking {
 		warm = 30 * time.Second
 	}
 	r.net.Run(r.net.Now() + warm)

@@ -23,13 +23,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"emcast/internal/disstrace"
 	"emcast/internal/obs"
 	"emcast/internal/scenario"
-	"emcast/internal/sim"
+	"emcast/internal/strategy"
 )
 
 // DefaultStrategies are the five transmission strategies the paper
@@ -190,8 +191,8 @@ func (s *Spec) Resolve(baseDir string) error {
 		return fmt.Errorf("sweep: trace_sample %v outside [0, 1]", s.TraceSample)
 	}
 	for _, st := range s.Strategies {
-		if _, _, err := sim.ParseStrategy(st, 0); err != nil {
-			return fmt.Errorf("sweep: %v", err)
+		if !slices.Contains(strategy.Names, st) {
+			return fmt.Errorf("sweep: unknown strategy %q", st)
 		}
 	}
 	if len(s.Scenarios) == 0 {

@@ -8,7 +8,6 @@ import (
 	"emcast/internal/core"
 	"emcast/internal/faults"
 	"emcast/internal/ids"
-	"emcast/internal/monitor"
 	"emcast/internal/neem"
 	"emcast/internal/peer"
 	"emcast/internal/ranking"
@@ -33,22 +32,23 @@ type PeerConfig struct {
 	// calls Join (churn experiments and live scenario playback).
 	Bootstrap []NodeID
 
-	// Strategy selects the transmission strategy. Real deployments
-	// support Eager, Lazy, Flat, TTL, Ranked (with Hubs) and Radius
-	// (with RadiusMs, fed by the built-in RTT monitor). Default Eager.
+	// Strategy selects the transmission strategy, one of the Strategy
+	// constants. Default Eager.
 	Strategy Strategy
-	// FlatP is Flat's eager probability.
+	// FlatP is Flat's eager probability (default 0.5).
 	FlatP float64
-	// TTLRounds is TTL's round threshold.
+	// TTLRounds is TTL's and Hybrid's round threshold (default 2).
 	TTLRounds int
-	// RadiusMs is Radius' one-way latency radius in milliseconds.
+	// RadiusMs is Radius' and Hybrid's one-way latency radius in
+	// milliseconds, which both require; the built-in RTT monitor
+	// measures the distance to each peer.
 	RadiusMs float64
-	// Hubs designates the Ranked best nodes, e.g. well-provisioned
-	// machines (the paper suggests an ISP may configure these
-	// explicitly). When empty, the Ranked strategy falls back to the
-	// gossip-based ranking protocol: hubs are discovered at run time
-	// from RTT measurements spread epidemically, with BestFraction of
-	// the group acting as hubs.
+	// Hubs designates the Ranked and Hybrid best nodes, e.g.
+	// well-provisioned machines (the paper suggests an ISP may configure
+	// these explicitly). When empty, both fall back to the gossip-based
+	// ranking protocol: hubs are discovered at run time from RTT
+	// measurements spread epidemically, with BestFraction of the group
+	// acting as hubs.
 	Hubs []NodeID
 	// BestFraction is the hub fraction for gossip-ranked deployments
 	// (default 0.2).
@@ -131,6 +131,21 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	if cfg.ListenAddr == "" {
 		return nil, fmt.Errorf("emcast: PeerConfig.ListenAddr is required")
 	}
+	near := cfg.Strategy == Radius || cfg.Strategy == Hybrid
+	params := strategy.Params{
+		Strategy:      string(cfg.Strategy),
+		FlatP:         cfg.FlatP,
+		TTLRounds:     cfg.TTLRounds,
+		BestFraction:  cfg.BestFraction,
+		EWMAMonitor:   near,
+		GossipRanking: (cfg.Strategy == Ranked || cfg.Strategy == Hybrid) && len(cfg.Hubs) == 0,
+	}
+	if err := params.Validate(); err != nil {
+		return nil, fmt.Errorf("emcast: %v", err)
+	}
+	if near && cfg.RadiusMs <= 0 {
+		return nil, fmt.Errorf("emcast: %s strategy requires RadiusMs", cfg.Strategy)
+	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = int64(cfg.Self) + 1
@@ -158,61 +173,21 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		Clock:     clock,
 		Timers:    lockedTimers{&p.mu},
 	}
-
-	var ewma *monitor.EWMA
+	// A peer knows its radius and its hubs from configuration; distances
+	// come from its RTT monitor, hubs without Hubs from gossip ranking.
 	hubs := make(map[NodeID]bool, len(cfg.Hubs))
 	for _, h := range cfg.Hubs {
 		hubs[h] = true
 	}
-	var strat strategy.Strategy
+	known := strategy.Knowledge{
+		Rho:    cfg.RadiusMs,
+		T0:     time.Duration(cfg.RadiusMs * float64(time.Millisecond)),
+		IsBest: func(n NodeID) bool { return hubs[n] },
+	}
 	nodeCfg := core.DefaultConfig()
 	nodeCfg.Seed = seed
 	if cfg.Fanout > 0 {
 		nodeCfg.Gossip.Fanout = cfg.Fanout
-	}
-	switch cfg.Strategy {
-	case Eager, "":
-		strat = &strategy.Flat{P: 1.0}
-	case Lazy:
-		strat = &strategy.Flat{P: 0.0}
-	case Flat:
-		strat = &strategy.Flat{P: cfg.FlatP} // RNG filled below
-	case TTL:
-		u := cfg.TTLRounds
-		if u <= 0 {
-			u = 2
-		}
-		strat = &strategy.TTL{U: u}
-	case Ranked:
-		if len(hubs) > 0 {
-			strat = &strategy.Ranked{Self: cfg.Self, IsBest: func(p NodeID) bool { return hubs[p] }}
-			break
-		}
-		// No explicit hubs: discover them with the gossip-based
-		// ranking protocol over run-time RTT measurements.
-		ewma = monitor.NewEWMA(0.125)
-		nodeCfg.PingPeriod = time.Second
-		nodeCfg.RankGossipPeriod = time.Second
-		fraction := cfg.BestFraction
-		if fraction <= 0 {
-			fraction = 0.2
-		}
-		p.table = ranking.NewTable(ranking.Config{Fraction: fraction}, cfg.Self)
-		strat = &strategy.Ranked{Self: cfg.Self, IsBest: p.table.IsBest}
-	case Radius:
-		if cfg.RadiusMs <= 0 {
-			return nil, fmt.Errorf("emcast: Radius strategy requires RadiusMs")
-		}
-		ewma = monitor.NewEWMA(0.125)
-		nodeCfg.PingPeriod = time.Second
-		strat = &strategy.Radius{
-			Rho:     cfg.RadiusMs,
-			Monitor: ewma,
-			T0:      time.Duration(cfg.RadiusMs * float64(time.Millisecond)),
-		}
-	default:
-		transport.Close()
-		return nil, fmt.Errorf("emcast: strategy %q not supported on real networks", cfg.Strategy)
 	}
 
 	var deliver func(id ids.ID, payload []byte)
@@ -227,20 +202,8 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 			})
 		}
 	}
-	tracer := trace.Tracer(trace.Nop{})
-	if cfg.Tracer != nil {
-		tracer = cfg.Tracer
-	}
-	p.node = core.NewNode(nodeCfg, env, core.Options{
-		Strategy: strat,
-		Deliver:  deliver,
-		Tracer:   tracer,
-		EWMA:     ewma,
-		Ranking:  p.table,
-	})
-	if f, ok := strat.(*strategy.Flat); ok && f.RNG == nil {
-		f.RNG = env.RNG // filled by core.NewNode
-	}
+	p.node = core.Assemble(nodeCfg, env, params, known, core.Options{Deliver: deliver, Tracer: cfg.Tracer})
+	p.table = p.node.Ranking()
 	transport.SetHandler(func(from peer.ID, frame []byte) {
 		p.mu.Lock()
 		defer p.mu.Unlock()

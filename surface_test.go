@@ -23,7 +23,9 @@ import (
 // most issues; this is what enforces it. A change that adds a knob has to
 // raise a number here in the same diff and say which existing caller needs
 // it; one that removes a knob lowers it. CI runs this test with -v and so
-// prints the counts beside the non-test line counts.
+// prints the counts beside the non-test line counts. Fields promoted from
+// an embedded struct count one by one: embedding moves knobs, it does not
+// remove them.
 func TestConfigSurface(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -37,20 +39,31 @@ func TestConfigSurface(t *testing.T) {
 		{"emcast.PeerConfig", PeerConfig{}, 18},
 		{"neem.Config", neem.Config{}, 14},
 		{"emunet.Config", emunet.Config{}, 5},
-		{"core.Config", core.Config{}, 7},
+		{"core.Config", core.Config{}, 5},
 		{"lazy.Config", lazy.Config{}, 4},
 	} {
-		typ, n := reflect.TypeOf(c.cfg), 0
-		for i := 0; i < typ.NumField(); i++ {
-			if typ.Field(i).IsExported() {
-				n++
-			}
-		}
+		n := exportedFields(reflect.TypeOf(c.cfg))
 		t.Logf("exported fields: %s %d", c.name, n)
 		if n != c.want {
 			t.Errorf("%s has %d exported fields, want %d", c.name, n, c.want)
 		}
 	}
+}
+
+// exportedFields counts the settable exported fields of a struct type: an
+// embedded struct counts as the fields it promotes, not as one.
+func exportedFields(typ reflect.Type) int {
+	n := 0
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); {
+		case !f.IsExported():
+		case f.Anonymous && f.Type.Kind() == reflect.Struct:
+			n += exportedFields(f.Type)
+		default:
+			n++
+		}
+	}
+	return n
 }
 
 // exportedDecl matches a top-level exported func, method or type
@@ -64,7 +77,7 @@ var exportedDecl = regexp.MustCompile(`^(func (\([^)]*\) )?[A-Z]|type [A-Z])`)
 // grows the surface has to raise the number in the same diff; one that
 // shrinks it lowers it.
 func TestExportedSurface(t *testing.T) {
-	const want = 657
+	const want = 660
 	n := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
