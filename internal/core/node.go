@@ -57,11 +57,12 @@ func DefaultConfig() Config {
 }
 
 // Node is one protocol participant: a single-owner step machine. Its
-// inputs — an inbound frame, a timer callback it armed through env.Timers,
-// Multicast, Join, and every other method — must arrive one at a time;
-// the host that owns the node serialises them. The simulator is one
-// goroutine and does nothing; emcast.Peer holds one mutex per peer.
-// Nothing in the node or the layers under it takes a lock.
+// inputs — an inbound frame, a timer it armed firing (the host calls a
+// sink, the node or its lazy module, with the key it armed), Multicast,
+// Join, and every other method — must arrive one at a time; the host
+// that owns the node serialises them. The simulator is one goroutine and
+// does nothing; emcast.Peer holds one mutex per peer. Nothing in the node
+// or the layers under it takes a lock.
 type Node struct {
 	cfg     Config
 	env     *peer.Env
@@ -76,14 +77,23 @@ type Node struct {
 	pingNonce   uint64
 	pingSent    map[uint64]pingProbe
 	shuffleSent map[peer.ID][]peer.ID
-	stopped     bool
-	shuffleT    peer.Timer
-	pingT       peer.Timer
-	rankT       peer.Timer
+	// spare holds shuffle samples whose reply came back, for the next
+	// shuffle to reuse.
+	spare [][]peer.ID
+	// gen is the generation in the node's timer keys; Stop bumps it, so
+	// every task armed before goes stale. The handles are the host's,
+	// nil on the emulator.
+	gen      uint32
+	shuffleT peer.Timer
+	pingT    peer.Timer
+	rankT    peer.Timer
 
 	// scratch is the reusable encode buffer for outbound control frames.
 	// Safe because peer.Transport.Send never retains the slice.
 	scratch []byte
+	// sample is the reusable buffer for view samples that do not outlive
+	// the input that draws them: a ping target, a shuffle or join reply.
+	sample []peer.ID
 	// parsed is the reusable decode scratch for inbound frames.
 	parsed msg.Parsed
 }
@@ -207,7 +217,6 @@ func (n *Node) View() []peer.ID {
 
 // Start launches the node's periodic tasks (shuffling, latency probing).
 func (n *Node) Start() {
-	n.stopped = false
 	if n.cfg.ShufflePeriod > 0 {
 		n.scheduleShuffle()
 	}
@@ -221,7 +230,7 @@ func (n *Node) Start() {
 
 // Stop cancels periodic tasks. In-flight frames are still handled.
 func (n *Node) Stop() {
-	n.stopped = true
+	n.gen++
 	if n.shuffleT != nil {
 		n.shuffleT.Stop()
 	}
@@ -275,15 +284,19 @@ func (n *Node) HandleFrame(from peer.ID, frame []byte) {
 	case msg.KindShuffle:
 		// Cyclon-style exchange: answer with our own sample, then swap
 		// the received entries in for the ones we just handed out.
-		sample := n.view.ShuffleSample()
-		n.env.Transport.Send(from, n.enc(&msg.ShuffleReply{View: sample}))
-		n.view.MergeExchange(p.View, sample)
+		n.sample = n.view.ShuffleSample(n.sample)
+		n.env.Transport.Send(from, n.enc(&msg.ShuffleReply{View: n.sample}))
+		n.view.MergeExchange(p.View, n.sample)
 	case msg.KindShuffleReply:
-		sent := n.shuffleSent[from]
+		sent, ok := n.shuffleSent[from]
 		delete(n.shuffleSent, from)
 		n.view.MergeExchange(p.View, sent)
+		if ok {
+			n.spare = append(n.spare, sent)
+		}
 	case msg.KindJoin:
-		reply := n.enc(&msg.JoinReply{View: append(n.view.ShuffleSample(), n.env.Self())})
+		n.sample = append(n.view.ShuffleSample(n.sample), n.env.Self())
+		reply := n.enc(&msg.JoinReply{View: n.sample})
 		n.view.Add(from)
 		n.env.Transport.Send(from, reply)
 	case msg.KindJoinReply:
@@ -310,62 +323,87 @@ func (n *Node) Join(contact peer.ID) {
 	n.env.Transport.Send(contact, n.enc(&msg.Join{}))
 }
 
-func (n *Node) scheduleShuffle() {
-	n.shuffleT = n.env.Timers.AfterFunc(n.jittered(n.cfg.ShufflePeriod), func() {
-		if n.stopped {
-			return
-		}
-		if partner := n.view.ShufflePartner(); partner != peer.None {
-			sample := n.view.ShuffleSample()
-			n.shuffleSent[partner] = sample
-			n.env.Transport.Send(partner, n.enc(&msg.Shuffle{View: sample}))
-		}
-		// Outstanding samples whose reply was lost must not pile up.
-		if len(n.shuffleSent) > 4*n.cfg.Membership.ViewSize+64 {
-			n.shuffleSent = make(map[peer.ID][]peer.ID)
-		}
+// The node's periodic tasks, the high word of its timer keys.
+const (
+	taskShuffle uint64 = iota
+	taskPing
+	taskRank
+)
+
+// arm arms a periodic task's next run, keyed with the node's generation.
+func (n *Node) arm(task uint64, d time.Duration) peer.Timer {
+	return n.env.Arm(n.jittered(d), n, task<<32|uint64(n.gen))
+}
+
+func (n *Node) scheduleShuffle()    { n.shuffleT = n.arm(taskShuffle, n.cfg.ShufflePeriod) }
+func (n *Node) schedulePing()       { n.pingT = n.arm(taskPing, probePeriod) }
+func (n *Node) scheduleRankGossip() { n.rankT = n.arm(taskRank, probePeriod) }
+
+// FireTimer implements peer.TimerSink: a periodic task is due. It reports
+// false, having done nothing, for a task armed before the last Stop.
+func (n *Node) FireTimer(key uint64) bool {
+	if uint32(key) != n.gen {
+		return false
+	}
+	switch key >> 32 {
+	case taskShuffle:
+		n.shuffle()
 		n.scheduleShuffle()
-	})
-}
-
-func (n *Node) schedulePing() {
-	n.pingT = n.env.Timers.AfterFunc(n.jittered(probePeriod), func() {
-		if n.stopped {
-			return
-		}
-		if targets := n.view.Sample(1); len(targets) == 1 {
-			n.pingNonce++
-			nonce := n.pingNonce
-			n.pingSent[nonce] = pingProbe{to: targets[0], at: n.env.Now()}
-			n.env.Transport.Send(targets[0], n.enc(&msg.Ping{Nonce: nonce}))
-		}
-		// Probes whose pong was lost would otherwise accumulate
-		// forever; anything older than a few periods is dead.
-		if len(n.pingSent) > 64 {
-			cutoff := n.env.Now() - 8*probePeriod
-			for nonce, probe := range n.pingSent {
-				if probe.at < cutoff {
-					delete(n.pingSent, nonce)
-				}
-			}
-		}
+	case taskPing:
+		n.ping()
 		n.schedulePing()
-	})
+	case taskRank:
+		n.rankGossip()
+		n.scheduleRankGossip()
+	}
+	return true
 }
 
-func (n *Node) scheduleRankGossip() {
-	n.rankT = n.env.Timers.AfterFunc(n.jittered(probePeriod), func() {
-		if n.stopped {
-			return
+func (n *Node) shuffle() {
+	if partner := n.view.ShufflePartner(); partner != peer.None {
+		var buf []peer.ID
+		if k := len(n.spare); k > 0 {
+			buf = n.spare[k-1]
+			n.spare = n.spare[:k-1]
 		}
-		n.refreshOwnScore()
-		if partner := n.view.ShufflePartner(); partner != peer.None {
-			if sample := n.ranking.Sample(); len(sample) > 0 {
-				n.env.Transport.Send(partner, n.enc(&msg.Scores{Scores: sample}))
+		sample := n.view.ShuffleSample(buf)
+		n.shuffleSent[partner] = sample
+		n.env.Transport.Send(partner, n.enc(&msg.Shuffle{View: sample}))
+	}
+	// Outstanding samples whose reply was lost must not pile up.
+	if len(n.shuffleSent) > 4*n.cfg.Membership.ViewSize+64 {
+		n.shuffleSent = make(map[peer.ID][]peer.ID)
+	}
+}
+
+func (n *Node) ping() {
+	n.sample = n.view.SampleInto(n.sample, 1)
+	if len(n.sample) == 1 {
+		target := n.sample[0]
+		n.pingNonce++
+		nonce := n.pingNonce
+		n.pingSent[nonce] = pingProbe{to: target, at: n.env.Now()}
+		n.env.Transport.Send(target, n.enc(&msg.Ping{Nonce: nonce}))
+	}
+	// Probes whose pong was lost would otherwise accumulate
+	// forever; anything older than a few periods is dead.
+	if len(n.pingSent) > 64 {
+		cutoff := n.env.Now() - 8*probePeriod
+		for nonce, probe := range n.pingSent {
+			if probe.at < cutoff {
+				delete(n.pingSent, nonce)
 			}
 		}
-		n.scheduleRankGossip()
-	})
+	}
+}
+
+func (n *Node) rankGossip() {
+	n.refreshOwnScore()
+	if partner := n.view.ShufflePartner(); partner != peer.None {
+		if sample := n.ranking.Sample(); len(sample) > 0 {
+			n.env.Transport.Send(partner, n.enc(&msg.Scores{Scores: sample}))
+		}
+	}
 }
 
 // refreshOwnScore derives this node's centrality score: the mean measured
@@ -407,6 +445,9 @@ func (n *Node) Footprints() []obs.Footprint {
 	coreBytes := int64(len(n.pingSent)) * pingProbeEntry
 	for _, sample := range n.shuffleSent {
 		coreBytes += shuffleSentEntry + int64(cap(sample))*4
+	}
+	for _, sample := range n.spare {
+		coreBytes += 24 + int64(cap(sample))*4 // slice header + entries
 	}
 	return []obs.Footprint{
 		n.view.Footprint(),

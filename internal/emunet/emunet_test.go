@@ -169,6 +169,88 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
+// sinkFunc adapts a function to peer.TimerSink.
+type sinkFunc func(key uint64) bool
+
+func (f sinkFunc) FireTimer(key uint64) bool { return f(key) }
+
+// TestArmFiresSinkWithKey: a data timer calls its sink with the key it
+// was armed with, at its deadline, and Arm hands back no handle.
+func TestArmFiresSinkWithKey(t *testing.T) {
+	n := New(1, constLatency(0), Config{})
+	var got []uint64
+	sink := sinkFunc(func(key uint64) bool {
+		if n.Now() != time.Duration(key)*time.Millisecond {
+			t.Errorf("key %d fired at %v", key, n.Now())
+		}
+		got = append(got, key)
+		return true
+	})
+	for _, k := range []uint64{7, 3, 5} {
+		if h := n.Arm(time.Duration(k)*time.Millisecond, sink, k); h != nil {
+			t.Fatalf("Arm returned handle %v, want nil", h)
+		}
+	}
+	n.RunUntilIdle(0)
+	if len(got) != 3 || got[0] != 3 || got[1] != 5 || got[2] != 7 {
+		t.Fatalf("sink saw keys %v, want [3 5 7]", got)
+	}
+	if n.TimerFires != 3 || n.EventsProcessed != 3 {
+		t.Fatalf("TimerFires=%d EventsProcessed=%d, want 3 and 3", n.TimerFires, n.EventsProcessed)
+	}
+}
+
+// TestStaleAlarmSkipsLikeStoppedTimer: a data timer whose sink reports
+// the key stale is accounted exactly as a stopped AfterFunc timer — the
+// same EventsProcessed and TimerFires, the same Step result, and the same
+// Run stopping point. The last includes Run's overshoot: a skipped event
+// does not end a step, so Run(2ms) pops the cancelled 1 ms timer, keeps
+// going, and executes the 5 ms timer past its deadline. The bench
+// fingerprint counts events, so a stale alarm must not differ from a
+// stopped timer in any of these.
+func TestStaleAlarmSkipsLikeStoppedTimer(t *testing.T) {
+	type outcome struct {
+		stepped        bool
+		steps          int
+		now            time.Duration
+		events, fires  uint64
+		lateFired      bool
+		stepAfterDrain bool
+	}
+	stopped := func(n *Network) {
+		n.AfterFunc(time.Millisecond, func() { t.Error("stopped timer ran") }).Stop()
+	}
+	stale := func(n *Network) {
+		const gen = 1
+		n.Arm(time.Millisecond, sinkFunc(func(key uint64) bool { return key == gen }), gen-1)
+	}
+	play := func(cancel func(*Network)) outcome {
+		var o outcome
+		// Step over a cancelled timer alone: consumed, counted, not a step.
+		n := New(1, constLatency(0), Config{})
+		cancel(n)
+		o.stepped = n.Step()
+		// Run with a cancelled timer before the deadline and a live one
+		// after it.
+		n = New(1, constLatency(0), Config{})
+		cancel(n)
+		n.AfterFunc(5*time.Millisecond, func() { o.lateFired = true })
+		o.steps = n.Run(2 * time.Millisecond)
+		o.now = n.Now()
+		o.events, o.fires = n.EventsProcessed, n.TimerFires
+		o.stepAfterDrain = n.Step()
+		return o
+	}
+	a, b := play(stopped), play(stale)
+	if a != b {
+		t.Fatalf("stopped timer %+v, stale alarm %+v: want identical accounting", a, b)
+	}
+	want := outcome{stepped: false, steps: 1, now: 5 * time.Millisecond, events: 2, fires: 2, lateFired: true}
+	if a != want {
+		t.Fatalf("cancelled timer accounting = %+v, want %+v", a, want)
+	}
+}
+
 func TestNegativeDelayFiresImmediately(t *testing.T) {
 	n := New(1, constLatency(0), Config{})
 	fired := false

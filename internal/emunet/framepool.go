@@ -6,10 +6,10 @@ import "math/bits"
 // classes. Send copies every frame (the emulator owns the bytes while
 // they are "on the wire"), and before pooling that copy was ~360 MB of
 // garbage per 1k-node cell. The pool has arena semantics: buffers are
-// never returned to the GC, and `bytes` counts the capacity of every
-// buffer the pool has ever allocated — each one is either in flight
-// inside an event or parked in a class stack, so the sum is the exact
-// retained footprint.
+// never returned to the GC, and `bytes` counts every byte the pool has
+// ever allocated — each buffer carved from it is either in flight inside
+// an event or parked in a class stack, so the sum is the exact retained
+// footprint.
 //
 // Pooling is opt-in (Config.PooledFrames) because it tightens the
 // Handler contract: a pooled frame is recycled the moment HandleFrame
@@ -18,6 +18,11 @@ import "math/bits"
 // keeps payloads through the run's store — shared in the simulator, a
 // private copy on TCP — on first receipt), but test recorders that stash
 // raw frames do not.
+//
+// A class with no parked buffer grows by a chunk, one allocation carved
+// into as many buffers as fit frameChunkBytes, so warming the pool up to
+// the run's peak of in-flight frames costs a few allocations per class,
+// not one per frame.
 type framePool struct {
 	classes [frameClasses][][]byte
 	bytes   int64
@@ -27,6 +32,9 @@ const (
 	frameMinShift = 5  // 32 B floor — control frames dominate
 	frameMaxShift = 20 // 1 MiB ceiling — larger frames bypass the pool
 	frameClasses  = frameMaxShift - frameMinShift + 1
+	// frameChunkBytes is the size of one pool growth step: 512 control
+	// frames or 32 payload frames of a few hundred bytes.
+	frameChunkBytes = 16 << 10
 )
 
 // frameClass maps a byte length to its size class, or -1 when the
@@ -56,8 +64,14 @@ func (p *framePool) get(n int) []byte {
 		p.classes[c] = stack[:len(stack)-1]
 		return b[:n]
 	}
-	p.bytes += 1 << (c + frameMinShift)
-	return make([]byte, n, 1<<(c+frameMinShift))
+	size := 1 << (c + frameMinShift)
+	k := max(1, frameChunkBytes/size)
+	chunk := make([]byte, k*size)
+	p.bytes += int64(k * size)
+	for i := k - 1; i > 0; i-- {
+		p.classes[c] = append(p.classes[c], chunk[i*size:i*size:(i+1)*size])
+	}
+	return chunk[:n:size]
 }
 
 // put parks a buffer previously handed out by get. Buffers whose

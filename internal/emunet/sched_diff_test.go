@@ -38,13 +38,18 @@ func (h *heapSched) popMatchDeliver(at time.Duration, from, to int) (event, bool
 		return event{}, false
 	}
 	head := &h.events[0]
-	if head.at != at || head.kind != evDeliver || head.from != from || head.to != to {
+	if head.at != at || head.sink != nil || head.from != from || head.to != to {
 		return event{}, false
 	}
 	return heap.Pop(&h.events).(event), true
 }
 
 func (h *heapSched) len() int { return len(h.events) }
+
+// stubSink marks an event as a timer fire; the schedulers never call it.
+type stubSink struct{}
+
+func (stubSink) FireTimer(uint64) bool { return true }
 
 type eventHeap []event
 
@@ -100,12 +105,12 @@ func runSchedDiff(t testing.TB, seed int64, steps int) {
 	push := func() {
 		seq++
 		at := now + randDelta(rng)
-		ev := event{at: at, seq: seq, kind: evDeliver, from: rng.Intn(8), to: rng.Intn(8)}
+		ev := event{at: at, seq: seq, from: rng.Intn(8), to: rng.Intn(8)}
 		if rng.Intn(8) == 0 {
-			ev.kind = evTimer
+			ev.sink = stubSink{}
 		}
 		s := w.pushSlot(at, seq)
-		s.kind = ev.kind
+		s.sink = ev.sink
 		s.from = ev.from
 		s.to = ev.to
 		h.push(&ev)
@@ -118,11 +123,11 @@ func runSchedDiff(t testing.TB, seed int64, steps int) {
 		if !wok {
 			return
 		}
-		if we.at != he.at || we.seq != he.seq || we.kind != he.kind ||
+		if we.at != he.at || we.seq != he.seq || we.sink != he.sink ||
 			we.from != he.from || we.to != he.to {
-			t.Fatalf("seed=%d %s: wheel popped (at=%v seq=%d kind=%d %d→%d), heap popped (at=%v seq=%d kind=%d %d→%d)",
-				seed, op, we.at, we.seq, we.kind, we.from, we.to,
-				he.at, he.seq, he.kind, he.from, he.to)
+			t.Fatalf("seed=%d %s: wheel popped (at=%v seq=%d timer=%v %d→%d), heap popped (at=%v seq=%d timer=%v %d→%d)",
+				seed, op, we.at, we.seq, we.sink != nil, we.from, we.to,
+				he.at, he.seq, he.sink != nil, he.from, he.to)
 		}
 		if we.at < now {
 			t.Fatalf("seed=%d %s: popped at=%v before now=%v — time ran backwards", seed, op, we.at, now)
@@ -145,12 +150,12 @@ func runSchedDiff(t testing.TB, seed int64, steps int) {
 			check("pop", we, wok, he, hok)
 		case r < 92:
 			// popMatchDeliver with the true head: a hit iff the head is an
-			// evDeliver; both schedulers must agree either way.
+			// frame delivery; both schedulers must agree either way.
 			head := h.events[0]
 			we, wok := w.popMatchDeliver(head.at, head.from, head.to)
 			he, hok := h.popMatchDeliver(head.at, head.from, head.to)
-			if wok != (head.kind == evDeliver) {
-				t.Fatalf("seed=%d matched popMatchDeliver hit=%v, head kind=%d", seed, wok, head.kind)
+			if wok != (head.sink == nil) {
+				t.Fatalf("seed=%d matched popMatchDeliver hit=%v, head is a timer: %v", seed, wok, head.sink != nil)
 			}
 			check("popMatchDeliver", we, wok, he, hok)
 		default:
@@ -229,9 +234,8 @@ func TestSchedulerTieBreak(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			at := instants[rng.Intn(len(instants))]
 			seq++
-			ev := event{at: at, seq: seq, kind: evDeliver}
-			s := w.pushSlot(at, seq)
-			s.kind = ev.kind
+			ev := event{at: at, seq: seq}
+			w.pushSlot(at, seq)
 			h.push(&ev)
 		}
 		var lastAt time.Duration = -1

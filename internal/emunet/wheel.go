@@ -109,7 +109,7 @@ func (w *timerWheel) len() int { return w.count }
 
 // pushSlot reserves the slot for a new event with the given (at, seq)
 // and returns it for the caller to fill the payload fields in place —
-// the zero-copy push path: Send writes kind/from/to/frame straight into
+// the zero-copy push path: Send writes from/to/frame straight into
 // the bucket instead of building an 80-byte event on the stack and
 // block-copying it in. The pointer is valid only until the next wheel
 // operation. Slot reservation relies on the pool invariant that every
@@ -218,7 +218,7 @@ func (w *timerWheel) popMatchDeliver(at time.Duration, from, to int) (event, boo
 		w.advance()
 	}
 	head := &w.cur[w.curPos]
-	if head.at != at || head.kind != evDeliver || head.from != from || head.to != to {
+	if head.at != at || head.sink != nil || head.from != from || head.to != to {
 		return event{}, false
 	}
 	ev := *head

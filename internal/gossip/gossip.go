@@ -49,9 +49,10 @@ func (c *Config) fill() {
 	}
 }
 
-// Sampler provides the peer sampling service primitive PeerSample(f).
+// Sampler provides the peer sampling service primitive PeerSample(f),
+// drawn into the caller's buffer (see membership.View.SampleInto).
 type Sampler interface {
-	Sample(f int) []peer.ID
+	SampleInto(dst []peer.ID, f int) []peer.ID
 }
 
 // Sender is the downcall interface to the payload scheduler: the paper's
@@ -77,6 +78,9 @@ type Gossip struct {
 	deliver DeliverFunc
 	tracer  trace.Tracer
 	clock   peer.Clock
+	// sample is forward's reused PeerSample buffer. Safe because L-Send
+	// never re-enters forward: a send only queues a frame.
+	sample []peer.ID
 }
 
 // New creates a gossip instance for node self.
@@ -123,7 +127,8 @@ func (g *Gossip) forward(id ids.ID, payload []byte, round int) {
 		return
 	}
 	// Fig. 2 line 11: the wire carries r+1, the relay count of the hop.
-	for _, p := range g.sampler.Sample(g.cfg.Fanout) {
+	g.sample = g.sampler.SampleInto(g.sample, g.cfg.Fanout)
+	for _, p := range g.sample {
 		g.sender.LSend(id, payload, round+1, p)
 	}
 }

@@ -22,11 +22,11 @@ type recorder struct {
 	sends []sent
 }
 
-func (r *recorder) Sample(f int) []peer.ID {
+func (r *recorder) SampleInto(dst []peer.ID, f int) []peer.ID {
 	if f > len(r.peers) {
 		f = len(r.peers)
 	}
-	return r.peers[:f]
+	return append(dst[:0], r.peers[:f]...)
 }
 
 func (r *recorder) LSend(id ids.ID, payload []byte, round int, to peer.ID) {
@@ -122,9 +122,9 @@ func TestFootprintIsOwnIDsOnly(t *testing.T) {
 	}
 	g.Multicast([]byte("a"))
 	g.Multicast([]byte("b"))
-	// First Add allocates the minimum 8-slot table; the order slice's
-	// capacity after two appends is 2.
-	want := int64(8*ids.IDSize + 2*ids.IDSize)
+	// First Add allocates the minimum 8-slot table and an order slice of
+	// the same capacity.
+	want := int64(8*ids.IDSize + 8*ids.IDSize)
 	if fp := g.Footprint(); fp.Bytes != want || fp.Items != 2 {
 		t.Fatalf("footprint after 2 multicasts = %+v, want %d bytes / 2 items", fp, want)
 	}

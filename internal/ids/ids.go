@@ -319,6 +319,12 @@ func (s *Set) Add(id ID) bool {
 		s.table[i] = id
 		s.count++
 	}
+	if s.order == nil {
+		// Start the FIFO at the table's size: a set that holds anything
+		// soon holds that many, and the first doublings would each
+		// allocate.
+		s.order = make([]ID, 0, setMinTable)
+	}
 	s.order = append(s.order, id)
 	s.evict()
 	return true

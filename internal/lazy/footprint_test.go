@@ -3,6 +3,7 @@ package lazy
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"emcast/internal/ids"
 	"emcast/internal/msg"
@@ -13,8 +14,8 @@ import (
 // TestModuleFootprint pins the byte report of a module that owns its
 // payloads (no store, as on TCP) against hand-built state: a fresh module
 // reports zero, cached payloads charge map entry + order slot + payload
-// bytes, received ids charge the dedup set, and a pending request charges
-// its struct and source slices.
+// bytes, received ids charge the dedup set, and pending requests charge
+// the id→slot table, the slab's slots, its free list and spill slices.
 func TestModuleFootprint(t *testing.T) {
 	f := newFixture(t, 1, &strategy.Flat{P: 0}, Config{})
 
@@ -25,11 +26,11 @@ func TestModuleFootprint(t *testing.T) {
 
 	// One cached 100-byte payload (the lazy LSend path caches it): an
 	// 8-slot open-addressing table × (16-byte ID + 32-byte cached value)
-	// = 384, order slot cap 1 → 16, payload 100.
+	// = 384, the FIFO's first 8 slots → 128, payload 100.
 	id1 := ids.ID{1}
 	f.mod.LSend(id1, make([]byte, 100), 1, 2)
 	fp = f.mod.Footprint()
-	if want := int64(384 + 16 + 100); fp.Bytes != want {
+	if want := int64(384 + 128 + 100); fp.Bytes != want {
 		t.Errorf("after 1 cached payload: bytes = %d, want %d", fp.Bytes, want)
 	}
 	if fp.Items != 1 {
@@ -37,31 +38,30 @@ func TestModuleFootprint(t *testing.T) {
 	}
 
 	// One received 40-byte payload: the dedup set gains one id — its
-	// 8-slot open-addressing table (8×16 = 128) plus an order slot
-	// (cap 1 → 16), total 144; nothing else retained.
+	// 8-slot open-addressing table (8×16 = 128) plus its FIFO's first 8
+	// slots (128), total 256; nothing else retained.
 	id2 := ids.ID{2}
 	f.mod.OnMsg(id2, make([]byte, 40), 1, 3)
 	fp = f.mod.Footprint()
-	if want := int64(384+16+100) + 144; fp.Bytes != want {
+	if want := int64(384+128+100) + 256; fp.Bytes != want {
 		t.Errorf("after 1 received payload: bytes = %d, want %d", fp.Bytes, want)
 	}
 	if fp.Items != 2 {
 		t.Errorf("after 1 received payload: items = %d, want 2", fp.Items)
 	}
 
-	// One pending request from an IHAVE: the pending table allocates its
-	// 8 slots × (16-byte ID + 8-byte pointer) = 192, plus the request
-	// struct (72) and one source in a cap-1 slice (4), no asked yet.
+	// One pending request from an IHAVE: the id→slot table allocates its
+	// 8 slots × (16-byte ID + 4-byte slot) = 160, and the slab its first
+	// minSlots slots of 96 bytes, the source held inline; no free slot,
+	// no spill yet.
 	id3 := ids.ID{3}
 	f.mod.OnIHave(id3, 4)
 	fp = f.mod.Footprint()
-	req, ok := f.mod.pending.Get(id3)
-	if !ok {
+	if _, ok := f.mod.pending.Get(id3); !ok {
 		t.Fatalf("pending request for %v not found", id3)
 	}
-	wantPending := int64(8*(ids.IDSize+8)+pendingStructBytes) +
-		int64(cap(req.sources)+cap(req.asked))*4
-	if want := int64(384+16+100) + 144 + wantPending; fp.Bytes != want {
+	wantPending := int64(8*(ids.IDSize+4) + minSlots*pendingSlotBytes)
+	if want := int64(384+128+100) + 256 + wantPending; fp.Bytes != want {
 		t.Errorf("after 1 pending request: bytes = %d, want %d", fp.Bytes, want)
 	}
 	if fp.Items != 3 {
@@ -76,10 +76,34 @@ func TestModuleFootprint(t *testing.T) {
 	if f.mod.PendingRequests() != 0 {
 		t.Fatalf("pending = %d, want 0", f.mod.PendingRequests())
 	}
-	// Received set now holds 2 ids: 8-slot table (128) + order cap 2
-	// → 32, total 160. The drained pending table stays allocated (192).
-	if want := int64(384+16+100) + 160 + int64(8*(ids.IDSize+8)); fp.Bytes != want {
+	// Received set now holds 2 ids, still in its first table and FIFO
+	// (256). The drained id→slot table and the slab stay allocated, and
+	// the free list now holds the request's slot.
+	free := int64(cap(f.mod.free)) * 4
+	if want := int64(384+128+100) + 256 + wantPending + free; fp.Bytes != want {
 		t.Errorf("after clearing: bytes = %d, want %d", fp.Bytes, want)
+	}
+
+	// Sources beyond the inline ones spill into the slot's spill slice,
+	// which the slot keeps when it is reused.
+	id4 := ids.ID{4}
+	for src := peer.ID(10); src < 10+inlineSources+1; src++ {
+		f.mod.OnIHave(id4, src)
+	}
+	spill := cap(f.mod.reqs[0].spill)
+	if spill < inlineSources+1 {
+		t.Fatalf("spill cap = %d, want >= %d", spill, inlineSources+1)
+	}
+	fp = f.mod.Footprint()
+	if want := int64(384+128+100) + 256 + wantPending + free + int64(spill)*4; fp.Bytes != want {
+		t.Errorf("after a spill: bytes = %d, want %d", fp.Bytes, want)
+	}
+}
+
+// TestPendingSlotBytesPin keeps Footprint's slot size honest.
+func TestPendingSlotBytesPin(t *testing.T) {
+	if got := unsafe.Sizeof(pendingRequest{}); got != pendingSlotBytes {
+		t.Fatalf("unsafe.Sizeof(pendingRequest{}) = %d, pendingSlotBytes = %d — update the constant", got, pendingSlotBytes)
 	}
 }
 
@@ -96,10 +120,10 @@ func TestModuleFootprintSharedStore(t *testing.T) {
 			f.mod.LSend(id, payload, round+1, 3) // relayed lazily: cached
 		}))
 		f.mod.OnMsg(id, make([]byte, 100), 1, 4)
-		// Received set 144 (see TestModuleFootprint) + cache table 384 +
-		// order slot 16; the 100 payload bytes are the store's.
-		if fp := f.mod.Footprint(); fp.Bytes != 144+384+16 || fp.Items != 2 {
-			t.Errorf("module %d footprint = %+v, want %d bytes / 2 items", self, fp, 144+384+16)
+		// Received set 256 (see TestModuleFootprint) + cache table 384 +
+		// FIFO 128; the 100 payload bytes are the store's.
+		if fp := f.mod.Footprint(); fp.Bytes != 256+384+128 || fp.Items != 2 {
+			t.Errorf("module %d footprint = %+v, want %d bytes / 2 items", self, fp, 256+384+128)
 		}
 		if f.mod.cache.bytes != 100 {
 			t.Errorf("module %d cache tracks %d payload bytes, want 100", self, f.mod.cache.bytes)

@@ -12,6 +12,15 @@
 // RequestPeriod (the paper's T, an estimate of maximum end-to-end latency,
 // 400 ms in the evaluation) to a source chosen by the strategy, rotating
 // through known sources so every queued request is eventually scheduled.
+//
+// The request state costs no allocation per message. Pending requests
+// live by value in a per-module slab of slots, reused through a free
+// list; each slot holds its source rotation inline and spills into a
+// slice it keeps across reuse. The retry timers are armed as data
+// (peer.Env.Arm): the module is the timer sink, and the key is the slot
+// with its generation, which a request bumps when it ends. A fire whose
+// generation is stale is ignored, so a request is cancelled by ending it,
+// whether or not the host can stop the timer.
 package lazy
 
 import (
@@ -62,7 +71,7 @@ type Receiver interface {
 }
 
 // Module is the per-node lazy point-to-point state. It is not safe for
-// concurrent use: its request timers, armed through env.Timers, and every
+// concurrent use: its request timers, armed through env.Arm, and every
 // method are inputs of the owning node's step machine (see core.Node).
 type Module struct {
 	cfg      Config
@@ -76,7 +85,11 @@ type Module struct {
 
 	received *ids.Set // R: messages whose payload has been received
 	cache    *payloadCache
-	pending  *ids.Map[*pendingRequest]
+	// pending maps a requested id to its slot in reqs, the slab of
+	// pending requests; free lists the slots no request holds.
+	pending *ids.Map[uint32]
+	reqs    []pendingRequest
+	free    []uint32
 	// payloads keeps every payload the module retains past a frame; nil
 	// (the default) means a private copy each, owned by this module.
 	payloads *Payloads
@@ -91,12 +104,69 @@ type cached struct {
 	round   int
 }
 
+// minSlots is the slab's first capacity: a node rarely has more requests
+// than this pending at once.
+const minSlots = 4
+
+// inlineSources is how many known sources a pending request holds in its
+// slot before it spills into the slot's spill slice.
+const inlineSources = 6
+
+// pendingRequest is one slab slot. Its known sources form one list: the
+// first asked of them were already requested in this rotation, in asking
+// order, and the rest wait in arrival order. The list is inline[:n] while
+// n fits, spill[:n] after.
 type pendingRequest struct {
-	sources []peer.ID // known sources not yet asked in this rotation
-	asked   []peer.ID // sources already asked (kept for rotation)
-	timer   peer.Timer
-	tries   int
+	id ids.ID
+	// timer is the host's handle on the armed request timer: nil on the
+	// emulator, which cancels through the generation alone.
+	timer peer.Timer
+	// gen is bumped when the request ends, making its armed key stale.
+	gen    uint32
+	tries  int32
+	n      int32
+	asked  int32
+	inline [inlineSources]peer.ID
+	spill  []peer.ID
 }
+
+// sources returns the request's source list.
+func (r *pendingRequest) sources() []peer.ID {
+	if int(r.n) <= len(r.inline) {
+		return r.inline[:r.n]
+	}
+	return r.spill[:r.n]
+}
+
+// add appends a source to the waiting part of the list.
+func (r *pendingRequest) add(p peer.ID) {
+	switch {
+	case int(r.n) < len(r.inline):
+		r.inline[r.n] = p
+	case int(r.n) == len(r.inline):
+		r.spill = append(append(r.spill[:0], r.inline[:]...), p)
+	default:
+		r.spill = append(r.spill, p)
+	}
+	r.n++
+}
+
+// markAsked moves src from the waiting part to the end of the asked part,
+// keeping both in order. PickSource returns one of the waiting sources.
+func (r *pendingRequest) markAsked(src peer.ID) {
+	s := r.sources()
+	j := int(r.asked)
+	for s[j] != src {
+		j++
+	}
+	copy(s[r.asked+1:j+1], s[r.asked:j])
+	s[r.asked] = src
+	r.asked++
+}
+
+// key is the timer key of the request in slot: the slot and its
+// generation.
+func (r *pendingRequest) key(slot uint32) uint64 { return uint64(slot)<<32 | uint64(r.gen) }
 
 // New creates the module. The receiver upcall must be set with SetReceiver
 // before frames flow.
@@ -114,7 +184,7 @@ func New(cfg Config, env *peer.Env, strat strategy.Strategy, tracer trace.Tracer
 		causal:   causal,
 		received: ids.NewSet(cfg.ReceivedCapacity),
 		cache:    newPayloadCache(cfg.CacheCapacity),
-		pending:  ids.NewMap[*pendingRequest](0),
+		pending:  ids.NewMap[uint32](0),
 	}
 }
 
@@ -163,43 +233,79 @@ func (m *Module) OnIHave(id ids.ID, from peer.ID) {
 	if m.received.Contains(id) {
 		return
 	}
-	req, ok := m.pending.Get(id)
-	if !ok {
-		req = &pendingRequest{}
-		m.pending.Put(id, req)
-		req.sources = append(req.sources, from)
-		delay := m.strat.FirstDelay(from)
-		req.timer = m.env.Timers.AfterFunc(delay, func() { m.fireRequest(id) })
+	if slot, ok := m.pending.Get(id); ok {
+		m.reqs[slot].add(from)
 		return
 	}
-	req.sources = append(req.sources, from)
+	slot := m.acquire(id)
+	r := &m.reqs[slot]
+	r.add(from)
+	r.timer = m.env.Arm(m.strat.FirstDelay(from), m, r.key(slot))
 }
 
-// fireRequest issues one IWANT for id and schedules the next attempt.
-func (m *Module) fireRequest(id ids.ID) {
-	req, ok := m.pending.Get(id)
-	if !ok || m.received.Contains(id) {
-		m.pending.Delete(id)
+// acquire takes a free slab slot (or grows the slab) for a new request.
+func (m *Module) acquire(id ids.ID) uint32 {
+	var slot uint32
+	if n := len(m.free); n > 0 {
+		slot = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		slot = uint32(len(m.reqs))
+		if m.reqs == nil {
+			m.reqs = make([]pendingRequest, 0, minSlots)
+		}
+		m.reqs = append(m.reqs, pendingRequest{})
+	}
+	m.reqs[slot].id = id
+	m.pending.Put(id, slot)
+	return slot
+}
+
+// release ends the request in slot: its armed key goes stale, and the
+// slot, spill capacity included, returns to the free list.
+func (m *Module) release(slot uint32) {
+	r := &m.reqs[slot]
+	m.pending.Delete(r.id)
+	r.gen++
+	r.timer = nil
+	r.tries, r.n, r.asked = 0, 0, 0
+	r.spill = r.spill[:0]
+	m.free = append(m.free, slot)
+}
+
+// FireTimer implements peer.TimerSink: a request timer fired. It reports
+// false, having done nothing, when the request it was armed for has ended.
+func (m *Module) FireTimer(key uint64) bool {
+	slot := uint32(key >> 32)
+	if m.reqs[slot].gen != uint32(key) {
+		return false
+	}
+	m.fireRequest(slot)
+	return true
+}
+
+// fireRequest issues one IWANT for the request in slot and schedules the
+// next attempt.
+func (m *Module) fireRequest(slot uint32) {
+	r := &m.reqs[slot]
+	id := r.id
+	if m.received.Contains(id) || int(r.tries) >= m.cfg.MaxRequests {
+		m.release(slot)
 		return
 	}
-	if req.tries >= m.cfg.MaxRequests {
-		m.pending.Delete(id)
-		return
-	}
-	if len(req.sources) == 0 {
+	if r.asked == r.n {
 		// Rotation exhausted: start over through already-asked
 		// sources, so requests keep flowing every T while sources are
 		// known (paper §4.1).
-		req.sources, req.asked = req.asked, nil
+		r.asked = 0
 	}
-	src := m.strat.PickSource(req.sources)
+	src := m.strat.PickSource(r.sources()[r.asked:])
 	if src == peer.None {
-		m.pending.Delete(id)
+		m.release(slot)
 		return
 	}
-	removeSource(req, src)
-	req.asked = append(req.asked, src)
-	req.tries++
+	r.markAsked(src)
+	r.tries++
 	frame := (&msg.IWant{ID: id}).Encode(m.scratch[:0])
 	m.scratch = frame
 	m.tracer.ControlSent(m.env.Self(), src, "IWANT", len(frame))
@@ -207,16 +313,7 @@ func (m *Module) fireRequest(id ids.ID) {
 		m.causal.Requested(m.env.Self(), src, id, m.env.Now())
 	}
 	m.env.Transport.Send(src, frame)
-	req.timer = m.env.Timers.AfterFunc(m.cfg.RequestPeriod, func() { m.fireRequest(id) })
-}
-
-func removeSource(req *pendingRequest, src peer.ID) {
-	for i, s := range req.sources {
-		if s == src {
-			req.sources = append(req.sources[:i], req.sources[i+1:]...)
-			return
-		}
-	}
+	r.timer = m.env.Arm(m.cfg.RequestPeriod, m, r.key(slot))
 }
 
 // OnMsg handles a full payload transmission: first receipt clears pending
@@ -248,11 +345,11 @@ func (m *Module) OnMsg(id ids.ID, payload []byte, round int, from peer.ID) {
 }
 
 func (m *Module) clear(id ids.ID) {
-	if req, ok := m.pending.Get(id); ok {
-		if req.timer != nil {
-			req.timer.Stop()
+	if slot, ok := m.pending.Get(id); ok {
+		if t := m.reqs[slot].timer; t != nil {
+			t.Stop()
 		}
-		m.pending.Delete(id)
+		m.release(slot)
 	}
 }
 
@@ -274,22 +371,23 @@ func (m *Module) Received(id ids.ID) bool { return m.received.Contains(id) }
 // PendingRequests returns the number of messages awaiting payload.
 func (m *Module) PendingRequests() int { return m.pending.Len() }
 
-// Per-entry size estimates for Footprint: the cached struct (payload
-// slice header + round) stored as a map value, and the pendingRequest
-// struct behind its map pointer (two slice headers, timer interface,
-// tries).
+// Per-entry sizes for Footprint: the cached struct (payload slice header
+// + round) stored as a map value, and one slab slot (id, timer
+// interface, four counters, inline sources, spill slice header; pinned
+// by an unsafe.Sizeof test).
 const (
-	cachedEntryBytes   = 24 + 8
-	pendingStructBytes = 2*24 + 16 + 8
+	cachedEntryBytes = 24 + 8
+	pendingSlotBytes = 16 + 16 + 4*4 + inlineSources*4 + 24
 )
 
 // Footprint implements obs.Footprinter: the retained bytes of the
 // per-node lazy state — the received dedup set R, the payload cache C
 // (map entries, plus the cached payload bytes the cache tracks
 // incrementally when the module owns them; a shared store reports those
-// once, in its own Footprint) and the pending retransmission requests
-// with their source rotation queues. Pure arithmetic over tracked lengths
-// and capacities.
+// once, in its own Footprint) and the pending retransmission requests:
+// their id→slot table, the slab's capacity, its free list and the spill
+// slices its slots keep. Arithmetic over tracked lengths and capacities,
+// plus a walk of the slab.
 func (m *Module) Footprint() obs.Footprint {
 	bytes := m.received.FootprintBytes()
 	bytes += int64(m.cache.entries.TableLen())*(ids.IDSize+cachedEntryBytes) +
@@ -297,16 +395,22 @@ func (m *Module) Footprint() obs.Footprint {
 	if m.payloads == nil {
 		bytes += m.cache.bytes
 	}
-	bytes += int64(m.pending.TableLen()) * (ids.IDSize + 8)
-	m.pending.Range(func(_ ids.ID, req *pendingRequest) {
-		bytes += pendingStructBytes + int64(cap(req.sources)+cap(req.asked))*4
-	})
+	bytes += int64(m.pending.TableLen())*(ids.IDSize+4) +
+		int64(cap(m.reqs))*pendingSlotBytes + int64(cap(m.free))*4
+	for i := range m.reqs {
+		bytes += int64(cap(m.reqs[i].spill)) * 4
+	}
 	return obs.Footprint{
 		Subsystem: "lazy",
 		Bytes:     bytes,
 		Items:     int64(m.received.Len() + m.cache.Len() + m.pending.Len()),
 	}
 }
+
+// minCacheOrder is the first capacity of the cache's FIFO, the size of
+// the entries table's first allocation: the first doublings would each
+// allocate.
+const minCacheOrder = 8
 
 // payloadCache is the bounded map C of Fig. 3, with FIFO eviction.
 type payloadCache struct {
@@ -332,6 +436,9 @@ func (c *payloadCache) put(id ids.ID, e cached) {
 	}
 	c.entries.Put(id, e)
 	c.bytes += int64(len(e.payload))
+	if c.order == nil {
+		c.order = make([]ids.ID, 0, minCacheOrder)
+	}
 	c.order = append(c.order, id)
 	for c.entries.Len() > c.capacity {
 		victim := c.order[c.head]

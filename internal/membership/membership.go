@@ -46,6 +46,8 @@ type View struct {
 	// samples fanout peers per forwarded message, and allocating a fresh
 	// rand.Perm slice each time dominated the allocation profile.
 	perm []int
+	// pool is MergeExchange's reused eviction-preference scratch.
+	pool []peer.ID
 }
 
 // NewView creates an empty view for node self.
@@ -121,12 +123,18 @@ func (v *View) Peers() []peer.ID {
 
 // Sample returns min(f, Len) distinct peers drawn uniformly at random. This
 // is the paper's PeerSample(f) primitive.
-func (v *View) Sample(f int) []peer.ID {
+func (v *View) Sample(f int) []peer.ID { return v.SampleInto(nil, f) }
+
+// SampleInto is Sample into a caller's buffer: it makes the same draws and
+// returns the sample in dst's storage (from dst[:0]), allocating only when
+// dst is too small. Callers that sample on every message reuse one buffer.
+func (v *View) SampleInto(dst []peer.ID, f int) []peer.ID {
+	dst = dst[:0]
 	if f > len(v.peers) {
 		f = len(v.peers)
 	}
 	if f <= 0 {
-		return nil
+		return dst
 	}
 	// Inline rand.Perm into a reused scratch slice. The loop below is
 	// exactly math/rand's Perm — same Intn draws in the same order — so
@@ -142,11 +150,13 @@ func (v *View) Sample(f int) []peer.ID {
 		perm[i] = perm[j]
 		perm[j] = i
 	}
-	out := make([]peer.ID, 0, f)
-	for _, i := range perm[:f] {
-		out = append(out, v.peers[i])
+	if cap(dst) < f {
+		dst = make([]peer.ID, 0, f)
 	}
-	return out
+	for _, i := range perm[:f] {
+		dst = append(dst, v.peers[i])
+	}
+	return dst
 }
 
 // ShufflePartner picks a random neighbour to shuffle with, or None if the
@@ -160,10 +170,12 @@ func (v *View) ShufflePartner() peer.ID {
 
 // ShuffleSample builds the sample sent in a shuffle: a random subset of the
 // view plus the sender itself, so node addresses propagate through the
-// overlay.
-func (v *View) ShuffleSample() []peer.ID {
-	s := v.Sample(v.cfg.ShuffleSize - 1)
-	return append(s, v.self)
+// overlay. Like SampleInto it fills dst's storage.
+func (v *View) ShuffleSample(dst []peer.ID) []peer.ID {
+	if cap(dst) < v.cfg.ShuffleSize {
+		dst = make([]peer.ID, 0, v.cfg.ShuffleSize)
+	}
+	return append(v.SampleInto(dst, v.cfg.ShuffleSize-1), v.self)
 }
 
 // Merge incorporates a received shuffle sample into the view.
@@ -177,7 +189,8 @@ func (v *View) Merge(sample []peer.ID) {
 const peerIDBytes = 4
 
 // Footprint implements obs.Footprinter: the peers slice's capacity plus
-// the index map (4-byte ID key, 8-byte int value, map overhead). The
+// the index map (4-byte ID key, 8-byte int value, map overhead) and the
+// two scratch buffers. The
 // estimate is pure arithmetic over lengths and capacities — the walk
 // never mutates the view.
 func (v *View) Footprint() obs.Footprint {
@@ -185,7 +198,7 @@ func (v *View) Footprint() obs.Footprint {
 		Subsystem: "membership",
 		Bytes: int64(cap(v.peers))*peerIDBytes +
 			int64(len(v.index))*(peerIDBytes+8+obs.MapEntryOverhead) +
-			int64(cap(v.perm))*8,
+			int64(cap(v.perm))*8 + int64(cap(v.pool))*peerIDBytes,
 		Items: int64(len(v.peers)),
 	}
 }
@@ -198,12 +211,16 @@ func (v *View) Footprint() obs.Footprint {
 // connected under continuous shuffling.
 func (v *View) MergeExchange(received, sent []peer.ID) {
 	// Copy so eviction can consume entries in deterministic order.
-	pool := make([]peer.ID, 0, len(sent))
+	if cap(v.pool) < len(sent) {
+		v.pool = make([]peer.ID, 0, max(len(sent), v.cfg.ShuffleSize))
+	}
+	pool := v.pool[:0]
 	for _, p := range sent {
 		if p != v.self {
 			pool = append(pool, p)
 		}
 	}
+	v.pool = pool
 	for _, p := range received {
 		if p == v.self || p == peer.None || v.Contains(p) {
 			continue

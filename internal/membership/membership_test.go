@@ -116,7 +116,7 @@ func TestShufflePartnerAndSample(t *testing.T) {
 	if !v.Contains(p) {
 		t.Fatal("partner not from view")
 	}
-	s := v.ShuffleSample()
+	s := v.ShuffleSample(nil)
 	foundSelf := false
 	for _, id := range s {
 		if id == 0 {
@@ -212,7 +212,7 @@ func TestDefaultsFilled(t *testing.T) {
 	if v.Len() != DefaultConfig().ViewSize {
 		t.Fatalf("default capacity = %d, want %d", v.Len(), DefaultConfig().ViewSize)
 	}
-	if got := len(v.ShuffleSample()); got == 0 {
+	if got := len(v.ShuffleSample(nil)); got == 0 {
 		t.Fatal("default shuffle size zero")
 	}
 }

@@ -12,9 +12,10 @@ import (
 	"emcast/internal/peer"
 )
 
-// Sim is a manual virtual clock and timer wheel. It implements peer.Clock
-// and peer.Timers. Timers fire when Advance moves the clock past their
-// deadline, in deadline order (FIFO among equal deadlines).
+// Sim is a manual virtual clock and timer wheel. It implements peer.Clock,
+// peer.Timers and peer.Arming. Timers fire when Advance moves the clock
+// past their deadline, in deadline order (FIFO among equal deadlines).
+// Arm returns a stoppable handle, as a real-network host does.
 type Sim struct {
 	mu     sync.Mutex
 	now    time.Duration
@@ -34,13 +35,23 @@ func (s *Sim) Now() time.Duration {
 
 // AfterFunc implements peer.Timers.
 func (s *Sim) AfterFunc(d time.Duration, fn func()) peer.Timer {
+	return s.push(d, &simTimer{fn: fn})
+}
+
+// Arm implements peer.Arming.
+func (s *Sim) Arm(d time.Duration, sink peer.TimerSink, key uint64) peer.Timer {
+	return s.push(d, &simTimer{sink: sink, key: key})
+}
+
+// push schedules t to fire d from now.
+func (s *Sim) push(d time.Duration, t *simTimer) *simTimer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d < 0 {
 		d = 0
 	}
 	s.seq++
-	t := &simTimer{sim: s, at: s.now + d, seq: s.seq, fn: fn}
+	t.sim, t.at, t.seq = s, s.now+d, s.seq
 	heap.Push(&s.timers, t)
 	return t
 }
@@ -59,9 +70,12 @@ func (s *Sim) Advance(d time.Duration) {
 		}
 		s.now = t.at
 		t.fired = true
-		fn := t.fn
 		s.mu.Unlock()
-		fn()
+		if t.sink != nil {
+			t.sink.FireTimer(t.key)
+		} else {
+			t.fn()
+		}
 		s.mu.Lock()
 	}
 	s.now = target
@@ -81,11 +95,15 @@ func (s *Sim) Pending() int {
 	return n
 }
 
+// simTimer is a pending AfterFunc callback (fn) or data timer (sink,
+// key).
 type simTimer struct {
 	sim     *Sim
 	at      time.Duration
 	seq     uint64
 	fn      func()
+	sink    peer.TimerSink
+	key     uint64
 	stopped bool
 	fired   bool
 }
@@ -233,5 +251,6 @@ func (t *meshTransport) Local() peer.ID { return t.self }
 var (
 	_ peer.Clock     = (*Sim)(nil)
 	_ peer.Timers    = (*Sim)(nil)
+	_ peer.Arming    = (*Sim)(nil)
 	_ peer.Transport = (*meshTransport)(nil)
 )

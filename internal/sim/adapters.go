@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"time"
-
 	"emcast/internal/core"
 	"emcast/internal/emunet"
 	"emcast/internal/peer"
@@ -23,29 +21,7 @@ func (t *simTransport) Send(to peer.ID, frame []byte) {
 // Local implements peer.Transport.
 func (t *simTransport) Local() peer.ID { return t.self }
 
-// simClock adapts the emulator's virtual clock to peer.Clock.
-type simClock struct {
-	net *emunet.Network
-}
-
-// Now implements peer.Clock.
-func (c simClock) Now() time.Duration { return c.net.Now() }
-
-// simTimers adapts the emulator's timers to peer.Timers.
-type simTimers struct {
-	net *emunet.Network
-}
-
-// AfterFunc implements peer.Timers.
-func (t simTimers) AfterFunc(d time.Duration, fn func()) peer.Timer {
-	return t.net.AfterFunc(d, fn)
-}
-
-var (
-	_ peer.Transport = (*simTransport)(nil)
-	_ peer.Clock     = simClock{}
-	_ peer.Timers    = simTimers{}
-)
+var _ peer.Transport = (*simTransport)(nil)
 
 // frameHandler routes emulator deliveries into a protocol node.
 type frameHandler struct {

@@ -351,8 +351,8 @@ func (r *Runner) buildNodes() {
 		id := peer.ID(i)
 		env := &peer.Env{
 			Transport: &simTransport{net: r.net, self: id},
-			Clock:     simClock{net: r.net},
-			Timers:    simTimers{net: r.net},
+			Clock:     r.net,
+			Timers:    r.net,
 			RNG:       rand.New(rand.NewSource(cfg.Seed ^ int64(i+1)*0x2545f491)),
 		}
 		nodeCfg := coreCfg
@@ -513,7 +513,8 @@ func (r *Runner) Failed(node int) bool {
 // Live returns the original (non-joiner) nodes that have not failed or
 // left, in ascending id order.
 func (r *Runner) Live() []int {
-	var live []int
+	// Sized for LiveAll's joiners too: the Player asks once per multicast.
+	live := make([]int, 0, r.cfg.Nodes+r.cfg.LateJoiners)
 	for i := 0; i < r.cfg.Nodes; i++ {
 		if !r.failed[peer.ID(i)] {
 			live = append(live, i)

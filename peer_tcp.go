@@ -124,6 +124,18 @@ func (t lockedTimers) AfterFunc(d time.Duration, fn func()) peer.Timer {
 	})
 }
 
+// Arm implements peer.Arming with the same one runtime timer: the sink
+// runs under the peer's lock, and the handle stops the runtime timer. A
+// Stop that loses the race, its callback already waiting for the lock,
+// fires a key the sink finds stale.
+func (t lockedTimers) Arm(d time.Duration, sink peer.TimerSink, key uint64) peer.Timer {
+	return neem.Timers{}.AfterFunc(d, func() {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		sink.FireTimer(key)
+	})
+}
+
 // NewPeer starts a real-network protocol node: it binds the listen address,
 // seeds its view from the address book, and launches the periodic overlay
 // and monitoring tasks.
