@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"emcast/internal/ids"
 	"emcast/internal/peer"
 	"emcast/internal/trace"
 )
@@ -69,18 +68,6 @@ func timelineEvents(pid int, tr *tree) []chromeEvent {
 		out = append(out, ce)
 	}
 	return out
-}
-
-// WriteTimelineFor writes one sampled message's timeline as Chrome
-// trace-event JSON. It fails if id was not sampled.
-func (t *Tracer) WriteTimelineFor(w io.Writer, id ids.ID) error {
-	t.mu.Lock()
-	tr, ok := t.trees[id]
-	t.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("disstrace: message %s was not sampled", id)
-	}
-	return writeChrome(w, timelineEvents(0, tr))
 }
 
 // WriteTimeline writes every sampled message's timeline into one Chrome

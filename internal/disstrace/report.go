@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"emcast/internal/ids"
 	"emcast/internal/peer"
 	"emcast/internal/trace"
 )
@@ -329,18 +328,6 @@ func topShare(window []map[trace.Link]bool) float64 {
 		top += uses[l]
 	}
 	return float64(top) / float64(total)
-}
-
-// SampledIDs returns the sampled message ids in multicast-time order.
-func (t *Tracer) SampledIDs() []ids.ID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	trees := t.orderedLocked()
-	out := make([]ids.ID, len(trees))
-	for i, tr := range trees {
-		out[i] = tr.id
-	}
-	return out
 }
 
 func ms(d time.Duration) float64 {

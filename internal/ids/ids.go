@@ -1,12 +1,16 @@
 // Package ids provides probabilistically unique message identifiers and
-// bounded identifier sets, as required by the gossip layer (paper §3.1) and
-// the lazy point-to-point layer (paper §3.2).
+// the one table that every protocol layer keys by them, as required by the
+// gossip layer (paper §3.1) and the lazy point-to-point layer (paper §3.2).
 //
 // Identifiers are 128-bit random strings: the paper notes that identifiers
 // "must be unique with high probability, as conflicts will cause deliveries
-// to be omitted" and suggests exactly this construction. Sets support
-// age-based garbage collection so that known-message state does not grow
-// without bound (paper §3.1, referencing [5, 13]).
+// to be omitted" and suggests exactly this construction.
+//
+// The table is written once. Map is open addressing over the identifier's
+// first 8 bytes, with one probe loop. Bounded is a Map plus one FIFO, the
+// age-based garbage collection that keeps known-message state from
+// growing without bound (paper §3.1, referencing [5, 13]). Set is a
+// Bounded without values.
 package ids
 
 import (
@@ -14,6 +18,7 @@ import (
 	"encoding/hex"
 	"math/rand"
 	"sync"
+	"unsafe"
 )
 
 // IDSize is the size of a message identifier in bytes.
@@ -72,30 +77,46 @@ func (g *Generator) Next() ID {
 	return id
 }
 
-// Fold compresses an identifier to the 8-byte map key used by Map and
-// Set. Identifiers are uniformly random, so their first 8 bytes are a
-// ready-made high-quality hash: keying Go maps by the fold takes the
-// runtime's fast integer-map path instead of hashing and comparing full
-// 16-byte keys — a measurable share of hot-loop CPU, since every gossip
-// frame consults several ID-keyed structures. Distinct IDs sharing a
-// fold are handled exactly via a tiny overflow map, so folding is a pure
-// optimisation, never a semantic change.
-func Fold(id ID) uint64 {
+// The table's layout constants, shared by every Map and Bounded:
+//   - minTable is the first table's size, a power of two so that a probe
+//     wraps with a mask. Eight 16-byte keys are two cache lines, and a
+//     table that holds anything soon holds that many.
+//   - A table doubles when an insert would pass 3/4 load, so linear-probe
+//     chains stay a slot or two long.
+//   - A Bounded FIFO starts at minTable entries too: its first doublings
+//     would each allocate.
+//   - It compacts once its dead prefix passes half its length and
+//     minCompact entries, so a compaction copies no more than it frees and
+//     a small FIFO never compacts.
+const (
+	minTable   = 8
+	minCompact = 64
+)
+
+// fold is the table hash of an identifier. Identifiers are uniformly
+// random, so their first 8 bytes are a ready-made high-quality hash that
+// needs no further mixing.
+func fold(id ID) uint64 {
 	return binary.BigEndian.Uint64(id[0:8])
 }
 
-// Map is an ID-keyed map on the same open-addressing layout as Set:
-// parallel key and value arrays probed linearly from the fold, with the
-// reserved all-zero ID marking empty slots (a caller's deliberate zero-ID
-// entry is tracked in side fields, so semantics stay exact for every
-// input). Lookups are index arithmetic plus 16-byte compares — no
-// hashing, no runtime map machinery — and removal uses backward-shift
-// deletion, so probe chains stay exact without tombstones. The zero
-// value is not ready for use; call NewMap. Not safe for concurrent use.
+// Map is the ID-keyed table: parallel key and value arrays probed
+// linearly from the fold, with the reserved all-zero ID marking empty
+// slots (a caller's deliberate zero-ID entry is kept in side fields, so
+// semantics stay exact for every input). A lookup is index arithmetic plus
+// 16-byte compares on one or two cache lines: no hashing, no per-entry
+// allocation and no runtime map machinery. Every simulated frame consults
+// one (the dedup check), which made this the hottest data structure in
+// the 10k-node profile. Removal uses backward-shift deletion, so probe
+// chains stay exact without tombstones. The zero value is an empty Map;
+// NewMap presizes. Not safe for concurrent use.
 type Map[V any] struct {
-	keys    []ID
-	vals    []V
-	count   int
+	keys []ID
+	vals []V
+	// count is an int32 so that it shares a word with hasZero: a node
+	// holds two Sets and a Bounded cache, and the saved word keeps each in
+	// a smaller allocation size class.
+	count   int32
 	hasZero bool
 	zeroV   V
 }
@@ -104,7 +125,7 @@ type Map[V any] struct {
 func NewMap[V any](hint int) *Map[V] {
 	m := &Map[V]{}
 	if hint > 0 {
-		size := setMinTable
+		size := minTable
 		for size*3 < hint*4 {
 			size *= 2
 		}
@@ -114,79 +135,84 @@ func NewMap[V any](hint int) *Map[V] {
 	return m
 }
 
+// slot is the table's one probe loop. It walks the probe chain of id,
+// which must not be zero, from its home slot in an allocated table, and
+// returns id's index and true, or the index of the empty slot that ends
+// the chain and false.
+func (m *Map[V]) slot(id ID) (uint64, bool) {
+	mask := uint64(len(m.keys) - 1)
+	i := fold(id) & mask
+	for !m.keys[i].IsZero() {
+		if m.keys[i] == id {
+			return i, true
+		}
+		i = (i + 1) & mask
+	}
+	return i, false
+}
+
 // Get returns the value stored for id.
 func (m *Map[V]) Get(id ID) (V, bool) {
 	if id.IsZero() {
 		return m.zeroV, m.hasZero
 	}
-	if m.keys == nil {
-		var zero V
-		return zero, false
-	}
-	mask := uint64(len(m.keys) - 1)
-	i := Fold(id) & mask
-	for !m.keys[i].IsZero() {
-		if m.keys[i] == id {
+	if m.keys != nil {
+		if i, ok := m.slot(id); ok {
 			return m.vals[i], true
 		}
-		i = (i + 1) & mask
 	}
 	var zero V
 	return zero, false
 }
 
-// Put stores v for id, replacing any existing value.
-func (m *Map[V]) Put(id ID, v V) {
+// ref returns a pointer to id's value, inserting id with the zero value
+// when it is absent, and reports whether it inserted. The pointer is
+// valid until the next insert, which may grow the table.
+func (m *Map[V]) ref(id ID) (*V, bool) {
 	if id.IsZero() {
-		m.zeroV, m.hasZero = v, true
-		return
+		fresh := !m.hasZero
+		m.hasZero = true
+		return &m.zeroV, fresh
 	}
 	if m.keys == nil {
-		m.keys = make([]ID, setMinTable)
-		m.vals = make([]V, setMinTable)
+		m.keys = make([]ID, minTable)
+		m.vals = make([]V, minTable)
 	}
-	mask := uint64(len(m.keys) - 1)
-	i := Fold(id) & mask
-	for !m.keys[i].IsZero() {
-		if m.keys[i] == id {
-			m.vals[i] = v
-			return
-		}
-		i = (i + 1) & mask
+	i, ok := m.slot(id)
+	if ok {
+		return &m.vals[i], false
 	}
-	if (m.count+1)*4 > len(m.keys)*3 {
+	if int(m.count+1)*4 > len(m.keys)*3 {
 		m.grow()
-		mask = uint64(len(m.keys) - 1)
-		i = Fold(id) & mask
-		for !m.keys[i].IsZero() {
-			i = (i + 1) & mask
-		}
+		i, _ = m.slot(id)
 	}
 	m.keys[i] = id
-	m.vals[i] = v
 	m.count++
+	return &m.vals[i], true
+}
+
+// Put stores v for id, replacing any existing value.
+func (m *Map[V]) Put(id ID, v V) {
+	p, _ := m.ref(id)
+	*p = v
 }
 
 func (m *Map[V]) grow() {
 	oldKeys, oldVals := m.keys, m.vals
 	m.keys = make([]ID, 2*len(oldKeys))
 	m.vals = make([]V, 2*len(oldVals))
-	mask := uint64(len(m.keys) - 1)
 	for j, id := range oldKeys {
-		if id.IsZero() {
-			continue
+		if !id.IsZero() {
+			i, _ := m.slot(id)
+			m.keys[i], m.vals[i] = id, oldVals[j]
 		}
-		i := Fold(id) & mask
-		for !m.keys[i].IsZero() {
-			i = (i + 1) & mask
-		}
-		m.keys[i] = id
-		m.vals[i] = oldVals[j]
 	}
 }
 
-// Delete removes id's entry, if present, backward-shifting the probe
-// chain closed (see Set.remove).
+// Delete removes id's entry, if present. The entries after the vacated
+// slot are shifted back into it when their home slot lies cyclically
+// outside the gap, so every surviving entry stays reachable from its home
+// slot: no tombstones, no broken chains.
 func (m *Map[V]) Delete(id ID) {
 	var zero V
 	if id.IsZero() {
@@ -196,38 +222,25 @@ func (m *Map[V]) Delete(id ID) {
 	if m.keys == nil {
 		return
 	}
-	mask := uint64(len(m.keys) - 1)
-	i := Fold(id) & mask
-	for {
-		if m.keys[i].IsZero() {
-			return
-		}
-		if m.keys[i] == id {
-			break
-		}
-		i = (i + 1) & mask
+	i, ok := m.slot(id)
+	if !ok {
+		return
 	}
-	j := i
-	for {
-		j = (j + 1) & mask
-		if m.keys[j].IsZero() {
-			break
-		}
-		k := Fold(m.keys[j]) & mask
+	mask := uint64(len(m.keys) - 1)
+	for j := (i + 1) & mask; !m.keys[j].IsZero(); j = (j + 1) & mask {
+		k := fold(m.keys[j]) & mask
 		if (j > i && (k <= i || k > j)) || (j < i && k <= i && k > j) {
-			m.keys[i] = m.keys[j]
-			m.vals[i] = m.vals[j]
+			m.keys[i], m.vals[i] = m.keys[j], m.vals[j]
 			i = j
 		}
 	}
-	m.keys[i] = ID{}
-	m.vals[i] = zero
+	m.keys[i], m.vals[i] = ID{}, zero
 	m.count--
 }
 
 // Len returns the number of stored entries.
 func (m *Map[V]) Len() int {
-	n := m.count
+	n := int(m.count)
 	if m.hasZero {
 		n++
 	}
@@ -252,193 +265,97 @@ func (m *Map[V]) Range(fn func(id ID, v V)) {
 	}
 }
 
-// Set is a bounded set of identifiers with FIFO garbage collection: once the
-// set holds more than its capacity, the oldest identifiers are evicted. This
-// implements the paper's requirement that K, R and C are pruned while active
-// messages are retained with high probability.
-//
-// Membership is an open-addressing linear-probe table of IDs. The fold is
-// the hash — identifiers are uniformly random, so their first 8 bytes need
-// no further mixing — and the reserved all-zero ID marks empty slots, so a
-// membership probe is index arithmetic plus 16-byte compares on one or two
-// cache lines, with no hashing, no per-entry allocation and no runtime map
-// machinery. Every simulated frame consults a Set (the dedup check), which
-// made this the hottest data structure in the 10k-node profile. Removal
-// uses backward-shift deletion, keeping probe chains exact without
-// tombstones. The zero ID, should a caller insert it deliberately, is
-// tracked in a side flag — semantics stay exact for every input.
-type Set struct {
+// Bounded is a Map with one FIFO on top: once it holds more than its
+// capacity, it evicts its oldest inserts. It is the paper's pruned ID
+// state, the sets K and R and the payload cache C, which are pruned while
+// active messages are retained with high probability (§3.1, §3.2). An
+// entry is added once and never replaced or deleted, so the FIFO of
+// insertion order is exact and an entry leaves the table only from the
+// FIFO's head; that is why Bounded has no Put and no Delete. A capacity of
+// zero or less means unbounded. Not safe for concurrent use.
+type Bounded[V any] struct {
+	m        Map[V]
 	capacity int
-	table    []ID
-	count    int
-	hasZero  bool
-	order    []ID
-	head     int
+	// order is the FIFO: order[head:] are the entries, oldest first.
+	order []ID
+	head  int
 }
 
-// setMinTable is the initial open-addressing table size; must be a power
-// of two.
-const setMinTable = 8
-
-// NewSet returns a Set evicting oldest entries beyond capacity. A capacity
-// of zero or less means unbounded.
-func NewSet(capacity int) *Set {
-	return &Set{capacity: capacity}
+// NewBounded returns a table evicting its oldest entries beyond capacity.
+func NewBounded[V any](capacity int) *Bounded[V] {
+	return &Bounded[V]{capacity: capacity}
 }
 
-// Add inserts id, evicting the oldest entries if the capacity is exceeded.
-// It reports whether the id was newly inserted.
-func (s *Set) Add(id ID) bool {
-	if id.IsZero() {
-		if s.hasZero {
-			return false
-		}
-		s.hasZero = true
-	} else {
-		if s.table == nil {
-			s.table = make([]ID, setMinTable)
-		}
-		mask := uint64(len(s.table) - 1)
-		i := Fold(id) & mask
-		for !s.table[i].IsZero() {
-			if s.table[i] == id {
-				return false
-			}
-			i = (i + 1) & mask
-		}
-		// Grow at 3/4 load so probe chains stay short, then re-probe
-		// for the insertion slot in the new table.
-		if (s.count+1)*4 > len(s.table)*3 {
-			s.grow()
-			mask = uint64(len(s.table) - 1)
-			i = Fold(id) & mask
-			for !s.table[i].IsZero() {
-				i = (i + 1) & mask
-			}
-		}
-		s.table[i] = id
-		s.count++
+// Add stores v for id unless id is present, evicting the oldest entries
+// beyond capacity. It reports whether id was newly inserted.
+func (b *Bounded[V]) Add(id ID, v V) bool {
+	p, fresh := b.m.ref(id)
+	if !fresh {
+		return false
 	}
-	if s.order == nil {
-		// Start the FIFO at the table's size: a set that holds anything
-		// soon holds that many, and the first doublings would each
-		// allocate.
-		s.order = make([]ID, 0, setMinTable)
+	*p = v
+	if b.order == nil {
+		b.order = make([]ID, 0, minTable)
 	}
-	s.order = append(s.order, id)
-	s.evict()
+	b.order = append(b.order, id)
+	if b.capacity <= 0 {
+		return true
+	}
+	for b.m.Len() > b.capacity {
+		b.m.Delete(b.order[b.head])
+		b.order[b.head] = ID{}
+		b.head++
+	}
+	if b.head > len(b.order)/2 && b.head > minCompact {
+		b.order = append(b.order[:0], b.order[b.head:]...)
+		b.head = 0
+	}
 	return true
 }
 
+// Get returns the value stored for id.
+func (b *Bounded[V]) Get(id ID) (V, bool) { return b.m.Get(id) }
+
+// Len returns the number of entries held.
+func (b *Bounded[V]) Len() int { return b.m.Len() }
+
+// Range calls fn for every entry, in unspecified order. fn must not
+// mutate the table.
+func (b *Bounded[V]) Range(fn func(id ID, v V)) { b.m.Range(fn) }
+
+// FootprintBytes estimates the retained bytes: the whole table (a 16-byte
+// ID plus one value per slot, empty slots included, since the table is
+// allocated whole) and the FIFO's full capacity, dead prefix included,
+// since that memory is pinned until the next compaction. It is arithmetic
+// over lengths and capacities, so accounting never perturbs a seeded run.
+func (b *Bounded[V]) FootprintBytes() int64 {
+	var v V
+	return int64(b.m.TableLen())*(IDSize+int64(unsafe.Sizeof(v))) +
+		int64(cap(b.order))*IDSize
+}
+
+// Set is a Bounded of identifiers alone: the received set R that dedups
+// payloads, and gossip's set of the node's own multicasts. Its values are
+// empty structs, which take no space, so its table costs what one of bare
+// IDs does.
+type Set struct {
+	Bounded[struct{}]
+}
+
+// NewSet returns a Set evicting its oldest entries beyond capacity. A
+// capacity of zero or less means unbounded.
+func NewSet(capacity int) *Set {
+	return &Set{Bounded[struct{}]{capacity: capacity}}
+}
+
+// Add inserts id, evicting the oldest entries beyond capacity. It reports
+// whether id was newly inserted.
+func (s *Set) Add(id ID) bool { return s.Bounded.Add(id, struct{}{}) }
+
 // Contains reports whether id is in the set.
 func (s *Set) Contains(id ID) bool {
-	if id.IsZero() {
-		return s.hasZero
-	}
-	if s.table == nil {
-		return false
-	}
-	mask := uint64(len(s.table) - 1)
-	i := Fold(id) & mask
-	for !s.table[i].IsZero() {
-		if s.table[i] == id {
-			return true
-		}
-		i = (i + 1) & mask
-	}
-	return false
-}
-
-// Len returns the number of identifiers currently held.
-func (s *Set) Len() int {
-	n := s.count
-	if s.hasZero {
-		n++
-	}
-	return n
-}
-
-func (s *Set) grow() {
-	old := s.table
-	s.table = make([]ID, 2*len(old))
-	mask := uint64(len(s.table) - 1)
-	for _, id := range old {
-		if id.IsZero() {
-			continue
-		}
-		i := Fold(id) & mask
-		for !s.table[i].IsZero() {
-			i = (i + 1) & mask
-		}
-		s.table[i] = id
-	}
-}
-
-// remove deletes id from the table by backward-shift: entries after the
-// vacated slot are moved back when their home slot lies outside the
-// cyclic gap, so every surviving entry remains reachable from its home
-// probe position — deletion leaves no tombstones and no broken chains.
-func (s *Set) remove(id ID) {
-	if s.table == nil {
-		return
-	}
-	mask := uint64(len(s.table) - 1)
-	i := Fold(id) & mask
-	for {
-		if s.table[i].IsZero() {
-			return
-		}
-		if s.table[i] == id {
-			break
-		}
-		i = (i + 1) & mask
-	}
-	j := i
-	for {
-		j = (j + 1) & mask
-		if s.table[j].IsZero() {
-			break
-		}
-		k := Fold(s.table[j]) & mask
-		if (j > i && (k <= i || k > j)) || (j < i && k <= i && k > j) {
-			s.table[i] = s.table[j]
-			i = j
-		}
-	}
-	s.table[i] = ID{}
-	s.count--
-}
-
-// FootprintBytes estimates the retained bytes of the set: the full
-// open-addressing table (16 bytes per slot, empty slots included — the
-// table is allocated whole) and the FIFO order slice's full capacity,
-// dead prefix included — that memory is pinned until the next
-// compaction. The formula is deterministic arithmetic over lengths and
-// capacities, so accounting walks never perturb a seeded run.
-func (s *Set) FootprintBytes() int64 {
-	return int64(cap(s.table))*IDSize +
-		int64(cap(s.order))*IDSize
-}
-
-func (s *Set) evict() {
-	if s.capacity <= 0 {
-		return
-	}
-	for s.Len() > s.capacity {
-		victim := s.order[s.head]
-		s.order[s.head] = ID{}
-		s.head++
-		if victim.IsZero() {
-			s.hasZero = false
-		} else {
-			s.remove(victim)
-		}
-	}
-	// Compact the backing slice once the dead prefix dominates.
-	if s.head > len(s.order)/2 && s.head > 64 {
-		s.order = append(s.order[:0], s.order[s.head:]...)
-		s.head = 0
-	}
+	_, ok := s.m.Get(id)
+	return ok
 }
 
 // Mix64 is the splitmix64 finaliser: one step of the generator when fed

@@ -125,8 +125,8 @@ func TestModuleFootprintSharedStore(t *testing.T) {
 		if fp := f.mod.Footprint(); fp.Bytes != 256+384+128 || fp.Items != 2 {
 			t.Errorf("module %d footprint = %+v, want %d bytes / 2 items", self, fp, 256+384+128)
 		}
-		if f.mod.cache.bytes != 100 {
-			t.Errorf("module %d cache tracks %d payload bytes, want 100", self, f.mod.cache.bytes)
+		if e, ok := f.mod.cache.Get(id); !ok || len(e.payload) != 100 {
+			t.Errorf("module %d cache holds %d payload bytes (present %v), want 100", self, len(e.payload), ok)
 		}
 	}
 	if fp := store.Footprint(); fp.Bytes != 8*(ids.IDSize+24)+100 || fp.Items != 1 {
@@ -134,19 +134,23 @@ func TestModuleFootprintSharedStore(t *testing.T) {
 	}
 }
 
-// TestCacheBytesTrackEviction pins the incremental payload-byte counter
-// through FIFO eviction: evicted payloads stop being charged.
+// TestCacheBytesTrackEviction pins the cached payload bytes a module that
+// owns its payloads reports through FIFO eviction: evicted payloads stop
+// being charged.
 func TestCacheBytesTrackEviction(t *testing.T) {
 	f := newFixture(t, 1, &strategy.Flat{P: 0}, Config{CacheCapacity: 2})
 	for i := byte(1); i <= 4; i++ {
 		f.mod.LSend(ids.ID{i}, make([]byte, int(i)*10), 1, 2)
 	}
-	// Capacity 2: ids 3 and 4 remain, 30+40 payload bytes.
-	if f.mod.cache.bytes != 70 {
-		t.Fatalf("cache.bytes = %d, want 70", f.mod.cache.bytes)
+	// Capacity 2: ids 3 and 4 remain, 30+40 payload bytes, on the cache
+	// table 384 + FIFO 128 (see TestModuleFootprint).
+	if fp := f.mod.Footprint(); fp.Bytes != 384+128+70 || fp.Items != 2 {
+		t.Fatalf("footprint = %+v, want %d bytes / 2 items", fp, 384+128+70)
 	}
-	if f.mod.cache.Len() != 2 {
-		t.Fatalf("cache.Len = %d, want 2", f.mod.cache.Len())
+	for i := byte(1); i <= 4; i++ {
+		if _, ok := f.mod.cache.Get(ids.ID{i}); ok != (i > 2) {
+			t.Fatalf("id %d cached = %v, want %v", i, ok, i > 2)
+		}
 	}
 	// A request for an evicted id is a miss, not a stale charge.
 	f.mod.OnIWant(ids.ID{1}, 3)

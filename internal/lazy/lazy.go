@@ -83,8 +83,8 @@ type Module struct {
 	// construction; nil when the tracer only wants the base events.
 	causal trace.CausalTracer
 
-	received *ids.Set // R: messages whose payload has been received
-	cache    *payloadCache
+	received *ids.Set             // R: messages whose payload has been received
+	cache    *ids.Bounded[cached] // C: payloads this module advertised
 	// pending maps a requested id to its slot in reqs, the slab of
 	// pending requests; free lists the slots no request holds.
 	pending *ids.Map[uint32]
@@ -183,7 +183,7 @@ func New(cfg Config, env *peer.Env, strat strategy.Strategy, tracer trace.Tracer
 		tracer:   tracer,
 		causal:   causal,
 		received: ids.NewSet(cfg.ReceivedCapacity),
-		cache:    newPayloadCache(cfg.CacheCapacity),
+		cache:    ids.NewBounded[cached](cfg.CacheCapacity),
 		pending:  ids.NewMap[uint32](0),
 	}
 }
@@ -210,7 +210,7 @@ func (m *Module) LSend(id ids.ID, payload []byte, round int, to peer.ID) {
 		m.sendPayload(id, payload, round, to, true)
 		return
 	}
-	m.cache.put(id, cached{payload: payload, round: round})
+	m.cache.Add(id, cached{payload: payload, round: round})
 	frame := (&msg.IHave{ID: id}).Encode(m.scratch[:0])
 	m.scratch = frame
 	m.tracer.ControlSent(m.env.Self(), to, "IHAVE", len(frame))
@@ -357,7 +357,7 @@ func (m *Module) clear(id ids.ID) {
 // request can only follow one of our advertisements, so a miss means the
 // entry was garbage collected; it is traced and dropped.
 func (m *Module) OnIWant(id ids.ID, from peer.ID) {
-	entry, ok := m.cache.get(id)
+	entry, ok := m.cache.Get(id)
 	if !ok {
 		m.tracer.RequestMiss(m.env.Self(), id)
 		return
@@ -371,29 +371,23 @@ func (m *Module) Received(id ids.ID) bool { return m.received.Contains(id) }
 // PendingRequests returns the number of messages awaiting payload.
 func (m *Module) PendingRequests() int { return m.pending.Len() }
 
-// Per-entry sizes for Footprint: the cached struct (payload slice header
-// + round) stored as a map value, and one slab slot (id, timer
-// interface, four counters, inline sources, spill slice header; pinned
-// by an unsafe.Sizeof test).
-const (
-	cachedEntryBytes = 24 + 8
-	pendingSlotBytes = 16 + 16 + 4*4 + inlineSources*4 + 24
-)
+// pendingSlotBytes is the size of one slab slot for Footprint: id, timer
+// interface, four counters, inline sources, spill slice header (pinned by
+// an unsafe.Sizeof test).
+const pendingSlotBytes = 16 + 16 + 4*4 + inlineSources*4 + 24
 
 // Footprint implements obs.Footprinter: the retained bytes of the
 // per-node lazy state — the received dedup set R, the payload cache C
-// (map entries, plus the cached payload bytes the cache tracks
-// incrementally when the module owns them; a shared store reports those
-// once, in its own Footprint) and the pending retransmission requests:
-// their id→slot table, the slab's capacity, its free list and the spill
-// slices its slots keep. Arithmetic over tracked lengths and capacities,
-// plus a walk of the slab.
+// (its table and FIFO, plus the cached payload bytes when the module owns
+// them; a shared store reports those once, in its own Footprint) and the
+// pending retransmission requests: their id→slot table, the slab's
+// capacity, its free list and the spill slices its slots keep. Arithmetic
+// over lengths and capacities, plus walks of the slab and, for a module
+// that owns its payloads, of the cache.
 func (m *Module) Footprint() obs.Footprint {
-	bytes := m.received.FootprintBytes()
-	bytes += int64(m.cache.entries.TableLen())*(ids.IDSize+cachedEntryBytes) +
-		int64(cap(m.cache.order))*ids.IDSize
+	bytes := m.received.FootprintBytes() + m.cache.FootprintBytes()
 	if m.payloads == nil {
-		bytes += m.cache.bytes
+		m.cache.Range(func(_ ids.ID, e cached) { bytes += int64(len(e.payload)) })
 	}
 	bytes += int64(m.pending.TableLen())*(ids.IDSize+4) +
 		int64(cap(m.reqs))*pendingSlotBytes + int64(cap(m.free))*4
@@ -406,58 +400,3 @@ func (m *Module) Footprint() obs.Footprint {
 		Items:     int64(m.received.Len() + m.cache.Len() + m.pending.Len()),
 	}
 }
-
-// minCacheOrder is the first capacity of the cache's FIFO, the size of
-// the entries table's first allocation: the first doublings would each
-// allocate.
-const minCacheOrder = 8
-
-// payloadCache is the bounded map C of Fig. 3, with FIFO eviction.
-type payloadCache struct {
-	capacity int
-	entries  *ids.Map[cached]
-	order    []ids.ID
-	head     int
-	// bytes tracks the payload bytes currently cached, maintained on
-	// put/evict so Footprint never walks the entries.
-	bytes int64
-}
-
-func newPayloadCache(capacity int) *payloadCache {
-	return &payloadCache{
-		capacity: capacity,
-		entries:  ids.NewMap[cached](0),
-	}
-}
-
-func (c *payloadCache) put(id ids.ID, e cached) {
-	if _, ok := c.entries.Get(id); ok {
-		return
-	}
-	c.entries.Put(id, e)
-	c.bytes += int64(len(e.payload))
-	if c.order == nil {
-		c.order = make([]ids.ID, 0, minCacheOrder)
-	}
-	c.order = append(c.order, id)
-	for c.entries.Len() > c.capacity {
-		victim := c.order[c.head]
-		c.order[c.head] = ids.ID{}
-		c.head++
-		if v, ok := c.entries.Get(victim); ok {
-			c.bytes -= int64(len(v.payload))
-		}
-		c.entries.Delete(victim)
-	}
-	if c.head > len(c.order)/2 && c.head > 64 {
-		c.order = append(c.order[:0], c.order[c.head:]...)
-		c.head = 0
-	}
-}
-
-func (c *payloadCache) get(id ids.ID) (cached, bool) {
-	return c.entries.Get(id)
-}
-
-// Len returns the number of cached payloads.
-func (c *payloadCache) Len() int { return c.entries.Len() }

@@ -82,19 +82,6 @@ func (s *Sim) Advance(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// Pending returns the number of unfired, unstopped timers.
-func (s *Sim) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, t := range s.timers {
-		if !t.stopped && !t.fired {
-			n++
-		}
-	}
-	return n
-}
-
 // simTimer is a pending AfterFunc callback (fn) or data timer (sink,
 // key).
 type simTimer struct {
@@ -153,23 +140,13 @@ type Mesh struct {
 	handlers map[peer.ID]func(from peer.ID, frame []byte)
 	log      []Frame
 	queue    []Frame
-	deliver  bool
 }
 
-// NewMesh returns an empty hub with synchronous delivery enabled.
+// NewMesh returns an empty hub.
 func NewMesh() *Mesh {
 	return &Mesh{
 		handlers: make(map[peer.ID]func(peer.ID, []byte)),
-		deliver:  true,
 	}
-}
-
-// SetDeliver toggles whether frames are delivered to handlers (false turns
-// the mesh into a pure recorder).
-func (m *Mesh) SetDeliver(v bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.deliver = v
 }
 
 // Endpoint returns a peer.Transport bound to id, registering its handler.
@@ -218,9 +195,7 @@ func (t *meshTransport) Send(to peer.ID, frame []byte) {
 	cp := append([]byte(nil), frame...)
 	f := Frame{From: t.self, To: to, Data: cp}
 	m.log = append(m.log, f)
-	if m.deliver {
-		m.queue = append(m.queue, f)
-	}
+	m.queue = append(m.queue, f)
 }
 
 // Drain delivers queued frames (including frames enqueued by the handlers

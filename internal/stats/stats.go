@@ -149,20 +149,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// FractionWithin returns the fraction of samples x with lo <= x <= hi.
-func FractionWithin(xs []float64, lo, hi float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x >= lo && x <= hi {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
 // TopShare returns the share of the total carried by the top frac (e.g.
 // 0.05) of the values. This is the paper's emergent-structure metric: the
 // share of payload traffic carried by the 5% most used connections. A

@@ -128,19 +128,13 @@ func TestPercentileInterpolates(t *testing.T) {
 	}
 }
 
-func TestMeanAndFractionWithin(t *testing.T) {
+func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) != 0")
 	}
 	xs := []float64{1, 2, 3, 4}
 	if Mean(xs) != 2.5 {
 		t.Errorf("Mean = %v", Mean(xs))
-	}
-	if got := FractionWithin(xs, 2, 3); got != 0.5 {
-		t.Errorf("FractionWithin = %v, want 0.5", got)
-	}
-	if got := FractionWithin(nil, 0, 1); got != 0 {
-		t.Errorf("FractionWithin(nil) = %v", got)
 	}
 }
 

@@ -33,18 +33,25 @@ type Checkpoint struct {
 	Links LinkLoads
 }
 
-// LinkLoads is a checkpoint's per-link load snapshot: a verbatim copy of
-// the collector's open-addressing link table, taken with two bulk array
-// copies instead of a per-entry map rebuild — the difference between a
-// window boundary costing microseconds and costing a map's worth of
-// hashing at every phase edge. The copied arrays keep the table layout,
-// so Get probes exactly like the live table; iteration order is fixed by
-// the table (deterministic for a deterministic event sequence).
+// LinkLoads maps a link to its payload load: an open-addressing
+// linear-probe table from the packed endpoint pair (see packLink) to an
+// inline LinkLoad. It is both the collector's live table and a
+// checkpoint's snapshot of it. The live table is touched once per payload
+// transmission, so bumping a load is one probe and two adds with no
+// per-link allocation. A snapshot copies the two arrays in bulk instead of
+// rebuilding a map entry by entry, so a window boundary costs
+// microseconds, not a map's worth of hashing at every phase edge. Keys are
+// stored plus one so that the zero word marks an empty slot (the packed
+// pair of two peer.None endpoints would wrap, but None never names a real
+// sender or receiver of a payload). Iteration order is fixed by the table,
+// deterministic for a deterministic event sequence.
 type LinkLoads struct {
 	keys  []uint64
 	vals  []LinkLoad
 	count int
 }
+
+const linkTableMin = 8
 
 // Len returns the number of links with recorded load.
 func (l LinkLoads) Len() int { return l.count }
@@ -52,20 +59,73 @@ func (l LinkLoads) Len() int { return l.count }
 // Get returns the load for link, zero when the link never carried a
 // payload.
 func (l LinkLoads) Get(link Link) LinkLoad {
-	if l.keys == nil {
-		return LinkLoad{}
+	if l.keys != nil {
+		if i, ok := l.slot(packLink(link.A, link.B)); ok {
+			return l.vals[i]
+		}
 	}
-	key := packLink(link.A, link.B)
+	return LinkLoad{}
+}
+
+// slot is the table's one probe loop: it walks key's probe chain in an
+// allocated table and returns key's index and true, or the index of the
+// empty slot that ends the chain and false.
+func (l *LinkLoads) slot(key uint64) (uint64, bool) {
 	k := key + 1
 	mask := uint64(len(l.keys) - 1)
 	i := mix64(key) & mask
 	for l.keys[i] != 0 {
 		if l.keys[i] == k {
-			return l.vals[i]
+			return i, true
 		}
 		i = (i + 1) & mask
 	}
-	return LinkLoad{}
+	return i, false
+}
+
+// load returns the (inserted-if-absent) load cell for key. The returned
+// pointer is only valid until the next load call — a grow moves the
+// cells.
+func (l *LinkLoads) load(key uint64) *LinkLoad {
+	if l.keys == nil {
+		l.keys = make([]uint64, linkTableMin)
+		l.vals = make([]LinkLoad, linkTableMin)
+	}
+	i, ok := l.slot(key)
+	if !ok {
+		if (l.count+1)*4 > len(l.keys)*3 {
+			l.grow()
+			i, _ = l.slot(key)
+		}
+		l.keys[i] = key + 1
+		l.count++
+	}
+	return &l.vals[i]
+}
+
+func (l *LinkLoads) grow() {
+	oldKeys, oldVals := l.keys, l.vals
+	l.keys = make([]uint64, 2*len(oldKeys))
+	l.vals = make([]LinkLoad, 2*len(oldVals))
+	for j, k := range oldKeys {
+		if k != 0 {
+			i, _ := l.slot(k - 1)
+			l.keys[i], l.vals[i] = k, oldVals[j]
+		}
+	}
+}
+
+// mix64 is murmur3's fmix64 finalizer — not ids.Mix64 (splitmix64), and
+// not interchangeable with it: no increment, different constants. Packed
+// link keys are dense small integers, so unlike message-ID folds they need
+// real mixing before masking into the table.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // Range calls fn for every (link, load) pair in table order.
@@ -180,13 +240,8 @@ type span struct {
 // loads and the scalar Counters, which a Checkpoint copies, and per-node
 // payload counts. The owning collector serialises access.
 type counterCore struct {
-	// links maps the normalised endpoint pair packed into a uint64
-	// (A<<32|B) to its load, via an open-addressing table with inline
-	// values: this is touched once per payload transmission, and the
-	// previous runtime map paid a hash plus a pointer chase per event
-	// and a full map walk per checkpoint. Checkpoint unpacks the packed
-	// keys back to the exported Link form.
-	links linkTable
+	// links is the live per-link load table, which a Checkpoint copies.
+	links LinkLoads
 	// payloadByNode counts payload transmissions per sender. Senders are
 	// dense small indices, so the counts live in a slice indexed by
 	// peer.ID; sentinel-range IDs (peer.None) fall back to a lazily
@@ -225,91 +280,6 @@ func (c *counterCore) bumpNodePayload(from peer.ID) {
 		c.payloadByNodeOOB = make(map[peer.ID]int)
 	}
 	c.payloadByNodeOOB[from]++
-}
-
-// linkTable is an open-addressing linear-probe map from packed link to
-// LinkLoad. Values are stored inline — bumping a counter is one probe and
-// two adds, with no per-link allocation — and iteration is a linear array
-// scan, which makes the per-window checkpoint walk cache-friendly. Keys
-// are stored plus one so the zero word marks an empty slot (the packed
-// pair of two peer.None endpoints would wrap, but None never names a real
-// sender or receiver of a payload).
-type linkTable struct {
-	keys  []uint64
-	vals  []LinkLoad
-	count int
-}
-
-const linkTableMin = 8
-
-// mix64 is murmur3's fmix64 finalizer — not ids.Mix64 (splitmix64), and
-// not interchangeable with it: no increment, different constants. Packed
-// link keys are dense small integers, so unlike message-ID folds they need
-// real mixing before masking into the table.
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-// load returns the (inserted-if-absent) load cell for key. The returned
-// pointer is only valid until the next load call — a grow moves the
-// cells.
-func (t *linkTable) load(key uint64) *LinkLoad {
-	if t.keys == nil {
-		t.keys = make([]uint64, linkTableMin)
-		t.vals = make([]LinkLoad, linkTableMin)
-	}
-	k := key + 1
-	mask := uint64(len(t.keys) - 1)
-	i := mix64(key) & mask
-	for t.keys[i] != 0 {
-		if t.keys[i] == k {
-			return &t.vals[i]
-		}
-		i = (i + 1) & mask
-	}
-	if (t.count+1)*4 > len(t.keys)*3 {
-		t.grow()
-		mask = uint64(len(t.keys) - 1)
-		i = mix64(key) & mask
-		for t.keys[i] != 0 {
-			i = (i + 1) & mask
-		}
-	}
-	t.keys[i] = k
-	t.count++
-	return &t.vals[i]
-}
-
-func (t *linkTable) grow() {
-	oldKeys, oldVals := t.keys, t.vals
-	t.keys = make([]uint64, 2*len(oldKeys))
-	t.vals = make([]LinkLoad, 2*len(oldVals))
-	mask := uint64(len(t.keys) - 1)
-	for j, k := range oldKeys {
-		if k == 0 {
-			continue
-		}
-		i := mix64(k-1) & mask
-		for t.keys[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.keys[i] = k
-		t.vals[i] = oldVals[j]
-	}
-}
-
-// forEach calls fn for every (packed key, load) pair in table order.
-func (t *linkTable) forEach(fn func(key uint64, load *LinkLoad)) {
-	for i, k := range t.keys {
-		if k != 0 {
-			fn(k-1, &t.vals[i])
-		}
-	}
 }
 
 // packLink normalises and packs a link's endpoints into the map key.
