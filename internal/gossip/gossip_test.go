@@ -109,8 +109,8 @@ func TestOwnEchoNotForwarded(t *testing.T) {
 }
 
 // TestFootprintIsOwnIDsOnly: a node that never multicasts retains nothing
-// in this layer, however much it receives; each own multicast costs one
-// table slot and one FIFO slot.
+// in this layer, however much it receives; its own multicasts cost the
+// set's index and entries.
 func TestFootprintIsOwnIDsOnly(t *testing.T) {
 	rec := &recorder{peers: []peer.ID{2}}
 	g := newGossipStd(t, Config{Fanout: 1, MaxRounds: 2}, rec, nil)
@@ -122,9 +122,10 @@ func TestFootprintIsOwnIDsOnly(t *testing.T) {
 	}
 	g.Multicast([]byte("a"))
 	g.Multicast([]byte("b"))
-	// First Add allocates the minimum 8-slot table and an order slice of
-	// the same capacity.
-	want := int64(8*ids.IDSize + 8*ids.IDSize)
+	// First Add allocates the first 8 index slots × 4 B and the first 8
+	// entries × 16-byte ID (the set's empty-struct values take no space)
+	// = 32 + 128 = 160.
+	want := int64(8*4 + 8*ids.IDSize)
 	if fp := g.Footprint(); fp.Bytes != want || fp.Items != 2 {
 		t.Fatalf("footprint after 2 multicasts = %+v, want %d bytes / 2 items", fp, want)
 	}

@@ -6,8 +6,10 @@
 // "must be unique with high probability, as conflicts will cause deliveries
 // to be omitted" and suggests exactly this construction.
 //
-// The table is written once. Map is open addressing over the identifier's
-// first 8 bytes, with one probe loop. Bounded is a Map plus one FIFO, the
+// The table is written once. Map is one 4-byte index, open addressing
+// over the identifier's first 8 bytes with one probe loop, over dense
+// entry arrays; emptiness lives in the index, so the zero ID is an
+// ordinary key. Bounded is a Map whose entry arrays are its FIFO, the
 // age-based garbage collection that keeps known-message state from
 // growing without bound (paper §3.1, referencing [5, 13]). Set is a
 // Bounded without values.
@@ -78,16 +80,14 @@ func (g *Generator) Next() ID {
 }
 
 // The table's layout constants, shared by every Map and Bounded:
-//   - minTable is the first table's size, a power of two so that a probe
-//     wraps with a mask. Eight 16-byte keys are two cache lines, and a
-//     table that holds anything soon holds that many.
-//   - A table doubles when an insert would pass 3/4 load, so linear-probe
+//   - minTable is the first index's size, a power of two so that a probe
+//     wraps with a mask, and the first entry arrays' capacity: a table
+//     that holds anything soon holds that many.
+//   - An index doubles when an insert would pass 3/4 load, so linear-probe
 //     chains stay a slot or two long.
-//   - A Bounded FIFO starts at minTable entries too: its first doublings
-//     would each allocate.
-//   - It compacts once its dead prefix passes half its length and
-//     minCompact entries, so a compaction copies no more than it frees and
-//     a small FIFO never compacts.
+//   - A Bounded compacts once its dead prefix passes half its entries and
+//     minCompact of them, so a compaction copies no more than it frees and
+//     a small table never compacts.
 const (
 	minTable   = 8
 	minCompact = 64
@@ -100,50 +100,55 @@ func fold(id ID) uint64 {
 	return binary.BigEndian.Uint64(id[0:8])
 }
 
-// Map is the ID-keyed table: parallel key and value arrays probed
-// linearly from the fold, with the reserved all-zero ID marking empty
-// slots (a caller's deliberate zero-ID entry is kept in side fields, so
-// semantics stay exact for every input). A lookup is index arithmetic plus
-// 16-byte compares on one or two cache lines: no hashing, no per-entry
-// allocation and no runtime map machinery. Every simulated frame consults
-// one (the dedup check), which made this the hottest data structure in
-// the 10k-node profile. Removal uses backward-shift deletion, so probe
-// chains stay exact without tombstones. The zero value is an empty Map;
-// NewMap presizes. Not safe for concurrent use.
+// Map is the ID-keyed table, laid out like CPython's compact dict: an
+// index of 4-byte slots probed linearly from the fold, over dense key and
+// value arrays. An index slot holds 0 when empty, otherwise its entry's
+// position + 1, so any ID, the zero ID included, is an ordinary key. A
+// lookup is index arithmetic, one 16-byte compare per probed slot and one
+// entry read: no hashing, no per-entry allocation and no runtime map
+// machinery. Every simulated frame consults one (the dedup check), which
+// made this the hottest data structure in the 10k-node profile. A
+// doubling rebuilds only the index: entries keep their positions, and the
+// entry arrays grow by append. Delete shifts the index back over the
+// vacated slot, so probe chains stay exact without tombstones, and moves
+// the last entry into the hole. The zero value is an empty Map; NewMap
+// presizes. Not safe for concurrent use.
 type Map[V any] struct {
-	keys []ID
-	vals []V
-	// count is an int32 so that it shares a word with hasZero: a node
-	// holds two Sets and a Bounded cache, and the saved word keeps each in
-	// a smaller allocation size class.
-	count   int32
-	hasZero bool
-	zeroV   V
+	index []uint32
+	keys  []ID
+	vals  []V
+	// head is Bounded's FIFO head: keys[head:] and vals[head:] are the
+	// entries. A Map never deletes from the front, so its head stays 0.
+	head int
 }
 
 // NewMap returns an empty Map with space for hint entries.
 func NewMap[V any](hint int) *Map[V] {
 	m := &Map[V]{}
 	if hint > 0 {
-		size := minTable
-		for size*3 < hint*4 {
-			size *= 2
-		}
-		m.keys = make([]ID, size)
-		m.vals = make([]V, size)
+		m.alloc(hint)
 	}
 	return m
 }
 
-// slot is the table's one probe loop. It walks the probe chain of id,
-// which must not be zero, from its home slot in an allocated table, and
-// returns id's index and true, or the index of the empty slot that ends
-// the chain and false.
+// alloc sizes an empty Map's index and entry arrays for n entries.
+func (m *Map[V]) alloc(n int) {
+	size := minTable
+	for size*3 < n*4 {
+		size *= 2
+	}
+	n = max(n, minTable)
+	m.index, m.keys, m.vals = make([]uint32, size), make([]ID, 0, n), make([]V, 0, n)
+}
+
+// slot is the table's one probe loop. It walks the probe chain of id from
+// its home slot in an allocated index, and returns the index slot that
+// holds id and true, or the empty slot that ends the chain and false.
 func (m *Map[V]) slot(id ID) (uint64, bool) {
-	mask := uint64(len(m.keys) - 1)
+	mask := uint64(len(m.index) - 1)
 	i := fold(id) & mask
-	for !m.keys[i].IsZero() {
-		if m.keys[i] == id {
+	for m.index[i] != 0 {
+		if m.keys[m.index[i]-1] == id {
 			return i, true
 		}
 		i = (i + 1) & mask
@@ -153,42 +158,34 @@ func (m *Map[V]) slot(id ID) (uint64, bool) {
 
 // Get returns the value stored for id.
 func (m *Map[V]) Get(id ID) (V, bool) {
-	if id.IsZero() {
-		return m.zeroV, m.hasZero
-	}
-	if m.keys != nil {
+	if m.index != nil {
 		if i, ok := m.slot(id); ok {
-			return m.vals[i], true
+			return m.vals[m.index[i]-1], true
 		}
 	}
 	var zero V
 	return zero, false
 }
 
-// ref returns a pointer to id's value, inserting id with the zero value
+// ref returns a pointer to id's value, appending id with the zero value
 // when it is absent, and reports whether it inserted. The pointer is
-// valid until the next insert, which may grow the table.
+// valid until the next insert, which may grow the entry arrays.
 func (m *Map[V]) ref(id ID) (*V, bool) {
-	if id.IsZero() {
-		fresh := !m.hasZero
-		m.hasZero = true
-		return &m.zeroV, fresh
-	}
-	if m.keys == nil {
-		m.keys = make([]ID, minTable)
-		m.vals = make([]V, minTable)
+	if m.index == nil {
+		m.alloc(0)
 	}
 	i, ok := m.slot(id)
 	if ok {
-		return &m.vals[i], false
+		return &m.vals[m.index[i]-1], false
 	}
-	if int(m.count+1)*4 > len(m.keys)*3 {
-		m.grow()
+	if (m.Len()+1)*4 > len(m.index)*3 {
+		m.reindex(2 * len(m.index))
 		i, _ = m.slot(id)
 	}
-	m.keys[i] = id
-	m.count++
-	return &m.vals[i], true
+	var zero V
+	m.keys, m.vals = append(m.keys, id), append(m.vals, zero)
+	m.index[i] = uint32(len(m.keys))
+	return &m.vals[len(m.vals)-1], true
 }
 
 // Put stores v for id, replacing any existing value.
@@ -197,88 +194,89 @@ func (m *Map[V]) Put(id ID, v V) {
 	*p = v
 }
 
-func (m *Map[V]) grow() {
-	oldKeys, oldVals := m.keys, m.vals
-	m.keys = make([]ID, 2*len(oldKeys))
-	m.vals = make([]V, 2*len(oldVals))
-	for j, id := range oldKeys {
-		if !id.IsZero() {
-			i, _ := m.slot(id)
-			m.keys[i], m.vals[i] = id, oldVals[j]
-		}
+// reindex replaces the index with an empty one of size slots and points
+// it at every entry.
+func (m *Map[V]) reindex(size int) {
+	m.index = make([]uint32, size)
+	for p := m.head; p < len(m.keys); p++ {
+		i, _ := m.slot(m.keys[p])
+		m.index[i] = uint32(p + 1)
 	}
 }
 
-// Delete removes id's entry, if present. The entries after the vacated
-// slot are shifted back into it when their home slot lies cyclically
-// outside the gap, so every surviving entry stays reachable from its home
-// slot: no tombstones, no broken chains.
-func (m *Map[V]) Delete(id ID) {
-	var zero V
-	if id.IsZero() {
-		m.zeroV, m.hasZero = zero, false
-		return
+// unlink empties index slot i. The slots after it are shifted back into
+// the gap when their entry's home slot lies cyclically outside it, so
+// every surviving entry stays reachable from its home slot: no
+// tombstones, no broken chains.
+func (m *Map[V]) unlink(i uint64) {
+	mask := uint64(len(m.index) - 1)
+	for j := (i + 1) & mask; m.index[j] != 0; j = (j + 1) & mask {
+		k := fold(m.keys[m.index[j]-1]) & mask
+		if (j > i && (k <= i || k > j)) || (j < i && k <= i && k > j) {
+			m.index[i] = m.index[j]
+			i = j
+		}
 	}
-	if m.keys == nil {
+	m.index[i] = 0
+}
+
+// Delete removes id's entry, if present: it unlinks id's index slot, then
+// moves the last entry into the vacated position and repoints that
+// entry's slot. The vacated last position is zeroed, so a deleted value
+// holds nothing reachable.
+func (m *Map[V]) Delete(id ID) {
+	if m.index == nil {
 		return
 	}
 	i, ok := m.slot(id)
 	if !ok {
 		return
 	}
-	mask := uint64(len(m.keys) - 1)
-	for j := (i + 1) & mask; !m.keys[j].IsZero(); j = (j + 1) & mask {
-		k := fold(m.keys[j]) & mask
-		if (j > i && (k <= i || k > j)) || (j < i && k <= i && k > j) {
-			m.keys[i], m.vals[i] = m.keys[j], m.vals[j]
-			i = j
-		}
+	p, last := m.index[i]-1, len(m.keys)-1
+	m.unlink(i)
+	if int(p) != last {
+		m.keys[p], m.vals[p] = m.keys[last], m.vals[last]
+		i, _ = m.slot(m.keys[p])
+		m.index[i] = p + 1
 	}
-	m.keys[i], m.vals[i] = ID{}, zero
-	m.count--
+	var zero V
+	m.keys[last], m.vals[last] = ID{}, zero
+	m.keys, m.vals = m.keys[:last], m.vals[:last]
 }
 
 // Len returns the number of stored entries.
-func (m *Map[V]) Len() int {
-	n := int(m.count)
-	if m.hasZero {
-		n++
-	}
-	return n
-}
+func (m *Map[V]) Len() int { return len(m.keys) - m.head }
 
-// TableLen returns the allocated open-addressing table size (zero before
-// the first insert) — the Footprint accounting numerator: each slot holds
-// one 16-byte ID plus one value, empty slots included.
-func (m *Map[V]) TableLen() int { return len(m.keys) }
+// FootprintBytes estimates the retained bytes: 4 per index slot, empty
+// slots included, plus the entry arrays' full capacity (a 16-byte ID plus
+// one value per entry), dead and spare entries included, since the arrays
+// are allocated whole. It is arithmetic over lengths and capacities, so
+// accounting never perturbs a seeded run.
+func (m *Map[V]) FootprintBytes() int64 {
+	var v V
+	return int64(len(m.index))*4 + int64(cap(m.keys))*IDSize +
+		int64(cap(m.vals))*int64(unsafe.Sizeof(v))
+}
 
 // Range calls fn for every entry, in unspecified order (like ranging
 // over a built-in map). fn must not mutate the Map.
 func (m *Map[V]) Range(fn func(id ID, v V)) {
-	for i, id := range m.keys {
-		if !id.IsZero() {
-			fn(id, m.vals[i])
-		}
-	}
-	if m.hasZero {
-		fn(ID{}, m.zeroV)
+	for p := m.head; p < len(m.keys); p++ {
+		fn(m.keys[p], m.vals[p])
 	}
 }
 
-// Bounded is a Map with one FIFO on top: once it holds more than its
-// capacity, it evicts its oldest inserts. It is the paper's pruned ID
+// Bounded is a Map whose entry arrays are a FIFO: once it holds more than
+// its capacity, it evicts its oldest inserts. It is the paper's pruned ID
 // state, the sets K and R and the payload cache C, which are pruned while
 // active messages are retained with high probability (§3.1, §3.2). An
-// entry is added once and never replaced or deleted, so the FIFO of
-// insertion order is exact and an entry leaves the table only from the
-// FIFO's head; that is why Bounded has no Put and no Delete. A capacity of
-// zero or less means unbounded. Not safe for concurrent use.
+// entry is appended once and never replaced or deleted, so the entry
+// arrays are in insertion order and an entry leaves only from their head;
+// that is why Bounded has no Put and no Delete. A capacity of zero or
+// less means unbounded. Not safe for concurrent use.
 type Bounded[V any] struct {
 	m        Map[V]
 	capacity int
-	// order is the FIFO: order[head:] are the entries, oldest first.
-	order []ID
-	head  int
 }
 
 // NewBounded returns a table evicting its oldest entries beyond capacity.
@@ -287,28 +285,32 @@ func NewBounded[V any](capacity int) *Bounded[V] {
 }
 
 // Add stores v for id unless id is present, evicting the oldest entries
-// beyond capacity. It reports whether id was newly inserted.
+// beyond capacity. It reports whether id was newly inserted. An evicted
+// entry is zeroed, so its value is released at once; the dead prefix is
+// copied out, and the index rebuilt, once it passes the compaction rule.
 func (b *Bounded[V]) Add(id ID, v V) bool {
 	p, fresh := b.m.ref(id)
 	if !fresh {
 		return false
 	}
 	*p = v
-	if b.order == nil {
-		b.order = make([]ID, 0, minTable)
-	}
-	b.order = append(b.order, id)
 	if b.capacity <= 0 {
 		return true
 	}
-	for b.m.Len() > b.capacity {
-		b.m.Delete(b.order[b.head])
-		b.order[b.head] = ID{}
-		b.head++
+	m := &b.m
+	var zero V
+	for m.Len() > b.capacity {
+		i, _ := m.slot(m.keys[m.head])
+		m.unlink(i)
+		m.keys[m.head], m.vals[m.head] = ID{}, zero
+		m.head++
 	}
-	if b.head > len(b.order)/2 && b.head > minCompact {
-		b.order = append(b.order[:0], b.order[b.head:]...)
-		b.head = 0
+	if m.head > len(m.keys)/2 && m.head > minCompact {
+		n := copy(m.keys, m.keys[m.head:])
+		copy(m.vals, m.vals[m.head:])
+		clear(m.vals[n:])
+		m.keys, m.vals, m.head = m.keys[:n], m.vals[:n], 0
+		m.reindex(len(m.index))
 	}
 	return true
 }
@@ -319,25 +321,18 @@ func (b *Bounded[V]) Get(id ID) (V, bool) { return b.m.Get(id) }
 // Len returns the number of entries held.
 func (b *Bounded[V]) Len() int { return b.m.Len() }
 
-// Range calls fn for every entry, in unspecified order. fn must not
-// mutate the table.
+// Range calls fn for every entry, oldest first. fn must not mutate the
+// table.
 func (b *Bounded[V]) Range(fn func(id ID, v V)) { b.m.Range(fn) }
 
-// FootprintBytes estimates the retained bytes: the whole table (a 16-byte
-// ID plus one value per slot, empty slots included, since the table is
-// allocated whole) and the FIFO's full capacity, dead prefix included,
-// since that memory is pinned until the next compaction. It is arithmetic
-// over lengths and capacities, so accounting never perturbs a seeded run.
-func (b *Bounded[V]) FootprintBytes() int64 {
-	var v V
-	return int64(b.m.TableLen())*(IDSize+int64(unsafe.Sizeof(v))) +
-		int64(cap(b.order))*IDSize
-}
+// FootprintBytes estimates the retained bytes, as Map.FootprintBytes
+// does; the dead prefix is charged, since it is pinned until the next
+// compaction.
+func (b *Bounded[V]) FootprintBytes() int64 { return b.m.FootprintBytes() }
 
 // Set is a Bounded of identifiers alone: the received set R that dedups
 // payloads, and gossip's set of the node's own multicasts. Its values are
-// empty structs, which take no space, so its table costs what one of bare
-// IDs does.
+// empty structs, which take no space, so it costs its index and its keys.
 type Set struct {
 	Bounded[struct{}]
 }

@@ -148,8 +148,8 @@ func TestSetEvictsOldestFirst(t *testing.T) {
 }
 
 func TestSetCompaction(t *testing.T) {
-	// Force many evictions so the internal order slice compacts; the
-	// observable behaviour (recent ids retained) must be unaffected.
+	// Force many evictions so the entry arrays compact; the observable
+	// behaviour (recent ids retained) must be unaffected.
 	s := NewSet(64)
 	g := NewGenerator(3)
 	var recent []ID

@@ -13,9 +13,10 @@ import (
 
 // TestModuleFootprint pins the byte report of a module that owns its
 // payloads (no store, as on TCP) against hand-built state: a fresh module
-// reports zero, cached payloads charge map entry + order slot + payload
-// bytes, received ids charge the dedup set, and pending requests charge
-// the id→slot table, the slab's slots, its free list and spill slices.
+// reports zero, cached payloads charge the cache's index and entries plus
+// payload bytes, received ids charge the dedup set, and pending requests
+// charge the id→slot table, the slab's slots, its free list and spill
+// slices.
 func TestModuleFootprint(t *testing.T) {
 	f := newFixture(t, 1, &strategy.Flat{P: 0}, Config{})
 
@@ -24,13 +25,14 @@ func TestModuleFootprint(t *testing.T) {
 		t.Fatalf("empty module footprint = %+v, want lazy/0/0", fp)
 	}
 
-	// One cached 100-byte payload (the lazy LSend path caches it): an
-	// 8-slot open-addressing table × (16-byte ID + 32-byte cached value)
-	// = 384, the FIFO's first 8 slots → 128, payload 100.
+	// One cached 100-byte payload (the lazy LSend path caches it): the
+	// cache's first 8 index slots × 4 B + its first 8 entries × (16-byte
+	// ID + 32-byte cached value) = 32 + 384 = 416, payload 100.
+	const cacheBytes = 8*4 + 8*(ids.IDSize+32)
 	id1 := ids.ID{1}
 	f.mod.LSend(id1, make([]byte, 100), 1, 2)
 	fp = f.mod.Footprint()
-	if want := int64(384 + 128 + 100); fp.Bytes != want {
+	if want := int64(cacheBytes + 100); fp.Bytes != want {
 		t.Errorf("after 1 cached payload: bytes = %d, want %d", fp.Bytes, want)
 	}
 	if fp.Items != 1 {
@@ -38,12 +40,14 @@ func TestModuleFootprint(t *testing.T) {
 	}
 
 	// One received 40-byte payload: the dedup set gains one id — its
-	// 8-slot open-addressing table (8×16 = 128) plus its FIFO's first 8
-	// slots (128), total 256; nothing else retained.
+	// first 8 index slots × 4 B + its first 8 entries × 16-byte ID (the
+	// empty-struct values take no space) = 32 + 128 = 160; nothing else
+	// retained.
+	const receivedBytes = 8*4 + 8*ids.IDSize
 	id2 := ids.ID{2}
 	f.mod.OnMsg(id2, make([]byte, 40), 1, 3)
 	fp = f.mod.Footprint()
-	if want := int64(384+128+100) + 256; fp.Bytes != want {
+	if want := int64(cacheBytes+100) + receivedBytes; fp.Bytes != want {
 		t.Errorf("after 1 received payload: bytes = %d, want %d", fp.Bytes, want)
 	}
 	if fp.Items != 2 {
@@ -51,17 +55,18 @@ func TestModuleFootprint(t *testing.T) {
 	}
 
 	// One pending request from an IHAVE: the id→slot table allocates its
-	// 8 slots × (16-byte ID + 4-byte slot) = 160, and the slab its first
-	// minSlots slots of 96 bytes, the source held inline; no free slot,
-	// no spill yet.
+	// first 8 index slots × 4 B + its first 8 entries × (16-byte ID +
+	// 4-byte slot) = 32 + 160 = 192, and the slab its first minSlots
+	// slots of 96 bytes, the source held inline; no free slot, no spill
+	// yet.
 	id3 := ids.ID{3}
 	f.mod.OnIHave(id3, 4)
 	fp = f.mod.Footprint()
 	if _, ok := f.mod.pending.Get(id3); !ok {
 		t.Fatalf("pending request for %v not found", id3)
 	}
-	wantPending := int64(8*(ids.IDSize+4) + minSlots*pendingSlotBytes)
-	if want := int64(384+128+100) + 256 + wantPending; fp.Bytes != want {
+	wantPending := int64(8*4 + 8*(ids.IDSize+4) + minSlots*pendingSlotBytes)
+	if want := int64(cacheBytes+100) + receivedBytes + wantPending; fp.Bytes != want {
 		t.Errorf("after 1 pending request: bytes = %d, want %d", fp.Bytes, want)
 	}
 	if fp.Items != 3 {
@@ -76,11 +81,11 @@ func TestModuleFootprint(t *testing.T) {
 	if f.mod.PendingRequests() != 0 {
 		t.Fatalf("pending = %d, want 0", f.mod.PendingRequests())
 	}
-	// Received set now holds 2 ids, still in its first table and FIFO
-	// (256). The drained id→slot table and the slab stay allocated, and
+	// Received set now holds 2 ids, still in its first index and entries
+	// (160). The drained id→slot table and the slab stay allocated, and
 	// the free list now holds the request's slot.
 	free := int64(cap(f.mod.free)) * 4
-	if want := int64(384+128+100) + 256 + wantPending + free; fp.Bytes != want {
+	if want := int64(cacheBytes+100) + receivedBytes + wantPending + free; fp.Bytes != want {
 		t.Errorf("after clearing: bytes = %d, want %d", fp.Bytes, want)
 	}
 
@@ -95,7 +100,7 @@ func TestModuleFootprint(t *testing.T) {
 		t.Fatalf("spill cap = %d, want >= %d", spill, inlineSources+1)
 	}
 	fp = f.mod.Footprint()
-	if want := int64(384+128+100) + 256 + wantPending + free + int64(spill)*4; fp.Bytes != want {
+	if want := int64(cacheBytes+100) + receivedBytes + wantPending + free + int64(spill)*4; fp.Bytes != want {
 		t.Errorf("after a spill: bytes = %d, want %d", fp.Bytes, want)
 	}
 }
@@ -120,17 +125,22 @@ func TestModuleFootprintSharedStore(t *testing.T) {
 			f.mod.LSend(id, payload, round+1, 3) // relayed lazily: cached
 		}))
 		f.mod.OnMsg(id, make([]byte, 100), 1, 4)
-		// Received set 256 (see TestModuleFootprint) + cache table 384 +
-		// FIFO 128; the 100 payload bytes are the store's.
-		if fp := f.mod.Footprint(); fp.Bytes != 256+384+128 || fp.Items != 2 {
-			t.Errorf("module %d footprint = %+v, want %d bytes / 2 items", self, fp, 256+384+128)
+		// Received set 8 index slots × 4 B + 8 entries × 16 B = 160, cache
+		// 8 index slots × 4 B + 8 entries × (16 + 32) B = 416 (see
+		// TestModuleFootprint); the 100 payload bytes are the store's.
+		const want = 8*4 + 8*ids.IDSize + 8*4 + 8*(ids.IDSize+32)
+		if fp := f.mod.Footprint(); fp.Bytes != want || fp.Items != 2 {
+			t.Errorf("module %d footprint = %+v, want %d bytes / 2 items", self, fp, want)
 		}
 		if e, ok := f.mod.cache.Get(id); !ok || len(e.payload) != 100 {
 			t.Errorf("module %d cache holds %d payload bytes (present %v), want 100", self, len(e.payload), ok)
 		}
 	}
-	if fp := store.Footprint(); fp.Bytes != 8*(ids.IDSize+24)+100 || fp.Items != 1 {
-		t.Fatalf("store footprint = %+v, want one 100-byte payload (%d bytes)", fp, 8*(ids.IDSize+24)+100)
+	// The store: 8 index slots × 4 B + 8 entries × (16-byte ID + 24-byte
+	// slice header) = 352, plus the one 100-byte payload.
+	const want = 8*4 + 8*(ids.IDSize+24) + 100
+	if fp := store.Footprint(); fp.Bytes != want || fp.Items != 1 {
+		t.Fatalf("store footprint = %+v, want one 100-byte payload (%d bytes)", fp, want)
 	}
 }
 
@@ -142,10 +152,13 @@ func TestCacheBytesTrackEviction(t *testing.T) {
 	for i := byte(1); i <= 4; i++ {
 		f.mod.LSend(ids.ID{i}, make([]byte, int(i)*10), 1, 2)
 	}
-	// Capacity 2: ids 3 and 4 remain, 30+40 payload bytes, on the cache
-	// table 384 + FIFO 128 (see TestModuleFootprint).
-	if fp := f.mod.Footprint(); fp.Bytes != 384+128+70 || fp.Items != 2 {
-		t.Fatalf("footprint = %+v, want %d bytes / 2 items", fp, 384+128+70)
+	// Capacity 2: ids 3 and 4 remain, 30+40 payload bytes, on the cache's
+	// 8 index slots × 4 B + 8 entries × (16 + 32) B = 416 (see
+	// TestModuleFootprint): the two evicted entries are dead, not freed,
+	// until a compaction, and stay charged.
+	const want = 8*4 + 8*(ids.IDSize+32) + 70
+	if fp := f.mod.Footprint(); fp.Bytes != want || fp.Items != 2 {
+		t.Fatalf("footprint = %+v, want %d bytes / 2 items", fp, want)
 	}
 	for i := byte(1); i <= 4; i++ {
 		if _, ok := f.mod.cache.Get(ids.ID{i}); ok != (i > 2) {

@@ -378,7 +378,7 @@ const pendingSlotBytes = 16 + 16 + 4*4 + inlineSources*4 + 24
 
 // Footprint implements obs.Footprinter: the retained bytes of the
 // per-node lazy state — the received dedup set R, the payload cache C
-// (its table and FIFO, plus the cached payload bytes when the module owns
+// (its index and entries, plus the cached payload bytes when the module owns
 // them; a shared store reports those once, in its own Footprint) and the
 // pending retransmission requests: their id→slot table, the slab's
 // capacity, its free list and the spill slices its slots keep. Arithmetic
@@ -389,7 +389,7 @@ func (m *Module) Footprint() obs.Footprint {
 	if m.payloads == nil {
 		m.cache.Range(func(_ ids.ID, e cached) { bytes += int64(len(e.payload)) })
 	}
-	bytes += int64(m.pending.TableLen())*(ids.IDSize+4) +
+	bytes += m.pending.FootprintBytes() +
 		int64(cap(m.reqs))*pendingSlotBytes + int64(cap(m.free))*4
 	for i := range m.reqs {
 		bytes += int64(cap(m.reqs[i].spill)) * 4

@@ -44,13 +44,13 @@ func (p *Payloads) Keep(id ids.ID, payload []byte) []byte {
 	return own
 }
 
-// Footprint implements obs.Footprinter: the store's table (16-byte id plus
-// a slice header per slot) and the kept payload bytes, reported once under
-// the lazy subsystem.
+// Footprint implements obs.Footprinter: the store's table (its index, and
+// a 16-byte id plus a slice header per entry) and the kept payload bytes,
+// reported once under the lazy subsystem.
 func (p *Payloads) Footprint() obs.Footprint {
 	fp := obs.Footprint{Subsystem: "lazy"}
 	if p.kept != nil {
-		fp.Bytes = int64(p.kept.TableLen())*(ids.IDSize+24) + p.bytes
+		fp.Bytes = p.kept.FootprintBytes() + p.bytes
 		fp.Items = int64(p.kept.Len())
 	}
 	return fp

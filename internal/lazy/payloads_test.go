@@ -44,10 +44,12 @@ func TestPayloadsKeep(t *testing.T) {
 		t.Fatal("a nil store aliased its input or shared a copy")
 	}
 
-	// One payload per id: 8 table slots × (16-byte id + slice header) and
-	// the 3 kept bytes; the private "xyz" copy is not the store's.
-	if fp := store.Footprint(); fp.Subsystem != "lazy" || fp.Bytes != 8*(ids.IDSize+24)+3 || fp.Items != 1 {
-		t.Fatalf("store footprint = %+v, want lazy/%d/1", fp, 8*(ids.IDSize+24)+3)
+	// One payload per id: 8 index slots × 4 B + 8 entries × (16-byte id
+	// + slice header) and the 3 kept bytes; the private "xyz" copy is not
+	// the store's.
+	const want = 8*4 + 8*(ids.IDSize+24) + 3
+	if fp := store.Footprint(); fp.Subsystem != "lazy" || fp.Bytes != want || fp.Items != 1 {
+		t.Fatalf("store footprint = %+v, want lazy/%d/1", fp, want)
 	}
 	if fp := (&Payloads{}).Footprint(); fp.Bytes != 0 || fp.Items != 0 {
 		t.Fatalf("empty store footprint = %+v, want zero", fp)

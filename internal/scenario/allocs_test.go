@@ -8,13 +8,12 @@ package scenario
 import (
 	"runtime"
 	"testing"
-	"time"
 )
 
 // TestAllocsPerDelivery pins the simulator's steady-state allocation
-// count: a warm 100-node run must not allocate per delivery. The first
-// phase warms every node's tables and scratch buffers up; the count is
-// taken over the second, as heap allocations (runtime.MemStats.Mallocs)
+// count: a warm 100-node run (warmSpec) must not allocate per delivery.
+// The first phase warms every node's tables and scratch buffers up; the
+// count is taken over the second, as heap allocations (runtime.MemStats.Mallocs)
 // per delivery. The third phase keeps the final boundary and the drain
 // out of the window. Timers armed as data, pending requests in a slab and
 // samples drawn into reused buffers put lazy push at 0.117 and eager push
@@ -30,18 +29,7 @@ func TestAllocsPerDelivery(t *testing.T) {
 		{"eager", 0.11},
 	} {
 		t.Run(c.strategy, func(t *testing.T) {
-			traffic := []TrafficSpec{{Kind: TrafficConstant, Rate: 10, Senders: SendersUniform, PayloadSize: 256}}
-			phase := func(name string) Phase {
-				return Phase{Name: name, Duration: Duration(20 * time.Second), Traffic: traffic}
-			}
-			eng, err := New(Spec{
-				Name:          "allocs-" + c.strategy,
-				Seed:          1,
-				Nodes:         100,
-				Strategy:      c.strategy,
-				TopologyScale: 8,
-				Phases:        []Phase{phase("warm"), phase("measured"), phase("tail")},
-			})
+			eng, err := New(warmSpec(c.strategy))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -74,9 +74,11 @@ func TestLazyFootprintCountsPayloadsOnce(t *testing.T) {
 		}
 	}
 	store := r.Payloads().Footprint()
-	// Ten ids fill a 16-slot table (load at most 3/4) of 16-byte ids and
-	// slice headers; the Spec's payloads are 256 bytes.
-	if want := int64(16*(ids.IDSize+24) + messages*256); store.Bytes != want || store.Items != messages {
+	// Ten ids fill a 16-slot index (load at most 3/4) of 4-byte slots, and
+	// the entry arrays, first 8 long, have doubled once to 16 entries of
+	// 16-byte ids and slice headers: 16 × 4 + 16 × (16 + 24) = 704. The
+	// Spec's payloads are 256 bytes.
+	if want := int64(16*4 + 16*(ids.IDSize+24) + messages*256); store.Bytes != want || store.Items != messages {
 		t.Fatalf("store footprint = %+v, want %d bytes / %d items", store, want, messages)
 	}
 	for _, fp := range r.Footprints() {

@@ -51,8 +51,7 @@ func msgStatsFootprint(m *MsgStats) int64 {
 // counts, retention spans and the link/node counters.
 func (s *Streaming) Footprint() obs.Footprint {
 	bytes := int64(cap(s.order))*ids.IDSize +
-		int64(s.messages.TableLen())*(ids.IDSize+8) +
-		int64(s.pendingPayloads.TableLen())*(ids.IDSize+8) +
+		s.messages.FootprintBytes() + s.pendingPayloads.FootprintBytes() +
 		int64(cap(s.retain))*spanBytes +
 		s.core.footprintBytes()
 	s.messages.Range(func(_ ids.ID, m *MsgStats) {

@@ -28,12 +28,13 @@ func TestStreamingFootprint(t *testing.T) {
 	if fp.Items != 1 {
 		t.Fatalf("items = %d, want 1", fp.Items)
 	}
-	// Hand arithmetic: order cap 1 → 16; 8-slot messages table ×
-	// (16-byte ID + 8-byte pointer) = 192; retain span cap 1 → 16; core:
-	// 8-slot link table (192) + sender-count slice cap 1 → 8; MsgStats
-	// 120 + one non-origin latency (cap 1 → 8) + one bitset word (cap 1
-	// → 8) + two retained completions (cap 2 → 32).
-	want := int64(16 + 192 + 16 + 192 + 8 + msgStatsBytes + 8 + 8 + 2*deliveryBytes)
+	// Hand arithmetic: order cap 1 → 16; messages table 8 index slots ×
+	// 4 B + 8 entries × (16-byte ID + 8-byte pointer) = 32 + 192 = 224;
+	// retain span cap 1 → 16; core: 8-slot link table (192) +
+	// sender-count slice cap 1 → 8; MsgStats 120 + one non-origin latency
+	// (cap 1 → 8) + one bitset word (cap 1 → 8) + two retained
+	// completions (cap 2 → 32).
+	want := int64(16 + 224 + 16 + 192 + 8 + msgStatsBytes + 8 + 8 + 2*deliveryBytes)
 	if fp.Bytes != want {
 		t.Fatalf("bytes = %d, want %d", fp.Bytes, want)
 	}
