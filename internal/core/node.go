@@ -300,7 +300,7 @@ func (n *Node) HandleFrame(from peer.ID, frame []byte) {
 		n.view.Add(from)
 		n.env.Transport.Send(from, reply)
 	case msg.KindJoinReply:
-		n.view.Merge(p.View)
+		n.view.MergeExchange(p.View, nil)
 	case msg.KindPing:
 		n.env.Transport.Send(from, n.enc(&msg.Pong{Nonce: p.Nonce}))
 	case msg.KindPong:

@@ -4,13 +4,12 @@ import (
 	"math/rand"
 	"testing"
 
-	"emcast/internal/obs"
 	"emcast/internal/peer"
 )
 
 // TestViewFootprint pins the byte report of a hand-built view: 5 peers
-// appended into a size-15 view means cap(peers) has grown 1→2→4→8 and the
-// index holds 5 entries of 4-byte key + 8-byte int + map overhead.
+// appended into a size-15 view means cap(peers) has grown 1→2→4→8, and
+// Add touches neither scratch buffer.
 func TestViewFootprint(t *testing.T) {
 	v := NewView(Config{ViewSize: 15, ShuffleSize: 7}, 0, rand.New(rand.NewSource(1)))
 
@@ -23,14 +22,14 @@ func TestViewFootprint(t *testing.T) {
 		v.Add(peer.ID(i))
 	}
 	fp = v.Footprint()
-	wantBytes := int64(cap(v.peers))*4 + 5*(4+8+obs.MapEntryOverhead)
+	wantBytes := int64(cap(v.peers)) * 4
 	if fp.Bytes != wantBytes {
 		t.Errorf("footprint bytes = %d, want %d", fp.Bytes, wantBytes)
 	}
 	// Pin the arithmetic concretely too: append growth for 5 entries is
-	// cap 8, so 8*4 + 5*28 = 172.
-	if cap(v.peers) == 8 && fp.Bytes != 172 {
-		t.Errorf("footprint bytes = %d, want 172", fp.Bytes)
+	// cap 8, so 8*4 = 32.
+	if cap(v.peers) == 8 && fp.Bytes != 32 {
+		t.Errorf("footprint bytes = %d, want 32", fp.Bytes)
 	}
 	if fp.Items != 5 {
 		t.Errorf("footprint items = %d, want 5", fp.Items)

@@ -14,6 +14,7 @@ package membership
 
 import (
 	"math/rand"
+	"slices"
 
 	"emcast/internal/obs"
 	"emcast/internal/peer"
@@ -33,15 +34,15 @@ func DefaultConfig() Config {
 	return Config{ViewSize: 15, ShuffleSize: 7}
 }
 
-// View is a node's partial view of the overlay. It is not safe for
-// concurrent use: it is part of the owning node's step machine, whose host
-// serialises every input (see core.Node).
+// View is a node's partial view of the overlay: one slice of at most
+// ViewSize peers, searched by linear scan. It is not safe for concurrent
+// use: it is part of the owning node's step machine, whose host serialises
+// every input (see core.Node).
 type View struct {
 	cfg   Config
 	self  peer.ID
 	rng   *rand.Rand
 	peers []peer.ID
-	index map[peer.ID]int
 	// perm is Sample's reused permutation scratch: the hot gossip path
 	// samples fanout peers per forwarded message, and allocating a fresh
 	// rand.Perm slice each time dominated the allocation profile.
@@ -58,60 +59,63 @@ func NewView(cfg Config, self peer.ID, rng *rand.Rand) *View {
 	if cfg.ShuffleSize <= 0 {
 		cfg.ShuffleSize = cfg.ViewSize/2 + 1
 	}
-	return &View{
-		cfg:   cfg,
-		self:  self,
-		rng:   rng,
-		index: make(map[peer.ID]int),
-	}
+	return &View{cfg: cfg, self: self, rng: rng}
 }
 
 // Seed initialises the view with the given peers (used at join, or by the
 // simulator to warm the overlay as the paper does before measuring).
 func (v *View) Seed(ps []peer.ID) {
 	for _, p := range ps {
-		v.Add(p)
+		v.insert(p, nil)
 	}
 }
 
 // Add inserts p, evicting a random entry if the view is full. Self and
 // duplicates are ignored. It reports whether the view changed.
 func (v *View) Add(p peer.ID) bool {
-	if p == v.self || p == peer.None {
-		return false
-	}
-	if _, ok := v.index[p]; ok {
-		return false
-	}
-	if len(v.peers) >= v.cfg.ViewSize {
-		victim := v.rng.Intn(len(v.peers))
-		v.removeAt(victim)
-	}
-	v.index[p] = len(v.peers)
-	v.peers = append(v.peers, p)
-	return true
+	_, ok := v.insert(p, nil)
+	return ok
 }
 
 // Remove drops p from the view if present.
 func (v *View) Remove(p peer.ID) {
-	if i, ok := v.index[p]; ok {
+	if i := slices.Index(v.peers, p); i >= 0 {
 		v.removeAt(i)
 	}
 }
 
+// insert is the one insertion path. Self, None and peers already held are
+// refused. A full view first evicts one entry: pool is consumed in order
+// up to its first entry still in the view, and with none left a random
+// slot goes. It returns what is left of pool and whether p went in.
+func (v *View) insert(p peer.ID, pool []peer.ID) ([]peer.ID, bool) {
+	if p == v.self || p == peer.None || v.Contains(p) {
+		return pool, false
+	}
+	if len(v.peers) >= v.cfg.ViewSize {
+		i := -1
+		for i < 0 && len(pool) > 0 {
+			i = slices.Index(v.peers, pool[0])
+			pool = pool[1:]
+		}
+		if i < 0 {
+			i = v.rng.Intn(len(v.peers))
+		}
+		v.removeAt(i)
+	}
+	v.peers = append(v.peers, p)
+	return pool, true
+}
+
+// removeAt drops slot i by moving the last entry into it.
 func (v *View) removeAt(i int) {
 	last := len(v.peers) - 1
-	delete(v.index, v.peers[i])
 	v.peers[i] = v.peers[last]
-	v.index[v.peers[i]] = i
 	v.peers = v.peers[:last]
 }
 
 // Contains reports whether p is in the view.
-func (v *View) Contains(p peer.ID) bool {
-	_, ok := v.index[p]
-	return ok
-}
+func (v *View) Contains(p peer.ID) bool { return slices.Contains(v.peers, p) }
 
 // Len returns the current view size.
 func (v *View) Len() int { return len(v.peers) }
@@ -178,26 +182,16 @@ func (v *View) ShuffleSample(dst []peer.ID) []peer.ID {
 	return append(v.SampleInto(dst, v.cfg.ShuffleSize-1), v.self)
 }
 
-// Merge incorporates a received shuffle sample into the view.
-func (v *View) Merge(sample []peer.ID) {
-	for _, p := range sample {
-		v.Add(p)
-	}
-}
-
 // peerIDBytes is the size of one peer.ID entry (uint32).
 const peerIDBytes = 4
 
-// Footprint implements obs.Footprinter: the peers slice's capacity plus
-// the index map (4-byte ID key, 8-byte int value, map overhead) and the
-// two scratch buffers. The
-// estimate is pure arithmetic over lengths and capacities — the walk
-// never mutates the view.
+// Footprint implements obs.Footprinter: the capacities of the peers slice
+// and the two scratch buffers. The estimate is pure arithmetic over
+// capacities — the walk never mutates the view.
 func (v *View) Footprint() obs.Footprint {
 	return obs.Footprint{
 		Subsystem: "membership",
 		Bytes: int64(cap(v.peers))*peerIDBytes +
-			int64(len(v.index))*(peerIDBytes+8+obs.MapEntryOverhead) +
 			int64(cap(v.perm))*8 + int64(cap(v.pool))*peerIDBytes,
 		Items: int64(len(v.peers)),
 	}
@@ -208,7 +202,8 @@ func (v *View) Footprint() obs.Footprint {
 // (which the peer now holds) are evicted first, so view slots are swapped
 // between the two nodes rather than destroyed. This keeps every node's
 // in-degree close to its out-degree, which is what keeps the overlay
-// connected under continuous shuffling.
+// connected under continuous shuffling. With sent nil it evicts at random,
+// as Add does.
 func (v *View) MergeExchange(received, sent []peer.ID) {
 	// Copy so eviction can consume entries in deterministic order.
 	if cap(v.pool) < len(sent) {
@@ -222,34 +217,6 @@ func (v *View) MergeExchange(received, sent []peer.ID) {
 	}
 	v.pool = pool
 	for _, p := range received {
-		if p == v.self || p == peer.None || v.Contains(p) {
-			continue
-		}
-		if len(v.peers) >= v.cfg.ViewSize {
-			if !v.evictPreferring(&pool) {
-				continue // nothing evictable; keep current entries
-			}
-		}
-		v.index[p] = len(v.peers)
-		v.peers = append(v.peers, p)
+		pool, _ = v.insert(p, pool)
 	}
-}
-
-// evictPreferring removes one view entry, consuming entries of pool (in
-// order) first; when the pool is exhausted a random entry is evicted. It
-// reports whether an entry was removed.
-func (v *View) evictPreferring(pool *[]peer.ID) bool {
-	for len(*pool) > 0 {
-		p := (*pool)[0]
-		*pool = (*pool)[1:]
-		if i, ok := v.index[p]; ok {
-			v.removeAt(i)
-			return true
-		}
-	}
-	if len(v.peers) == 0 {
-		return false
-	}
-	v.removeAt(v.rng.Intn(len(v.peers)))
-	return true
 }

@@ -2,6 +2,7 @@ package membership
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -170,25 +171,98 @@ func TestMergeExchangeFallsBackToRandomEviction(t *testing.T) {
 	}
 }
 
-// TestQuickViewInvariants property-checks that no operation sequence can
-// put the view over capacity, insert self, or create duplicates.
+// viewModel is the reference the view is checked against: a plain slice
+// written from the protocol's rules with its own identically seeded rng,
+// so every random eviction draws the same slot in both.
+type viewModel struct {
+	self  peer.ID
+	size  int
+	rng   *rand.Rand
+	peers []peer.ID
+}
+
+func (m *viewModel) drop(i int) {
+	m.peers[i] = m.peers[len(m.peers)-1]
+	m.peers = m.peers[:len(m.peers)-1]
+}
+
+// mergeExchange follows the Cyclon rule: a full view drops the first of
+// the entries it sent that it still holds, else a random one.
+func (m *viewModel) mergeExchange(received, sent []peer.ID) {
+	var pool []peer.ID
+	for _, p := range sent {
+		if p != m.self {
+			pool = append(pool, p)
+		}
+	}
+	for _, p := range received {
+		if p == m.self || p == peer.None || slices.Contains(m.peers, p) {
+			continue
+		}
+		if len(m.peers) >= m.size {
+			victim := -1
+			for victim < 0 && len(pool) > 0 {
+				victim = slices.Index(m.peers, pool[0])
+				pool = pool[1:]
+			}
+			if victim < 0 {
+				victim = m.rng.Intn(len(m.peers))
+			}
+			m.drop(victim)
+		}
+		m.peers = append(m.peers, p)
+	}
+}
+
+// TestQuickViewInvariants property-checks random programs of Add, Remove,
+// MergeExchange and Seed against viewModel: after every op the view must
+// hold exactly the model's peers in the model's order, Contains must agree
+// with them for every probed peer, and the view never exceeds capacity,
+// holds self or holds a duplicate.
 func TestQuickViewInvariants(t *testing.T) {
+	const self, size = 3, 8
 	f := func(ops []uint32) bool {
-		v := newView(3, 8)
+		v := newView(self, size)
+		m := &viewModel{self: self, size: size, rng: rand.New(rand.NewSource(self + 1))}
 		for i, op := range ops {
 			p := peer.ID(op % 50)
-			switch i % 4 {
+			switch i % 5 {
 			case 0, 1:
+				m.mergeExchange([]peer.ID{p}, nil)
 				v.Add(p)
 			case 2:
+				if j := slices.Index(m.peers, p); j >= 0 {
+					m.drop(j)
+				}
 				v.Remove(p)
 			case 3:
-				v.MergeExchange([]peer.ID{p, p + 1}, []peer.ID{p + 2})
-			}
-			if v.Len() > 8 || v.Contains(3) {
-				return false
+				// Offer back one entry the view holds, so the
+				// pool-first eviction is exercised, not just the random
+				// one.
+				sent := []peer.ID{p + 2, self}
+				if len(m.peers) > 0 {
+					sent = append(sent, m.peers[int(op>>8)%len(m.peers)])
+				}
+				m.mergeExchange([]peer.ID{p, p + 1, peer.None}, sent)
+				v.MergeExchange([]peer.ID{p, p + 1, peer.None}, sent)
+			case 4:
+				m.mergeExchange([]peer.ID{p, p + 3, p + 6}, nil)
+				v.Seed([]peer.ID{p, p + 3, p + 6})
 			}
 			peers := v.Peers()
+			if !slices.Equal(peers, m.peers) {
+				t.Logf("op %d: view %v, model %v", i, peers, m.peers)
+				return false
+			}
+			for q := peer.ID(0); q < 60; q++ {
+				if v.Contains(q) != slices.Contains(peers, q) {
+					t.Logf("op %d: Contains(%d) = %v, view %v", i, q, v.Contains(q), peers)
+					return false
+				}
+			}
+			if v.Len() > size || v.Contains(self) {
+				return false
+			}
 			seen := make(map[peer.ID]bool, len(peers))
 			for _, q := range peers {
 				if seen[q] {

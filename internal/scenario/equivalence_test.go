@@ -15,7 +15,13 @@ import (
 // partitions, joiner coverage, and delivery rates judged against an
 // end-of-run live set that shrank after earlier phases' messages were
 // sent. The file has no -update path: it is the reference, not a golden
-// to regenerate.
+// to regenerate. When protocol behaviour changes on purpose, re-record it
+// from the raw-event collector, never from the code under test: check out
+// dde55c8^ (the last commit with trace.Collector and Spec.FullTrace), apply
+// the same protocol change there, play these four Specs with FullTrace set,
+// and write the reports as one JSON object keyed by name, indented two
+// spaces, with a trailing newline. Before the recording, the same recipe
+// without the change must reproduce the old file byte for byte.
 func TestStreamingEquivalence(t *testing.T) {
 	raw, err := os.ReadFile("testdata/streaming-equiv.json")
 	if err != nil {

@@ -1,0 +1,35 @@
+package sim_test
+
+import (
+	"testing"
+	"time"
+
+	"emcast/internal/sim"
+)
+
+// TestMembershipFootprintFlat: a view is a bounded slice plus two bounded
+// scratch buffers, so once shuffles have run for a while membership's
+// retained bytes must stop moving. A leak in the view, such as an index
+// that keeps evicted peers, grows them with run length instead.
+func TestMembershipFootprintFlat(t *testing.T) {
+	r := sim.New(testConfig(100))
+	r.Warmup()
+	membership := func() int64 {
+		var bytes int64
+		for _, n := range r.Nodes() {
+			for _, fp := range n.Footprints() {
+				if fp.Subsystem == "membership" {
+					bytes += fp.Bytes
+				}
+			}
+		}
+		return bytes
+	}
+	r.RunFor(120 * time.Second)
+	early := membership()
+	r.RunFor(600 * time.Second)
+	if late := membership(); late != early {
+		t.Fatalf("membership footprint %d B at +120 s, %d B at +720 s: it must not grow with run length", early, late)
+	}
+	t.Logf("membership footprint %d B at +120 s and at +720 s", early)
+}
