@@ -91,9 +91,8 @@ func runBench(args []string, out, errOut io.Writer) error {
 		fmt.Fprintf(out, "bench: n=%d %s events in %.2fs, %s events/sec, peak heap %s\n",
 			n, humanCount(float64(cell.Events)), cell.WallSeconds,
 			humanCount(cell.EventsPerSec), humanBytes(cell.PeakHeapBytes))
-		fmt.Fprintf(out, "bench:   classes: %s deliver, %s timer, %s bandwidth-queued\n",
-			humanCount(float64(cell.DeliverEvents)), humanCount(float64(cell.TimerEvents)),
-			humanCount(float64(cell.BandwidthQueuedFrames)))
+		fmt.Fprintf(out, "bench:   classes: %s deliver, %s timer\n",
+			humanCount(float64(cell.DeliverEvents)), humanCount(float64(cell.TimerEvents)))
 		fmt.Fprintf(out, "bench:   sched %s: %s cascades, %s sorts, %s cur-inserts, %s overflow, max bucket %d\n",
 			cell.Sched.Kind, humanCount(float64(cell.Sched.Cascades)),
 			humanCount(float64(cell.Sched.Sorts)), humanCount(float64(cell.Sched.CurInserts)),
@@ -163,15 +162,9 @@ type benchCell struct {
 	EventsPerSec  float64 `json:"events_per_sec"`
 	PeakHeapBytes uint64  `json:"peak_heap_bytes"`
 
-	// Hot-loop breakdown: how the event count splits by class, how many
-	// frames waited behind a busy link, and the stride-sampled wall-clock
-	// nanoseconds spent inside handlers by class.
-	DeliverEvents         uint64 `json:"deliver_events"`
-	TimerEvents           uint64 `json:"timer_events"`
-	BandwidthQueuedFrames uint64 `json:"bandwidth_queued_frames"`
-	SampledEvents         int64  `json:"sampled_events,omitempty"`
-	SampledDeliverNs      int64  `json:"sampled_deliver_ns,omitempty"`
-	SampledTimerNs        int64  `json:"sampled_timer_ns,omitempty"`
+	// Hot-loop breakdown: how the event count splits by class.
+	DeliverEvents uint64 `json:"deliver_events"`
+	TimerEvents   uint64 `json:"timer_events"`
 
 	// Sched is the event scheduler's internal counters: which
 	// implementation ran and, for the timer wheel, how often it
@@ -191,7 +184,6 @@ type benchCell struct {
 // report a zero peak; a GC between samples can still hide a short spike.
 func benchCellRun(nodes, scale int, seed int64, sample float64, errOut io.Writer) (benchCell, error) {
 	traffic := []scenario.TrafficSpec{{Kind: scenario.TrafficPoisson, Rate: 2, Senders: scenario.SendersUniform}}
-	reg := obs.NewRegistry()
 	spec := scenario.Spec{
 		Name:          "bench",
 		Seed:          seed,
@@ -200,7 +192,6 @@ func benchCellRun(nodes, scale int, seed int64, sample float64, errOut io.Writer
 		TopologyScale: scale,
 		Drain:         scenario.Duration(5 * time.Second),
 		TraceSample:   sample,
-		Obs:           reg,
 		Phases: []scenario.Phase{
 			{Name: "steady", Duration: scenario.Duration(15 * time.Second), Traffic: traffic},
 			{Name: "sustained", Duration: scenario.Duration(15 * time.Second), Traffic: traffic},
@@ -252,28 +243,17 @@ func benchCellRun(nodes, scale int, seed int64, sample float64, errOut io.Writer
 
 	net := eng.Runner().Network()
 	events := eng.Runner().Events()
-	cell := benchCell{
-		Nodes:                 nodes,
-		Events:                events,
-		WallSeconds:           wall.Seconds(),
-		EventsPerSec:          float64(events) / wall.Seconds(),
-		PeakHeapBytes:         peakHeap,
-		DeliverEvents:         events - net.TimerFires,
-		TimerEvents:           net.TimerFires,
-		BandwidthQueuedFrames: net.BandwidthQueued,
-		Sched:                 net.SchedStats(),
-		FootprintBytes:        obs.FootprintBytesMap(eng.Runner().Footprints()),
-	}
-	if v, ok := reg.Value("sim_events_sampled_total"); ok {
-		cell.SampledEvents = int64(v)
-	}
-	if v, ok := reg.Value("sim_event_sampled_ns_total", obs.Label{Key: "class", Value: "deliver"}); ok {
-		cell.SampledDeliverNs = int64(v)
-	}
-	if v, ok := reg.Value("sim_event_sampled_ns_total", obs.Label{Key: "class", Value: "timer"}); ok {
-		cell.SampledTimerNs = int64(v)
-	}
-	return cell, nil
+	return benchCell{
+		Nodes:          nodes,
+		Events:         events,
+		WallSeconds:    wall.Seconds(),
+		EventsPerSec:   float64(events) / wall.Seconds(),
+		PeakHeapBytes:  peakHeap,
+		DeliverEvents:  events - net.TimerFires,
+		TimerEvents:    net.TimerFires,
+		Sched:          net.SchedStats(),
+		FootprintBytes: obs.FootprintBytesMap(eng.Runner().Footprints()),
+	}, nil
 }
 
 // footprintOrder returns the subsystem names of a footprint map sorted by

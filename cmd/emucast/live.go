@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -57,7 +56,7 @@ func parseLive(name, about string, args []string, errOut io.Writer) (*liveCmd, e
 	fs.StringVar(&c.diffPath, "diff-json", "", "with -compare-sim: write the diff JSON to this file")
 	fs.BoolVar(&c.quiet, "q", false, "suppress progress logging on stderr")
 	sample := fs.Float64("trace-sample", 0, "sample this fraction of message ids with the dissemination\ntracer (same (seed,id) hash as the simulator)")
-	fs.StringVar(&c.treesPath, "trees", "", "write the live sampled tree report JSON to this file\n(implies -trace-sample 0.01)")
+	fs.StringVar(&c.treesPath, "trees", "", "write the live sampled tree report JSON to this file, or '-'\nto embed it in the report output (implies -trace-sample 0.01)")
 	c.ofl.register(fs)
 	fs.Usage = func() {
 		fmt.Fprintf(errOut, "usage: emucast %s [flags] {-spec <file.json> | <builtin>}\n%s"+
@@ -125,20 +124,12 @@ func (c *liveCmd) play(out, errOut io.Writer) (*scenario.Report, error) {
 		return nil, err
 	}
 
-	if tr := h.TreeReport(); tr != nil {
-		if !c.quiet {
-			fmt.Fprintf(errOut, "disstrace: %d sampled trees, mean depth %.2f, eager %.0f%%, mean edge reuse %.0f%%\n",
-				tr.Sampled, tr.MeanDepth, tr.EagerFraction*100, tr.MeanEdgeReuse*100)
-		}
-		if c.treesPath != "" {
-			enc, err := json.MarshalIndent(tr, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			if err := os.WriteFile(c.treesPath, append(enc, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-		}
+	if tr := h.TreeReport(); tr != nil && !c.quiet {
+		fmt.Fprintf(errOut, "disstrace: %d sampled trees, mean depth %.2f, eager %.0f%%, mean edge reuse %.0f%%\n",
+			tr.Sampled, tr.MeanDepth, tr.EagerFraction*100, tr.MeanEdgeReuse*100)
+	}
+	if err := writeTreeArtifacts(h.DissTracer(), rep, c.treesPath, "", ""); err != nil {
+		return nil, err
 	}
 
 	if c.jsonPath != "" {

@@ -42,11 +42,11 @@
 //
 //	emucast chaos -spec examples/scenarios/chaos-faults.json -obs-log chaos.jsonl
 //
-// The trace subcommand runs one scenario with dissemination tracing on
-// and writes the full artifact set — per-message tree report, Chrome
-// trace-event/Perfetto timeline, Graphviz DOT — into one directory:
+// The scenario subcommand's -trees, -timeline and -dot flags run it with
+// dissemination tracing on and write the artifact set — per-message tree
+// report, Chrome trace-event/Perfetto timeline, Graphviz DOT:
 //
-//	emucast trace -out trace-out steady-poisson
+//	emucast scenario -trees trees.json -timeline timeline.json -dot tree.dot steady-poisson
 //
 // The bench subcommand measures emulator throughput (events/sec, wall
 // time, peak heap) over a fixed flat-strategy workload at one or more
@@ -87,9 +87,6 @@ func run(args []string, out, errOut io.Writer) error {
 	if len(args) > 0 && args[0] == "chaos" {
 		return runChaos(args[1:], out, errOut)
 	}
-	if len(args) > 0 && args[0] == "trace" {
-		return runTrace(args[1:], out, errOut)
-	}
 	if len(args) > 0 && args[0] == "bench" {
 		return runBench(args[1:], out, errOut)
 	}
@@ -109,7 +106,6 @@ func run(args []string, out, errOut io.Writer) error {
 				"       emucast sweep [flags] [-f <sweep.json>]\n"+
 				"       emucast live [flags] {-spec <file.json> | <builtin>}\n"+
 				"       emucast chaos [flags] {-spec <file.json> | <builtin>}\n"+
-				"       emucast trace [flags] {-f <file.json> | <builtin>}\n"+
 				"       emucast bench [flags]\n")
 		fs.PrintDefaults()
 	}

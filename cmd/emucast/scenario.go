@@ -93,7 +93,7 @@ func runScenario(args []string, out, errOut io.Writer) error {
 		fmt.Fprintf(errOut, "disstrace: %d sampled trees, mean depth %.2f, eager %.0f%%, mean edge reuse %.0f%%\n",
 			tr.Sampled, tr.MeanDepth, tr.EagerFraction*100, tr.MeanEdgeReuse*100)
 	}
-	if err := writeTreeArtifacts(eng, rep, *trees, *timeline, *dot); err != nil {
+	if err := writeTreeArtifacts(eng.DissTracer(), rep, *trees, *timeline, *dot); err != nil {
 		return err
 	}
 	if *text {
@@ -148,13 +148,12 @@ func loadSpec(fs *flag.FlagSet, flagName, file string, nodes int, seed int64, sc
 // writeTreeArtifacts writes the dissemination-trace files a run was asked
 // for: the tree report (to a file, or embedded in rep when the path is
 // "-"), the Perfetto/Chrome timeline, and the final-tree DOT (only when a
-// tree was sampled). Without a tracer it does nothing.
-func writeTreeArtifacts(eng *scenario.Engine, rep *scenario.Report, trees, timeline, dot string) error {
-	d := eng.DissTracer()
+// tree was sampled). Without a tracer (d nil) it does nothing.
+func writeTreeArtifacts(d *disstrace.Tracer, rep *scenario.Report, trees, timeline, dot string) error {
 	if d == nil {
 		return nil
 	}
-	tr := eng.TreeReport()
+	tr := d.Report()
 	if trees == "-" {
 		rep.Trees = tr
 	} else if trees != "" {

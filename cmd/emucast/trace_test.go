@@ -9,17 +9,20 @@ import (
 	"testing"
 )
 
-// TestTraceCommand runs `emucast trace` end to end and checks the three
-// artifacts land in -out with coherent content.
-func TestTraceCommand(t *testing.T) {
+// TestScenarioTreeArtifacts runs `emucast scenario -trees -timeline -dot`
+// end to end and checks the three artifacts land where the flags say,
+// with coherent content.
+func TestScenarioTreeArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	var out, errOut bytes.Buffer
-	err := run([]string{"trace", "-out", dir, "-nodes", "20", "-scale", "8", "-sample", "1", "steady-poisson"}, &out, &errOut)
+	err := run([]string{"scenario", "-nodes", "20", "-scale", "8", "-trace-sample", "1",
+		"-trees", filepath.Join(dir, "trees.json"), "-timeline", filepath.Join(dir, "timeline.json"),
+		"-dot", filepath.Join(dir, "tree.dot"), "steady-poisson"}, &out, &errOut)
 	if err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, errOut.String())
 	}
-	if !strings.Contains(out.String(), "sampled trees") {
-		t.Fatalf("summary missing from output:\n%s", out.String())
+	if !strings.Contains(errOut.String(), "sampled trees") {
+		t.Fatalf("summary missing from stderr:\n%s", errOut.String())
 	}
 
 	var trees struct {
@@ -65,20 +68,6 @@ func TestTraceCommand(t *testing.T) {
 	}
 	if !strings.Contains(string(dot), "digraph dissemination") {
 		t.Fatalf("tree.dot is not a digraph:\n%s", dot)
-	}
-}
-
-// TestTraceCommandErrors: bad sample rates and missing scenario.
-func TestTraceCommandErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"trace"},
-		{"trace", "-sample", "2", "steady-poisson"},
-		{"trace", "nosuch-scenario"},
-	} {
-		var out, errOut bytes.Buffer
-		if err := run(args, &out, &errOut); err == nil {
-			t.Fatalf("run(%v) succeeded, want error", args)
-		}
 	}
 }
 

@@ -10,26 +10,16 @@ import (
 // breakdownInstruments wires every hot-loop instrument onto a fresh
 // registry with the class labels the sim layer uses.
 func breakdownInstruments(reg *obs.Registry) Instruments {
-	deliver := obs.Label{Key: "class", Value: "deliver"}
-	timer := obs.Label{Key: "class", Value: "timer"}
 	return Instruments{
-		Events:                reg.Counter("sim_events_total", ""),
-		DeliverEvents:         reg.Counter("sim_events_class_total", "", deliver),
-		TimerEvents:           reg.Counter("sim_events_class_total", "", timer),
-		BandwidthQueuedFrames: reg.Counter("sim_frames_bandwidth_queued_total", ""),
-		DeliverNanos:          reg.Counter("sim_event_sampled_ns_total", "", deliver),
-		TimerNanos:            reg.Counter("sim_event_sampled_ns_total", "", timer),
-		SampledEvents:         reg.Counter("sim_events_sampled_total", ""),
-		QueueDepth:            reg.Gauge("sim_event_queue_depth", ""),
-		QueueDepthHist:        reg.Histogram("sim_event_queue_depth_hist", "", []float64{1, 4, 16, 64}),
-		BatchSize:             reg.Histogram("sim_tick_batch_size", "", []float64{1, 2, 4, 8}),
-		SampleStride:          1, // sample every event so the test is exact
+		Events:        reg.Counter("sim_events_total", ""),
+		DeliverEvents: reg.Counter("sim_events_class_total", "", obs.Label{Key: "class", Value: "deliver"}),
+		TimerEvents:   reg.Counter("sim_events_class_total", "", obs.Label{Key: "class", Value: "timer"}),
 	}
 }
 
 // TestEventClassBreakdown pins the hot-loop accounting: deliver and timer
-// class counts must sum to the total event count, mirror the plain
-// counters, and populate the batch-size histogram.
+// class counts must sum to the total event count and mirror the plain
+// counters.
 func TestEventClassBreakdown(t *testing.T) {
 	n := New(3, constLatency(5*time.Millisecond), Config{})
 	reg := obs.NewRegistry()
@@ -66,52 +56,19 @@ func TestEventClassBreakdown(t *testing.T) {
 	if uint64(deliver+timer) != total {
 		t.Fatalf("class counts sum %v != events %d", deliver+timer, total)
 	}
-	// Stride 1: every event is sampled and timed.
-	if v, _ := reg.Value("sim_events_sampled_total"); uint64(v) != total {
-		t.Fatalf("sampled events = %v, want %d", v, total)
-	}
-	// All 14 deliveries land on one instant (same latency, sent at t=0)
-	// and each timer on its own — the batch histogram must have recorded
-	// one observation per distinct virtual instant: 3 timer ticks plus
-	// the one deliver batch flushed when the queue drains.
-	if v, _ := reg.Value("sim_tick_batch_size"); v != 4 {
-		t.Fatalf("batch-size observations = %v, want 4", v)
-	}
-	if v, _ := reg.Value("sim_event_queue_depth_hist"); uint64(v) != total {
-		t.Fatalf("queue-depth observations = %v, want %d", v, total)
-	}
-}
-
-// TestBandwidthQueuedCounter pins the bandwidth-queue drain accounting:
-// frames serialized behind a busy link bump BandwidthQueued.
-func TestBandwidthQueuedCounter(t *testing.T) {
-	// 1000 B/s: a 100-byte frame holds the link for 100ms.
-	n := New(2, constLatency(time.Millisecond), Config{Bandwidth: 1000})
-	rec := &recorder{net: n}
-	n.Register(1, rec)
-	for i := 0; i < 4; i++ {
-		n.Send(0, 1, make([]byte, 100))
-	}
-	n.RunUntilIdle(0)
-	if len(rec.frames) != 4 {
-		t.Fatalf("delivered %d, want 4", len(rec.frames))
-	}
-	// The first frame departs immediately; the other three queued.
-	if n.BandwidthQueued != 3 {
-		t.Fatalf("BandwidthQueued = %d, want 3", n.BandwidthQueued)
+	if v, _ := reg.Value("sim_events_total"); uint64(v) != total {
+		t.Fatalf("sim_events_total = %v, want %d", v, total)
 	}
 }
 
 // TestBreakdownDoesNotPerturbRun pins the determinism rule at the emunet
-// layer: the same workload with instruments attached (stride sampling and
-// all) delivers the same frames at the same virtual instants.
+// layer: the same workload with instruments attached delivers the same
+// frames at the same virtual instants.
 func TestBreakdownDoesNotPerturbRun(t *testing.T) {
 	run := func(withIns bool) []recorded {
 		n := New(4, constLatency(3*time.Millisecond), Config{Loss: 0.2, Seed: 42})
 		if withIns {
-			ins := breakdownInstruments(obs.NewRegistry())
-			ins.SampleStride = 2
-			n.SetInstruments(ins)
+			n.SetInstruments(breakdownInstruments(obs.NewRegistry()))
 		}
 		rec := &recorder{net: n}
 		for i := 1; i < 4; i++ {
@@ -158,14 +115,11 @@ func TestNetworkFootprint(t *testing.T) {
 		if fp.Bytes != want {
 			t.Fatalf("bytes = %d, want %d", fp.Bytes, want)
 		}
-		if n.QueuedFrames() != 2 {
-			t.Fatalf("QueuedFrames = %d, want 2", n.QueuedFrames())
-		}
 
 		n.RunUntilIdle(0)
 		fp = n.Footprint()
-		if fp.Items != 0 || n.QueuedFrames() != 0 {
-			t.Fatalf("after drain: items=%d queued=%d, want 0/0", fp.Items, n.QueuedFrames())
+		if fp.Items != 0 {
+			t.Fatalf("after drain: items=%d, want 0", fp.Items)
 		}
 		// Payload charge gone; only retained slots and fixed slices remain.
 		want = n.wheel.slotCap()*eventSlotBytes + int64(len(n.handlers))*(16+1+8)

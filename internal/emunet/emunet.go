@@ -1,7 +1,7 @@
 // Package emunet is a deterministic discrete-event network emulator playing
-// the role ModelNet plays in the paper (§5.1): it applies per-path delay,
-// bandwidth and loss to traffic between protocol instances running
-// unmodified protocol code.
+// the role ModelNet plays in the paper (§5.1): it applies per-path delay
+// and loss to traffic between protocol instances running unmodified
+// protocol code.
 //
 // The emulator is single-threaded over a virtual clock. Events (frame
 // deliveries and timer callbacks) execute in a total order keyed by
@@ -45,13 +45,7 @@ type Config struct {
 	// Loss is the independent probability that any frame is dropped,
 	// emulating network omissions.
 	Loss float64
-	// Bandwidth is the per-directed-link throughput in bytes/second used
-	// to model serialisation delay and queueing. Zero disables bandwidth
-	// modelling. The paper's ModelNet deployment used 100 Mbit/s links.
-	Bandwidth float64
-	// Jitter adds a uniform random extra delay in [0, Jitter) per frame.
-	Jitter time.Duration
-	// Seed drives loss and jitter randomness.
+	// Seed drives the loss draws.
 	Seed int64
 	// PooledFrames recycles in-flight frame buffers through an arena
 	// instead of allocating per send. It tightens the Handler contract
@@ -72,7 +66,6 @@ type Network struct {
 	wheel    *timerWheel
 	handlers []Handler
 	silenced []bool
-	linkBusy map[linkKey]time.Duration
 
 	// pool recycles frame buffers when cfg.PooledFrames is set;
 	// oversizeFrameBytes tracks the in-flight bytes of frames too large
@@ -94,31 +87,20 @@ type Network struct {
 	// every executed event (frame deliveries and timer fires) — the raw
 	// events/sec denominator for simulator throughput. TimerFires is the
 	// timer-callback share of it (deliver events = EventsProcessed -
-	// TimerFires), and BandwidthQueued counts frames whose departure was
-	// pushed back by link serialisation — the hot-loop breakdown that
-	// turns "Step is 91% of CPU" into per-class buckets.
+	// TimerFires).
 	FramesSent      uint64
 	FramesDelivered uint64
 	FramesLost      uint64
 	BytesDelivered  uint64
 	EventsProcessed uint64
 	TimerFires      uint64
-	BandwidthQueued uint64
 
-	// Frame-queue accounting for Footprint, maintained on push/pop so the
-	// walk never scans the heap.
-	queuedFrames     int64
+	// queuedFrameBytes is the in-flight frame bytes for Footprint,
+	// maintained on push/pop so the walk never scans the queue.
 	queuedFrameBytes int64
 
-	// Per-tick batch tracking: events executed at the current virtual
-	// instant, observed into the batch-size histogram when time advances.
-	batch int64
-
-	// ins mirrors the counters above into an obs registry, when attached;
-	// timed and stride gate the sampled wall-clock timing path.
-	ins    Instruments
-	timed  bool
-	stride uint64
+	// ins mirrors the counters above into an obs registry, when attached.
+	ins Instruments
 
 	// faults is the optional fault-injection plane (see internal/faults).
 	// It draws from its own seeded stream and is consulted only when a
@@ -140,50 +122,16 @@ type Instruments struct {
 	FramesLost      *obs.Counter
 	BytesDelivered  *obs.Counter
 
-	// Hot-loop breakdown. DeliverEvents/TimerEvents split EventsProcessed
-	// by class; BandwidthQueuedFrames counts sends delayed behind a busy
-	// link. DeliverNanos/TimerNanos accumulate *sampled* wall-clock
-	// handler time: every SampleStride-th event (deterministic stride, so
-	// the seeded path is untouched and the sample set is reproducible) is
-	// timed with the wall clock and its nanoseconds attributed to its
-	// class; SampledEvents counts the samples, so ns-per-event and the
-	// class share of hot-loop time fall out by division.
-	DeliverEvents         *obs.Counter
-	TimerEvents           *obs.Counter
-	BandwidthQueuedFrames *obs.Counter
-	DeliverNanos          *obs.Counter
-	TimerNanos            *obs.Counter
-	SampledEvents         *obs.Counter
-
-	// QueueDepth (gauge + histogram, observed at the sampling stride) and
-	// BatchSize (events sharing one virtual instant, observed when the
-	// clock advances) expose the event-queue shape.
-	QueueDepth     *obs.Gauge
-	QueueDepthHist *obs.Histogram
-	BatchSize      *obs.Histogram
-
-	// SampleStride is the timing/queue-depth sampling stride in events
-	// (0 = DefaultSampleStride). Sampling is skipped entirely when no
-	// timing instrument is attached.
-	SampleStride int
+	// DeliverEvents/TimerEvents split EventsProcessed by class. Time per
+	// class is not measured here: the emulator never reads the wall
+	// clock (pprof and the benchmark's span ledger attribute CPU).
+	DeliverEvents *obs.Counter
+	TimerEvents   *obs.Counter
 }
-
-// DefaultSampleStride is the default event-sampling stride: 1-in-64
-// events pay two wall-clock reads, keeping timing overhead well under a
-// percent of the hot loop.
-const DefaultSampleStride = 64
 
 // SetInstruments attaches observability counters. Call before Run;
 // counters never influence event order or timing.
-func (n *Network) SetInstruments(ins Instruments) {
-	n.ins = ins
-	n.timed = ins.DeliverNanos != nil || ins.TimerNanos != nil ||
-		ins.QueueDepth != nil || ins.QueueDepthHist != nil
-	n.stride = uint64(ins.SampleStride)
-	if n.stride == 0 {
-		n.stride = DefaultSampleStride
-	}
-}
+func (n *Network) SetInstruments(ins Instruments) { n.ins = ins }
 
 // SetFaults attaches a fault injector consulted at frame-send time. Call
 // before Run. A nil or inert injector changes nothing; with rules or
@@ -194,8 +142,6 @@ func (n *Network) SetFaults(inj *faults.Injector) { n.faults = inj }
 // Faults returns the attached injector (nil when none).
 func (n *Network) Faults() *faults.Injector { return n.faults }
 
-type linkKey struct{ from, to int }
-
 // New creates a network of n nodes with the given one-way latency model.
 func New(n int, latency LatencyFunc, cfg Config) *Network {
 	return &Network{
@@ -205,7 +151,6 @@ func New(n int, latency LatencyFunc, cfg Config) *Network {
 		wheel:     newTimerWheel(),
 		handlers:  make([]Handler, n),
 		silenced:  make([]bool, n),
-		linkBusy:  make(map[linkKey]time.Duration),
 		latFactor: 1,
 		group:     make([]int, n),
 	}
@@ -214,9 +159,6 @@ func New(n int, latency LatencyFunc, cfg Config) *Network {
 // SchedStats returns the scheduler's internal counters (cascades, bucket
 // sorts, sorted inserts, overflow spills) for bench reporting.
 func (n *Network) SchedStats() SchedStats { return n.wheel.stats() }
-
-// Size returns the number of nodes in the network.
-func (n *Network) Size() int { return len(n.handlers) }
 
 // Register installs the frame handler for a node. It must be called before
 // frames are delivered to that node; frames to unregistered nodes are
@@ -233,12 +175,6 @@ func (n *Network) Now() time.Duration { return n.now }
 // it simply cannot communicate.
 func (n *Network) Silence(node int) { n.silenced[node] = true }
 
-// Silenced reports whether the node is currently silenced.
-func (n *Network) Silenced(node int) bool { return n.silenced[node] }
-
-// Restore re-enables traffic for a previously silenced node.
-func (n *Network) Restore(node int) { n.silenced[node] = false }
-
 // SetLatencyFactor scales the propagation delay of frames sent from now on
 // by f (1 restores the base model). It emulates path inflation — congested
 // backbones, rerouting after a link failure — without rebuilding the
@@ -250,9 +186,6 @@ func (n *Network) SetLatencyFactor(f float64) {
 	n.latFactor = f
 }
 
-// LatencyFactor returns the current propagation-delay scale factor.
-func (n *Network) LatencyFactor() float64 { return n.latFactor }
-
 // SetExtraLatency adds a constant delay to frames sent from now on (0
 // restores the base model), emulating a uniform latency shift such as an
 // access-link change. Negative values are treated as 0.
@@ -262,9 +195,6 @@ func (n *Network) SetExtraLatency(d time.Duration) {
 	}
 	n.extraLat = d
 }
-
-// ExtraLatency returns the current constant delay shift.
-func (n *Network) ExtraLatency() time.Duration { return n.extraLat }
 
 // SetLoss replaces the frame loss probability for frames sent from now on,
 // emulating loss spikes. Values outside [0, 1] are clamped.
@@ -277,9 +207,6 @@ func (n *Network) SetLoss(p float64) {
 	}
 	n.cfg.Loss = p
 }
-
-// Loss returns the current frame loss probability.
-func (n *Network) Loss() float64 { return n.cfg.Loss }
 
 // Partition splits the network: nodes listed in different groups cannot
 // exchange frames until Heal is called. Nodes absent from every group form
@@ -304,16 +231,13 @@ func (n *Network) Partition(groups [][]int) {
 // Heal removes the current partition; traffic flows freely again.
 func (n *Network) Heal() { n.partitioned = false }
 
-// Partitioned reports whether a partition is currently active.
-func (n *Network) Partitioned() bool { return n.partitioned }
-
 // cut reports whether a partition currently separates the two nodes.
 func (n *Network) cut(from, to int) bool {
 	return n.partitioned && n.group[from] != n.group[to]
 }
 
-// Send transmits a frame from one node to another, applying loss,
-// serialisation and propagation delay. The frame is copied, so callers may
+// Send transmits a frame from one node to another, applying loss and
+// propagation delay. The frame is copied, so callers may
 // reuse the buffer.
 func (n *Network) Send(from, to int, frame []byte) {
 	n.FramesSent++
@@ -340,26 +264,11 @@ func (n *Network) Send(from, to int, frame []byte) {
 			return
 		}
 	}
-	depart := n.now
-	if n.cfg.Bandwidth > 0 {
-		key := linkKey{from, to}
-		if busyUntil := n.linkBusy[key]; busyUntil > depart {
-			depart = busyUntil
-			n.BandwidthQueued++
-			n.ins.BandwidthQueuedFrames.Inc()
-		}
-		ser := time.Duration(float64(len(frame)) / n.cfg.Bandwidth * float64(time.Second))
-		depart += ser
-		n.linkBusy[key] = depart
-	}
 	delay := n.latency(from, to)
 	if n.latFactor != 1 {
 		delay = time.Duration(float64(delay) * n.latFactor)
 	}
 	delay += n.extraLat
-	if n.cfg.Jitter > 0 {
-		delay += time.Duration(n.rng.Int63n(int64(n.cfg.Jitter)))
-	}
 	if fv.Delay > 0 {
 		delay += fv.Delay
 	}
@@ -368,14 +277,14 @@ func (n *Network) Send(from, to int, frame []byte) {
 		// frozen process neither transmits nor processes arrivals.
 		delay += n.faults.StallDelay(n.now, from, to)
 	}
-	n.queueDeliver(depart+delay, from, to, frame)
+	n.queueDeliver(n.now+delay, from, to, frame)
 	if fv.Duplicate {
 		// Second copy at the same arrival instant; the later sequence
 		// number delivers it after the original, and the dedup layers
 		// above the transport are expected to absorb it.
 		n.FramesSent++
 		n.ins.FramesSent.Inc()
-		n.queueDeliver(depart+delay, from, to, frame)
+		n.queueDeliver(n.now+delay, from, to, frame)
 	}
 }
 
@@ -391,7 +300,6 @@ func (n *Network) queueDeliver(at time.Duration, from, to int, frame []byte) {
 	} else {
 		cp = append([]byte(nil), frame...)
 	}
-	n.queuedFrames++
 	n.queuedFrameBytes += int64(len(cp))
 	// Zero-copy: reserve the bucket slot and write the event fields
 	// straight into it — no 80-byte stack event, no block copy.
@@ -470,45 +378,21 @@ func (n *Network) Arm(d time.Duration, sink peer.TimerSink, key uint64) peer.Tim
 // silence/partition, or a timer whose sink reported the fire stale: a
 // stopped AfterFunc timer, or a data timer its node had superseded).
 //
-// The accounting obeys the plane's determinism rule: class counters and
-// batch tracking are plain integer updates plus nil-safe atomic bumps,
-// and the wall-clock timing runs only on every stride-th event when
-// timing instruments are attached — it reads the wall clock around the
-// handler but feeds nothing back into the virtual clock, event order, or
-// any RNG.
+// The accounting obeys the plane's determinism rule: class counters are
+// plain integer updates plus nil-safe atomic bumps that feed nothing back
+// into the virtual clock, event order, or any RNG.
 func (n *Network) execEvent(ev *event) bool {
 	if ev.at < n.now {
 		panic(fmt.Sprintf("emunet: time went backwards: %v < %v", ev.at, n.now))
 	}
-	if ev.at != n.now && n.batch > 0 {
-		n.ins.BatchSize.Observe(float64(n.batch))
-		n.batch = 0
-	}
 	n.now = ev.at
-	n.batch++
 	n.EventsProcessed++
 	n.ins.Events.Inc()
-	sampled := n.timed && n.EventsProcessed%n.stride == 0
-	if sampled {
-		depth := int64(n.wheel.len())
-		n.ins.QueueDepth.Set(depth)
-		n.ins.QueueDepthHist.Observe(float64(depth))
-	}
 	if ev.sink != nil {
 		n.TimerFires++
 		n.ins.TimerEvents.Inc()
-		if !sampled {
-			return ev.sink.FireTimer(ev.key)
-		}
-		t0 := time.Now()
-		if !ev.sink.FireTimer(ev.key) {
-			return false
-		}
-		n.ins.TimerNanos.Add(time.Since(t0).Nanoseconds())
-		n.ins.SampledEvents.Inc()
-		return true
+		return ev.sink.FireTimer(ev.key)
 	}
-	n.queuedFrames--
 	n.queuedFrameBytes -= int64(len(ev.frame))
 	n.ins.DeliverEvents.Inc()
 	if n.silenced[ev.from] || n.silenced[ev.to] || n.cut(ev.from, ev.to) {
@@ -528,14 +412,7 @@ func (n *Network) execEvent(ev *event) bool {
 	n.BytesDelivered += uint64(len(ev.frame))
 	n.ins.FramesDelivered.Inc()
 	n.ins.BytesDelivered.Add(int64(len(ev.frame)))
-	if sampled {
-		t0 := time.Now()
-		h.HandleFrame(ev.from, ev.frame)
-		n.ins.DeliverNanos.Add(time.Since(t0).Nanoseconds())
-		n.ins.SampledEvents.Inc()
-	} else {
-		h.HandleFrame(ev.from, ev.frame)
-	}
+	h.HandleFrame(ev.from, ev.frame)
 	n.releaseFrame(ev.frame)
 	return true
 }
@@ -548,35 +425,27 @@ func (n *Network) Step() bool {
 	for {
 		ev, ok := n.wheel.pop()
 		if !ok {
-			break
+			return false
 		}
 		if n.execEvent(&ev) {
 			return true
 		}
 	}
-	if n.batch > 0 {
-		n.ins.BatchSize.Observe(float64(n.batch))
-		n.batch = 0
-	}
-	return false
 }
 
-// Per-entry sizes for Footprint. eventSlotBytes is the exact size of the
-// event struct (pinned by a unsafe.Sizeof unit test), the unit of every
-// scheduler slot — wheel bucket cells, free-list cells and the overflow
-// heap alike.
-const (
-	eventSlotBytes = 80 // at, seq, sink, from, to, frame header, key
-	linkBusyEntry  = 16 + 8 + obs.MapEntryOverhead
-)
+// eventSlotBytes is the exact size of the event struct (pinned by a
+// unsafe.Sizeof unit test), the unit of every scheduler slot for
+// Footprint — wheel bucket cells, free-list cells and the overflow heap
+// alike.
+const eventSlotBytes = 80 // at, seq, sink, from, to, frame header, key
 
 // Footprint implements obs.Footprinter: every event slot the scheduler
 // retains (the wheel walks its bucket cells, free list and overflow
 // heap), the bytes of in-flight frames
 // (the pool's full arena when pooling is on — pooled buffers are never
 // returned to the GC, so retained capacity is the truthful number —
-// otherwise the incrementally tracked queued-frame bytes), the bandwidth
-// link-busy map and the per-node handler/silenced/group slices.
+// otherwise the incrementally tracked queued-frame bytes) and the
+// per-node handler/silenced/group slices.
 // Read-only and pure arithmetic, per the plane's determinism rule.
 func (n *Network) Footprint() obs.Footprint {
 	frameBytes := n.queuedFrameBytes
@@ -587,27 +456,14 @@ func (n *Network) Footprint() obs.Footprint {
 		Subsystem: "emunet",
 		Bytes: n.wheel.slotCap()*eventSlotBytes +
 			frameBytes +
-			int64(len(n.linkBusy))*linkBusyEntry +
 			int64(len(n.handlers))*(16+1+8), // handler iface + silenced + group
 		Items: int64(n.wheel.len()),
 	}
 }
 
-// QueuedFrames returns the number of frames currently in flight in the
-// event queue (deliver events not yet executed).
-func (n *Network) QueuedFrames() int64 { return n.queuedFrames }
-
 // Run executes events until the virtual clock reaches deadline or the event
-// queue drains. It returns the number of events executed.
-//
-// Run is the hot loop, and it batches: after a frame delivery it drains
-// every further delivery pending at the same virtual instant on the same
-// directed link straight through the handler path, without re-entering
-// the generic pop. Batching cannot reorder anything — the
-// batched events are by construction exactly the next events in (time,
-// seq) order — and every per-frame drop check still runs, because a
-// handler executed mid-batch may silence a node or cut a partition under
-// the remaining frames.
+// queue drains. It returns the number of events executed: it Steps while
+// the next event lies at or before deadline.
 //
 // A step ends only with a real execution, so Run can overshoot: when the
 // next event at or before deadline is skipped (a dropped frame, a stopped
@@ -619,31 +475,7 @@ func (n *Network) Run(deadline time.Duration) int {
 	steps := 0
 	for {
 		at, ok := n.wheel.peekAt()
-		if !ok || at > deadline {
-			break
-		}
-		// One Step-equivalent: keep popping through skipped events until a
-		// real execution (or the queue drains under the skips).
-		stepped := false
-		for !stepped {
-			ev, ok := n.wheel.pop()
-			if !ok {
-				break
-			}
-			stepped = n.execEvent(&ev)
-			if stepped && ev.sink == nil {
-				for {
-					bev, ok := n.wheel.popMatchDeliver(ev.at, ev.from, ev.to)
-					if !ok {
-						break
-					}
-					if n.execEvent(&bev) {
-						steps++
-					}
-				}
-			}
-		}
-		if !stepped {
+		if !ok || at > deadline || !n.Step() {
 			break
 		}
 		steps++
@@ -670,8 +502,7 @@ func (n *Network) RunUntilIdle(maxEvents int) int {
 
 // event is one scheduler slot: a frame delivery (sink nil: from, to,
 // frame) or a timer fire (sink and key). Both kinds share the 80 bytes;
-// eventSlotBytes pins the size. The fields popMatchDeliver reads in place
-// (at, sink, from, to) lead, within the first 48 bytes.
+// eventSlotBytes pins the size.
 type event struct {
 	at    time.Duration
 	seq   uint64

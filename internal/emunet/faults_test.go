@@ -121,9 +121,15 @@ func TestFaultStallDefersBothDirections(t *testing.T) {
 	}
 }
 
+// linkLatency gives every directed link its own delay, so arrivals
+// spread over distinct instants.
+func linkLatency(from, to int) time.Duration {
+	return time.Duration(1+from+3*to) * time.Millisecond
+}
+
 func TestInertInjectorIsByteIdentical(t *testing.T) {
 	run := func(inj *faults.Injector) []recorded {
-		n := New(4, constLatency(3*time.Millisecond), Config{Loss: 0.2, Jitter: time.Millisecond, Seed: 9})
+		n := New(4, linkLatency, Config{Loss: 0.2, Seed: 9})
 		rec := &recorder{net: n}
 		for i := 1; i < 4; i++ {
 			n.Register(i, rec)
@@ -150,7 +156,7 @@ func TestInertInjectorIsByteIdentical(t *testing.T) {
 
 func TestFaultedRunIsDeterministic(t *testing.T) {
 	run := func() ([]recorded, faults.Stats) {
-		n := New(4, constLatency(3*time.Millisecond), Config{Loss: 0.1, Jitter: time.Millisecond, Seed: 5})
+		n := New(4, linkLatency, Config{Loss: 0.1, Seed: 5})
 		rec := &recorder{net: n}
 		for i := 0; i < 4; i++ {
 			n.Register(i, rec)

@@ -4,8 +4,6 @@ import (
 	"testing"
 	"time"
 	"unsafe"
-
-	"emcast/internal/obs"
 )
 
 // TestEventSlotBytesPin pins the Footprint unit to the real struct size:
@@ -68,15 +66,5 @@ func TestWheelFootprintExactBytes(t *testing.T) {
 	}
 	if fp.Items != 2 {
 		t.Fatalf("items = %d, want 2", fp.Items)
-	}
-
-	// Bandwidth shaping adds one link-busy map entry per active directed
-	// link: key (16) + value (8) + map overhead.
-	n3 := New(2, constLatency(time.Millisecond), Config{Bandwidth: 1e6})
-	n3.Register(1, HandlerFunc(func(int, []byte) {}))
-	n3.Send(0, 1, make([]byte, 100))
-	fp = n3.Footprint()
-	if want := int64(8)*eventSlotBytes + 100 + (16 + 8 + obs.MapEntryOverhead) + fixed; fp.Bytes != want {
-		t.Fatalf("bandwidth link entry: bytes = %d, want %d", fp.Bytes, want)
 	}
 }

@@ -210,24 +210,6 @@ func (w *timerWheel) pop() (event, bool) {
 	return ev, true
 }
 
-func (w *timerWheel) popMatchDeliver(at time.Duration, from, to int) (event, bool) {
-	if w.count == 0 {
-		return event{}, false
-	}
-	if w.curPos >= len(w.cur) {
-		w.advance()
-	}
-	head := &w.cur[w.curPos]
-	if head.at != at || head.sink != nil || head.from != from || head.to != to {
-		return event{}, false
-	}
-	ev := *head
-	*head = event{}
-	w.curPos++
-	w.count--
-	return ev, true
-}
-
 func (w *timerWheel) peekAt() (time.Duration, bool) {
 	if w.count == 0 {
 		return 0, false

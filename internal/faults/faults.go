@@ -228,16 +228,6 @@ func (inj *Injector) Stall(node int, until time.Duration) {
 	inj.mu.Unlock()
 }
 
-// StalledUntil returns the node's stall deadline (zero when none).
-func (inj *Injector) StalledUntil(node int) time.Duration {
-	if inj.nactive.Load() == 0 {
-		return 0
-	}
-	inj.mu.RLock()
-	defer inj.mu.RUnlock()
-	return inj.stall[node]
-}
-
 // StallDelay returns how much extra delay a frame between from and to
 // needs so it cannot arrive before either endpoint's stall deadline, and
 // counts the deferral. now is the caller's current (virtual) time.

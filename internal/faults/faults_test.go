@@ -156,9 +156,6 @@ func TestStall(t *testing.T) {
 	if !inj.Active() {
 		t.Fatal("stalled injector not active")
 	}
-	if got := inj.StalledUntil(4); got != 10*time.Second {
-		t.Fatalf("StalledUntil = %v", got)
-	}
 	if got := inj.StallDelay(3*time.Second, 4, 1); got != 7*time.Second {
 		t.Fatalf("outbound stall delay %v, want 7s", got)
 	}
@@ -173,11 +170,12 @@ func TestStall(t *testing.T) {
 	}
 	// A shorter re-stall must not shrink the deadline.
 	inj.Stall(4, 5*time.Second)
-	if got := inj.StalledUntil(4); got != 10*time.Second {
+	if got := inj.StallDelay(0, 4, 1); got != 10*time.Second {
 		t.Fatalf("re-stall shrank deadline to %v", got)
 	}
-	if s := inj.Stats(); s.Stalled != 2 {
-		t.Fatalf("stalled count %d, want 2", s.Stalled)
+	// Stalled counts deferred frames: three of the calls above deferred.
+	if s := inj.Stats(); s.Stalled != 3 {
+		t.Fatalf("stalled count %d, want 3", s.Stalled)
 	}
 }
 

@@ -200,9 +200,6 @@ func (m *Module) SetPayloads(store *Payloads) { m.payloads = store }
 // multicasts with it, OnMsg every first receipt.
 func (m *Module) Keep(id ids.ID, payload []byte) []byte { return m.payloads.Keep(id, payload) }
 
-// Strategy returns the module's transmission strategy.
-func (m *Module) Strategy() strategy.Strategy { return m.strat }
-
 // LSend implements the paper's L-Send(i, d, r, p): consult the strategy and
 // either push the payload eagerly or advertise it lazily.
 func (m *Module) LSend(id ids.ID, payload []byte, round int, to peer.ID) {

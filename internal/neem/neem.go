@@ -388,9 +388,6 @@ func (t *Transport) Send(to peer.ID, frame []byte) {
 	}
 }
 
-// Dropped returns the number of frames purged from send queues.
-func (t *Transport) Dropped() int { return int(t.lost[LostPurge].Load()) }
-
 // AddPeer adds (or updates) an address-book entry at run time, so nodes
 // that appear after start-up — late joiners with ephemeral listen ports —
 // become reachable without restarting the transport.

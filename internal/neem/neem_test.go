@@ -170,7 +170,7 @@ func TestQueuePurgesOldest(t *testing.T) {
 	for i := 0; i < sendQueueSize*3; i++ {
 		a.Send(2, []byte{byte(i)})
 	}
-	if got := a.Dropped(); got != sendQueueSize*2 {
+	if got := a.Stats().LostPurge; got != sendQueueSize*2 {
 		t.Fatalf("dropped = %d, want %d (purging policy)", got, sendQueueSize*2)
 	}
 	// Close must cancel the stuck dial and return promptly.

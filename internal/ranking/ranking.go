@@ -203,11 +203,3 @@ func (t *Table) Threshold() float64 {
 
 // Known returns the number of nodes with known scores.
 func (t *Table) Known() int { return len(t.scores) }
-
-// Score returns p's known score, or +Inf.
-func (t *Table) Score(p peer.ID) float64 {
-	if e, ok := t.scores[p]; ok {
-		return e.value
-	}
-	return math.Inf(1)
-}

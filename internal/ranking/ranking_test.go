@@ -15,6 +15,14 @@ func newTable(self peer.ID) *Table {
 	return NewTable(Config{Fraction: 0.2, SampleSize: 8}, self)
 }
 
+// score reads p's known score from the table, or +Inf.
+func score(t *Table, p peer.ID) float64 {
+	if e, ok := t.scores[p]; ok {
+		return e.value
+	}
+	return math.Inf(1)
+}
+
 func TestOwnScoreAndIsBest(t *testing.T) {
 	tab := newTable(1)
 	if tab.IsBest(1) {
@@ -24,10 +32,10 @@ func TestOwnScoreAndIsBest(t *testing.T) {
 	if !tab.IsBest(1) {
 		t.Fatal("only known node must be best")
 	}
-	if tab.Score(1) != 10 {
-		t.Fatalf("Score = %v", tab.Score(1))
+	if score(tab, 1) != 10 {
+		t.Fatalf("Score = %v", score(tab, 1))
 	}
-	if !math.IsInf(tab.Score(99), 1) {
+	if !math.IsInf(score(tab, 99), 1) {
 		t.Fatal("unknown score must be +Inf")
 	}
 }
@@ -46,7 +54,7 @@ func TestRankingQuantile(t *testing.T) {
 	}
 	for i := peer.ID(4); i <= 10; i++ {
 		if tab.IsBest(i) {
-			t.Fatalf("node %d (score %v) wrongly best", i, tab.Score(i))
+			t.Fatalf("node %d (score %v) wrongly best", i, score(tab, i))
 		}
 	}
 	if tab.IsBest(1) { // self score 50 is mid-pack
@@ -67,14 +75,14 @@ func TestMergeIgnoresGarbage(t *testing.T) {
 		{Node: 3, Value: math.Inf(1)}, // Inf
 		{Node: 4, Value: 7},           // valid
 	})
-	if tab.Score(1) != 5 {
+	if score(tab, 1) != 5 {
 		t.Fatal("merge overwrote own score")
 	}
 	if tab.Known() != 2 {
 		t.Fatalf("Known = %d, want 2 (self + node 4)", tab.Known())
 	}
 	tab.SetOwnScore(math.NaN())
-	if tab.Score(1) != 5 {
+	if score(tab, 1) != 5 {
 		t.Fatal("NaN own score accepted")
 	}
 }
@@ -83,8 +91,8 @@ func TestMergeUpdatesExisting(t *testing.T) {
 	tab := newTable(1)
 	tab.Merge([]msg.Score{{Node: 2, Value: 100}})
 	tab.Merge([]msg.Score{{Node: 2, Value: 50}})
-	if tab.Score(2) != 50 {
-		t.Fatalf("score not updated: %v", tab.Score(2))
+	if score(tab, 2) != 50 {
+		t.Fatalf("score not updated: %v", score(tab, 2))
 	}
 }
 
@@ -116,13 +124,13 @@ func TestCapacityPrunesStalest(t *testing.T) {
 	if tab.Known() != 5 {
 		t.Fatalf("Known = %d, want capacity 5", tab.Known())
 	}
-	if math.IsInf(tab.Score(1), 1) {
+	if math.IsInf(score(tab, 1), 1) {
 		t.Fatal("self pruned")
 	}
-	if math.IsInf(tab.Score(20), 1) {
+	if math.IsInf(score(tab, 20), 1) {
 		t.Fatal("freshest entry pruned")
 	}
-	if !math.IsInf(tab.Score(2), 1) {
+	if !math.IsInf(score(tab, 2), 1) {
 		t.Fatal("stalest entry kept")
 	}
 }
@@ -152,7 +160,7 @@ func TestEpidemicConvergence(t *testing.T) {
 		for j := 0; j < n; j++ {
 			if tab.IsBest(peer.ID(j)) {
 				bestCount++
-				if s := tab.Score(peer.ID(j)); s > 2 {
+				if s := score(tab, peer.ID(j)); s > 2 {
 					t.Fatalf("table %d considers score %v best", i, s)
 				}
 			}
@@ -178,7 +186,7 @@ func TestQuickTableInvariants(t *testing.T) {
 			if tab.Known() > 16 {
 				return false
 			}
-			if tab.Score(3) != 1 {
+			if score(tab, 3) != 1 {
 				return false
 			}
 		}
@@ -202,7 +210,7 @@ func sortedIsBest(tab *Table, p peer.ID) bool {
 	}
 	sort.Float64s(values)
 	k := min(max(int(math.Ceil(tab.cfg.Fraction*float64(len(values))))-1, 0), len(values)-1)
-	return tab.Score(p) <= values[k]
+	return score(tab, p) <= values[k]
 }
 
 // TestCachedThresholdMatchesSort drives tables through random sequences of

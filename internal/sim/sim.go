@@ -199,23 +199,12 @@ func New(cfg Config) *Runner {
 	return r
 }
 
-// Histogram bounds for the hot-loop breakdown: queue depths span four
-// decades (a 30k-node cell queues hundreds of thousands of events), batch
-// sizes are small powers of two (most virtual instants execute a handful
-// of events).
-var (
-	queueDepthBuckets = []float64{64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}
-	batchSizeBuckets  = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
-)
-
 // attachObs registers the runner's instruments on cfg.Obs (a no-op when
 // nil — every instrument method is nil-safe). Counters are shared by
 // name across runners, so concurrent sweep cells aggregate into one
 // series.
 func (r *Runner) attachObs() {
 	reg := r.cfg.Obs
-	deliver := obs.Label{Key: "class", Value: "deliver"}
-	timer := obs.Label{Key: "class", Value: "timer"}
 	r.net.SetInstruments(emunet.Instruments{
 		Events:          reg.Counter("sim_events_total", "emulator events processed (frame deliveries and timer fires)"),
 		FramesSent:      reg.Counter("sim_frames_sent_total", "frames submitted to the emulated network"),
@@ -223,18 +212,8 @@ func (r *Runner) attachObs() {
 		FramesLost:      reg.Counter("sim_frames_lost_total", "frames dropped by loss, silence or partition"),
 		BytesDelivered:  reg.Counter("sim_bytes_delivered_total", "payload bytes delivered to protocol handlers"),
 
-		// Hot-loop breakdown: event-class counts, stride-sampled handler
-		// timing, queue depth and per-tick batch sizes. All of it only
-		// reads the loop; the virtual clock and RNG never see it.
-		DeliverEvents:         reg.Counter("sim_events_class_total", "emulator events by class", deliver),
-		TimerEvents:           reg.Counter("sim_events_class_total", "emulator events by class", timer),
-		BandwidthQueuedFrames: reg.Counter("sim_frames_bandwidth_queued_total", "frames that waited behind an earlier frame on a busy outbound link"),
-		DeliverNanos:          reg.Counter("sim_event_sampled_ns_total", "wall-clock nanoseconds spent in sampled event handlers, by class", deliver),
-		TimerNanos:            reg.Counter("sim_event_sampled_ns_total", "wall-clock nanoseconds spent in sampled event handlers, by class", timer),
-		SampledEvents:         reg.Counter("sim_events_sampled_total", "events whose handler was wall-clock timed (every SampleStride-th)"),
-		QueueDepth:            reg.Gauge("sim_event_queue_depth", "event-queue depth at the last sampled event"),
-		QueueDepthHist:        reg.Histogram("sim_event_queue_depth_hist", "event-queue depth observed at sampled events", queueDepthBuckets),
-		BatchSize:             reg.Histogram("sim_tick_batch_size", "events executed per distinct virtual instant", batchSizeBuckets),
+		DeliverEvents: reg.Counter("sim_events_class_total", "emulator events by class", obs.Label{Key: "class", Value: "deliver"}),
+		TimerEvents:   reg.Counter("sim_events_class_total", "emulator events by class", obs.Label{Key: "class", Value: "timer"}),
 	})
 	r.multicasts = reg.Counter("sim_multicasts_total", "application multicasts initiated")
 	r.deliveries = reg.Counter("sim_deliveries_total", "application-level message deliveries")

@@ -62,7 +62,7 @@ func TestWelfordDegenerate(t *testing.T) {
 	if w.Mean() != 0 || w.Variance() != 0 {
 		t.Fatal("empty accumulator not zero")
 	}
-	if !math.IsInf(w.CI95(), 1) {
+	if !math.IsInf(w.CI95T(), 1) {
 		t.Fatal("CI of empty accumulator should be infinite")
 	}
 	w.Add(5)
@@ -70,8 +70,8 @@ func TestWelfordDegenerate(t *testing.T) {
 		t.Fatal("single sample wrong")
 	}
 	w.Add(5)
-	if w.CI95() != 0 {
-		t.Fatalf("constant samples should have zero CI, got %v", w.CI95())
+	if w.CI95T() != 0 {
+		t.Fatalf("constant samples should have zero CI, got %v", w.CI95T())
 	}
 }
 

@@ -38,7 +38,7 @@ func TestConfigSurface(t *testing.T) {
 		{"emcast.ClusterConfig", ClusterConfig{}, 11},
 		{"emcast.PeerConfig", PeerConfig{}, 18},
 		{"neem.Config", neem.Config{}, 14},
-		{"emunet.Config", emunet.Config{}, 5},
+		{"emunet.Config", emunet.Config{}, 3},
 		{"core.Config", core.Config{}, 5},
 		{"lazy.Config", lazy.Config{}, 4},
 	} {
@@ -77,7 +77,7 @@ var exportedDecl = regexp.MustCompile(`^(func (\([^)]*\) )?[A-Z]|type [A-Z])`)
 // grows the surface has to raise the number in the same diff; one that
 // shrinks it lowers it.
 func TestExportedSurface(t *testing.T) {
-	const want = 664
+	const want = 649
 	n := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
