@@ -137,7 +137,4 @@ func TestScenarioErrors(t *testing.T) {
 	if err := run([]string{"scenario", "-f", scenarioFile("crash-wave.json"), "extra"}, &out, &errOut); err == nil {
 		t.Error("both -f and a builtin name accepted")
 	}
-	if err := run([]string{"scenario", "-nodes", "20", "-scale", "8", "-trace-sample", "2", "steady-poisson"}, &out, &errOut); err == nil {
-		t.Error("trace sample rate 2 accepted")
-	}
 }

@@ -71,6 +71,22 @@ func TestScenarioTreeArtifacts(t *testing.T) {
 	}
 }
 
+// TestScenarioTraceErrors: tracing flags on `scenario` still reject a
+// missing scenario, a bad sample rate and an unknown builtin.
+func TestScenarioTraceErrors(t *testing.T) {
+	dot := filepath.Join(t.TempDir(), "tree.dot")
+	for _, args := range [][]string{
+		{"scenario", "-dot", dot},
+		{"scenario", "-nodes", "20", "-scale", "8", "-trace-sample", "2", "steady-poisson"},
+		{"scenario", "-dot", dot, "nosuch-scenario"},
+	} {
+		var out, errOut bytes.Buffer
+		if err := run(args, &out, &errOut); err == nil {
+			t.Fatalf("run(%v) succeeded, want error", args)
+		}
+	}
+}
+
 // TestBenchCommand runs a tiny bench and checks the JSON document.
 func TestBenchCommand(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
