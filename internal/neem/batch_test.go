@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"emcast/internal/faults"
 	"emcast/internal/peer"
@@ -346,4 +347,113 @@ func TestFaultDelayOwnsItsFrames(t *testing.T) {
 	if d := damaged.Load(); d != 0 {
 		t.Fatalf("%d of %d late frames arrived damaged", d, 2*n)
 	}
+}
+
+// TestSharedFrames: a frame too large for a chunk is queued once per
+// fan-out, as one immutable wire buffer every destination's queue holds.
+// Sharing must not change what any peer receives, and the buffer must not
+// outlive the fan-out.
+func TestSharedFrames(t *testing.T) {
+	// fanout starts n receivers and a sender that knows them all as
+	// peers 2 … n+1.
+	fanout := func(t *testing.T, n int, cfg Config) (*Transport, []*inbox) {
+		inboxes := make([]*inbox, n)
+		cfg.Self, cfg.Peers = 1, make(map[peer.ID]string)
+		for i := range inboxes {
+			inboxes[i] = newInbox()
+			r := listen(t, Config{Self: peer.ID(2 + i)}, inboxes[i].handle)
+			cfg.Peers[peer.ID(2+i)] = r.Addr().String()
+		}
+		return listen(t, cfg, nil), inboxes
+	}
+	large := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, 32<<10) }
+
+	t.Run("a rewritten buffer is a new frame", func(t *testing.T) {
+		a, inboxes := fanout(t, 3, Config{})
+		a.Stall(200 * time.Millisecond) // both fan-outs are pending together
+		buf := large(1)
+		for p := range inboxes {
+			a.Send(peer.ID(2+p), buf)
+		}
+		copy(buf, large(2)) // same slice, same length, other bytes
+		for p := range inboxes {
+			a.Send(peer.ID(2+p), buf)
+		}
+		for p, in := range inboxes {
+			got := in.wait(t, 2)
+			if !bytes.Equal(got[0].data, large(1)) || !bytes.Equal(got[1].data, large(2)) {
+				t.Fatalf("peer %d received frames filled with %d and %d, want 1 and 2",
+					2+p, got[0].data[0], got[1].data[0])
+			}
+		}
+	})
+
+	t.Run("a purge on one queue leaves the others' copy intact", func(t *testing.T) {
+		a, inboxes := fanout(t, 2, Config{QueueSize: 2})
+		a.Stall(200 * time.Millisecond)
+		a.Send(2, large(7))
+		a.Send(3, large(7))
+		for i := 0; i < 2; i++ { // purges the shared frame from peer 2's queue
+			a.Send(2, numbered(i))
+		}
+		if s := a.Stats(); s.LostPurge != 1 || s.QueueDepth != 3 {
+			t.Fatalf("after the purge: %+v", s)
+		}
+		for i, f := range inboxes[0].wait(t, 2) {
+			if !bytes.Equal(f.data, numbered(i)) {
+				t.Fatalf("peer 2 frame %d is not the one sent", i)
+			}
+		}
+		if got := inboxes[1].wait(t, 1); !bytes.Equal(got[0].data, large(7)) {
+			t.Fatal("peer 3's copy of the shared frame was damaged by peer 2's purge")
+		}
+	})
+
+	t.Run("concurrent fan-outs of equal-length frames stay apart", func(t *testing.T) {
+		a, inboxes := fanout(t, 3, Config{})
+		const senders, perSender = 4, 25
+		var wg sync.WaitGroup
+		for g := 0; g < senders; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perSender; i++ {
+					f := large(byte(g*perSender + i))
+					for p := range inboxes {
+						a.Send(peer.ID(2+p), f)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for p, in := range inboxes {
+			seen := map[byte]bool{}
+			for _, f := range in.wait(t, senders*perSender) {
+				if !bytes.Equal(f.data, large(f.data[0])) || seen[f.data[0]] {
+					t.Fatalf("peer %d: frame %d damaged or received twice", 2+p, f.data[0])
+				}
+				seen[f.data[0]] = true
+			}
+		}
+	})
+
+	t.Run("the buffer is released once written", func(t *testing.T) {
+		a, inboxes := fanout(t, 3, Config{})
+		a.Stall(100 * time.Millisecond) // the memo is still held after the Sends
+		for p := range inboxes {
+			a.Send(peer.ID(2+p), large(3))
+		}
+		a.sharedMu.Lock()
+		w := weak.Make(&a.shared[0])
+		a.sharedMu.Unlock()
+		for _, in := range inboxes {
+			in.wait(t, 1)
+		}
+		// The last write loop may still be between its write and its
+		// recycle when the frame arrives.
+		waitFor(t, 2*time.Second, "the written wire buffer to be collected", func() bool {
+			runtime.GC()
+			return w.Value() == nil
+		})
+	})
 }

@@ -26,6 +26,7 @@
 package neem
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -55,7 +56,8 @@ const departureSentinel = 0xFFFFFFFF
 
 // Handler receives inbound frames. The frame is a view into the
 // connection's read buffer, valid only for the duration of the call: a
-// handler that keeps any of it must copy what it keeps.
+// handler that keeps any of it must copy what it keeps (see wire.go for
+// who owns the bytes at each stage).
 type Handler func(from peer.ID, frame []byte)
 
 // ConnState is an outbound connection's health.
@@ -238,7 +240,13 @@ func (cfg *Config) fill() {
 type Transport struct {
 	cfg      Config
 	listener net.Listener
-	handler  Handler
+	// handler is read once per inbound frame, without a lock.
+	handler atomic.Pointer[Handler]
+
+	// shared is the wire form of the last frame too large for a chunk,
+	// queued by reference to every peer of its fan-out (see wireForm).
+	sharedMu sync.Mutex
+	shared   []byte
 
 	framesSent atomic.Uint64
 	bytesSent  atomic.Uint64
@@ -308,7 +316,6 @@ func Listen(cfg Config, handler Handler) (*Transport, error) {
 	t := &Transport{
 		cfg:        cfg,
 		listener:   l,
-		handler:    handler,
 		drainCh:    make(chan struct{}),
 		quit:       make(chan struct{}),
 		dialSem:    make(chan struct{}, cfg.MaxConcurrentDials),
@@ -321,17 +328,14 @@ func Listen(cfg Config, handler Handler) (*Transport, error) {
 	for id, addr := range cfg.Peers {
 		t.peers[id] = addr
 	}
+	t.SetHandler(handler)
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
 }
 
 // SetHandler installs the inbound frame handler.
-func (t *Transport) SetHandler(h Handler) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.handler = h
-}
+func (t *Transport) SetHandler(h Handler) { t.handler.Store(&h) }
 
 // Addr returns the bound listen address.
 func (t *Transport) Addr() net.Addr { return t.listener.Addr() }
@@ -343,9 +347,11 @@ func (t *Transport) lose(r LostReason, n uint64) { t.lost[r].Add(n) }
 
 // Send implements peer.Transport: the frame is copied into the peer's
 // pending queue for asynchronous transmission and the slice is not
-// retained; when QueueSize frames are pending the oldest is purged, and
-// frames to unknown, filtered or unreachable peers are dropped — the
-// protocol's lazy layer recovers via retransmission requests.
+// retained (a frame too large for a chunk is copied once per fan-out, not
+// once per peer: see wireForm); when QueueSize frames are pending the
+// oldest is purged, and frames to unknown, filtered or unreachable peers
+// are dropped — the protocol's lazy layer recovers via retransmission
+// requests.
 func (t *Transport) Send(to peer.ID, frame []byte) {
 	if f := t.cfg.Filter; f != nil && !f(t.cfg.Self, to) {
 		t.lose(LostFilter, 1)
@@ -376,7 +382,12 @@ func (t *Transport) Send(to peer.ID, frame []byte) {
 	}
 	t.mu.Unlock()
 
-	purged, first := c.q.push(frame, t.cfg.QueueSize)
+	var purged, first bool
+	if 4+len(frame) <= chunkSize {
+		purged, first = c.q.push(frame, t.cfg.QueueSize)
+	} else {
+		purged, first = c.q.pushWire(t.wireForm(frame), t.cfg.QueueSize)
+	}
 	if purged {
 		t.lose(LostPurge, 1)
 	}
@@ -700,25 +711,7 @@ func (t *Transport) deliver(from peer.ID, frame []byte) {
 			return
 		}
 		if v.Delay > 0 {
-			// Deferred (and possibly duplicated) delivery. The frame is
-			// the read buffer's and will be overwritten long before the
-			// timers fire: they get a copy. The timer callback re-checks
-			// for shutdown so a drained transport never delivers late
-			// frames.
-			frame = append([]byte(nil), frame...)
-			n := 1
-			if v.Duplicate {
-				n = 2
-			}
-			for i := 0; i < n; i++ {
-				time.AfterFunc(v.Delay, func() {
-					select {
-					case <-t.quit:
-					default:
-						t.handleFrame(from, frame)
-					}
-				})
-			}
+			t.deliverLater(from, frame, v)
 			return
 		}
 		if v.Duplicate {
@@ -728,12 +721,68 @@ func (t *Transport) deliver(from peer.ID, frame []byte) {
 	t.handleFrame(from, frame)
 }
 
+// deliverLater is the fault plane's deferred (and possibly duplicated)
+// delivery. The frame is the read buffer's and will be overwritten long
+// before the timers fire: they get a copy. It is a method of its own so
+// that only this path pays for the copy and the closures; in deliver the
+// frame stays a view on the stack. The timer callback re-checks for
+// shutdown so a drained transport never delivers late frames.
+func (t *Transport) deliverLater(from peer.ID, frame []byte, v faults.Verdict) {
+	own := append([]byte(nil), frame...)
+	n := 1
+	if v.Duplicate {
+		n = 2
+	}
+	for i := 0; i < n; i++ {
+		time.AfterFunc(v.Delay, func() {
+			select {
+			case <-t.quit:
+			default:
+				t.handleFrame(from, own)
+			}
+		})
+	}
+}
+
 func (t *Transport) handleFrame(from peer.ID, frame []byte) {
-	t.mu.Lock()
-	h := t.handler
-	t.mu.Unlock()
-	if h != nil {
+	if h := *t.handler.Load(); h != nil {
 		h(from, frame)
+	}
+}
+
+// wireForm returns a frame too large for a chunk in wire form — its
+// length prefix, then its bytes — in a buffer of its own that is never
+// written again, so any number of queues may hold it. A fan-out hands
+// the same bytes to Send once per peer: each call after the first finds
+// them equal to the last buffer made and returns that buffer, so the
+// frame is copied once per fan-out. Bytes are compared, not slices,
+// because a caller may rewrite its buffer between two Sends. The memo is
+// dropped once a write loop takes a batch holding it (see forgetShared).
+func (t *Transport) wireForm(frame []byte) []byte {
+	t.sharedMu.Lock()
+	defer t.sharedMu.Unlock()
+	if w := t.shared; len(w) == 4+len(frame) && bytes.Equal(w[4:], frame) {
+		return w
+	}
+	w := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(frame)), uint32(len(frame)))
+	w = append(w, frame...)
+	t.shared = w
+	return w
+}
+
+// forgetShared drops the wireForm memo if batch holds it: the fan-out
+// that shared it is under way, and an idle transport must not keep its
+// last large frame alive.
+func (t *Transport) forgetShared(batch net.Buffers) {
+	for _, b := range batch {
+		if cap(b) <= chunkSize {
+			continue // a coalescing chunk, never shared
+		}
+		t.sharedMu.Lock()
+		if len(t.shared) > 0 && &t.shared[0] == &b[0] {
+			t.shared = nil
+		}
+		t.sharedMu.Unlock()
 	}
 }
 
@@ -899,6 +948,7 @@ func (t *Transport) writePending(c *conn, nc net.Conn, deadline time.Time) (int,
 	if frames == 0 {
 		return 0, nil
 	}
+	t.forgetShared(batch)
 	nc.SetWriteDeadline(deadline)
 	written, err := c.write(nc, batch)
 	if err != nil {

@@ -19,10 +19,27 @@ import (
 // write loop takes everything pending and hands it to the socket in one
 // write. The read loop reads through one buffer per connection and hands
 // frames out as views into it.
+//
+// Who owns the bytes, stage by stage:
+//
+//   - Outbound, the caller of Send keeps its slice: Send copies it before
+//     returning. A frame that fits a chunk is copied into a pooled
+//     coalescing chunk owned by that one queue. A larger frame is copied
+//     once into a wire buffer of its own (see Transport.wireForm), which
+//     is immutable from then on: the queues of one fan-out hold it by
+//     reference, a purge drops one queue's reference without touching the
+//     bytes, and the collector frees it after the last write.
+//   - Inbound, the Handler gets a view into the connection's read buffer
+//     (or the pooled body of a large frame), valid only during the call.
+//     Only the fault plane's delayed delivery copies it, for its timers.
+//   - Above the transport, whatever outlives the call is a copy the
+//     keeper owns: lazy.Payloads.Keep copies a payload into the cache,
+//     which owns it until eviction, and emcast's OnDeliver hands the
+//     application a Delivery.Payload copy that the application owns.
 
 // chunkSize is the unit of coalescing: frames that fit are packed into
-// chunks of this size, one after another; a frame that does not fit a
-// chunk gets an allocation of its own, exactly its size.
+// chunks of this size, one after another; a larger frame is queued as
+// its own shared wire buffer (see Transport.wireForm).
 const chunkSize = 4096
 
 // chunkPool recycles coalescing chunks across all connections, so a
@@ -49,30 +66,49 @@ type sendq struct {
 	frames int
 }
 
-// push appends one frame. With limit frames already pending the oldest is
-// dropped first. It reports whether a frame was purged and whether the
-// queue was empty before — the one transition the write loop is woken on.
+// push appends one frame that fits a chunk, copying it behind the frames
+// before it. With limit frames already pending the oldest is dropped
+// first. It reports whether a frame was purged and whether the queue was
+// empty before — the one transition the write loop is woken on.
 func (q *sendq) push(frame []byte, limit int) (purged, first bool) {
 	need := 4 + len(frame)
 	q.mu.Lock()
-	if q.frames >= limit {
-		q.dropOldest()
-		purged = true
-	}
+	defer q.mu.Unlock()
+	purged = q.makeRoom(limit)
 	var dst []byte
 	if k := len(q.chunks) - 1; k >= 0 && cap(q.chunks[k])-len(q.chunks[k]) >= need {
 		dst, q.chunks = q.chunks[k], q.chunks[:k]
-	} else if need <= chunkSize {
-		dst = chunkPool.Get().(*[chunkSize]byte)[:0]
 	} else {
-		dst = make([]byte, 0, need)
+		dst = chunkPool.Get().(*[chunkSize]byte)[:0]
 	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(frame)))
 	q.chunks = append(q.chunks, append(dst, frame...))
 	q.frames++
-	first = q.frames == 1
-	q.mu.Unlock()
-	return purged, first
+	return purged, q.frames == 1
+}
+
+// pushWire is push for a frame already in wire form, queued by reference
+// as a chunk of its own. The buffer is shared with other queues and must
+// not be written to: its capacity is its length, so push never packs a
+// frame behind it, and it is larger than a chunk, so recycle never pools
+// it.
+func (q *sendq) pushWire(wire []byte, limit int) (purged, first bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	purged = q.makeRoom(limit)
+	q.chunks = append(q.chunks, wire[:len(wire):len(wire)])
+	q.frames++
+	return purged, q.frames == 1
+}
+
+// makeRoom drops the oldest frame if limit frames are pending and
+// reports whether it did. Callers hold q.mu.
+func (q *sendq) makeRoom(limit int) bool {
+	if q.frames < limit {
+		return false
+	}
+	q.dropOldest()
+	return true
 }
 
 // dropOldest cuts the oldest frame off the front. Callers hold q.mu and
