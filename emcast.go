@@ -74,8 +74,11 @@ const (
 
 // Delivery is one application-level message delivery.
 type Delivery struct {
-	Node    NodeID
-	ID      MessageID
+	Node NodeID
+	ID   MessageID
+	// Payload is the message's bytes. A Cluster's deliveries own theirs;
+	// the one a Peer hands its OnDeliver upcall is a read-only view,
+	// valid until the upcall returns, that the upcall copies to keep.
 	Payload []byte
 	At      time.Duration
 }

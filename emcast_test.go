@@ -295,6 +295,43 @@ func TestPeersOverTCP(t *testing.T) {
 	}
 }
 
+// TestPeerPayloadOwnership pins who owns the bytes over real TCP: the
+// caller's buffer is its own once Multicast returns, and an upcall's
+// payload is a view it copies to keep. In a 5-peer lazy group the origin
+// overwrites its buffer right after Multicast, so the payload can only
+// travel in IWANT answers from the copies the payload caches kept: every
+// peer must still deliver the original bytes, once. A cache that held the
+// caller's buffer instead of a copy would serve the overwritten bytes.
+func TestPeerPayloadOwnership(t *testing.T) {
+	const n = 5
+	original := []byte("kept by the payload cache, not by the caller")
+	var mu sync.Mutex
+	delivered := make(map[NodeID][][]byte)
+	peers := startTCPGroup(t, n, func(cfg *PeerConfig) {
+		cfg.Strategy = Lazy
+		cfg.OnDeliver = func(d Delivery) {
+			mu.Lock()
+			delivered[d.Node] = append(delivered[d.Node], bytes.Clone(d.Payload))
+			mu.Unlock()
+		}
+	})
+
+	buf := bytes.Clone(original)
+	id := peers[0].Multicast(buf)
+	copy(buf, bytes.Repeat([]byte("x"), len(buf)))
+	if !waitDelivered(peers, id, 5*time.Second) {
+		t.Fatal("timeout: the multicast did not reach every peer")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 0; i < n; i++ {
+		got := delivered[NodeID(i)]
+		if len(got) != 1 || !bytes.Equal(got[0], original) {
+			t.Errorf("peer %d delivered %q, want %q once", i, got, original)
+		}
+	}
+}
+
 // TestPeerLinkFilterPartition induces a network partition through the
 // PeerConfig.LinkFilter hook — no OS-level tricks — and checks that frames
 // stop crossing the cut in both directions, then flow again after a heal.

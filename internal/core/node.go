@@ -117,7 +117,8 @@ type pingProbe struct {
 type Options struct {
 	// Strategy is the transmission strategy (required).
 	Strategy strategy.Strategy
-	// Deliver is the application delivery upcall (optional).
+	// Deliver is the application delivery upcall (optional). Its
+	// payload is a view valid until it returns; keeping it means copying.
 	Deliver gossip.DeliverFunc
 	// Tracer records protocol events (optional).
 	Tracer trace.Tracer
@@ -129,10 +130,10 @@ type Options struct {
 	// its centrality score from EWMA observations and spreads score
 	// samples epidemically. Its IsBest can back the Ranked strategy.
 	Ranking *ranking.Table
-	// Payloads, when non-nil, is the payload store the node keeps
-	// payloads through, shared with the other nodes given the same store
-	// (the simulator gives all of a run's nodes one). Nil keeps a private
-	// copy per node, as a TCP peer does.
+	// Payloads, when non-nil, is the payload store the node keeps the
+	// payloads of its cache through, shared with the other nodes given
+	// the same store (the simulator gives all of a run's nodes one). Nil
+	// keeps a private copy per node, as a TCP peer does.
 	Payloads *lazy.Payloads
 }
 
@@ -243,7 +244,8 @@ func (n *Node) Stop() {
 }
 
 // Multicast disseminates payload to the overlay and returns the message
-// id. The node keeps its own copy, so the caller may reuse the buffer.
+// id. The node copies what it keeps, so the caller may reuse the buffer
+// once Multicast returns.
 func (n *Node) Multicast(payload []byte) ids.ID {
 	return n.gossip.Multicast(payload)
 }
@@ -265,10 +267,12 @@ func (n *Node) PendingRequests() int {
 //
 // Decoding goes through a per-node reused msg.Parsed: the payload aliases
 // the (transport-recycled) frame buffer and views point into scratch, so
-// nothing here escapes per frame — on first receipt the lazy layer keeps
-// the payload through the run's store (shared in the simulator, a private
-// copy on TCP), and the membership merges consume views without
-// retaining them.
+// nothing here escapes per frame. Bytes are copied only where they are
+// kept: the payload travels up as a view, valid for this call, to the
+// gossip layer, its relays and the deliver upcall; the lazy layer copies
+// it into its payload cache only when it advertises the message (through
+// the run's store: shared in the simulator, a private copy on TCP), and
+// the membership merges consume views without retaining them.
 func (n *Node) HandleFrame(from peer.ID, frame []byte) {
 	p := &n.parsed
 	if err := p.Decode(frame); err != nil {

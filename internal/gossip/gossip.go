@@ -14,8 +14,11 @@
 //
 // Otherwise the Payload Scheduler is transparent to this layer: gossip
 // only ever calls L-Send and handles L-Receive, exactly as in the paper's
-// architecture (§3.1), and hands it the payload of each own multicast to
-// keep, so that every copy a node retains comes from the scheduler.
+// architecture (§3.1). It keeps no payload: whoever keeps bytes copies
+// them, and upcalls get views. The payload of a multicast or of an
+// L-Receive is a view that this layer hands, unchanged, to the deliver
+// upcall and to L-Send within the call; the scheduler copies it into its
+// cache if it advertises the message, and nothing else retains it.
 package gossip
 
 import (
@@ -56,14 +59,14 @@ type Sampler interface {
 }
 
 // Sender is the downcall interface to the payload scheduler: the paper's
-// L-Send(i, d, r, p), and Keep, which returns a copy of a payload that
-// the caller may retain (see lazy.Module.Keep).
+// L-Send(i, d, r, p). The payload is valid for the call only; a sender
+// that retains it copies it.
 type Sender interface {
 	LSend(id ids.ID, payload []byte, round int, to peer.ID)
-	Keep(id ids.ID, payload []byte) []byte
 }
 
-// DeliverFunc is the application upcall Deliver(d).
+// DeliverFunc is the application upcall Deliver(d). The payload is a view
+// valid until the upcall returns; an upcall that keeps it copies it.
 type DeliverFunc func(id ids.ID, payload []byte)
 
 // Gossip is the per-node gossip state. It is not safe for concurrent use;
@@ -104,14 +107,14 @@ func New(cfg Config, self peer.ID, gen *ids.Generator, sampler Sampler, sender S
 
 // Multicast disseminates payload to all nodes with high probability and
 // returns the message identifier (paper Fig. 2, lines 3-4). The payload
-// is kept (copied) once, before the payload cache or the deliver upcall
-// can retain it, so the caller may reuse its buffer when Multicast
-// returns.
+// is not kept here: the deliver upcall and L-Send see it as a view, and
+// the payload scheduler copies it if it caches it, so the caller may
+// reuse its buffer when Multicast returns.
 func (g *Gossip) Multicast(payload []byte) ids.ID {
 	id := g.gen.Next()
 	g.tracer.Multicast(g.self, id, g.clock.Now())
 	g.own.Add(id)
-	g.forward(id, g.sender.Keep(id, payload), 0)
+	g.forward(id, payload, 0)
 	return id
 }
 

@@ -33,10 +33,6 @@ func (r *recorder) LSend(id ids.ID, payload []byte, round int, to peer.ID) {
 	r.sends = append(r.sends, sent{id: id, round: round, to: to})
 }
 
-func (r *recorder) Keep(id ids.ID, payload []byte) []byte {
-	return append([]byte(nil), payload...)
-}
-
 type zeroClock struct{}
 
 func (zeroClock) Now() time.Duration { return 0 }

@@ -21,6 +21,14 @@
 // with its generation, which a request bumps when it ends. A fire whose
 // generation is stale is ignored, so a request is cancelled by ending it,
 // whether or not the host can stop the timer.
+//
+// Bytes follow one rule: whoever keeps bytes copies them; upcalls get
+// views. A payload that arrives in a frame, or that the gossip layer
+// hands down, is a view valid for the call that carries it. The module
+// keeps a payload in one place only, the payload cache C, and copies it
+// there through its Payloads store the first time LSend advertises the
+// id. An eager push encodes the view straight into the outgoing frame,
+// and a duplicate is dropped, so neither copies anything.
 package lazy
 
 import (
@@ -90,8 +98,9 @@ type Module struct {
 	pending *ids.Map[uint32]
 	reqs    []pendingRequest
 	free    []uint32
-	// payloads keeps every payload the module retains past a frame; nil
-	// (the default) means a private copy each, owned by this module.
+	// payloads keeps every payload the module retains past a frame, that
+	// is every entry of C; nil (the default) means a private copy each,
+	// owned by this module.
 	payloads *Payloads
 
 	// scratch is the reusable encode buffer for outbound frames. Safe
@@ -195,19 +204,20 @@ func (m *Module) SetReceiver(r Receiver) { m.receiver = r }
 // every other module that uses it, instead of in private copies.
 func (m *Module) SetPayloads(store *Payloads) { m.payloads = store }
 
-// Keep returns the retainable copy of payload for id, through the module's
-// payload store (see Payloads.Keep): the gossip layer keeps its own
-// multicasts with it, OnMsg every first receipt.
-func (m *Module) Keep(id ids.ID, payload []byte) []byte { return m.payloads.Keep(id, payload) }
-
 // LSend implements the paper's L-Send(i, d, r, p): consult the strategy and
-// either push the payload eagerly or advertise it lazily.
+// either push the payload eagerly or advertise it lazily. The payload may
+// be a view the caller reuses once LSend returns: an eager push encodes it
+// into the frame at once, and the first lazy send of id keeps it into the
+// payload cache C through the module's store, once per fan-out. C is the
+// one place the module retains a payload.
 func (m *Module) LSend(id ids.ID, payload []byte, round int, to peer.ID) {
 	if m.strat.Eager(id, round, to) {
 		m.sendPayload(id, payload, round, to, true)
 		return
 	}
-	m.cache.Add(id, cached{payload: payload, round: round})
+	if _, ok := m.cache.Get(id); !ok {
+		m.cache.Add(id, cached{payload: m.payloads.Keep(id, payload), round: round})
+	}
 	frame := (&msg.IHave{ID: id}).Encode(m.scratch[:0])
 	m.scratch = frame
 	m.tracer.ControlSent(m.env.Self(), to, "IHAVE", len(frame))
@@ -317,12 +327,12 @@ func (m *Module) fireRequest(slot uint32) {
 // requests (the paper's Clear(i)) and is handed to the gossip layer;
 // duplicates are counted and dropped.
 //
-// The payload may alias a transport-recycled frame buffer: on first
-// receipt OnMsg keeps it through the run's store (shared in the
-// simulator, a private copy on TCP) before anything downstream (the
-// gossip forward path, the payload cache, the application deliver
-// upcall) can retain it. Duplicates — the bulk of gossip traffic — are
-// never kept.
+// The payload may alias a transport-recycled frame buffer, and OnMsg
+// hands that view up as it is: it is valid for the receiver's call only.
+// Whoever keeps the bytes past it copies them: LSend's lazy branch keeps
+// them into the payload cache, and an application upcall that holds on
+// to a delivery copies it. An eager relay or a duplicate — the bulk of
+// gossip traffic — copies nothing.
 func (m *Module) OnMsg(id ids.ID, payload []byte, round int, from peer.ID) {
 	if !m.received.Add(id) {
 		m.tracer.DuplicatePayload(m.env.Self(), id)
@@ -331,7 +341,6 @@ func (m *Module) OnMsg(id ids.ID, payload []byte, round int, from peer.ID) {
 		}
 		return
 	}
-	payload = m.payloads.Keep(id, payload)
 	if m.causal != nil {
 		m.causal.PayloadReceived(from, m.env.Self(), id, m.env.Now())
 	}

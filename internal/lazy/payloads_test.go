@@ -57,27 +57,53 @@ func TestPayloadsKeep(t *testing.T) {
 }
 
 // TestKeptPayloadSurvivesFrameReuse: OnMsg's payload aliases a frame
-// buffer the transport recycles once the handler returns. With a private
-// copy and with a shared store alike, the deliver upcall and a later IWANT
-// answer from the cache must carry the bytes received, not what the buffer
-// holds by then.
+// buffer the transport recycles once the handler returns, and the upcall
+// is handed that view, not a copy. The one copy is the payload cache's:
+// with a private copy and with a shared store alike, a lazy relay keeps
+// the payload into C once for its whole fan-out, and a later IWANT answer
+// from C carries the bytes received, not what the buffer holds by then.
+// An eager relay keeps nothing.
 func TestKeptPayloadSurvivesFrameReuse(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		store *Payloads
-	}{{"private", nil}, {"shared", &Payloads{}}} {
+		p     float64 // Flat's eager probability: 0 relays lazily, 1 eagerly
+	}{{"private", nil, 0}, {"shared", &Payloads{}, 0}, {"eager", &Payloads{}, 1}} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newFixture(t, 1, &strategy.Flat{P: 0}, Config{})
+			f := newFixture(t, 1, &strategy.Flat{P: tc.p}, Config{})
 			f.mod.SetPayloads(tc.store)
-			var delivered []byte
-			f.mod.SetReceiver(receiverFunc(func(id ids.ID, payload []byte, round int, _ peer.ID) {
-				delivered = payload
-				f.mod.LSend(id, payload, round+1, 2) // relayed lazily: cached
-			}))
 			frame := []byte("payload")
+			f.mod.SetReceiver(receiverFunc(func(id ids.ID, payload []byte, round int, _ peer.ID) {
+				if !sameArray(payload, frame) {
+					t.Error("the upcall got a copy, want the frame's view")
+				}
+				for _, to := range []peer.ID{2, 3} { // one fan-out
+					f.mod.LSend(id, payload, round+1, to)
+				}
+			}))
 			f.mod.OnMsg(testID, frame, 1, 9)
 			copy(frame, "garbage")
 
+			if tc.p == 1 {
+				if fp := tc.store.Footprint(); fp.Items != 0 {
+					t.Fatalf("eager relay kept %d payloads, want 0", fp.Items)
+				}
+				msgs := f.framesOfKind(t, msg.KindMsg)
+				if len(msgs) != 2 {
+					t.Fatalf("eager fan-out sent %d MSG frames, want 2", len(msgs))
+				}
+				for _, m := range msgs {
+					if got := string(m.(*msg.Msg).Payload); got != "payload" {
+						t.Fatalf("eager push carries %q, want %q", got, "payload")
+					}
+				}
+				return
+			}
+			if tc.store != nil {
+				if fp := tc.store.Footprint(); fp.Items != 1 {
+					t.Fatalf("lazy fan-out kept %d payloads, want 1", fp.Items)
+				}
+			}
 			f.mod.OnIWant(testID, 2)
 			msgs := f.framesOfKind(t, msg.KindMsg)
 			if len(msgs) != 1 {
@@ -85,9 +111,6 @@ func TestKeptPayloadSurvivesFrameReuse(t *testing.T) {
 			}
 			if got := string(msgs[0].(*msg.Msg).Payload); got != "payload" {
 				t.Fatalf("IWANT answer carries %q, want %q", got, "payload")
-			}
-			if string(delivered) != "payload" {
-				t.Fatalf("upcall payload reads %q, want %q", delivered, "payload")
 			}
 		})
 	}

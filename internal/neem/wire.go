@@ -32,10 +32,13 @@ import (
 //   - Inbound, the Handler gets a view into the connection's read buffer
 //     (or the pooled body of a large frame), valid only during the call.
 //     Only the fault plane's delayed delivery copies it, for its timers.
-//   - Above the transport, whatever outlives the call is a copy the
-//     keeper owns: lazy.Payloads.Keep copies a payload into the cache,
-//     which owns it until eviction, and emcast's OnDeliver hands the
-//     application a Delivery.Payload copy that the application owns.
+//   - Above the transport the same rule holds: whoever keeps bytes
+//     copies them; upcalls get views. The payload travels up to the
+//     gossip layer, its eager relays and emcast's OnDeliver as a view
+//     into the frame, valid for the handler call. The one copy is
+//     lazy.Payloads.Keep's, made when the lazy layer first caches an id
+//     to answer IWANTs; the cache owns it until eviction. An application
+//     that keeps a Delivery.Payload copies it.
 
 // chunkSize is the unit of coalescing: frames that fit are packed into
 // chunks of this size, one after another; a larger frame is queued as

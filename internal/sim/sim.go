@@ -162,9 +162,10 @@ func New(cfg Config) *Runner {
 		Loss: cfg.Loss,
 		Seed: cfg.Seed ^ 0x5ca1ab1e,
 		// Protocol handlers never retain raw frames (core.Node decodes
-		// into per-node scratch and the lazy layer keeps payloads through
-		// the run's store, which copies them on first receipt), so the
-		// runner opts into the frame arena.
+		// into per-node scratch, and whatever keeps a payload past the
+		// frame, the lazy layer's cache or the OnDeliver wrapper, copies
+		// it through the run's store), so the runner opts into the frame
+		// arena.
 		PooledFrames: true,
 	})
 	if cfg.Faults != nil {
@@ -341,7 +342,7 @@ func (r *Runner) buildNodes() {
 			onDeliver := cfg.OnDeliver
 			deliver = func(mid ids.ID, payload []byte) {
 				r.deliveries.Inc()
-				onDeliver(id, mid, payload)
+				onDeliver(id, mid, r.payloads.Keep(mid, payload))
 			}
 		} else if r.deliveries != nil {
 			deliver = func(mid ids.ID, payload []byte) { r.deliveries.Inc() }

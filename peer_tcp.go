@@ -81,9 +81,12 @@ type PeerConfig struct {
 	Tracer trace.Tracer
 
 	// OnDeliver is invoked (on a transport goroutine) for every
-	// delivered message. The upcall runs under the peer's lock: calling
+	// delivered message. Delivery.Payload is a read-only view, valid
+	// until the upcall returns: an upcall that keeps the bytes copies
+	// them (bytes.Clone). The upcall runs under the peer's lock: calling
 	// Multicast — or any other method of this Peer — from inside it
-	// deadlocks. Hand the delivery to another goroutine instead.
+	// deadlocks. Copy the payload, then hand the delivery to another
+	// goroutine instead.
 	OnDeliver func(Delivery)
 
 	// OnDeparture is invoked (on a transport goroutine) when a remote
@@ -209,7 +212,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 			onDeliver(Delivery{
 				Node:    cfg.Self,
 				ID:      id,
-				Payload: append([]byte(nil), payload...),
+				Payload: payload,
 				At:      clock.Now(),
 			})
 		}
@@ -293,8 +296,9 @@ func (p *Peer) Stall(d time.Duration) {
 	p.transport.Stall(d)
 }
 
-// Multicast disseminates payload to the whole group. The peer keeps its
-// own copy, so the caller may reuse the buffer once Multicast returns.
+// Multicast disseminates payload to the whole group. The peer copies
+// what it keeps, so the caller may reuse the buffer once Multicast
+// returns.
 func (p *Peer) Multicast(payload []byte) MessageID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
