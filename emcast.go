@@ -76,9 +76,12 @@ const (
 type Delivery struct {
 	Node NodeID
 	ID   MessageID
-	// Payload is the message's bytes. A Cluster's deliveries own theirs;
-	// the one a Peer hands its OnDeliver upcall is a read-only view,
-	// valid until the upcall returns, that the upcall copies to keep.
+	// Payload is the message's bytes, read-only. A Cluster's is the run's
+	// kept copy of the message, shared by every node's delivery of it and
+	// valid for the Cluster's life; the payload caches answer IWANTs from
+	// the same bytes, so copy before modifying. The one a Peer hands its
+	// OnDeliver upcall is a view, valid until the upcall returns, that the
+	// upcall copies to keep.
 	Payload []byte
 	At      time.Duration
 }
@@ -154,7 +157,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.deliveries = append(c.deliveries, Delivery{
 			Node:    node,
 			ID:      id,
-			Payload: append([]byte(nil), payload...),
+			Payload: payload,
 			At:      c.runner.Network().Now(),
 		})
 	}

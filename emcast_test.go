@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"emcast/internal/trace"
 )
@@ -105,6 +106,36 @@ func TestClusterEagerDeliversEverywhere(t *testing.T) {
 	}
 	if s := c.Stats(); s.AtomicRate != 1 {
 		t.Fatalf("atomic rate %.2f, want 1", s.AtomicRate)
+	}
+}
+
+// TestClusterDeliveriesShareOnePayload: a Cluster hands every node's
+// delivery of a message the run's one kept copy, not a copy each, and that
+// copy is the Cluster's own: it still holds the multicast bytes after the
+// caller overwrites the buffer it multicast from.
+func TestClusterDeliveriesShareOnePayload(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{Nodes: 30, Strategy: Lazy, TopologyScale: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("hello overlay")
+	if _, err := c.Multicast(0, payload); err != nil {
+		t.Fatal(err)
+	}
+	copy(payload, "overwritten!!")
+	c.Run(5 * time.Second)
+
+	ds := c.Deliveries()
+	if len(ds) != c.Size() {
+		t.Fatalf("delivered at %d/%d nodes", len(ds), c.Size())
+	}
+	for _, d := range ds {
+		if string(d.Payload) != "hello overlay" {
+			t.Fatalf("node %d delivered %q, want %q", d.Node, d.Payload, "hello overlay")
+		}
+		if unsafe.SliceData(d.Payload) != unsafe.SliceData(ds[0].Payload) {
+			t.Fatalf("node %d's delivery has a backing array of its own, want the one kept copy", d.Node)
+		}
 	}
 }
 

@@ -133,7 +133,8 @@ type Options struct {
 	// Payloads, when non-nil, is the payload store the node keeps the
 	// payloads of its cache through, shared with the other nodes given
 	// the same store (the simulator gives all of a run's nodes one). Nil
-	// keeps a private copy per node, as a TCP peer does.
+	// makes the node's lazy module keep them in a private store, as a TCP
+	// peer does.
 	Payloads *lazy.Payloads
 }
 
@@ -270,8 +271,9 @@ func (n *Node) PendingRequests() int {
 // nothing here escapes per frame. Bytes are copied only where they are
 // kept: the payload travels up as a view, valid for this call, to the
 // gossip layer, its relays and the deliver upcall; the lazy layer copies
-// it into its payload cache only when it advertises the message (through
-// the run's store: shared in the simulator, a private copy on TCP), and
+// it, for its payload cache, only when it advertises the message (into a
+// payload store: the run's shared one in the simulator, the module's
+// private one on TCP), and
 // the membership merges consume views without retaining them.
 func (n *Node) HandleFrame(from peer.ID, frame []byte) {
 	p := &n.parsed

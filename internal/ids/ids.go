@@ -284,27 +284,30 @@ func NewBounded[V any](capacity int) *Bounded[V] {
 	return &Bounded[V]{capacity: capacity}
 }
 
-// Add stores v for id unless id is present, evicting the oldest entries
-// beyond capacity. It reports whether id was newly inserted. An evicted
+// Add stores v for id unless id is present, evicting the oldest entry
+// once the insert passes capacity. It reports whether id was newly
+// inserted and, when an entry was evicted (evicted is true), that entry's
+// id, so that a caller can release what the entry stood for. An evicted
 // entry is zeroed, so its value is released at once; the dead prefix is
 // copied out, and the index rebuilt, once it passes the compaction rule.
-func (b *Bounded[V]) Add(id ID, v V) bool {
+func (b *Bounded[V]) Add(id ID, v V) (fresh bool, old ID, evicted bool) {
 	p, fresh := b.m.ref(id)
 	if !fresh {
-		return false
+		return false, ID{}, false
 	}
 	*p = v
-	if b.capacity <= 0 {
-		return true
-	}
 	m := &b.m
-	var zero V
-	for m.Len() > b.capacity {
-		i, _ := m.slot(m.keys[m.head])
-		m.unlink(i)
-		m.keys[m.head], m.vals[m.head] = ID{}, zero
-		m.head++
+	if b.capacity <= 0 || m.Len() <= b.capacity {
+		return true, ID{}, false
 	}
+	// One insert passes the capacity by one entry, so one eviction
+	// restores it.
+	old = m.keys[m.head]
+	i, _ := m.slot(old)
+	m.unlink(i)
+	var zero V
+	m.keys[m.head], m.vals[m.head] = ID{}, zero
+	m.head++
 	if m.head > len(m.keys)/2 && m.head > minCompact {
 		n := copy(m.keys, m.keys[m.head:])
 		copy(m.vals, m.vals[m.head:])
@@ -312,7 +315,7 @@ func (b *Bounded[V]) Add(id ID, v V) bool {
 		m.keys, m.vals, m.head = m.keys[:n], m.vals[:n], 0
 		m.reindex(len(m.index))
 	}
-	return true
+	return true, old, true
 }
 
 // Get returns the value stored for id.
@@ -345,7 +348,10 @@ func NewSet(capacity int) *Set {
 
 // Add inserts id, evicting the oldest entries beyond capacity. It reports
 // whether id was newly inserted.
-func (s *Set) Add(id ID) bool { return s.Bounded.Add(id, struct{}{}) }
+func (s *Set) Add(id ID) bool {
+	fresh, _, _ := s.Bounded.Add(id, struct{}{})
+	return fresh
+}
 
 // Contains reports whether id is in the set.
 func (s *Set) Contains(id ID) bool {

@@ -97,7 +97,8 @@ func checkMap(t *testing.T, prog []byte) {
 
 // checkBounded runs prog against a Bounded and a Set of one capacity:
 // opcodes whose low two bits are not zero Add the opcode as the value, the
-// rest only look. The reference evicts its oldest insert beyond capacity.
+// rest only look. The reference evicts its oldest insert beyond capacity,
+// and Add must report the id it evicted.
 func checkBounded(t *testing.T, capacity int, prog []byte) {
 	t.Helper()
 	b := NewBounded[int](capacity)
@@ -108,19 +109,26 @@ func checkBounded(t *testing.T, capacity int, prog []byte) {
 		code, id := op(prog, k)
 		if code%4 != 0 {
 			_, had := ref[id]
-			if got := b.Add(id, int(code)); got == had {
+			got, old, evicted := b.Add(id, int(code))
+			if got == had {
 				t.Fatalf("capacity %d op %d: Bounded.Add(%v) = %v with the key present = %v", capacity, k/2, id, got, had)
 			}
 			if got := s.Add(id); got == had {
 				t.Fatalf("capacity %d op %d: Set.Add(%v) = %v with the key present = %v", capacity, k/2, id, got, had)
 			}
+			var wantOld ID
+			wantEvicted := false
 			if !had {
 				ref[id] = int(code)
 				fifo = append(fifo, id)
-				for capacity > 0 && len(fifo) > capacity {
+				if capacity > 0 && len(fifo) > capacity {
+					wantOld, wantEvicted = fifo[0], true
 					delete(ref, fifo[0])
 					fifo = fifo[1:]
 				}
+			}
+			if old != wantOld || evicted != wantEvicted {
+				t.Fatalf("capacity %d op %d: Bounded.Add(%v) evicted %v, %v; want %v, %v", capacity, k/2, id, old, evicted, wantOld, wantEvicted)
 			}
 		}
 		keys := []ID{id}

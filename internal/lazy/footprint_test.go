@@ -11,12 +11,12 @@ import (
 	"emcast/internal/strategy"
 )
 
-// TestModuleFootprint pins the byte report of a module that owns its
-// payloads (no store, as on TCP) against hand-built state: a fresh module
-// reports zero, cached payloads charge the cache's index and entries plus
-// payload bytes, received ids charge the dedup set, and pending requests
-// charge the id→slot table, the slab's slots, its free list and spill
-// slices.
+// TestModuleFootprint pins the byte report of a module on its private
+// store (no shared store, as on TCP) against hand-built state: a fresh
+// module reports zero, a cached payload charges the cache's index and
+// rounds plus the private store's table and payload bytes, received ids
+// charge the dedup set, and pending requests charge the id→slot table,
+// the slab's slots, its free list and spill slices.
 func TestModuleFootprint(t *testing.T) {
 	f := newFixture(t, 1, &strategy.Flat{P: 0}, Config{})
 
@@ -27,8 +27,11 @@ func TestModuleFootprint(t *testing.T) {
 
 	// One cached 100-byte payload (the lazy LSend path caches it): the
 	// cache's first 8 index slots × 4 B + its first 8 entries × (16-byte
-	// ID + 32-byte cached value) = 32 + 384 = 416, payload 100.
-	const cacheBytes = 8*4 + 8*(ids.IDSize+32)
+	// ID + 2-byte round) = 32 + 144 = 176, and the private store's first
+	// 8 index slots × 4 B + its first 8 entries × (16-byte ID + 24-byte
+	// slice header + 8-byte holder count) = 32 + 384 = 416, payload 100:
+	// 692 in all.
+	const cacheBytes = 8*4 + 8*(ids.IDSize+2) + 8*4 + 8*(ids.IDSize+24+8)
 	id1 := ids.ID{1}
 	f.mod.LSend(id1, make([]byte, 100), 1, 2)
 	fp = f.mod.Footprint()
@@ -114,7 +117,7 @@ func TestPendingSlotBytesPin(t *testing.T) {
 
 // TestModuleFootprintSharedStore: two modules on one store each charge
 // their dedup set and cache entries, while the payload both cache is held
-// — and charged — once, by the store.
+// — and charged — once, by the store, with a hold from each.
 func TestModuleFootprintSharedStore(t *testing.T) {
 	store := &Payloads{}
 	id := ids.ID{1}
@@ -126,37 +129,46 @@ func TestModuleFootprintSharedStore(t *testing.T) {
 		}))
 		f.mod.OnMsg(id, make([]byte, 100), 1, 4)
 		// Received set 8 index slots × 4 B + 8 entries × 16 B = 160, cache
-		// 8 index slots × 4 B + 8 entries × (16 + 32) B = 416 (see
-		// TestModuleFootprint); the 100 payload bytes are the store's.
-		const want = 8*4 + 8*ids.IDSize + 8*4 + 8*(ids.IDSize+32)
+		// 8 index slots × 4 B + 8 entries × (16 + 2) B = 176 (see
+		// TestModuleFootprint): 336; the 100 payload bytes are the store's.
+		const want = 8*4 + 8*ids.IDSize + 8*4 + 8*(ids.IDSize+2)
 		if fp := f.mod.Footprint(); fp.Bytes != want || fp.Items != 2 {
 			t.Errorf("module %d footprint = %+v, want %d bytes / 2 items", self, fp, want)
 		}
-		if e, ok := f.mod.cache.Get(id); !ok || len(e.payload) != 100 {
-			t.Errorf("module %d cache holds %d payload bytes (present %v), want 100", self, len(e.payload), ok)
+		if round, ok := f.mod.cache.Get(id); !ok || round != 2 {
+			t.Errorf("module %d cache holds round %d (present %v), want 2", self, round, ok)
 		}
 	}
 	// The store: 8 index slots × 4 B + 8 entries × (16-byte ID + 24-byte
-	// slice header) = 352, plus the one 100-byte payload.
-	const want = 8*4 + 8*(ids.IDSize+24) + 100
+	// slice header + 8-byte holder count) = 416, plus the one 100-byte
+	// payload: 516.
+	const want = 8*4 + 8*(ids.IDSize+24+8) + 100
 	if fp := store.Footprint(); fp.Bytes != want || fp.Items != 1 {
 		t.Fatalf("store footprint = %+v, want one 100-byte payload (%d bytes)", fp, want)
 	}
+	// Each module holds it once: the first release leaves it kept.
+	store.Release(id)
+	if p, ok := store.Get(id); !ok || len(p) != 100 {
+		t.Fatalf("after one of two releases the store holds %d bytes (present %v), want 100", len(p), ok)
+	}
 }
 
-// TestCacheBytesTrackEviction pins the cached payload bytes a module that
-// owns its payloads reports through FIFO eviction: evicted payloads stop
-// being charged.
+// TestCacheBytesTrackEviction pins the cached payload bytes a module on
+// its private store reports through FIFO eviction: an evicted id's hold is
+// released, and its payload stops being charged.
 func TestCacheBytesTrackEviction(t *testing.T) {
 	f := newFixture(t, 1, &strategy.Flat{P: 0}, Config{CacheCapacity: 2})
 	for i := byte(1); i <= 4; i++ {
 		f.mod.LSend(ids.ID{i}, make([]byte, int(i)*10), 1, 2)
 	}
-	// Capacity 2: ids 3 and 4 remain, 30+40 payload bytes, on the cache's
-	// 8 index slots × 4 B + 8 entries × (16 + 32) B = 416 (see
-	// TestModuleFootprint): the two evicted entries are dead, not freed,
-	// until a compaction, and stay charged.
-	const want = 8*4 + 8*(ids.IDSize+32) + 70
+	// Capacity 2: ids 3 and 4 remain, 30+40 payload bytes. The cache's 8
+	// index slots × 4 B + 8 entries × (16 + 2) B = 176 (see
+	// TestModuleFootprint): its two evicted entries are dead, not freed,
+	// until a compaction, and stay charged. The private store deleted
+	// the released entries, so it never held more than 3 and keeps its
+	// first 8 index slots × 4 B + 8 entries × (16 + 24 + 8) B = 416: 662
+	// in all.
+	const want = 8*4 + 8*(ids.IDSize+2) + 8*4 + 8*(ids.IDSize+24+8) + 70
 	if fp := f.mod.Footprint(); fp.Bytes != want || fp.Items != 2 {
 		t.Fatalf("footprint = %+v, want %d bytes / 2 items", fp, want)
 	}

@@ -24,11 +24,15 @@
 //
 // Bytes follow one rule: whoever keeps bytes copies them; upcalls get
 // views. A payload that arrives in a frame, or that the gossip layer
-// hands down, is a view valid for the call that carries it. The module
-// keeps a payload in one place only, the payload cache C, and copies it
-// there through its Payloads store the first time LSend advertises the
-// id. An eager push encodes the view straight into the outgoing frame,
-// and a duplicate is dropped, so neither copies anything.
+// hands down, is a view valid for the call that carries it. The one
+// holder of kept payload bytes is a Payloads store: the run's shared
+// store in the emulator, or a private one a module makes at its first
+// Keep. The payload cache C holds only each advertised id's round; the
+// first time LSend advertises an id, the module takes a hold on the id's
+// bytes in the store, and C's FIFO eviction releases it, so an entry
+// lives while a holder keeps it. IWANTs are answered from the store. An
+// eager push encodes the view straight into the outgoing frame, and a
+// duplicate is dropped, so neither copies anything.
 package lazy
 
 import (
@@ -82,35 +86,37 @@ type Receiver interface {
 // concurrent use: its request timers, armed through env.Arm, and every
 // method are inputs of the owning node's step machine (see core.Node).
 type Module struct {
-	cfg      Config
-	env      *peer.Env
-	strat    strategy.Strategy
-	receiver Receiver
-	tracer   trace.Tracer
+	// requestPeriod and maxRequests are the Config a request reads; the
+	// capacities only size R and C in New. Keeping two of Config's four
+	// fields holds the per-node struct in the allocator's 208-byte class.
+	requestPeriod time.Duration
+	maxRequests   int
+	env           *peer.Env
+	strat         strategy.Strategy
+	receiver      Receiver
+	tracer        trace.Tracer
 	// causal is the tracer's optional hop-graph extension, cached at
 	// construction; nil when the tracer only wants the base events.
 	causal trace.CausalTracer
 
 	received *ids.Set             // R: messages whose payload has been received
-	cache    *ids.Bounded[cached] // C: payloads this module advertised
+	cache    *ids.Bounded[uint16] // C: the round of each id this module advertised
 	// pending maps a requested id to its slot in reqs, the slab of
 	// pending requests; free lists the slots no request holds.
 	pending *ids.Map[uint32]
 	reqs    []pendingRequest
 	free    []uint32
-	// payloads keeps every payload the module retains past a frame, that
-	// is every entry of C; nil (the default) means a private copy each,
-	// owned by this module.
+	// payloads is the store SetPayloads shares with other modules; nil
+	// when there is none.
 	payloads *Payloads
+	// own is the module's private store, made at its first Keep into it.
+	// It holds the bytes of C's ids when no store is shared, and those
+	// whose bytes differ from the shared store's entry for their id.
+	own *Payloads
 
 	// scratch is the reusable encode buffer for outbound frames. Safe
 	// because peer.Transport.Send never retains the slice.
 	scratch []byte
-}
-
-type cached struct {
-	payload []byte
-	round   int
 }
 
 // minSlots is the slab's first capacity: a node rarely has more requests
@@ -186,14 +192,15 @@ func New(cfg Config, env *peer.Env, strat strategy.Strategy, tracer trace.Tracer
 	}
 	causal, _ := tracer.(trace.CausalTracer)
 	return &Module{
-		cfg:      cfg,
-		env:      env,
-		strat:    strat,
-		tracer:   tracer,
-		causal:   causal,
-		received: ids.NewSet(cfg.ReceivedCapacity),
-		cache:    ids.NewBounded[cached](cfg.CacheCapacity),
-		pending:  ids.NewMap[uint32](0),
+		requestPeriod: cfg.RequestPeriod,
+		maxRequests:   cfg.MaxRequests,
+		env:           env,
+		strat:         strat,
+		tracer:        tracer,
+		causal:        causal,
+		received:      ids.NewSet(cfg.ReceivedCapacity),
+		cache:         ids.NewBounded[uint16](cfg.CacheCapacity),
+		pending:       ids.NewMap[uint32](0),
 	}
 }
 
@@ -201,22 +208,23 @@ func New(cfg Config, env *peer.Env, strat strategy.Strategy, tracer trace.Tracer
 func (m *Module) SetReceiver(r Receiver) { m.receiver = r }
 
 // SetPayloads makes the module keep payloads through store, shared with
-// every other module that uses it, instead of in private copies.
+// every other module that uses it, instead of in a private store.
 func (m *Module) SetPayloads(store *Payloads) { m.payloads = store }
 
 // LSend implements the paper's L-Send(i, d, r, p): consult the strategy and
 // either push the payload eagerly or advertise it lazily. The payload may
 // be a view the caller reuses once LSend returns: an eager push encodes it
-// into the frame at once, and the first lazy send of id keeps it into the
-// payload cache C through the module's store, once per fan-out. C is the
-// one place the module retains a payload.
+// into the frame at once, and the first lazy send of id, once per
+// fan-out, takes a hold on it in a payload store and puts its round into
+// the payload cache C. That hold is the one place the module retains a
+// payload.
 func (m *Module) LSend(id ids.ID, payload []byte, round int, to peer.ID) {
 	if m.strat.Eager(id, round, to) {
 		m.sendPayload(id, payload, round, to, true)
 		return
 	}
 	if _, ok := m.cache.Get(id); !ok {
-		m.cache.Add(id, cached{payload: m.payloads.Keep(id, payload), round: round})
+		m.cachePayload(id, payload, round)
 	}
 	frame := (&msg.IHave{ID: id}).Encode(m.scratch[:0])
 	m.scratch = frame
@@ -225,6 +233,36 @@ func (m *Module) LSend(id ids.ID, payload []byte, round int, to peer.ID) {
 		m.causal.Advertised(m.env.Self(), to, id, m.env.Now())
 	}
 	m.env.Transport.Send(to, frame)
+}
+
+// cachePayload adds id, which C does not hold, to C with its round, and
+// takes a hold on payload: in the shared store when there is one and it
+// holds these bytes, in the module's own store otherwise. The hold on the
+// id C evicts is released.
+func (m *Module) cachePayload(id ids.ID, payload []byte, round int) {
+	held := false
+	if m.payloads != nil {
+		_, held = m.payloads.Keep(id, payload)
+	}
+	if !held {
+		if m.own == nil {
+			m.own = &Payloads{}
+		}
+		m.own.Keep(id, payload)
+	}
+	if _, old, evicted := m.cache.Add(id, uint16(round)); evicted {
+		m.holder(old).Release(old)
+	}
+}
+
+// holder returns the store that holds the bytes of id, an id in C.
+func (m *Module) holder(id ids.ID) *Payloads {
+	if m.own != nil {
+		if _, ok := m.own.Get(id); ok {
+			return m.own
+		}
+	}
+	return m.payloads
 }
 
 func (m *Module) sendPayload(id ids.ID, payload []byte, round int, to peer.ID, eager bool) {
@@ -296,7 +334,7 @@ func (m *Module) FireTimer(key uint64) bool {
 func (m *Module) fireRequest(slot uint32) {
 	r := &m.reqs[slot]
 	id := r.id
-	if m.received.Contains(id) || int(r.tries) >= m.cfg.MaxRequests {
+	if m.received.Contains(id) || int(r.tries) >= m.maxRequests {
 		m.release(slot)
 		return
 	}
@@ -320,7 +358,7 @@ func (m *Module) fireRequest(slot uint32) {
 		m.causal.Requested(m.env.Self(), src, id, m.env.Now())
 	}
 	m.env.Transport.Send(src, frame)
-	r.timer = m.env.Arm(m.cfg.RequestPeriod, m, r.key(slot))
+	r.timer = m.env.Arm(m.requestPeriod, m, r.key(slot))
 }
 
 // OnMsg handles a full payload transmission: first receipt clears pending
@@ -330,9 +368,9 @@ func (m *Module) fireRequest(slot uint32) {
 // The payload may alias a transport-recycled frame buffer, and OnMsg
 // hands that view up as it is: it is valid for the receiver's call only.
 // Whoever keeps the bytes past it copies them: LSend's lazy branch keeps
-// them into the payload cache, and an application upcall that holds on
-// to a delivery copies it. An eager relay or a duplicate — the bulk of
-// gossip traffic — copies nothing.
+// them in a payload store for the payload cache, and an application
+// upcall that holds on to a delivery copies it. An eager relay or a
+// duplicate — the bulk of gossip traffic — copies nothing.
 func (m *Module) OnMsg(id ids.ID, payload []byte, round int, from peer.ID) {
 	if !m.received.Add(id) {
 		m.tracer.DuplicatePayload(m.env.Self(), id)
@@ -359,16 +397,18 @@ func (m *Module) clear(id ids.ID) {
 	}
 }
 
-// OnIWant answers a retransmission request from the payload cache. A
+// OnIWant answers a retransmission request for an id in the payload
+// cache, with the round C holds and the bytes the module's hold keeps. A
 // request can only follow one of our advertisements, so a miss means the
 // entry was garbage collected; it is traced and dropped.
 func (m *Module) OnIWant(id ids.ID, from peer.ID) {
-	entry, ok := m.cache.Get(id)
+	round, ok := m.cache.Get(id)
 	if !ok {
 		m.tracer.RequestMiss(m.env.Self(), id)
 		return
 	}
-	m.sendPayload(id, entry.payload, entry.round, from, false)
+	payload, _ := m.holder(id).Get(id)
+	m.sendPayload(id, payload, int(round), from, false)
 }
 
 // Received reports whether the payload for id has been received.
@@ -383,17 +423,16 @@ func (m *Module) PendingRequests() int { return m.pending.Len() }
 const pendingSlotBytes = 16 + 16 + 4*4 + inlineSources*4 + 24
 
 // Footprint implements obs.Footprinter: the retained bytes of the
-// per-node lazy state — the received dedup set R, the payload cache C
-// (its index and entries, plus the cached payload bytes when the module owns
-// them; a shared store reports those once, in its own Footprint) and the
-// pending retransmission requests: their id→slot table, the slab's
-// capacity, its free list and the spill slices its slots keep. Arithmetic
-// over lengths and capacities, plus walks of the slab and, for a module
-// that owns its payloads, of the cache.
+// per-node lazy state — the received dedup set R, the payload cache C (its
+// index and rounds), the module's own store (a shared store reports
+// itself once, in its own Footprint) and the pending retransmission
+// requests: their id→slot table, the slab's capacity, its free list and
+// the spill slices its slots keep. Arithmetic over lengths and
+// capacities, plus a walk of the slab.
 func (m *Module) Footprint() obs.Footprint {
 	bytes := m.received.FootprintBytes() + m.cache.FootprintBytes()
-	if m.payloads == nil {
-		m.cache.Range(func(_ ids.ID, e cached) { bytes += int64(len(e.payload)) })
+	if m.own != nil {
+		bytes += m.own.Footprint().Bytes
 	}
 	bytes += m.pending.FootprintBytes() +
 		int64(cap(m.reqs))*pendingSlotBytes + int64(cap(m.free))*4

@@ -7,51 +7,78 @@ import (
 	"emcast/internal/obs"
 )
 
-// Payloads keeps the payloads a run's nodes hold past the frame that
-// carried them: one durable copy per message id, shared by every node that
-// keeps that message. The emulator runs all its nodes in one process and
-// gives them one store, so the payload cache C of n nodes holds one copy
-// of each message instead of n; a TCP peer sets none, and a nil store hands
-// out private copies. Kept payloads are read-only. The zero value is ready
-// for use; entries live as long as the store. Not safe for concurrent use.
+// Payloads keeps the payloads nodes hold past the frame that carried
+// them: one durable copy per message id, shared by every holder of that
+// message, with a count of its holders. The emulator runs all its nodes
+// in one process and gives them one store, so the payload caches C of n
+// nodes hold one copy of each message between them instead of n; a module
+// given no store (a TCP peer) keeps its payloads in a private one.
+//
+// An entry lives while a holder keeps it: Keep takes a hold, Release drops
+// one, and the entry, its bytes included, goes when the last hold does.
+// Kept payloads are read-only. The zero value is ready for use. Not safe
+// for concurrent use.
 type Payloads struct {
-	kept  *ids.Map[[]byte]
+	kept  ids.Map[heldPayload]
 	bytes int64 // payload bytes kept, for Footprint
 }
 
-// Keep returns a copy of payload that its caller may retain: the store's
-// entry for id when it holds these bytes, otherwise a fresh copy, which is
-// stored when id has no entry yet. A nil store always returns a fresh copy.
-// An id kept with other bytes gets a private copy and leaves the entry as
-// it is, so sharing never relies on ids being unique. This is the one
-// place the lazy layer copies a payload.
-func (p *Payloads) Keep(id ids.ID, payload []byte) []byte {
-	if p == nil {
-		return append([]byte(nil), payload...)
+// heldPayload is a store entry: the kept bytes and how many holds keep
+// them.
+type heldPayload struct {
+	payload []byte
+	holders int
+}
+
+// Keep takes a hold on id's entry and returns its bytes, which the caller
+// may retain until it calls Release: the entry's bytes when they equal
+// payload, or a fresh copy of payload that becomes the entry when id has
+// none. held reports that a hold was taken. An id kept with other bytes
+// than its entry's gets a fresh copy that the caller owns outright (held
+// is false) and leaves the entry as it is, so sharing never relies on ids
+// being unique. This is the one place the lazy layer copies a payload.
+func (p *Payloads) Keep(id ids.ID, payload []byte) (kept []byte, held bool) {
+	e, ok := p.kept.Get(id)
+	if ok && !bytes.Equal(e.payload, payload) {
+		return append([]byte(nil), payload...), false
 	}
-	if p.kept == nil {
-		p.kept = ids.NewMap[[]byte](0)
-	}
-	kept, ok := p.kept.Get(id)
-	if ok && bytes.Equal(kept, payload) {
-		return kept
-	}
-	own := append([]byte(nil), payload...)
 	if !ok {
-		p.kept.Put(id, own)
-		p.bytes += int64(len(own))
+		e.payload = append([]byte(nil), payload...)
+		p.bytes += int64(len(e.payload))
 	}
-	return own
+	e.holders++
+	p.kept.Put(id, e)
+	return e.payload, true
+}
+
+// Release drops one hold on id's entry, and deletes the entry once no
+// hold is left. Releasing an id with no entry does nothing.
+func (p *Payloads) Release(id ids.ID) {
+	e, ok := p.kept.Get(id)
+	switch {
+	case !ok:
+	case e.holders > 1:
+		e.holders--
+		p.kept.Put(id, e)
+	default:
+		p.kept.Delete(id)
+		p.bytes -= int64(len(e.payload))
+	}
+}
+
+// Get returns id's kept bytes, if the store has an entry for it.
+func (p *Payloads) Get(id ids.ID) ([]byte, bool) {
+	e, ok := p.kept.Get(id)
+	return e.payload, ok
 }
 
 // Footprint implements obs.Footprinter: the store's table (its index, and
-// a 16-byte id plus a slice header per entry) and the kept payload bytes,
-// reported once under the lazy subsystem.
+// a 16-byte id, a slice header and a holder count per entry) and the kept
+// payload bytes, reported once under the lazy subsystem.
 func (p *Payloads) Footprint() obs.Footprint {
-	fp := obs.Footprint{Subsystem: "lazy"}
-	if p.kept != nil {
-		fp.Bytes = p.kept.FootprintBytes() + p.bytes
-		fp.Items = int64(p.kept.Len())
+	return obs.Footprint{
+		Subsystem: "lazy",
+		Bytes:     p.kept.FootprintBytes() + p.bytes,
+		Items:     int64(p.kept.Len()),
 	}
-	return fp
 }

@@ -36,9 +36,10 @@ import (
 //     copies them; upcalls get views. The payload travels up to the
 //     gossip layer, its eager relays and emcast's OnDeliver as a view
 //     into the frame, valid for the handler call. The one copy is
-//     lazy.Payloads.Keep's, made when the lazy layer first caches an id
-//     to answer IWANTs; the cache owns it until eviction. An application
-//     that keeps a Delivery.Payload copies it.
+//     lazy.Payloads.Keep's, made in the lazy module's store when the
+//     module first caches an id to answer IWANTs; the cache holds it
+//     until eviction releases it. An application that keeps a
+//     Delivery.Payload copies it.
 
 // chunkSize is the unit of coalescing: frames that fit are packed into
 // chunks of this size, one after another; a larger frame is queued as

@@ -43,7 +43,7 @@ func TestNodesShareOnePayloadPerMessage(t *testing.T) {
 		if len(got) != nodes {
 			t.Fatalf("message %v delivered at %d nodes, want %d", id, len(got), nodes)
 		}
-		kept := r.Payloads().Keep(id, got[0])
+		kept, _ := r.Payloads().Get(id)
 		for i, p := range got {
 			if unsafe.SliceData(p) != unsafe.SliceData(kept) {
 				t.Fatalf("message %v: delivery %d holds its own copy, not the store's", id, i)
@@ -76,9 +76,10 @@ func TestLazyFootprintCountsPayloadsOnce(t *testing.T) {
 	store := r.Payloads().Footprint()
 	// Ten ids fill a 16-slot index (load at most 3/4) of 4-byte slots, and
 	// the entry arrays, first 8 long, have doubled once to 16 entries of
-	// 16-byte ids and slice headers: 16 × 4 + 16 × (16 + 24) = 704. The
-	// Spec's payloads are 256 bytes.
-	if want := int64(16*4 + 16*(ids.IDSize+24) + messages*256); store.Bytes != want || store.Items != messages {
+	// 16-byte ids, slice headers and 8-byte holder counts: 16 × 4 + 16 ×
+	// (16 + 24 + 8) = 832. No cache evicts, so every entry is still held.
+	// The Spec's payloads are 256 bytes.
+	if want := int64(16*4 + 16*(ids.IDSize+24+8) + messages*256); store.Bytes != want || store.Items != messages {
 		t.Fatalf("store footprint = %+v, want %d bytes / %d items", store, want, messages)
 	}
 	for _, fp := range r.Footprints() {

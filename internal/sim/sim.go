@@ -73,7 +73,8 @@ type Config struct {
 	// OnDeliver, when set, is invoked for every application-level
 	// delivery (library embedding; experiments leave it nil). The payload
 	// is the run's one kept copy of the message, shared by every node:
-	// read-only, so copy it to modify it.
+	// read-only, so copy it to modify it. Each delivery holds it in the
+	// run's store, so it stays valid for the Runner's life.
 	OnDeliver func(node peer.ID, id ids.ID, payload []byte)
 
 	// Obs, when set, receives run counters (events, frames,
@@ -342,7 +343,8 @@ func (r *Runner) buildNodes() {
 			onDeliver := cfg.OnDeliver
 			deliver = func(mid ids.ID, payload []byte) {
 				r.deliveries.Inc()
-				onDeliver(id, mid, r.payloads.Keep(mid, payload))
+				kept, _ := r.payloads.Keep(mid, payload)
+				onDeliver(id, mid, kept)
 			}
 		} else if r.deliveries != nil {
 			deliver = func(mid ids.ID, payload []byte) { r.deliveries.Inc() }
