@@ -8,7 +8,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"time"
 
 	"emcast/internal/gossip"
@@ -36,7 +35,8 @@ type Config struct {
 	// Zero disables shuffling (the simulator seeds warm views, matching
 	// the paper's measured phase which starts after overlay warm-up).
 	ShufflePeriod time.Duration
-	// Seed drives the node's protocol randomness and id generation.
+	// Seed drives the node's protocol randomness and id generation: each
+	// purpose draws from its own stream derived from it (peer.Stream).
 	Seed int64
 }
 
@@ -149,7 +149,7 @@ func NewNode(cfg Config, env *peer.Env, opts Options) *Node {
 		tracer = trace.Nop{}
 	}
 	if env.RNG == nil {
-		env.RNG = rand.New(rand.NewSource(cfg.Seed))
+		env.RNG = peer.Stream(cfg.Seed, env.Self(), peer.StreamJitter)
 	}
 	n := &Node{
 		cfg:         cfg,
@@ -161,7 +161,7 @@ func NewNode(cfg Config, env *peer.Env, opts Options) *Node {
 		pingSent:    make(map[uint64]pingProbe),
 		shuffleSent: make(map[peer.ID][]peer.ID),
 	}
-	n.view = membership.NewView(cfg.Membership, env.Self(), env.RNG)
+	n.view = membership.NewView(cfg.Membership, env.Self(), peer.Stream(cfg.Seed, env.Self(), peer.StreamMembership))
 	n.lazy = lazy.New(cfg.Lazy, env, opts.Strategy, tracer)
 	n.lazy.SetPayloads(opts.Payloads)
 	gen := ids.NewGenerator(cfg.Seed ^ int64(env.Self())<<32 ^ 0x1e3779b97f4a7c15)
@@ -171,15 +171,11 @@ func NewNode(cfg Config, env *peer.Env, opts Options) *Node {
 }
 
 // Assemble builds the node over env the same way on every substrate: it
-// fills env.RNG from cfg.Seed when unset (the stream NewNode would
-// create), gives the node an EWMA monitor when p takes the Eager? metric
-// from it or ranks by gossip, and a ranking table when p ranks by gossip,
-// then builds p's strategy from them and k. Callers leave opts.Strategy,
-// EWMA and Ranking unset; p must have passed Validate.
+// gives the node an EWMA monitor when p takes the Eager? metric from it or
+// ranks by gossip, and a ranking table when p ranks by gossip, then builds
+// p's strategy from them, k and the node's strategy stream. Callers leave
+// opts.Strategy, EWMA and Ranking unset; p must have passed Validate.
 func Assemble(cfg Config, env *peer.Env, p strategy.Params, k strategy.Knowledge, opts Options) *Node {
-	if env.RNG == nil {
-		env.RNG = rand.New(rand.NewSource(cfg.Seed))
-	}
 	p = p.Filled()
 	var mon monitor.Monitor
 	if p.EWMAMonitor || p.GossipRanking {
@@ -193,7 +189,7 @@ func Assemble(cfg Config, env *peer.Env, p strategy.Params, k strategy.Knowledge
 		opts.Ranking = ranking.NewTable(ranking.Config{Fraction: p.BestFraction}, env.Self())
 		best = opts.Ranking.IsBest
 	}
-	opts.Strategy = strategy.New(p, env.Self(), env.RNG, k, mon, best)
+	opts.Strategy = strategy.New(p, env.Self(), peer.Stream(cfg.Seed, env.Self(), peer.StreamStrategy), k, mon, best)
 	return NewNode(cfg, env, opts)
 }
 

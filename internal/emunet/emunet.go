@@ -13,10 +13,11 @@ package emunet
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"emcast/internal/faults"
+	"emcast/internal/ids"
 	"emcast/internal/obs"
 	"emcast/internal/peer"
 )
@@ -147,7 +148,7 @@ func New(n int, latency LatencyFunc, cfg Config) *Network {
 	return &Network{
 		cfg:       cfg,
 		latency:   latency,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		rng:       rand.New(rand.NewPCG(ids.Mix64(uint64(cfg.Seed)), ids.Mix64(^uint64(cfg.Seed)))),
 		wheel:     newTimerWheel(),
 		handlers:  make([]Handler, n),
 		silenced:  make([]bool, n),
@@ -462,23 +463,20 @@ func (n *Network) Footprint() obs.Footprint {
 }
 
 // Run executes events until the virtual clock reaches deadline or the event
-// queue drains. It returns the number of events executed: it Steps while
-// the next event lies at or before deadline.
-//
-// A step ends only with a real execution, so Run can overshoot: when the
-// next event at or before deadline is skipped (a dropped frame, a stopped
-// or stale timer), Run keeps popping and executes the next real event
-// even if it lies past deadline, leaving the clock there; a RunFor that
-// follows then schedules from the overshot clock. The goldens pin this
-// behaviour, so it stays until a change that may move them fixes it.
+// queue drains. It pops one event at a time while the next lies at or
+// before deadline, so it never executes an event past it, and returns the
+// number of real executions (skipped events are consumed, not counted).
 func (n *Network) Run(deadline time.Duration) int {
 	steps := 0
 	for {
 		at, ok := n.wheel.peekAt()
-		if !ok || at > deadline || !n.Step() {
+		if !ok || at > deadline {
 			break
 		}
-		steps++
+		ev, _ := n.wheel.pop()
+		if n.execEvent(&ev) {
+			steps++
+		}
 	}
 	if n.now < deadline {
 		n.now = deadline

@@ -198,9 +198,8 @@ func TestArmFiresSinkWithKey(t *testing.T) {
 // TestStaleAlarmSkipsLikeStoppedTimer: a data timer whose sink reports
 // the key stale is accounted exactly as a stopped AfterFunc timer — the
 // same EventsProcessed and TimerFires, the same Step result, and the same
-// Run stopping point. The last includes Run's overshoot: a skipped event
-// does not end a step, so Run(2ms) pops the cancelled 1 ms timer, keeps
-// going, and executes the 5 ms timer past its deadline. The bench
+// Run stopping point: Run(2ms) pops the cancelled 1 ms timer and stops at
+// its deadline, leaving the 5 ms timer for the Step after it. The bench
 // fingerprint counts events, so a stale alarm must not differ from a
 // stopped timer in any of these.
 func TestStaleAlarmSkipsLikeStoppedTimer(t *testing.T) {
@@ -240,9 +239,30 @@ func TestStaleAlarmSkipsLikeStoppedTimer(t *testing.T) {
 	if a != b {
 		t.Fatalf("stopped timer %+v, stale alarm %+v: want identical accounting", a, b)
 	}
-	want := outcome{stepped: false, steps: 1, now: 5 * time.Millisecond, events: 2, fires: 2, lateFired: true}
+	want := outcome{stepped: false, steps: 0, now: 2 * time.Millisecond, events: 1, fires: 1, lateFired: true, stepAfterDrain: true}
 	if a != want {
 		t.Fatalf("cancelled timer accounting = %+v, want %+v", a, want)
+	}
+}
+
+// TestRunStopsAtDeadline: with a stale timer 1 ms before the deadline and
+// a live one 1 ms after it, Run consumes the stale one, executes nothing
+// and leaves the clock at the deadline, so a run that continues from there
+// schedules from the deadline, not from the event past it.
+func TestRunStopsAtDeadline(t *testing.T) {
+	const deadline = 10 * time.Millisecond
+	n := New(1, constLatency(0), Config{})
+	n.Arm(deadline-time.Millisecond, sinkFunc(func(uint64) bool { return false }), 0)
+	late := false
+	n.AfterFunc(deadline+time.Millisecond, func() { late = true })
+	if steps := n.Run(deadline); steps != 0 || late {
+		t.Fatalf("Run(%v) executed %d events (late timer ran: %v), want none", deadline, steps, late)
+	}
+	if n.Now() != deadline {
+		t.Fatalf("clock after Run(%v) = %v, want the deadline", deadline, n.Now())
+	}
+	if n.EventsProcessed != 1 {
+		t.Fatalf("EventsProcessed = %d, want 1 (the stale timer, consumed)", n.EventsProcessed)
 	}
 }
 

@@ -18,7 +18,7 @@ package ids
 import (
 	"encoding/binary"
 	"encoding/hex"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"unsafe"
 )
@@ -43,20 +43,20 @@ func (id ID) IsZero() bool {
 // Generator produces unique identifiers from a seeded random stream. A
 // deterministic seed yields a deterministic identifier sequence, which keeps
 // whole-simulation runs reproducible. Generator is safe for concurrent use.
-//
-// The random source is seeded by the first Next, not by NewGenerator: every
-// node owns a generator but only the few that multicast ever draw from it,
-// and a math/rand source is 5 KB and microseconds of seeding.
+// Its stream is a 16-byte math/rand/v2 PCG seeded through Mix64, held in
+// place, so a node that never multicasts pays 16 bytes for it.
 type Generator struct {
-	mu   sync.Mutex
-	seed int64
-	rng  *rand.Rand // nil until the first Next
-	seq  uint64
+	mu  sync.Mutex
+	rng rand.PCG
+	seq uint64
 }
 
 // NewGenerator returns a Generator seeded with seed.
 func NewGenerator(seed int64) *Generator {
-	return &Generator{seed: seed}
+	g := &Generator{}
+	h := Mix64(uint64(seed))
+	g.rng.Seed(h, Mix64(h))
+	return g
 }
 
 // Next returns a fresh identifier. The first 8 bytes are random and the last
@@ -66,9 +66,6 @@ func NewGenerator(seed int64) *Generator {
 func (g *Generator) Next() ID {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.rng == nil {
-		g.rng = rand.New(rand.NewSource(g.seed))
-	}
 	g.seq++
 	var id ID
 	binary.BigEndian.PutUint64(id[0:8], g.rng.Uint64())
@@ -361,8 +358,9 @@ func (s *Set) Contains(id ID) bool {
 
 // Mix64 is the splitmix64 finaliser: one step of the generator when fed
 // its own output, and a stateless hash of x otherwise. The seeded draw
-// streams outside math/rand (fault verdicts, backoff jitter, trace
-// sampling) all advance through it.
+// streams that keep no generator (fault verdicts, backoff jitter, trace
+// sampling) advance through it, and the PCG streams (Generator,
+// peer.Stream, the emulator's loss draws) are seeded through it.
 func Mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -2,9 +2,10 @@ package ids
 
 import (
 	"encoding/binary"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestGeneratorUnique(t *testing.T) {
@@ -41,23 +42,25 @@ func TestGeneratorDeterministic(t *testing.T) {
 	}
 }
 
-// TestGeneratorSeedsOnFirstNext pins the lazy seeding: a generator that
-// has not been drawn from retains no random source, and drawing yields the
-// sequence an eagerly seeded math/rand stream defines — two draws per id,
-// the second mixed with the sequence number.
-func TestGeneratorSeedsOnFirstNext(t *testing.T) {
+// TestGeneratorStream pins the generator's stream: an id is two draws of
+// a math/rand/v2 PCG seeded through Mix64, the second mixed with the
+// sequence number. The PCG is held in place, so a generator is its own 32
+// bytes (mutex, 16-byte PCG, sequence) and retains nothing else, drawn
+// from or not.
+func TestGeneratorStream(t *testing.T) {
+	if size := unsafe.Sizeof(Generator{}); size != 32 {
+		t.Fatalf("Generator is %d B, want 32", size)
+	}
 	for _, seed := range []int64{0, 1, 7, -3, 1 << 40} {
 		g := NewGenerator(seed)
-		if g.rng != nil {
-			t.Fatalf("seed %d: fresh generator already holds a source", seed)
-		}
-		ref := rand.New(rand.NewSource(seed))
+		h := Mix64(uint64(seed))
+		ref := rand.NewPCG(h, Mix64(h))
 		for seq := uint64(1); seq <= 50; seq++ {
 			var want ID
 			binary.BigEndian.PutUint64(want[0:8], ref.Uint64())
 			binary.BigEndian.PutUint64(want[8:16], ref.Uint64()^seq)
 			if got := g.Next(); got != want {
-				t.Fatalf("seed %d, id %d = %v, eager stream gives %v", seed, seq, got, want)
+				t.Fatalf("seed %d, id %d = %v, the seeded PCG gives %v", seed, seq, got, want)
 			}
 		}
 	}

@@ -9,7 +9,7 @@ import (
 
 // TestViewFootprint pins the byte report of a hand-built view: 5 peers
 // appended into a size-15 view means cap(peers) has grown 1→2→4→8, and
-// Add touches neither scratch buffer.
+// Add does not touch the eviction pool, the view's one scratch buffer.
 func TestViewFootprint(t *testing.T) {
 	v := NewView(Config{ViewSize: 15, ShuffleSize: 7}, 0, rand.New(rand.NewSource(1)))
 

@@ -13,6 +13,7 @@
 package membership
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -43,10 +44,6 @@ type View struct {
 	self  peer.ID
 	rng   *rand.Rand
 	peers []peer.ID
-	// perm is Sample's reused permutation scratch: the hot gossip path
-	// samples fanout peers per forwarded message, and allocating a fresh
-	// rand.Perm slice each time dominated the allocation profile.
-	perm []int
 	// pool is MergeExchange's reused eviction-preference scratch.
 	pool []peer.ID
 }
@@ -99,7 +96,7 @@ func (v *View) insert(p peer.ID, pool []peer.ID) ([]peer.ID, bool) {
 			pool = pool[1:]
 		}
 		if i < 0 {
-			i = v.rng.Intn(len(v.peers))
+			i = v.intn(len(v.peers))
 		}
 		v.removeAt(i)
 	}
@@ -129,35 +126,25 @@ func (v *View) Peers() []peer.ID {
 // is the paper's PeerSample(f) primitive.
 func (v *View) Sample(f int) []peer.ID { return v.SampleInto(nil, f) }
 
-// SampleInto is Sample into a caller's buffer: it makes the same draws and
-// returns the sample in dst's storage (from dst[:0]), allocating only when
-// dst is too small. Callers that sample on every message reuse one buffer.
+// SampleInto is Sample into a caller's buffer: it returns the sample in
+// dst's storage (from dst[:0]), allocating only when dst is too small.
+// Callers that sample on every message reuse one buffer. The draw is a
+// partial Fisher–Yates over the view's own slots: f draws, each swapping
+// its pick into the next slot of the sampled prefix. So sampling reorders
+// the view, whose slot order carries no meaning, and needs no scratch.
 func (v *View) SampleInto(dst []peer.ID, f int) []peer.ID {
 	dst = dst[:0]
-	if f > len(v.peers) {
-		f = len(v.peers)
-	}
+	n := len(v.peers)
+	f = min(f, n)
 	if f <= 0 {
 		return dst
-	}
-	// Inline rand.Perm into a reused scratch slice. The loop below is
-	// exactly math/rand's Perm — same Intn draws in the same order — so
-	// the rng stream and the sampled peers are bit-identical to the
-	// allocating version; only the garbage is gone.
-	n := len(v.peers)
-	if cap(v.perm) < n {
-		v.perm = make([]int, n)
-	}
-	perm := v.perm[:n]
-	for i := 0; i < n; i++ {
-		j := v.rng.Intn(i + 1)
-		perm[i] = perm[j]
-		perm[j] = i
 	}
 	if cap(dst) < f {
 		dst = make([]peer.ID, 0, f)
 	}
-	for _, i := range perm[:f] {
+	for i := 0; i < f; i++ {
+		j := i + v.intn(n-i)
+		v.peers[i], v.peers[j] = v.peers[j], v.peers[i]
 		dst = append(dst, v.peers[i])
 	}
 	return dst
@@ -169,7 +156,27 @@ func (v *View) ShufflePartner() peer.ID {
 	if len(v.peers) == 0 {
 		return peer.None
 	}
-	return v.peers[v.rng.Intn(len(v.peers))]
+	return v.peers[v.intn(len(v.peers))]
+}
+
+// intn draws uniformly from [0, n), n > 0, from one 64-bit output of the
+// view's stream: a mask when n is a power of two, otherwise Lemire's
+// multiply-shift with its rejection step, so the draw is exact. It is the
+// bounded draw of math/rand/v2's IntN on 64-bit platforms, and it costs a
+// multiply where math/rand's Intn costs a division.
+func (v *View) intn(n int) int {
+	x := v.rng.Uint64()
+	if n&(n-1) == 0 {
+		return int(x & uint64(n-1))
+	}
+	hi, lo := bits.Mul64(x, uint64(n))
+	if lo < uint64(n) {
+		thresh := -uint64(n) % uint64(n)
+		for lo < thresh {
+			hi, lo = bits.Mul64(v.rng.Uint64(), uint64(n))
+		}
+	}
+	return int(hi)
 }
 
 // ShuffleSample builds the sample sent in a shuffle: a random subset of the
@@ -186,14 +193,13 @@ func (v *View) ShuffleSample(dst []peer.ID) []peer.ID {
 const peerIDBytes = 4
 
 // Footprint implements obs.Footprinter: the capacities of the peers slice
-// and the two scratch buffers. The estimate is pure arithmetic over
+// and the eviction-pool scratch. The estimate is pure arithmetic over
 // capacities — the walk never mutates the view.
 func (v *View) Footprint() obs.Footprint {
 	return obs.Footprint{
 		Subsystem: "membership",
-		Bytes: int64(cap(v.peers))*peerIDBytes +
-			int64(cap(v.perm))*8 + int64(cap(v.pool))*peerIDBytes,
-		Items: int64(len(v.peers)),
+		Bytes:     int64(cap(v.peers)+cap(v.pool)) * peerIDBytes,
+		Items:     int64(len(v.peers)),
 	}
 }
 

@@ -2,6 +2,7 @@ package membership
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -10,7 +11,7 @@ import (
 )
 
 func newView(self peer.ID, size int) *View {
-	return NewView(Config{ViewSize: size, ShuffleSize: size/2 + 1}, self, rand.New(rand.NewSource(int64(self)+1)))
+	return NewView(Config{ViewSize: size, ShuffleSize: size/2 + 1}, self, peer.Stream(int64(self)+1, self, peer.StreamMembership))
 }
 
 func TestAddBasics(t *testing.T) {
@@ -172,18 +173,37 @@ func TestMergeExchangeFallsBackToRandomEviction(t *testing.T) {
 }
 
 // viewModel is the reference the view is checked against: a plain slice
-// written from the protocol's rules with its own identically seeded rng,
-// so every random eviction draws the same slot in both.
+// written from the protocol's rules with its own identically seeded
+// stream, drawn through math/rand/v2's IntN (on 64-bit platforms the
+// view's bounded draw), so every random eviction and every sample draws
+// the same slot in both.
 type viewModel struct {
 	self  peer.ID
 	size  int
-	rng   *rand.Rand
+	rng   *randv2.Rand
 	peers []peer.ID
 }
+
+// streamSource reads a stream as a math/rand/v2 Source.
+type streamSource struct{ r *rand.Rand }
+
+func (s streamSource) Uint64() uint64 { return s.r.Uint64() }
 
 func (m *viewModel) drop(i int) {
 	m.peers[i] = m.peers[len(m.peers)-1]
 	m.peers = m.peers[:len(m.peers)-1]
+}
+
+// sample draws f peers by a Fisher–Yates prefix over the slots: slot i
+// swaps with a slot drawn uniformly from i on and joins the sample.
+func (m *viewModel) sample(f int) []peer.ID {
+	var out []peer.ID
+	for i := 0; i < f && i < len(m.peers); i++ {
+		j := i + m.rng.IntN(len(m.peers)-i)
+		m.peers[i], m.peers[j] = m.peers[j], m.peers[i]
+		out = append(out, m.peers[i])
+	}
+	return out
 }
 
 // mergeExchange follows the Cyclon rule: a full view drops the first of
@@ -206,7 +226,7 @@ func (m *viewModel) mergeExchange(received, sent []peer.ID) {
 				pool = pool[1:]
 			}
 			if victim < 0 {
-				victim = m.rng.Intn(len(m.peers))
+				victim = m.rng.IntN(len(m.peers))
 			}
 			m.drop(victim)
 		}
@@ -215,18 +235,20 @@ func (m *viewModel) mergeExchange(received, sent []peer.ID) {
 }
 
 // TestQuickViewInvariants property-checks random programs of Add, Remove,
-// MergeExchange and Seed against viewModel: after every op the view must
-// hold exactly the model's peers in the model's order, Contains must agree
-// with them for every probed peer, and the view never exceeds capacity,
-// holds self or holds a duplicate.
+// MergeExchange, Seed and SampleInto against viewModel: after every op the
+// view must hold exactly the model's peers in the model's order, a sample
+// must equal the model's, Contains must agree with the peers for every
+// probed peer, and the view never exceeds capacity, holds self or holds a
+// duplicate.
 func TestQuickViewInvariants(t *testing.T) {
 	const self, size = 3, 8
 	f := func(ops []uint32) bool {
 		v := newView(self, size)
-		m := &viewModel{self: self, size: size, rng: rand.New(rand.NewSource(self + 1))}
+		m := &viewModel{self: self, size: size, rng: randv2.New(streamSource{peer.Stream(self+1, self, peer.StreamMembership)})}
+		var buf []peer.ID
 		for i, op := range ops {
 			p := peer.ID(op % 50)
-			switch i % 5 {
+			switch i % 6 {
 			case 0, 1:
 				m.mergeExchange([]peer.ID{p}, nil)
 				v.Add(p)
@@ -248,6 +270,13 @@ func TestQuickViewInvariants(t *testing.T) {
 			case 4:
 				m.mergeExchange([]peer.ID{p, p + 3, p + 6}, nil)
 				v.Seed([]peer.ID{p, p + 3, p + 6})
+			case 5:
+				f := int(op>>8) % (size + 2)
+				want := m.sample(f)
+				if buf = v.SampleInto(buf, f); !slices.Equal(buf, want) {
+					t.Logf("op %d: SampleInto(%d) = %v, model %v", i, f, buf, want)
+					return false
+				}
 			}
 			peers := v.Peers()
 			if !slices.Equal(peers, m.peers) {

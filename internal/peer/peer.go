@@ -84,8 +84,11 @@ type Arming interface {
 }
 
 // Env bundles everything a protocol layer needs from its hosting
-// environment. RNG is used for all protocol randomness, so a deployment
-// seeding each node deterministically reproduces runs exactly.
+// environment. RNG is the node's jitter stream, which spreads its periodic
+// timers; core fills it with Stream(Config.Seed, self, StreamJitter) when
+// it is nil. The node's other purposes (membership, strategy) draw from
+// their own streams derived from Config.Seed, so a deployment seeding each
+// node deterministically reproduces runs exactly.
 type Env struct {
 	Transport Transport
 	Clock     Clock

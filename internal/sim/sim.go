@@ -334,7 +334,6 @@ func (r *Runner) buildNodes() {
 			Transport: &simTransport{net: r.net, self: id},
 			Clock:     r.net,
 			Timers:    r.net,
-			RNG:       rand.New(rand.NewSource(cfg.Seed ^ int64(i+1)*0x2545f491)),
 		}
 		nodeCfg := coreCfg
 		nodeCfg.Seed = cfg.Seed ^ int64(i)<<20

@@ -7,10 +7,13 @@ import (
 	"emcast/internal/sim"
 )
 
-// TestMembershipFootprintFlat: a view is a bounded slice plus two bounded
-// scratch buffers, so once shuffles have run for a while membership's
+// TestMembershipFootprintFlat: a view is a bounded slice plus one bounded
+// scratch buffer, so once shuffles have run for a while membership's
 // retained bytes must stop moving. A leak in the view, such as an index
-// that keeps evicted peers, grows them with run length instead.
+// that keeps evicted peers, grows them with run length instead. The bytes
+// are exact: each of the 100 views holds 15 peers in a slice grown by
+// append to cap 16 (64 B) and has merged a shuffle reply, which sizes its
+// eviction pool at cap ShuffleSize = 7 (28 B), so 100 × 92 = 9,200 B.
 func TestMembershipFootprintFlat(t *testing.T) {
 	r := sim.New(testConfig(100))
 	r.Warmup()
@@ -30,6 +33,9 @@ func TestMembershipFootprintFlat(t *testing.T) {
 	r.RunFor(600 * time.Second)
 	if late := membership(); late != early {
 		t.Fatalf("membership footprint %d B at +120 s, %d B at +720 s: it must not grow with run length", early, late)
+	}
+	if want := int64(100 * (16*4 + 7*4)); early != want {
+		t.Fatalf("membership footprint %d B, want %d B", early, want)
 	}
 	t.Logf("membership footprint %d B at +120 s and at +720 s", early)
 }

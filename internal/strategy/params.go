@@ -123,7 +123,8 @@ type Knowledge struct {
 }
 
 // New builds node self's strategy from p (defaults applied here). rng is
-// the node's random source. mon and best, when non-nil, replace k's metric
+// the node's strategy stream (peer.StreamStrategy), the one the Flat and
+// Noisy coins draw from. mon and best, when non-nil, replace k's metric
 // and best set with the node's run-time monitor and ranking table. When
 // p.Noise is positive the strategy is wrapped in Noisy, with §4.3's c
 // where a closed form exists. p must have passed Validate.
