@@ -49,14 +49,14 @@ func TestStreamsIndependent(t *testing.T) {
 			}
 		}
 		// Distinct purposes, nodes and seeds are unrelated streams.
-		firsts := map[uint64]string{}
+		firsts := map[uint64][3]int64{}
 		for _, seed := range []int64{1, 2} {
 			for _, node := range []peer.ID{0, 1} {
 				for _, p := range purposes {
-					key := strconv.Itoa(int(seed)) + "/" + strconv.Itoa(int(node)) + "/" + strconv.Itoa(int(p))
+					key := [3]int64{seed, int64(node), int64(p)}
 					v := peer.Stream(seed, node, p).Uint64()
 					if prev, dup := firsts[v]; dup {
-						t.Fatalf("streams %s and %s start with the same output", prev, key)
+						t.Fatalf("streams %v and %v (seed, node, purpose) start with the same output", prev, key)
 					}
 					firsts[v] = key
 				}
