@@ -386,10 +386,12 @@ func BenchmarkEventQueue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net.Send(0, 1, frame)
 		if i%1024 == 1023 {
-			net.RunUntilIdle(0)
+			for net.Step() {
+			}
 		}
 	}
-	net.RunUntilIdle(0)
+	for net.Step() {
+	}
 }
 
 func BenchmarkTopologyGenerate(b *testing.B) {

@@ -422,14 +422,14 @@ func TestPeerFrameCounters(t *testing.T) {
 	if !waitDelivered(peers, id, 5*time.Second) {
 		t.Fatal("multicast did not deliver")
 	}
-	if sent, _ := peers[0].Frames(); sent == 0 {
+	if peers[0].TransportStats().FramesSent == 0 {
 		t.Fatal("no frames counted as sent")
 	}
 	blocked.Store(true)
 	peers[0].Multicast([]byte("dropped"))
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, lost := peers[0].Frames(); lost > 0 {
+		if peers[0].TransportStats().FramesLost > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

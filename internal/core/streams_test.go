@@ -14,7 +14,6 @@ import (
 
 	"emcast/internal/msg"
 	"emcast/internal/peer"
-	"emcast/internal/peertest"
 	"emcast/internal/strategy"
 )
 
@@ -76,9 +75,9 @@ func TestStreamsIndependent(t *testing.T) {
 			t.Fatalf("%d shuffles under flat, %d under noisy flat", len(plain.shuffles), len(noisy.shuffles))
 		}
 		for i := range plain.shuffles {
-			if plain.shuffles[i].To != noisy.shuffles[i].To || !bytes.Equal(plain.shuffles[i].Data, noisy.shuffles[i].Data) {
+			if plain.shuffles[i].to != noisy.shuffles[i].to || !bytes.Equal(plain.shuffles[i].data, noisy.shuffles[i].data) {
 				t.Fatalf("shuffle %d differs: flat to %d %x, noisy to %d %x", i,
-					plain.shuffles[i].To, plain.shuffles[i].Data, noisy.shuffles[i].To, noisy.shuffles[i].Data)
+					plain.shuffles[i].to, plain.shuffles[i].data, noisy.shuffles[i].to, noisy.shuffles[i].data)
 			}
 		}
 		// The extra coins did change the strategy's decisions, so the
@@ -95,18 +94,17 @@ func TestStreamsIndependent(t *testing.T) {
 type streamsTrace struct {
 	targets  []peer.ID
 	eager    string
-	shuffles []peertest.Frame
+	shuffles []sentFrame
 }
 
 // streamsRun plays one node under p against 30 silent peers: it shuffles
 // every 2 s and multicasts every 250 ms for 40 s of virtual time.
 func streamsRun(t *testing.T, p strategy.Params) streamsTrace {
 	t.Helper()
-	sim, mesh := peertest.NewSim(), peertest.NewMesh()
-	env := &peer.Env{Transport: mesh.Endpoint(0, nil), Clock: sim, Timers: sim}
+	net := newTestNet()
 	cfg := DefaultConfig()
 	cfg.Seed = 11
-	node := Assemble(cfg, env, p, strategy.Knowledge{}, Options{})
+	node := Assemble(cfg, net.env(0), p, strategy.Knowledge{}, Options{})
 	var others []peer.ID
 	for i := peer.ID(1); i <= 30; i++ {
 		others = append(others, i)
@@ -115,20 +113,20 @@ func streamsRun(t *testing.T, p strategy.Params) streamsTrace {
 	node.Start()
 	for i := 0; i < 160; i++ {
 		node.Multicast([]byte{byte(i)})
-		sim.Advance(250 * time.Millisecond)
+		net.advance(250 * time.Millisecond)
 	}
 	var tr streamsTrace
 	var parsed msg.Parsed
-	for _, f := range mesh.Log() {
-		if err := parsed.Decode(f.Data); err != nil {
+	for _, f := range net.sent {
+		if err := parsed.Decode(f.data); err != nil {
 			t.Fatal(err)
 		}
 		switch parsed.Kind {
 		case msg.KindMsg:
-			tr.targets = append(tr.targets, f.To)
+			tr.targets = append(tr.targets, f.to)
 			tr.eager += "M"
 		case msg.KindIHave:
-			tr.targets = append(tr.targets, f.To)
+			tr.targets = append(tr.targets, f.to)
 			tr.eager += "I"
 		case msg.KindShuffle:
 			tr.shuffles = append(tr.shuffles, f)

@@ -40,6 +40,10 @@ const DefaultRate = 0.01
 // mixer constant, per the determinism rules in ARCHITECTURE.md).
 const seedMix = 0xd155ec7ab1e5eed5
 
+// linkWindow is the sliding window (in sampled trees) for the link
+// concentration metric.
+const linkWindow = 10
+
 // Config configures a Tracer.
 type Config struct {
 	// Rate is the fraction of message ids sampled, in [0, 1]. The
@@ -48,9 +52,6 @@ type Config struct {
 	Rate float64
 	// Seed feeds the sampling hash; use the run seed.
 	Seed int64
-	// Window is the sliding window (in sampled trees) for the link
-	// concentration metric. Zero means 10.
-	Window int
 	// Obs optionally registers tree instruments (depth and edge-reuse
 	// histograms, sampled-tree counter) on this registry. They populate
 	// when Report is first called. Nil is fine.
@@ -117,9 +118,8 @@ func newTree(id ids.ID) *tree {
 // real-transport deployments share one tracer across peers, and sweep
 // cells run it under the parallel worker pool.
 type Tracer struct {
-	rate   float64
-	seed   uint64
-	window int
+	rate float64
+	seed uint64
 
 	mu     sync.Mutex
 	trees  map[ids.ID]*tree
@@ -134,14 +134,10 @@ type Tracer struct {
 // New creates a tracer. A Rate of zero samples nothing (every hook is a
 // cheap hash-and-return); callers normally gate construction on Rate > 0.
 func New(cfg Config) *Tracer {
-	if cfg.Window <= 0 {
-		cfg.Window = 10
-	}
 	t := &Tracer{
-		rate:   cfg.Rate,
-		seed:   uint64(cfg.Seed) ^ seedMix,
-		window: cfg.Window,
-		trees:  make(map[ids.ID]*tree),
+		rate:  cfg.Rate,
+		seed:  uint64(cfg.Seed) ^ seedMix,
+		trees: make(map[ids.ID]*tree),
 	}
 	// The obs API is nil-safe end to end: on a nil registry these return
 	// nil instruments whose methods no-op.

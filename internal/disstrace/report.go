@@ -108,7 +108,7 @@ func (t *Tracer) buildLocked() *TreeReport {
 	trees := t.orderedLocked()
 	rep := &TreeReport{
 		SampleRate: t.rate,
-		Window:     t.window,
+		Window:     linkWindow,
 		Sampled:    len(trees),
 		Trees:      make([]TreeStats, 0, len(trees)),
 	}
@@ -131,7 +131,7 @@ func (t *Tracer) buildLocked() *TreeReport {
 			reuseCount++
 		}
 		windowSets = append(windowSets, edges)
-		if len(windowSets) > t.window {
+		if len(windowSets) > linkWindow {
 			windowSets = windowSets[1:]
 		}
 		ts.WindowTopShare = topShare(windowSets)

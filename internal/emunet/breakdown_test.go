@@ -36,7 +36,7 @@ func TestEventClassBreakdown(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		n.AfterFunc(time.Duration(i+1)*time.Millisecond, func() { fired++ })
 	}
-	n.RunUntilIdle(0)
+	drain(n)
 
 	if fired != 3 {
 		t.Fatalf("fired %d timers, want 3", fired)
@@ -48,15 +48,16 @@ func TestEventClassBreakdown(t *testing.T) {
 	if n.TimerFires != 3 {
 		t.Fatalf("TimerFires = %d, want 3", n.TimerFires)
 	}
-	deliver, _ := reg.Value("sim_events_class_total", obs.Label{Key: "class", Value: "deliver"})
-	timer, _ := reg.Value("sim_events_class_total", obs.Label{Key: "class", Value: "timer"})
+	values := obs.Scalars(reg.Snapshot())
+	deliver := values[`sim_events_class_total{class="deliver"}`]
+	timer := values[`sim_events_class_total{class="timer"}`]
 	if uint64(deliver) != 14 || uint64(timer) != 3 {
 		t.Fatalf("class counts deliver=%v timer=%v, want 14/3", deliver, timer)
 	}
 	if uint64(deliver+timer) != total {
 		t.Fatalf("class counts sum %v != events %d", deliver+timer, total)
 	}
-	if v, _ := reg.Value("sim_events_total"); uint64(v) != total {
+	if v := values["sim_events_total"]; uint64(v) != total {
 		t.Fatalf("sim_events_total = %v, want %d", v, total)
 	}
 }
@@ -77,7 +78,7 @@ func TestBreakdownDoesNotPerturbRun(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			n.Send(0, 1+i%3, []byte{byte(i)})
 		}
-		n.RunUntilIdle(0)
+		drain(n)
 		return rec.frames
 	}
 	plain, observed := run(false), run(true)
@@ -92,39 +93,44 @@ func TestBreakdownDoesNotPerturbRun(t *testing.T) {
 }
 
 // TestNetworkFootprint pins the emulator's byte report on a hand-built
-// queue: pending deliver frames charge their payload bytes plus every
-// retained scheduler slot, and draining the queue returns the payload
-// charge to zero while the slots stay retained (arena semantics).
+// queue: every retained scheduler slot, every chunk the frame arena has
+// carved, and the bytes of in-flight oversize frames, which bypass the
+// arena. Draining the queue returns the oversize charge to zero while the
+// slots and the arena's chunks stay retained (arena semantics).
 func TestNetworkFootprint(t *testing.T) {
 	t.Run("wheel", func(t *testing.T) {
 		n := New(2, constLatency(time.Millisecond), Config{})
 		rec := &recorder{net: n}
 		n.Register(1, rec)
 
+		// 30 B and 70 B fall in the 32 B and 128 B classes: one chunk
+		// each. The oversize frame is charged by its length.
+		const oversize = 1<<frameMaxShift + 1
 		n.Send(0, 1, make([]byte, 30))
 		n.Send(0, 1, make([]byte, 70))
+		n.Send(0, 1, make([]byte, oversize))
 		fp := n.Footprint()
 		if fp.Subsystem != "emunet" {
 			t.Fatalf("subsystem = %q", fp.Subsystem)
 		}
-		if fp.Items != 2 {
-			t.Fatalf("items = %d, want 2 queued events", fp.Items)
+		if fp.Items != 3 {
+			t.Fatalf("items = %d, want 3 queued events", fp.Items)
 		}
-		want := n.wheel.slotCap()*eventSlotBytes + 100 +
+		retained := n.wheel.slotCap()*eventSlotBytes + 2*frameChunkBytes +
 			int64(len(n.handlers))*(16+1+8)
-		if fp.Bytes != want {
+		if want := retained + oversize; fp.Bytes != want {
 			t.Fatalf("bytes = %d, want %d", fp.Bytes, want)
 		}
 
-		n.RunUntilIdle(0)
+		drain(n)
 		fp = n.Footprint()
 		if fp.Items != 0 {
 			t.Fatalf("after drain: items=%d, want 0", fp.Items)
 		}
-		// Payload charge gone; only retained slots and fixed slices remain.
-		want = n.wheel.slotCap()*eventSlotBytes + int64(len(n.handlers))*(16+1+8)
-		if fp.Bytes != want {
-			t.Fatalf("after drain: bytes = %d, want %d", fp.Bytes, want)
+		// Oversize charge gone; the slots, the arena and the fixed slices
+		// remain.
+		if fp.Bytes != retained {
+			t.Fatalf("after drain: bytes = %d, want %d", fp.Bytes, retained)
 		}
 	})
 }

@@ -24,10 +24,10 @@ import (
 
 // Handler receives frames delivered to a node.
 //
-// When the network runs with Config.PooledFrames, the frame slice is
-// recycled as soon as HandleFrame returns: handlers must copy anything
-// they keep. Protocol nodes keep payloads through the run's store (shared
-// in the simulator, a private copy on TCP), never the frame.
+// The frame slice is recycled as soon as HandleFrame returns: handlers
+// must copy anything they keep. Protocol nodes keep payloads through the
+// run's store (shared in the simulator, a private copy on TCP), never the
+// frame.
 type Handler interface {
 	HandleFrame(from int, frame []byte)
 }
@@ -48,10 +48,10 @@ type Config struct {
 	Loss float64
 	// Seed drives the loss draws.
 	Seed int64
-	// PooledFrames recycles in-flight frame buffers through an arena
-	// instead of allocating per send. It tightens the Handler contract
-	// (frames must not be retained past HandleFrame), so it is opt-in;
-	// the simulation runner enables it, raw-recorder tests do not.
+	// PooledFrames is kept for bench/ alone, which sets it and could not
+	// be edited by the change that made every frame go through the arena:
+	// the network ignores it. The benchmark change that stops setting it
+	// deletes the field.
 	PooledFrames bool
 }
 
@@ -68,9 +68,9 @@ type Network struct {
 	handlers []Handler
 	silenced []bool
 
-	// pool recycles frame buffers when cfg.PooledFrames is set;
-	// oversizeFrameBytes tracks the in-flight bytes of frames too large
-	// for the pool's size classes, so Footprint stays exact either way.
+	// pool recycles frame buffers; oversizeFrameBytes tracks the
+	// in-flight bytes of frames too large for the pool's size classes,
+	// so Footprint stays exact.
 	pool               framePool
 	oversizeFrameBytes int64
 
@@ -95,10 +95,6 @@ type Network struct {
 	BytesDelivered  uint64
 	EventsProcessed uint64
 	TimerFires      uint64
-
-	// queuedFrameBytes is the in-flight frame bytes for Footprint,
-	// maintained on push/pop so the walk never scans the queue.
-	queuedFrameBytes int64
 
 	// ins mirrors the counters above into an obs registry, when attached.
 	ins Instruments
@@ -238,8 +234,8 @@ func (n *Network) cut(from, to int) bool {
 }
 
 // Send transmits a frame from one node to another, applying loss and
-// propagation delay. The frame is copied, so callers may
-// reuse the buffer.
+// propagation delay. The frame is copied, so callers may reuse the
+// buffer.
 func (n *Network) Send(from, to int, frame []byte) {
 	n.FramesSent++
 	n.ins.FramesSent.Inc()
@@ -289,19 +285,14 @@ func (n *Network) Send(from, to int, frame []byte) {
 	}
 }
 
-// queueDeliver copies the frame and schedules its delivery event.
+// queueDeliver copies the frame into the arena and schedules its
+// delivery event.
 func (n *Network) queueDeliver(at time.Duration, from, to int, frame []byte) {
-	var cp []byte
-	if n.cfg.PooledFrames {
-		cp = n.pool.get(len(frame))
-		copy(cp, frame)
-		if frameClass(len(frame)) < 0 {
-			n.oversizeFrameBytes += int64(len(frame))
-		}
-	} else {
-		cp = append([]byte(nil), frame...)
+	cp := n.pool.get(len(frame))
+	copy(cp, frame)
+	if frameClass(len(frame)) < 0 {
+		n.oversizeFrameBytes += int64(len(frame))
 	}
-	n.queuedFrameBytes += int64(len(cp))
 	// Zero-copy: reserve the bucket slot and write the event fields
 	// straight into it — no 80-byte stack event, no block copy.
 	s := n.pushSlot(at)
@@ -311,11 +302,8 @@ func (n *Network) queueDeliver(at time.Duration, from, to int, frame []byte) {
 }
 
 // releaseFrame recycles a delivered (or dropped) frame buffer back into
-// the pool. A no-op when pooling is off.
+// the pool.
 func (n *Network) releaseFrame(frame []byte) {
-	if !n.cfg.PooledFrames {
-		return
-	}
 	if frameClass(len(frame)) < 0 {
 		n.oversizeFrameBytes -= int64(len(frame))
 	}
@@ -394,7 +382,6 @@ func (n *Network) execEvent(ev *event) bool {
 		n.ins.TimerEvents.Inc()
 		return ev.sink.FireTimer(ev.key)
 	}
-	n.queuedFrameBytes -= int64(len(ev.frame))
 	n.ins.DeliverEvents.Inc()
 	if n.silenced[ev.from] || n.silenced[ev.to] || n.cut(ev.from, ev.to) {
 		n.FramesLost++
@@ -442,21 +429,15 @@ const eventSlotBytes = 80 // at, seq, sink, from, to, frame header, key
 
 // Footprint implements obs.Footprinter: every event slot the scheduler
 // retains (the wheel walks its bucket cells, free list and overflow
-// heap), the bytes of in-flight frames
-// (the pool's full arena when pooling is on — pooled buffers are never
-// returned to the GC, so retained capacity is the truthful number —
-// otherwise the incrementally tracked queued-frame bytes) and the
-// per-node handler/silenced/group slices.
+// heap), the frame arena in full (pooled buffers are never returned to
+// the GC, so retained capacity is the truthful number) plus in-flight
+// oversize frames, and the per-node handler/silenced/group slices.
 // Read-only and pure arithmetic, per the plane's determinism rule.
 func (n *Network) Footprint() obs.Footprint {
-	frameBytes := n.queuedFrameBytes
-	if n.cfg.PooledFrames {
-		frameBytes = n.pool.bytes + n.oversizeFrameBytes
-	}
 	return obs.Footprint{
 		Subsystem: "emunet",
 		Bytes: n.wheel.slotCap()*eventSlotBytes +
-			frameBytes +
+			n.pool.bytes + n.oversizeFrameBytes +
 			int64(len(n.handlers))*(16+1+8), // handler iface + silenced + group
 		Items: int64(n.wheel.len()),
 	}
@@ -480,20 +461,6 @@ func (n *Network) Run(deadline time.Duration) int {
 	}
 	if n.now < deadline {
 		n.now = deadline
-	}
-	return steps
-}
-
-// RunUntilIdle executes events until the queue drains or maxEvents is
-// reached (a safety valve against livelock in periodic protocols; pass 0
-// for no limit). It returns the number of events executed.
-func (n *Network) RunUntilIdle(maxEvents int) int {
-	steps := 0
-	for n.Step() {
-		steps++
-		if maxEvents > 0 && steps >= maxEvents {
-			break
-		}
 	}
 	return steps
 }

@@ -12,6 +12,14 @@ func constLatency(d time.Duration) LatencyFunc {
 	return func(from, to int) time.Duration { return d }
 }
 
+// drain executes events until the queue is empty.
+func drain(n *Network) {
+	for n.Step() {
+	}
+}
+
+// recorder keeps a copy of every frame delivered to it: the network
+// recycles the frame once HandleFrame returns.
 type recorder struct {
 	frames []recorded
 	net    *Network
@@ -24,7 +32,7 @@ type recorded struct {
 }
 
 func (r *recorder) HandleFrame(from int, frame []byte) {
-	r.frames = append(r.frames, recorded{from: from, at: r.net.Now(), frame: frame})
+	r.frames = append(r.frames, recorded{from: from, at: r.net.Now(), frame: append([]byte(nil), frame...)})
 }
 
 func TestDeliveryLatency(t *testing.T) {
@@ -32,7 +40,7 @@ func TestDeliveryLatency(t *testing.T) {
 	rec := &recorder{net: n}
 	n.Register(1, rec)
 	n.Send(0, 1, []byte("x"))
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(rec.frames) != 1 {
 		t.Fatalf("delivered %d frames, want 1", len(rec.frames))
 	}
@@ -51,7 +59,7 @@ func TestFrameIsCopied(t *testing.T) {
 	buf := []byte("abc")
 	n.Send(0, 1, buf)
 	buf[0] = 'Z' // caller reuses the buffer before delivery
-	n.RunUntilIdle(0)
+	drain(n)
 	if string(rec.frames[0].frame) != "abc" {
 		t.Fatalf("frame = %q, want %q (must be copied on Send)", rec.frames[0].frame, "abc")
 	}
@@ -64,7 +72,7 @@ func TestSameLinkFIFO(t *testing.T) {
 	for i := byte(0); i < 10; i++ {
 		n.Send(0, 1, []byte{i})
 	}
-	n.RunUntilIdle(0)
+	drain(n)
 	for i := byte(0); i < 10; i++ {
 		if rec.frames[i].frame[0] != i {
 			t.Fatalf("frame %d out of order", i)
@@ -80,7 +88,7 @@ func TestLossRate(t *testing.T) {
 	for i := 0; i < total; i++ {
 		n.Send(0, 1, []byte("x"))
 	}
-	n.RunUntilIdle(0)
+	drain(n)
 	got := len(rec.frames)
 	if got < total*40/100 || got > total*60/100 {
 		t.Fatalf("delivered %d of %d with 50%% loss", got, total)
@@ -101,7 +109,7 @@ func TestSilence(t *testing.T) {
 	n.Send(0, 1, []byte("to-silenced"))   // inbound: dropped
 	n.Send(1, 2, []byte("from-silenced")) // outbound: dropped
 	n.Send(0, 2, []byte("unaffected"))
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(rec1.frames) != 0 {
 		t.Fatal("silenced node received a frame")
 	}
@@ -121,7 +129,7 @@ func TestSilenceDropsInFlight(t *testing.T) {
 	n.Register(1, rec)
 	n.Send(0, 1, []byte("x"))
 	n.Silence(1)
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(rec.frames) != 0 {
 		t.Fatal("in-flight frame delivered to silenced node")
 	}
@@ -133,7 +141,7 @@ func TestTimers(t *testing.T) {
 	n.AfterFunc(30*time.Millisecond, func() { order = append(order, 3) })
 	n.AfterFunc(10*time.Millisecond, func() { order = append(order, 1) })
 	n.AfterFunc(20*time.Millisecond, func() { order = append(order, 2) })
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("timer order = %v", order)
 	}
@@ -152,13 +160,13 @@ func TestTimerStop(t *testing.T) {
 	if timer.Stop() {
 		t.Fatal("second Stop returned true")
 	}
-	n.RunUntilIdle(0)
+	drain(n)
 	if fired {
 		t.Fatal("stopped timer fired")
 	}
 
 	t2 := n.AfterFunc(0, func() {})
-	n.RunUntilIdle(0)
+	drain(n)
 	if t2.Stop() {
 		t.Fatal("Stop after firing returned true")
 	}
@@ -186,7 +194,7 @@ func TestArmFiresSinkWithKey(t *testing.T) {
 			t.Fatalf("Arm returned handle %v, want nil", h)
 		}
 	}
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(got) != 3 || got[0] != 3 || got[1] != 5 || got[2] != 7 {
 		t.Fatalf("sink saw keys %v, want [3 5 7]", got)
 	}
@@ -270,7 +278,7 @@ func TestNegativeDelayFiresImmediately(t *testing.T) {
 	n := New(1, constLatency(0), Config{})
 	fired := false
 	n.AfterFunc(-5*time.Second, func() { fired = true })
-	n.RunUntilIdle(0)
+	drain(n)
 	if !fired || n.Now() != 0 {
 		t.Fatalf("fired=%v now=%v", fired, n.Now())
 	}
@@ -311,7 +319,7 @@ func TestNestedScheduling(t *testing.T) {
 		n.Send(0, 1, append(frame, 0))
 	}))
 	n.Send(0, 1, []byte{0})
-	n.RunUntilIdle(0)
+	drain(n)
 	// Hop 1 arrives at node 1 (len 1), hop 2 back at node 0 (len 2),
 	// hop 3 at node 1 (len 3, chain stops).
 	want := []time.Duration{5, 10, 15}
@@ -340,7 +348,7 @@ func TestJitterBounds(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		n.Send(0, 1, []byte("x"))
 	}
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(rec.frames) != 500 {
 		t.Fatalf("delivered %d frames, want 500", len(rec.frames))
 	}
@@ -358,7 +366,7 @@ func TestJitterBounds(t *testing.T) {
 func TestUnregisteredDrop(t *testing.T) {
 	n := New(2, constLatency(time.Millisecond), Config{})
 	n.Send(0, 1, []byte("x"))
-	n.RunUntilIdle(0)
+	drain(n)
 	if n.FramesLost != 1 {
 		t.Fatalf("FramesLost = %d, want 1", n.FramesLost)
 	}
@@ -370,7 +378,7 @@ func TestCounters(t *testing.T) {
 	n.Register(1, rec)
 	n.Send(0, 1, []byte("abcd"))
 	n.Send(0, 1, []byte("ef"))
-	n.RunUntilIdle(0)
+	drain(n)
 	if n.FramesSent != 2 || n.FramesDelivered != 2 || n.BytesDelivered != 6 {
 		t.Fatalf("counters: sent=%d delivered=%d bytes=%d",
 			n.FramesSent, n.FramesDelivered, n.BytesDelivered)
@@ -388,7 +396,7 @@ func TestQuickEventOrder(t *testing.T) {
 				fired = append(fired, n.Now())
 			})
 		}
-		n.RunUntilIdle(0)
+		drain(n)
 		for i := 1; i < len(fired); i++ {
 			if fired[i] < fired[i-1] {
 				return false
@@ -401,35 +409,20 @@ func TestQuickEventOrder(t *testing.T) {
 	}
 }
 
-func TestMaxEventsSafetyValve(t *testing.T) {
-	n := New(1, constLatency(0), Config{})
-	count := 0
-	var loop func()
-	loop = func() {
-		count++
-		n.AfterFunc(time.Millisecond, loop)
-	}
-	n.AfterFunc(0, loop)
-	steps := n.RunUntilIdle(100)
-	if steps != 100 {
-		t.Fatalf("steps = %d, want 100 (bounded)", steps)
-	}
-}
-
 func TestLatencyFactorScalesDelay(t *testing.T) {
 	n := New(2, constLatency(10*time.Millisecond), Config{})
 	rec := &recorder{net: n}
 	n.Register(1, rec)
 	n.SetLatencyFactor(3)
 	n.Send(0, 1, []byte("x"))
-	n.RunUntilIdle(0)
+	drain(n)
 	if rec.frames[0].at != 30*time.Millisecond {
 		t.Fatalf("delivered at %v, want 30ms under factor 3", rec.frames[0].at)
 	}
 	// Restoring the factor affects only future frames.
 	n.SetLatencyFactor(1)
 	n.Send(0, 1, []byte("y"))
-	n.RunUntilIdle(0)
+	drain(n)
 	if got := rec.frames[1].at - rec.frames[0].at; got != 10*time.Millisecond {
 		t.Fatalf("second frame took %v, want 10ms after restore", got)
 	}
@@ -438,7 +431,7 @@ func TestLatencyFactorScalesDelay(t *testing.T) {
 		n.SetLatencyFactor(f)
 		sent := n.Now()
 		n.Send(0, 1, []byte("z"))
-		n.RunUntilIdle(0)
+		drain(n)
 		if got := rec.frames[len(rec.frames)-1].at - sent; got != 10*time.Millisecond {
 			t.Fatalf("factor %v: frame took %v, want the base 10ms", f, got)
 		}
@@ -451,14 +444,14 @@ func TestExtraLatencyShiftsDelay(t *testing.T) {
 	n.Register(1, rec)
 	n.SetExtraLatency(15 * time.Millisecond)
 	n.Send(0, 1, []byte("x"))
-	n.RunUntilIdle(0)
+	drain(n)
 	if rec.frames[0].at != 25*time.Millisecond {
 		t.Fatalf("delivered at %v, want 25ms with 15ms shift", rec.frames[0].at)
 	}
 	// A negative shift is treated as none: the base latency.
 	n.SetExtraLatency(-time.Second)
 	n.Send(0, 1, []byte("y"))
-	n.RunUntilIdle(0)
+	drain(n)
 	if got := rec.frames[1].at - rec.frames[0].at; got != 10*time.Millisecond {
 		t.Fatalf("frame took %v after a negative shift, want the base 10ms", got)
 	}
@@ -472,7 +465,7 @@ func TestSetLossDropsFrames(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		n.Send(0, 1, []byte("x"))
 	}
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(rec.frames) != 0 {
 		t.Fatalf("delivered %d frames under loss 1, want 0", len(rec.frames))
 	}
@@ -481,7 +474,7 @@ func TestSetLossDropsFrames(t *testing.T) {
 	}
 	n.SetLoss(0)
 	n.Send(0, 1, []byte("y"))
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(rec.frames) != 1 {
 		t.Fatalf("delivered %d frames after loss cleared, want 1", len(rec.frames))
 	}
@@ -491,7 +484,7 @@ func TestSetLossDropsFrames(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		n.Send(0, 1, []byte("z"))
 	}
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(rec.frames) != 1 || n.FramesLost != 20 {
 		t.Fatalf("loss 2: delivered %d, lost %d; want 1 delivered, 20 lost", len(rec.frames), n.FramesLost)
 	}
@@ -499,7 +492,7 @@ func TestSetLossDropsFrames(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		n.Send(0, 1, []byte("w"))
 	}
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(rec.frames) != 11 {
 		t.Fatalf("loss -1: delivered %d frames in all, want 11", len(rec.frames))
 	}
@@ -518,7 +511,7 @@ func TestPartitionBlocksCrossGroupTraffic(t *testing.T) {
 	n.Send(2, 3, []byte("other side"))
 	n.Send(0, 2, []byte("cross"))
 	n.Send(3, 1, []byte("cross"))
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(recs[1].frames) != 1 || len(recs[3].frames) != 1 {
 		t.Fatalf("intra-group frames = %d,%d, want 1,1", len(recs[1].frames), len(recs[3].frames))
 	}
@@ -530,7 +523,7 @@ func TestPartitionBlocksCrossGroupTraffic(t *testing.T) {
 	}
 	n.Heal()
 	n.Send(0, 2, []byte("healed"))
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(recs[2].frames) != 1 {
 		t.Fatal("frame not delivered after Heal")
 	}
@@ -543,7 +536,7 @@ func TestPartitionCutsInFlightFrames(t *testing.T) {
 	n.Send(0, 1, []byte("in flight"))
 	// Partition starts while the frame is on the wire: it must be cut.
 	n.AfterFunc(time.Millisecond, func() { n.Partition([][]int{{0}}) })
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(rec.frames) != 0 {
 		t.Fatal("in-flight frame survived a partition cut")
 	}

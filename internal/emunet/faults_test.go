@@ -19,7 +19,7 @@ func TestFaultDropCountsAsLost(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		n.Send(0, 1, []byte("x"))
 	}
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(rec.frames) != 0 {
 		t.Fatalf("delivered %d frames through a drop-all rule", len(rec.frames))
 	}
@@ -41,7 +41,7 @@ func TestFaultDelayShiftsArrival(t *testing.T) {
 	}
 	n.SetFaults(inj)
 	n.Send(0, 1, []byte("x"))
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(rec.frames) != 1 || rec.frames[0].at != 40*time.Millisecond {
 		t.Fatalf("frames = %+v, want one at 40ms", rec.frames)
 	}
@@ -57,7 +57,7 @@ func TestFaultDuplicateDeliversTwice(t *testing.T) {
 	}
 	n.SetFaults(inj)
 	n.Send(0, 1, []byte("dup"))
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(rec.frames) != 2 {
 		t.Fatalf("delivered %d frames, want 2", len(rec.frames))
 	}
@@ -84,7 +84,7 @@ func TestFaultReorderLetsLaterFrameOvertake(t *testing.T) {
 	n.Send(0, 1, []byte("first"))
 	inj.Clear()
 	n.Send(0, 1, []byte("second"))
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(rec.frames) != 2 {
 		t.Fatalf("delivered %d frames, want 2", len(rec.frames))
 	}
@@ -106,7 +106,7 @@ func TestFaultStallDefersBothDirections(t *testing.T) {
 	n.Send(0, 1, []byte("inbound"))    // into the stalled node
 	n.Send(1, 2, []byte("outbound"))   // out of the stalled node
 	n.Send(0, 2, []byte("unaffected")) // bystander link
-	n.RunUntilIdle(0)
+	drain(n)
 	if len(rec1.frames) != 1 || rec1.frames[0].at != 51*time.Millisecond {
 		t.Fatalf("inbound delivery %+v, want 51ms", rec1.frames)
 	}
@@ -138,7 +138,7 @@ func TestInertInjectorIsByteIdentical(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			n.Send(i%4, (i+1+i%3)%4, []byte{byte(i), byte(i >> 8)})
 		}
-		n.RunUntilIdle(0)
+		drain(n)
 		return rec.frames
 	}
 	plain := run(nil)
@@ -169,7 +169,7 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			n.Send(i%4, (i+1+i%3)%4, []byte{byte(i), byte(i >> 8)})
 		}
-		n.RunUntilIdle(0)
+		drain(n)
 		return rec.frames, inj.Stats()
 	}
 	a, sa := run()

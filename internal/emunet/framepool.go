@@ -11,14 +11,6 @@ import "math/bits"
 // an event or parked in a class stack, so the sum is the exact retained
 // footprint.
 //
-// Pooling is opt-in (Config.PooledFrames) because it tightens the
-// Handler contract: a pooled frame is recycled the moment HandleFrame
-// returns, so handlers must not retain the slice. Protocol code already
-// obeys this (core.Node decodes into per-node scratch and the lazy layer
-// keeps payloads through the run's store — shared in the simulator, a
-// private copy on TCP — on first receipt), but test recorders that stash
-// raw frames do not.
-//
 // A class with no parked buffer grows by a chunk, one allocation carved
 // into as many buffers as fit frameChunkBytes, so warming the pool up to
 // the run's peak of in-flight frames costs a few allocations per class,

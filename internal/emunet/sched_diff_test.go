@@ -275,7 +275,7 @@ func TestPropertyPerLinkFIFO(t *testing.T) {
 			n.Send(from, to, []byte{byte(p >> 8), byte(p)})
 			sent[linkKey{from, to}] = append(sent[linkKey{from, to}], p)
 		}
-		n.RunUntilIdle(0)
+		drain(n)
 		// Reconstruct per-link delivery order and compare with send order.
 		gotPerLink := make(map[linkKey][]int)
 		for to, ds := range got {
@@ -318,7 +318,7 @@ func TestPropertyEventAccounting(t *testing.T) {
 			n.Send(rng.Intn(4), rng.Intn(4), []byte("x"))
 		}
 	}
-	n.RunUntilIdle(0)
+	drain(n)
 	if n.EventsProcessed != n.FramesDelivered+n.TimerFires {
 		t.Fatalf("EventsProcessed=%d, FramesDelivered=%d + TimerFires=%d",
 			n.EventsProcessed, n.FramesDelivered, n.TimerFires)

@@ -78,7 +78,7 @@ func TestModuleFootprint(t *testing.T) {
 
 	// Receiving the pending payload clears the request and moves the id
 	// into the received set.
-	f.sim.Advance(time.Second)
+	f.advance(time.Second)
 	f.mod.OnMsg(id3, make([]byte, 10), 1, 4)
 	fp = f.mod.Footprint()
 	if f.mod.PendingRequests() != 0 {

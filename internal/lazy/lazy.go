@@ -57,9 +57,10 @@ type Config struct {
 	MaxRequests int
 	// CacheCapacity bounds the payload cache C. Zero means 4096 entries.
 	CacheCapacity int
-	// ReceivedCapacity bounds the received-set R. Zero means 65536.
-	ReceivedCapacity int
 }
+
+// receivedCapacity bounds the received-set R.
+const receivedCapacity = 65536
 
 func (c *Config) fill() {
 	if c.RequestPeriod <= 0 {
@@ -70,9 +71,6 @@ func (c *Config) fill() {
 	}
 	if c.CacheCapacity <= 0 {
 		c.CacheCapacity = 4096
-	}
-	if c.ReceivedCapacity <= 0 {
-		c.ReceivedCapacity = 65536
 	}
 }
 
@@ -87,7 +85,7 @@ type Receiver interface {
 // method are inputs of the owning node's step machine (see core.Node).
 type Module struct {
 	// requestPeriod and maxRequests are the Config a request reads; the
-	// capacities only size R and C in New. Keeping two of Config's four
+	// cache capacity only sizes C in New. Keeping two of Config's three
 	// fields holds the per-node struct in the allocator's 208-byte class.
 	requestPeriod time.Duration
 	maxRequests   int
@@ -198,7 +196,7 @@ func New(cfg Config, env *peer.Env, strat strategy.Strategy, tracer trace.Tracer
 		strat:         strat,
 		tracer:        tracer,
 		causal:        causal,
-		received:      ids.NewSet(cfg.ReceivedCapacity),
+		received:      ids.NewSet(receivedCapacity),
 		cache:         ids.NewBounded[uint16](cfg.CacheCapacity),
 		pending:       ids.NewMap[uint32](0),
 	}

@@ -7,22 +7,49 @@ import (
 	"testing/quick"
 	"time"
 
+	"emcast/internal/emunet"
 	"emcast/internal/ids"
 	"emcast/internal/msg"
 	"emcast/internal/peer"
-	"emcast/internal/peertest"
 	"emcast/internal/strategy"
 	"emcast/internal/trace"
 )
 
-// fixture wires a Module to a recording mesh and manual clock.
+// fixture wires a Module to one zero-latency emulated network, whose
+// clock and timers it uses and through which it sends, and records every
+// frame the module sends.
 type fixture struct {
-	sim    *peertest.Sim
-	mesh   *peertest.Mesh
+	net    *emunet.Network
+	sent   []sentFrame
 	mod    *Module
 	tracer *trace.Streaming
 	recv   []received
 }
+
+// sentFrame is one recorded Send, with a copy of its bytes.
+type sentFrame struct {
+	to   peer.ID
+	data []byte
+}
+
+// fixtureTransport is the module's peer.Transport: it records each frame
+// and sends it on the fixture's network, where no node is attached.
+type fixtureTransport struct {
+	f    *fixture
+	self peer.ID
+}
+
+// Send implements peer.Transport.
+func (t *fixtureTransport) Send(to peer.ID, frame []byte) {
+	t.f.sent = append(t.f.sent, sentFrame{to: to, data: append([]byte(nil), frame...)})
+	t.f.net.Send(int(t.self), int(to), frame)
+}
+
+// Local implements peer.Transport.
+func (t *fixtureTransport) Local() peer.ID { return t.self }
+
+// advance runs the fixture's network for d of virtual time.
+func (f *fixture) advance(d time.Duration) { f.net.Run(f.net.Now() + d) }
 
 type received struct {
 	id      ids.ID
@@ -38,14 +65,13 @@ func (f *fixture) LReceive(id ids.ID, payload []byte, round int, from peer.ID) {
 func newFixture(t *testing.T, self peer.ID, strat strategy.Strategy, cfg Config) *fixture {
 	t.Helper()
 	f := &fixture{
-		sim:    peertest.NewSim(),
-		mesh:   peertest.NewMesh(),
+		net:    emunet.New(64, func(int, int) time.Duration { return 0 }, emunet.Config{}),
 		tracer: trace.NewStreaming(),
 	}
 	env := &peer.Env{
-		Transport: f.mesh.Endpoint(self, nil),
-		Clock:     f.sim,
-		Timers:    f.sim,
+		Transport: &fixtureTransport{f: f, self: self},
+		Clock:     f.net,
+		Timers:    f.net,
 		RNG:       rand.New(rand.NewSource(1)),
 	}
 	f.mod = New(cfg, env, strat, f.tracer)
@@ -53,14 +79,14 @@ func newFixture(t *testing.T, self peer.ID, strat strategy.Strategy, cfg Config)
 	return f
 }
 
-// framesOfKind decodes the mesh log and returns frames of one kind.
+// framesOfKind decodes the sent frames and returns those of one kind.
 func (f *fixture) framesOfKind(t *testing.T, kind msg.Kind) []msg.Frame {
 	t.Helper()
 	var out []msg.Frame
-	for _, fr := range f.mesh.Log() {
-		decoded, err := msg.Decode(fr.Data)
+	for _, fr := range f.sent {
+		decoded, err := msg.Decode(fr.data)
 		if err != nil {
-			t.Fatalf("mesh carried undecodable frame: %v", err)
+			t.Fatalf("module sent an undecodable frame: %v", err)
 		}
 		if decoded.Kind() == kind {
 			out = append(out, decoded)
@@ -135,13 +161,13 @@ func TestIHaveTriggersImmediateRequest(t *testing.T) {
 	f := newFixture(t, 1, &strategy.Flat{P: 0}, Config{})
 	f.mod.OnIHave(testID, 7)
 	// Flat requests immediately (FirstDelay 0) — fire the timer wheel.
-	f.sim.Advance(0)
+	f.advance(0)
 	iwants := f.framesOfKind(t, msg.KindIWant)
 	if len(iwants) != 1 {
 		t.Fatalf("IWANT frames = %d, want 1", len(iwants))
 	}
-	if f.mesh.Log()[0].To != 7 {
-		t.Fatalf("IWANT sent to %d, want the advertising source 7", f.mesh.Log()[0].To)
+	if f.sent[0].to != 7 {
+		t.Fatalf("IWANT sent to %d, want the advertising source 7", f.sent[0].to)
 	}
 }
 
@@ -150,11 +176,11 @@ func TestRadiusDelaysFirstRequest(t *testing.T) {
 	strat := &strategy.Radius{Rho: 100, Monitor: monitorFunc(mon), T0: 50 * time.Millisecond}
 	f := newFixture(t, 1, strat, Config{})
 	f.mod.OnIHave(testID, 7)
-	f.sim.Advance(49 * time.Millisecond)
+	f.advance(49 * time.Millisecond)
 	if len(f.framesOfKind(t, msg.KindIWant)) != 0 {
 		t.Fatal("request issued before T0")
 	}
-	f.sim.Advance(2 * time.Millisecond)
+	f.advance(2 * time.Millisecond)
 	if len(f.framesOfKind(t, msg.KindIWant)) != 1 {
 		t.Fatal("request not issued after T0")
 	}
@@ -165,12 +191,12 @@ func TestRequestsRotateThroughSources(t *testing.T) {
 	f.mod.OnIHave(testID, 10)
 	f.mod.OnIHave(testID, 11)
 	f.mod.OnIHave(testID, 12)
-	f.sim.Advance(0) // first request
-	f.sim.Advance(100 * time.Millisecond)
-	f.sim.Advance(100 * time.Millisecond)
+	f.advance(0) // first request
+	f.advance(100 * time.Millisecond)
+	f.advance(100 * time.Millisecond)
 	targets := map[peer.ID]int{}
-	for _, fr := range f.mesh.Log() {
-		targets[fr.To]++
+	for _, fr := range f.sent {
+		targets[fr.to]++
 	}
 	for _, src := range []peer.ID{10, 11, 12} {
 		if targets[src] != 1 {
@@ -178,23 +204,23 @@ func TestRequestsRotateThroughSources(t *testing.T) {
 		}
 	}
 	// Exhausted rotation starts over.
-	f.sim.Advance(100 * time.Millisecond)
+	f.advance(100 * time.Millisecond)
 	total := 0
 	for _, n := range targets {
 		total += n
 	}
-	if len(f.mesh.Log()) != total+1 {
-		t.Fatalf("rotation did not restart: %d frames", len(f.mesh.Log()))
+	if len(f.sent) != total+1 {
+		t.Fatalf("rotation did not restart: %d frames", len(f.sent))
 	}
 }
 
 func TestPayloadReceiptCancelsRequests(t *testing.T) {
 	f := newFixture(t, 1, &strategy.Flat{P: 0}, Config{RequestPeriod: 100 * time.Millisecond})
 	f.mod.OnIHave(testID, 10)
-	f.sim.Advance(0)
+	f.advance(0)
 	before := len(f.framesOfKind(t, msg.KindIWant))
 	f.mod.OnMsg(testID, []byte("d"), 1, 10)
-	f.sim.Advance(time.Second)
+	f.advance(time.Second)
 	after := len(f.framesOfKind(t, msg.KindIWant))
 	if after != before {
 		t.Fatalf("requests continued after payload received: %d -> %d", before, after)
@@ -208,7 +234,7 @@ func TestIHaveAfterReceiptIgnored(t *testing.T) {
 	f := newFixture(t, 1, &strategy.Flat{P: 0}, Config{})
 	f.mod.OnMsg(testID, []byte("d"), 1, 9)
 	f.mod.OnIHave(testID, 10)
-	f.sim.Advance(time.Second)
+	f.advance(time.Second)
 	if len(f.framesOfKind(t, msg.KindIWant)) != 0 {
 		t.Fatal("requested a payload already received")
 	}
@@ -236,7 +262,7 @@ func TestMaxRequestsBounds(t *testing.T) {
 		MaxRequests:   3,
 	})
 	f.mod.OnIHave(testID, 10)
-	f.sim.Advance(10 * time.Second)
+	f.advance(10 * time.Second)
 	if got := len(f.framesOfKind(t, msg.KindIWant)); got != 3 {
 		t.Fatalf("IWANTs = %d, want MaxRequests 3", got)
 	}
@@ -252,7 +278,7 @@ func TestCacheEviction(t *testing.T) {
 	f.mod.LSend(first, []byte("a"), 1, 2)
 	f.mod.LSend(gen.Next(), []byte("b"), 1, 2)
 	f.mod.LSend(gen.Next(), []byte("c"), 1, 2)
-	f.mesh.Reset()
+	f.sent = nil
 	f.mod.OnIWant(first, 2) // evicted: miss
 	if len(f.framesOfKind(t, msg.KindMsg)) != 0 {
 		t.Fatal("evicted payload served")
@@ -280,7 +306,7 @@ func TestDefaultsFill(t *testing.T) {
 	if cfg.RequestPeriod != 400*time.Millisecond {
 		t.Fatalf("default T = %v, want the paper's 400ms", cfg.RequestPeriod)
 	}
-	if cfg.MaxRequests <= 0 || cfg.CacheCapacity <= 0 || cfg.ReceivedCapacity <= 0 {
+	if cfg.MaxRequests <= 0 || cfg.CacheCapacity <= 0 {
 		t.Fatal("defaults not filled")
 	}
 }
@@ -324,7 +350,7 @@ func TestQuickLazyInvariants(t *testing.T) {
 			case 2:
 				f.mod.OnIWant(id, src)
 			case 3:
-				f.sim.Advance(5 * time.Millisecond)
+				f.advance(5 * time.Millisecond)
 			}
 			if f.mod.PendingRequests() > len(advertised) {
 				return false

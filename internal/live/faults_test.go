@@ -138,7 +138,7 @@ func TestChaosSoakRecovery(t *testing.T) {
 	if fs := r.h.tcp.stats(); fs.DeparturesSent == 0 {
 		t.Errorf("graceful close sent no departures: %+v", fs)
 	}
-	if v, ok := r.reg.Value("neem_frames_lost", obs.Label{Key: "reason", Value: "fault"}); !ok || v == 0 {
+	if v, ok := obs.Scalars(r.reg.Snapshot())[`neem_frames_lost{reason="fault"}`]; !ok || v == 0 {
 		t.Fatalf("neem_frames_lost{reason=fault} = %v (ok=%v), want > 0", v, ok)
 	}
 }

@@ -56,9 +56,6 @@ type Options struct {
 	// lazy recoveries settle. Default: the spec's drain mapped through
 	// TimeScale, at least 1 s.
 	Drain time.Duration
-	// Fanout overrides the peers' gossip fanout (default: the protocol
-	// default, 11).
-	Fanout int
 	// Logf, when set, receives progress lines (phase starts, churn).
 	Logf func(format string, args ...interface{})
 	// Obs, when set, receives fleet transport instruments (frames, wire
@@ -140,7 +137,6 @@ func New(spec scenario.Spec, opts Options) (*Harness, error) {
 	h := &Harness{spec: spec, opts: opts}
 	tracer := trace.NewLocked(trace.NewStreaming())
 	base := emcast.PeerConfig{
-		Fanout:       opts.Fanout,
 		Tracer:       tracer,
 		Faults:       spec.Injector(),
 		Strategy:     emcast.Strategy(spec.Strategy),

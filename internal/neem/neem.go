@@ -49,6 +49,11 @@ const MaxFrame = 1 << 20
 // oldest frame is purged (NeEM's custom purging strategy).
 const sendQueueSize = 1024
 
+// maxConcurrentDials bounds simultaneous dial attempts across the whole
+// transport, so mass reconnection after a fault heals is a trickle, not a
+// storm.
+const maxConcurrentDials = 16
+
 // departureSentinel is the length-prefix value announcing a graceful
 // leave. It cannot collide with a real frame: lengths above MaxFrame are
 // protocol errors.
@@ -172,10 +177,6 @@ type Config struct {
 	// DialAttempts is the consecutive-failure budget before a peer is
 	// reaped. Zero means 5.
 	DialAttempts int
-	// MaxConcurrentDials bounds simultaneous dial attempts across the
-	// whole transport, so mass reconnection after a fault heals is a
-	// trickle, not a storm. Zero means 16.
-	MaxConcurrentDials int
 	// WriteTimeout is the socket deadline of one batch of frames: a peer
 	// that stops reading (stalled process, dead NAT entry) fails the
 	// write and triggers a reconnect instead of wedging the write loop.
@@ -221,9 +222,6 @@ func (cfg *Config) fill() {
 	}
 	if cfg.DialAttempts <= 0 {
 		cfg.DialAttempts = 5
-	}
-	if cfg.MaxConcurrentDials <= 0 {
-		cfg.MaxConcurrentDials = 16
 	}
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = 10 * time.Second
@@ -318,7 +316,7 @@ func Listen(cfg Config, handler Handler) (*Transport, error) {
 		listener:   l,
 		drainCh:    make(chan struct{}),
 		quit:       make(chan struct{}),
-		dialSem:    make(chan struct{}, cfg.MaxConcurrentDials),
+		dialSem:    make(chan struct{}, maxConcurrentDials),
 		dialCtx:    ctx,
 		dialCancel: cancel,
 		peers:      make(map[peer.ID]string, len(cfg.Peers)),
@@ -441,18 +439,6 @@ func (t *Transport) stallWait() bool {
 			return false
 		}
 	}
-}
-
-// Counters returns the transport's cumulative frame counters: frames
-// written to sockets, and frames lost before transmission (purged from a
-// full send queue, dropped by the filter, addressed to an unknown peer,
-// failed in a socket write, or injected away by the fault plane).
-func (t *Transport) Counters() (sent, lost uint64) {
-	var total uint64
-	for i := range t.lost {
-		total += t.lost[i].Load()
-	}
-	return t.framesSent.Load(), total
 }
 
 // Stats is a consistent-enough point-in-time view of transport activity.

@@ -253,7 +253,7 @@ func TestCloseWithUnreachablePeer(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung on an unreachable peer's write loop")
 	}
-	if _, lost := a.Counters(); lost == 0 {
+	if a.Stats().FramesLost == 0 {
 		t.Fatal("frames to an unreachable peer not counted as lost")
 	}
 }
@@ -348,9 +348,5 @@ func TestStatsConcurrentReaders(t *testing.T) {
 	}
 	if sa.FramesLost != 0 || sa.QueueDepth != 0 {
 		t.Fatalf("a lost/depth = %d/%d after drain, want 0/0", sa.FramesLost, sa.QueueDepth)
-	}
-	// Stats and the legacy Counters view must agree.
-	if sent, lost := a.Counters(); sent != sa.FramesSent || lost != sa.FramesLost {
-		t.Fatalf("Counters() = %d/%d disagrees with Stats %d/%d", sent, lost, sa.FramesSent, sa.FramesLost)
 	}
 }

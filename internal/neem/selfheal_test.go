@@ -295,9 +295,6 @@ func TestLostReasonBreakdown(t *testing.T) {
 	if s.FramesLost != sum || sum != 2 {
 		t.Fatalf("FramesLost = %d, Σreasons = %d, want 2", s.FramesLost, sum)
 	}
-	if _, lost := a.Counters(); lost != 2 {
-		t.Fatalf("Counters lost = %d, want 2", lost)
-	}
 }
 
 // TestLiveFaultInjection drives the shared fault vocabulary over real

@@ -50,7 +50,7 @@ func TestPublishFootprints(t *testing.T) {
 		{"sim_footprint_bytes", "emunet", 456},
 		{"sim_footprint_items", "emunet", 7},
 	} {
-		v, ok := reg.Value(tc.name, Label{Key: "subsystem", Value: tc.sub})
+		v, ok := Scalars(reg.Snapshot())[tc.name+`{subsystem="`+tc.sub+`"}`]
 		if !ok || v != tc.want {
 			t.Errorf("%s{subsystem=%q} = %v (ok=%v), want %v", tc.name, tc.sub, v, ok, tc.want)
 		}
@@ -58,7 +58,7 @@ func TestPublishFootprints(t *testing.T) {
 
 	// Gauges overwrite: a second walk replaces, never accumulates.
 	PublishFootprints(reg, "sim", []Footprint{{Subsystem: "lazy", Bytes: 10, Items: 1}})
-	if v, _ := reg.Value("sim_footprint_bytes", Label{Key: "subsystem", Value: "lazy"}); v != 10 {
+	if v := Scalars(reg.Snapshot())[`sim_footprint_bytes{subsystem="lazy"}`]; v != 10 {
 		t.Errorf("after second walk, sim_footprint_bytes{lazy} = %v, want 10", v)
 	}
 }

@@ -431,45 +431,6 @@ func (r *Registry) Snapshot() []Sample {
 	return out
 }
 
-// Value returns the current scalar value of the instrument under (name,
-// labels): counter or gauge values, callback sums, histogram counts. ok
-// is false when nothing is registered under the key (and always on a nil
-// registry).
-func (r *Registry) Value(name string, labels ...Label) (v float64, ok bool) {
-	if r == nil {
-		return 0, false
-	}
-	k := key(name, labels)
-	r.mu.Lock()
-	in, found := r.inst[k]
-	var fns []func() float64
-	var residual float64
-	if found && in.funcs != nil {
-		residual = in.funcs.residual
-		for f := range in.funcs.funcs {
-			fns = append(fns, f.fn)
-		}
-	}
-	r.mu.Unlock()
-	if !found {
-		return 0, false
-	}
-	switch {
-	case in.counter != nil:
-		return float64(in.counter.Value()), true
-	case in.gauge != nil:
-		return float64(in.gauge.Value()), true
-	case in.hist != nil:
-		return float64(in.hist.Count()), true
-	default:
-		v = residual
-		for _, fn := range fns {
-			v += fn()
-		}
-		return v, true
-	}
-}
-
 // Scalars flattens a snapshot into key → value pairs for the event log:
 // counters and gauges map directly, histograms contribute _count and
 // _sum entries.

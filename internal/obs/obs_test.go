@@ -25,7 +25,7 @@ func TestCounterConcurrentIncrements(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if v, _ := reg.Value("events_total"); v != goroutines*perG {
+	if v := Scalars(reg.Snapshot())["events_total"]; v != goroutines*perG {
 		t.Fatalf("events_total = %v, want %d", v, goroutines*perG)
 	}
 }
@@ -105,10 +105,11 @@ func TestLabelsSeparateSeries(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("cells", "", Label{"strategy", "flat"}).Add(3)
 	reg.Counter("cells", "", Label{"strategy", "ttl"}).Add(5)
-	if v, _ := reg.Value("cells", Label{"strategy", "flat"}); v != 3 {
+	values := Scalars(reg.Snapshot())
+	if v := values[`cells{strategy="flat"}`]; v != 3 {
 		t.Fatalf("flat = %v", v)
 	}
-	if v, _ := reg.Value("cells", Label{"strategy", "ttl"}); v != 5 {
+	if v := values[`cells{strategy="ttl"}`]; v != 5 {
 		t.Fatalf("ttl = %v", v)
 	}
 	var buf bytes.Buffer
@@ -142,9 +143,6 @@ func TestNilSafety(t *testing.T) {
 	if reg.Snapshot() != nil {
 		t.Fatal("nil registry snapshot not empty")
 	}
-	if _, ok := reg.Value("x"); ok {
-		t.Fatal("nil registry Value ok")
-	}
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
 		t.Fatalf("nil registry wrote %q, err %v", buf.String(), err)
@@ -161,20 +159,21 @@ func TestCounterFuncResidual(t *testing.T) {
 	v1 := 10.0
 	f1 := reg.CounterFunc("recomputes_total", "", func() float64 { return v1 })
 	f2 := reg.CounterFunc("recomputes_total", "", func() float64 { return 7 })
-	if v, _ := reg.Value("recomputes_total"); v != 17 {
+	value := func() float64 { return Scalars(reg.Snapshot())["recomputes_total"] }
+	if v := value(); v != 17 {
 		t.Fatalf("live sum = %v, want 17", v)
 	}
 	v1 = 12
 	f1.Release() // folds 12 into the residual
-	if v, _ := reg.Value("recomputes_total"); v != 19 {
+	if v := value(); v != 19 {
 		t.Fatalf("after release = %v, want 19", v)
 	}
 	f1.Release() // double release is a no-op
-	if v, _ := reg.Value("recomputes_total"); v != 19 {
+	if v := value(); v != 19 {
 		t.Fatalf("after double release = %v, want 19", v)
 	}
 	f2.Release()
-	if v, _ := reg.Value("recomputes_total"); v != 19 {
+	if v := value(); v != 19 {
 		t.Fatalf("after both released = %v, want 19", v)
 	}
 }
@@ -182,11 +181,11 @@ func TestCounterFuncResidual(t *testing.T) {
 func TestGaugeFuncDropsOnRelease(t *testing.T) {
 	reg := NewRegistry()
 	f := reg.GaugeFunc("resident_bytes", "", func() float64 { return 100 })
-	if v, _ := reg.Value("resident_bytes"); v != 100 {
+	if v := Scalars(reg.Snapshot())["resident_bytes"]; v != 100 {
 		t.Fatalf("= %v, want 100", v)
 	}
 	f.Release()
-	if v, _ := reg.Value("resident_bytes"); v != 0 {
+	if v := Scalars(reg.Snapshot())["resident_bytes"]; v != 0 {
 		t.Fatalf("after release = %v, want 0 (gauges do not accumulate)", v)
 	}
 }

@@ -1,7 +1,8 @@
-// Package peertest provides in-memory implementations of the peer
-// interfaces for unit-testing protocol layers in isolation: a manual
-// virtual clock with schedulable timers and an instant-delivery mesh
-// transport that records every frame.
+// Package peertest provides a manual virtual clock with schedulable
+// timers, for driving a protocol layer that needs only a clock and
+// timers. Tests that exchange frames run their nodes on an emulated
+// network (internal/emunet), whose frame buffers are the ones the
+// simulator reuses.
 package peertest
 
 import (
@@ -125,107 +126,8 @@ func (h *timerHeap) Pop() interface{} {
 	return t
 }
 
-// Frame is one recorded transmission.
-type Frame struct {
-	From, To peer.ID
-	Data     []byte
-}
-
-// Mesh is an in-memory transport hub: every registered endpoint can send to
-// every other, with full recording. Frames queue on Send and are handed to
-// handlers by Drain, so a handler sending in response never re-enters
-// another handler on the same call stack (per-node locks cannot deadlock).
-type Mesh struct {
-	mu       sync.Mutex
-	handlers map[peer.ID]func(from peer.ID, frame []byte)
-	log      []Frame
-	queue    []Frame
-}
-
-// NewMesh returns an empty hub.
-func NewMesh() *Mesh {
-	return &Mesh{
-		handlers: make(map[peer.ID]func(peer.ID, []byte)),
-	}
-}
-
-// Endpoint returns a peer.Transport bound to id, registering its handler.
-// A nil handler records frames without delivering.
-func (m *Mesh) Endpoint(id peer.ID, handler func(from peer.ID, frame []byte)) peer.Transport {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if handler != nil {
-		m.handlers[id] = handler
-	}
-	return &meshTransport{mesh: m, self: id}
-}
-
-// SetHandler binds or replaces the handler for an endpoint.
-func (m *Mesh) SetHandler(id peer.ID, handler func(from peer.ID, frame []byte)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.handlers[id] = handler
-}
-
-// Log returns a copy of all recorded frames.
-func (m *Mesh) Log() []Frame {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Frame(nil), m.log...)
-}
-
-// Reset clears the frame log and any undelivered queued frames.
-func (m *Mesh) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.log = nil
-	m.queue = nil
-}
-
-type meshTransport struct {
-	mesh *Mesh
-	self peer.ID
-}
-
-// Send implements peer.Transport.
-func (t *meshTransport) Send(to peer.ID, frame []byte) {
-	m := t.mesh
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cp := append([]byte(nil), frame...)
-	f := Frame{From: t.self, To: to, Data: cp}
-	m.log = append(m.log, f)
-	m.queue = append(m.queue, f)
-}
-
-// Drain delivers queued frames (including frames enqueued by the handlers
-// it invokes) until the queue is empty. It returns the number of frames
-// delivered.
-func (m *Mesh) Drain() int {
-	n := 0
-	for {
-		m.mu.Lock()
-		if len(m.queue) == 0 {
-			m.mu.Unlock()
-			return n
-		}
-		next := m.queue[0]
-		m.queue = m.queue[1:]
-		h := m.handlers[next.To]
-		m.mu.Unlock()
-		if h != nil {
-			h(next.From, next.Data)
-		}
-		n++
-	}
-}
-
-// Local implements peer.Transport.
-func (t *meshTransport) Local() peer.ID { return t.self }
-
 var (
-	_ peer.Clock     = (*Sim)(nil)
-	_ peer.Timers    = (*Sim)(nil)
-	_ peer.Arming    = (*Sim)(nil)
-	_ peer.Transport = (*meshTransport)(nil)
+	_ peer.Clock  = (*Sim)(nil)
+	_ peer.Timers = (*Sim)(nil)
+	_ peer.Arming = (*Sim)(nil)
 )

@@ -3,8 +3,6 @@ package peertest
 import (
 	"testing"
 	"time"
-
-	"emcast/internal/peer"
 )
 
 func TestSimTimerOrdering(t *testing.T) {
@@ -83,76 +81,5 @@ func TestSimTimerRescheduleDuringFire(t *testing.T) {
 	s.Advance(time.Second)
 	if count != 5 {
 		t.Fatalf("count = %d, want 5", count)
-	}
-}
-
-func TestMeshRecordsAndDelivers(t *testing.T) {
-	m := NewMesh()
-	var got []Frame
-	m.Endpoint(1, func(from peer.ID, frame []byte) {
-		got = append(got, Frame{From: from, Data: frame})
-	})
-	tr := m.Endpoint(2, nil)
-	if tr.Local() != 2 {
-		t.Fatal("Local wrong")
-	}
-	tr.Send(1, []byte("hi"))
-	if len(got) != 0 {
-		t.Fatal("delivered before Drain")
-	}
-	if n := m.Drain(); n != 1 {
-		t.Fatalf("Drain = %d", n)
-	}
-	if len(got) != 1 || got[0].From != 2 || string(got[0].Data) != "hi" {
-		t.Fatalf("got = %+v", got)
-	}
-	if len(m.Log()) != 1 {
-		t.Fatal("log missing frame")
-	}
-}
-
-func TestMeshDrainHandlesChains(t *testing.T) {
-	m := NewMesh()
-	var t1, t2 peer.Transport
-	m.Endpoint(1, func(from peer.ID, frame []byte) {
-		if len(frame) < 3 {
-			t1.Send(2, append(frame, 1))
-		}
-	})
-	m.Endpoint(2, func(from peer.ID, frame []byte) {
-		if len(frame) < 3 {
-			t2.Send(1, append(frame, 2))
-		}
-	})
-	t1 = m.Endpoint(1, nil)
-	t2 = m.Endpoint(2, nil)
-	t1.Send(2, []byte{0})
-	n := m.Drain()
-	if n != 3 {
-		t.Fatalf("Drain delivered %d frames, want 3 (chain)", n)
-	}
-}
-
-func TestMeshSendCopiesFrame(t *testing.T) {
-	m := NewMesh()
-	var got []byte
-	m.Endpoint(1, func(from peer.ID, frame []byte) { got = frame })
-	tr := m.Endpoint(2, nil)
-	buf := []byte("abc")
-	tr.Send(1, buf)
-	buf[0] = 'Z'
-	m.Drain()
-	if string(got) != "abc" {
-		t.Fatalf("frame mutated: %q", got)
-	}
-}
-
-func TestMeshReset(t *testing.T) {
-	m := NewMesh()
-	tr := m.Endpoint(1, nil)
-	tr.Send(2, []byte("x"))
-	m.Reset()
-	if len(m.Log()) != 0 || m.Drain() != 0 {
-		t.Fatal("Reset did not clear state")
 	}
 }

@@ -70,12 +70,12 @@ func TestTreeReportPopulatesObs(t *testing.T) {
 	if tr == nil || tr.Sampled == 0 {
 		t.Fatalf("tree report = %+v, want sampled trees", tr)
 	}
-	if v, ok := reg.Value("disstrace_sampled_trees_total"); !ok || v != float64(tr.Sampled) {
+	values := obs.Scalars(reg.Snapshot())
+	if v, ok := values["disstrace_sampled_trees_total"]; !ok || v != float64(tr.Sampled) {
 		t.Fatalf("disstrace_sampled_trees_total = %v (ok=%v), want %d", v, ok, tr.Sampled)
 	}
-	// Value on a histogram reports its observation count: every sampled
-	// tree contributes one depth observation.
-	if v, ok := reg.Value("disstrace_tree_depth"); !ok || v != float64(tr.Sampled) {
+	// Every sampled tree contributes one depth observation.
+	if v, ok := values["disstrace_tree_depth_count"]; !ok || v != float64(tr.Sampled) {
 		t.Fatalf("disstrace_tree_depth count = %v (ok=%v), want %d", v, ok, tr.Sampled)
 	}
 }

@@ -229,7 +229,14 @@ func TestPartitionHalvesThenHeals(t *testing.T) {
 			Network: []NetEvent{{Kind: NetHeal}},
 		},
 	)
-	rep := run(t, spec)
+	eng, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	pre, mid, post := rep.Phases[0].Metrics, rep.Phases[1].Metrics, rep.Phases[2].Metrics
 	if pre.DeliveryRate < 0.999 {
 		t.Fatalf("pre-partition delivery %.3f", pre.DeliveryRate)
@@ -240,8 +247,23 @@ func TestPartitionHalvesThenHeals(t *testing.T) {
 	if post.DeliveryRate < 0.999 {
 		t.Fatalf("healed delivery %.3f, want ~1", post.DeliveryRate)
 	}
-	if mid.AtomicRate > 0.05 {
-		t.Fatalf("atomic rate %.3f during partition", mid.AtomicRate)
+	// A message multicast in the last moments of the partition may still
+	// reach both sides once it heals (lazy requests retry across the
+	// heal); one sent more than a second before it must stay on its side.
+	cutMS, healMS := rep.Phases[1].StartMS, rep.Phases[2].StartMS
+	judged := 0
+	for _, m := range eng.Runner().MessageStats() {
+		sentMS := float64(m.SentAt) / float64(time.Millisecond)
+		if sentMS < cutMS || sentMS >= healMS-1000 {
+			continue
+		}
+		judged++
+		if m.Deliveries >= spec.Nodes {
+			t.Fatalf("message sent at %.0f ms, partitioned from %.0f to %.0f ms, reached all %d nodes", sentMS, cutMS, healMS, spec.Nodes)
+		}
+	}
+	if judged == 0 {
+		t.Fatal("no message was multicast during the partition")
 	}
 }
 

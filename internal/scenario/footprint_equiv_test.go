@@ -44,9 +44,10 @@ func TestReportByteIdenticalWithFootprints(t *testing.T) {
 
 	// Hot-loop breakdown: the class counters must account for every
 	// event, exactly.
-	total, _ := reg.Value("sim_events_total")
-	deliver, _ := reg.Value("sim_events_class_total", obs.Label{Key: "class", Value: "deliver"})
-	timer, _ := reg.Value("sim_events_class_total", obs.Label{Key: "class", Value: "timer"})
+	values := obs.Scalars(reg.Snapshot())
+	total := values["sim_events_total"]
+	deliver := values[`sim_events_class_total{class="deliver"}`]
+	timer := values[`sim_events_class_total{class="timer"}`]
 	if total <= 0 {
 		t.Fatalf("sim_events_total = %v, want > 0", total)
 	}
@@ -57,7 +58,7 @@ func TestReportByteIdenticalWithFootprints(t *testing.T) {
 	// Memory attribution: the boundary walk published per-subsystem
 	// gauges for every state owner.
 	for _, sub := range []string{"membership", "gossip", "lazy", "core", "emunet", "trace", "topology"} {
-		if v, ok := reg.Value("sim_footprint_bytes", obs.Label{Key: "subsystem", Value: sub}); !ok || v <= 0 {
+		if v, ok := values[`sim_footprint_bytes{subsystem="`+sub+`"}`]; !ok || v <= 0 {
 			t.Errorf("sim_footprint_bytes{subsystem=%q} = %v (ok=%v), want > 0", sub, v, ok)
 		}
 	}

@@ -66,6 +66,7 @@ func TestReportByteIdenticalWithObs(t *testing.T) {
 
 	// And the plane actually observed the run: the instruments registered
 	// by every layer carry non-zero values.
+	values := obs.Scalars(reg.Snapshot())
 	for _, name := range []string{
 		"sim_events_total",
 		"sim_frames_sent_total",
@@ -74,7 +75,7 @@ func TestReportByteIdenticalWithObs(t *testing.T) {
 		"sim_deliveries_total",
 		"sim_bytes_delivered_total",
 	} {
-		if v, ok := reg.Value(name); !ok || v <= 0 {
+		if v, ok := values[name]; !ok || v <= 0 {
 			t.Errorf("%s = %v (ok=%v), want > 0", name, v, ok)
 		}
 	}

@@ -4,10 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"emcast/internal/emunet"
 	"emcast/internal/ids"
 	"emcast/internal/lazy"
 	"emcast/internal/peer"
-	"emcast/internal/peertest"
 	"emcast/internal/strategy"
 	"emcast/internal/trace"
 )
@@ -76,9 +76,9 @@ func TestRetainedBytesPerNode(t *testing.T) {
 	// the oldest id's hold went with its eviction, so the store keeps the
 	// other two alone, and an IWANT for the oldest is a miss.
 	t.Run("evicted", func(t *testing.T) {
-		clock := peertest.NewSim()
+		net := emunet.New(5, func(int, int) time.Duration { return 0 }, emunet.Config{})
 		tracer := trace.NewStreaming()
-		env := &peer.Env{Transport: peertest.NewMesh().Endpoint(1, nil), Clock: clock, Timers: clock}
+		env := &peer.Env{Transport: netTransport{net: net, self: 1}, Clock: net, Timers: net}
 		mod := lazy.New(lazy.Config{CacheCapacity: 2}, env, &strategy.Flat{P: 0}, tracer)
 		store := &lazy.Payloads{}
 		mod.SetPayloads(store)
@@ -105,3 +105,15 @@ func TestRetainedBytesPerNode(t *testing.T) {
 		}
 	})
 }
+
+// netTransport sends node self's frames on an emulated network.
+type netTransport struct {
+	net  *emunet.Network
+	self peer.ID
+}
+
+// Send implements peer.Transport.
+func (t netTransport) Send(to peer.ID, frame []byte) { t.net.Send(int(t.self), int(to), frame) }
+
+// Local implements peer.Transport.
+func (t netTransport) Local() peer.ID { return t.self }

@@ -159,16 +159,7 @@ func New(cfg Config) *Runner {
 
 	net := emunet.New(total, func(from, to int) time.Duration {
 		return matrix.Latency(from, to)
-	}, emunet.Config{
-		Loss: cfg.Loss,
-		Seed: cfg.Seed ^ 0x5ca1ab1e,
-		// Protocol handlers never retain raw frames (core.Node decodes
-		// into per-node scratch, and whatever keeps a payload past the
-		// frame, the lazy layer's cache or the OnDeliver wrapper, copies
-		// it through the run's store), so the runner opts into the frame
-		// arena.
-		PooledFrames: true,
-	})
+	}, emunet.Config{Loss: cfg.Loss, Seed: cfg.Seed ^ 0x5ca1ab1e})
 	if cfg.Faults != nil {
 		net.SetFaults(cfg.Faults)
 	}

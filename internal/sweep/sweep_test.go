@@ -409,17 +409,18 @@ func TestMatrixByteIdenticalWithObs(t *testing.T) {
 	if !bytes.Equal(plain, observed) {
 		t.Fatal("sweep matrix changed with obs attached")
 	}
-	if v, _ := reg.Value("sweep_cells_done_total"); v != 4 {
+	values := obs.Scalars(reg.Snapshot())
+	if v := values["sweep_cells_done_total"]; v != 4 {
 		t.Fatalf("sweep_cells_done_total = %v, want 4", v)
 	}
-	if v, _ := reg.Value("sweep_workers_busy"); v != 0 {
-		t.Fatalf("sweep_workers_busy = %v after run, want 0", v)
+	if v, ok := values["sweep_workers_busy"]; !ok || v != 0 {
+		t.Fatalf("sweep_workers_busy = %v (ok=%v) after run, want 0", v, ok)
 	}
 	// All four cells' simulations aggregated into the shared counters.
-	if v, _ := reg.Value("sim_events_total"); v <= 0 {
+	if v := values["sim_events_total"]; v <= 0 {
 		t.Fatalf("sim_events_total = %v, want > 0", v)
 	}
-	if v, ok := reg.Value("sweep_cell_seconds"); !ok || v != 4 {
+	if v, ok := values["sweep_cell_seconds_count"]; !ok || v != 4 {
 		t.Fatalf("sweep_cell_seconds count = %v (ok=%v), want 4 observations", v, ok)
 	}
 }

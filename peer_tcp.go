@@ -266,14 +266,6 @@ func (p *Peer) Join(contact NodeID) {
 	p.node.Join(contact)
 }
 
-// Frames returns the transport's cumulative frame counters: frames
-// written to sockets, and frames lost before transmission (purged from a
-// full send queue, dropped by the link filter, or addressed to an unknown
-// peer).
-func (p *Peer) Frames() (sent, lost uint64) {
-	return p.transport.Counters()
-}
-
 // TransportStats returns the full transport view: frame counters with the
 // per-reason loss breakdown, wire bytes in each direction, self-healing
 // activity (reconnects, reaps, departures) and the instantaneous
@@ -281,12 +273,6 @@ func (p *Peer) Frames() (sent, lost uint64) {
 // metrics scrape can watch a live fleet.
 func (p *Peer) TransportStats() neem.Stats {
 	return p.transport.Stats()
-}
-
-// TransportHealth returns the state (up / backoff / suspect) of every
-// outbound connection, keyed by peer.
-func (p *Peer) TransportHealth() map[NodeID]neem.ConnState {
-	return p.transport.Health()
 }
 
 // Stall freezes this peer's transport loops for d — the live realisation

@@ -37,10 +37,10 @@ func TestConfigSurface(t *testing.T) {
 		{"sweep.Spec", sweep.Spec{}, 12},
 		{"emcast.ClusterConfig", ClusterConfig{}, 11},
 		{"emcast.PeerConfig", PeerConfig{}, 18},
-		{"neem.Config", neem.Config{}, 14},
+		{"neem.Config", neem.Config{}, 13},
 		{"emunet.Config", emunet.Config{}, 3},
 		{"core.Config", core.Config{}, 5},
-		{"lazy.Config", lazy.Config{}, 4},
+		{"lazy.Config", lazy.Config{}, 3},
 	} {
 		n := exportedFields(reflect.TypeOf(c.cfg))
 		t.Logf("exported fields: %s %d", c.name, n)
@@ -77,7 +77,7 @@ var exportedDecl = regexp.MustCompile(`^(func (\([^)]*\) )?[A-Z]|type [A-Z])`)
 // grows the surface has to raise the number in the same diff; one that
 // shrinks it lowers it.
 func TestExportedSurface(t *testing.T) {
-	const want = 654
+	const want = 639
 	n := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
