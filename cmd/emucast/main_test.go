@@ -8,49 +8,67 @@ import (
 
 func TestRunT1(t *testing.T) {
 	var out, errOut bytes.Buffer
-	err := run([]string{"-nodes", "20", "-scale", "8", "t1"}, &out, &errOut)
+	err := run([]string{"reproduce", "-nodes", "20", "-scale", "8", "t1-mean-latency"}, &out, &errOut)
 	if err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, errOut.String())
 	}
-	if !strings.Contains(out.String(), "T1") || !strings.Contains(out.String(), "mean hop distance") {
-		t.Fatalf("unexpected output:\n%s", out.String())
+	for _, want := range []string{"1 of 1 claims hold", "## `t1-mean-latency` · §5.1 · holds", "paper 49.83"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output lacks %q:\n%s", want, out.String())
+		}
 	}
 }
 
 func TestRunCSV(t *testing.T) {
 	var out, errOut bytes.Buffer
-	err := run([]string{"-nodes", "20", "-messages", "10", "-scale", "8", "-csv", "s1"}, &out, &errOut)
+	err := run([]string{"reproduce", "-nodes", "20", "-messages", "10", "-scale", "8", "-csv", "s1-deliveries"}, &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(out.String(), "figure,series,") {
-		t.Fatalf("csv output missing header:\n%s", out.String())
+	if !strings.HasPrefix(out.String(), "claim,verdict,metric,run,") || !strings.Contains(out.String(), "\ns1-deliveries,holds,") {
+		t.Fatalf("csv output:\n%s", out.String())
+	}
+}
+
+// TestReproduceFailsOnFailedClaim: a claim that fails is printed with its
+// verdict and makes the command fail. At 20 nodes on an eighth of the
+// routers the network has a tenth of the paper's routers.
+func TestReproduceFailsOnFailedClaim(t *testing.T) {
+	var out, errOut bytes.Buffer
+	err := run([]string{"reproduce", "-nodes", "20", "-scale", "8", "t1-network-nodes"}, &out, &errOut)
+	if err == nil || !strings.Contains(out.String(), "· fails") {
+		t.Fatalf("err %v, output:\n%s", err, out.String())
 	}
 }
 
 func TestRunMapIsCSV(t *testing.T) {
 	var out, errOut bytes.Buffer
-	err := run([]string{"-nodes", "15", "-messages", "10", "-scale", "8", "map"}, &out, &errOut)
+	err := run([]string{"map", "-nodes", "15", "-messages", "10", "-scale", "8"}, &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(out.String(), "strategy,nodeA,nodeB,") {
 		t.Fatalf("map output missing header:\n%s", out.String())
 	}
+	for _, s := range []string{"\neager,", "\nranked,", "\nradius,"} {
+		if !strings.Contains(out.String(), s) {
+			t.Fatalf("map output lacks %q rows", s)
+		}
+	}
 }
 
 func TestRunErrors(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if err := run([]string{"bogus"}, &out, &errOut); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-	if err := run(nil, &out, &errOut); err == nil {
-		t.Error("missing experiment accepted")
-	}
-	if err := run([]string{"t1", "extra"}, &out, &errOut); err == nil {
-		t.Error("extra args accepted")
-	}
-	if err := run([]string{"-bogusflag", "t1"}, &out, &errOut); err == nil {
-		t.Error("bad flag accepted")
+	for _, args := range [][]string{
+		{"bogus"},
+		nil,
+		{"t1"},
+		{"reproduce", "no-such-claim"},
+		{"reproduce", "-bogusflag"},
+		{"map", "extra"},
+	} {
+		if err := run(args, &out, &errOut); err == nil {
+			t.Errorf("%q accepted", args)
+		}
 	}
 }

@@ -22,8 +22,9 @@
 //   - Peer runs one protocol node over real TCP (see Listen/Peer.Join),
 //     usable across actual machines.
 //
-// The internal/experiment package and the emucast command reproduce every
-// table and figure of the paper's evaluation; see EXPERIMENTS.md.
+// `emucast reproduce` judges the paper's evaluation, every table and
+// figure written once as a claim in cmd/emucast/claims.json, and prints
+// REPRODUCTION.md; see EXPERIMENTS.md "Claims".
 package emcast
 
 import (

@@ -6,8 +6,8 @@ import (
 	"math"
 	"strings"
 
-	"emcast/internal/experiment"
 	"emcast/internal/scenario"
+	"emcast/internal/sweep"
 )
 
 // Tolerance bounds the acceptable live-vs-sim deviation of one metric: a
@@ -17,14 +17,14 @@ type Tolerance struct {
 	Rel float64 `json:"rel"`
 }
 
-// DefaultTolerances covers the metrics where the simulator's prediction
+// defaultTolerances covers the metrics where the simulator's prediction
 // is expected to transfer to real sockets: protocol-structural quantities
 // (what fraction of nodes a message reaches, whether dissemination
 // recovers, how many payload copies the strategy spends). Latency
 // metrics are deliberately absent — the simulator models a transit-stub
 // WAN while the live fleet runs on loopback, so latency is reported
 // informationally, never checked.
-func DefaultTolerances() map[string]Tolerance {
+func defaultTolerances() map[string]Tolerance {
 	return map[string]Tolerance{
 		"delivery_rate":   {Abs: 0.05},
 		"atomic_rate":     {Abs: 0.20},
@@ -113,11 +113,11 @@ func diffValues(m *scenario.Metrics) map[string]float64 {
 
 // Compare diffs a live report against a simulator report for the same
 // spec, metric by metric with the given tolerances (nil means
-// DefaultTolerances). Metrics without a tolerance entry are reported but
+// defaultTolerances). Metrics without a tolerance entry are reported but
 // never gate OK.
 func Compare(simRep, liveRep *scenario.Report, tol map[string]Tolerance) *Diff {
 	if tol == nil {
-		tol = DefaultTolerances()
+		tol = defaultTolerances()
 	}
 	d := &Diff{
 		Scenario:   liveRep.Scenario,
@@ -178,7 +178,7 @@ func (d *Diff) String() string {
 		d.Scenario, d.Strategy, d.Nodes, verdict)
 	sections := append([]SectionDiff{d.Overall}, d.Phases...)
 	for _, sec := range sections {
-		t := &experiment.Table{
+		t := &sweep.Table{
 			Title:  sec.Name,
 			Header: []string{"metric", "sim", "live", "delta", "check"},
 		}

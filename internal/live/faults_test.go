@@ -98,7 +98,7 @@ func playFaultSpec(t *testing.T) *faultRun {
 // deliver.
 func TestLiveFaultEventsPlay(t *testing.T) {
 	spec := faultSpec()
-	if err := Supported(&spec); err != nil {
+	if err := supported(&spec); err != nil {
 		t.Fatalf("fault events rejected by Supported: %v", err)
 	}
 	r := playFaultSpec(t)

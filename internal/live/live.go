@@ -84,13 +84,13 @@ func (o *Options) fill(spec *scenario.Spec) {
 	}
 }
 
-// Supported reports whether the spec can be played on real TCP peers,
+// supported reports whether the spec can be played on real TCP peers,
 // with a descriptive error naming the first unsupported feature: a
 // strategy or knob that exists only in the simulator's model (radius and
 // hybrid's radius, which a Spec places on a quantile of the latency
 // oracle; loss and noise injection), or an event only an emulator
 // substrate can play (scenario.Spec.EmulatorOnly).
-func Supported(spec *scenario.Spec) error {
+func supported(spec *scenario.Spec) error {
 	if spec.Strategy == "radius" || spec.Strategy == "hybrid" {
 		return fmt.Errorf("live: strategy %q needs a radius in milliseconds, and a Spec gives radius_quantile, a quantile of the emulator's latency oracle", spec.Strategy)
 	}
@@ -126,7 +126,7 @@ func New(spec scenario.Spec, opts Options) (*Harness, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
-	if err := Supported(&spec); err != nil {
+	if err := supported(&spec); err != nil {
 		return nil, err
 	}
 	opts.fill(&spec)

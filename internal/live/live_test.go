@@ -254,7 +254,7 @@ func TestLivePartitionHeal(t *testing.T) {
 
 func TestSupported(t *testing.T) {
 	base := noLossSpec()
-	if err := Supported(&base); err != nil {
+	if err := supported(&base); err != nil {
 		t.Fatalf("no-loss spec rejected: %v", err)
 	}
 	cases := []struct {
@@ -279,7 +279,7 @@ func TestSupported(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := noLossSpec()
 			tc.mutate(&spec)
-			if err := Supported(&spec); err == nil {
+			if err := supported(&spec); err == nil {
 				t.Fatalf("%s accepted for live playback", tc.name)
 			}
 			if _, err := New(spec, Options{}); err == nil {
@@ -299,7 +299,7 @@ func TestSpecEmulatorOnlyKeys(t *testing.T) {
 	} {
 		spec := noLossSpec()
 		set(&spec)
-		if err := Supported(&spec); err == nil || !strings.Contains(err.Error(), key) {
+		if err := supported(&spec); err == nil || !strings.Contains(err.Error(), key) {
 			t.Errorf("%s: Supported = %v, want a refusal naming the key", key, err)
 		}
 	}

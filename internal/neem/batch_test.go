@@ -175,7 +175,7 @@ func TestBatchedTransportSemantics(t *testing.T) {
 				a.Send(2, numbered(i))
 			}
 			waitFor(t, 5*time.Second, "the batch to fail", func() bool { return a.Stats().LostWrite > 0 })
-			waitFor(t, 5*time.Second, "backoff", func() bool { return a.Health()[2] == StateBackoff })
+			waitFor(t, 5*time.Second, "backoff", func() bool { return a.health()[2] == stateBackoff })
 			if s := a.Stats(); s.LostWrite != 5 || s.FramesSent != 1 || s.FramesLost != lostSum(s) {
 				t.Fatalf("after the failed batch: %+v, want all 5 frames lost to the write", s)
 			}

@@ -65,35 +65,35 @@ const departureSentinel = 0xFFFFFFFF
 // who owns the bytes at each stage).
 type Handler func(from peer.ID, frame []byte)
 
-// ConnState is an outbound connection's health.
-type ConnState int32
+// connState is an outbound connection's health.
+type connState int32
 
 const (
-	// StateDialing: the first connection attempt is in flight.
-	StateDialing ConnState = iota
-	// StateUp: the connection is established and writable.
-	StateUp
-	// StateBackoff: the last attempt failed; the next dial is scheduled
+	// stateDialing: the first connection attempt is in flight.
+	stateDialing connState = iota
+	// stateUp: the connection is established and writable.
+	stateUp
+	// stateBackoff: the last attempt failed; the next dial is scheduled
 	// with jittered exponential backoff.
-	StateBackoff
-	// StateSuspect: the dial budget is exhausted; the connection absorbs
+	stateBackoff
+	// stateSuspect: the dial budget is exhausted; the connection absorbs
 	// (and loses) frames through a cooldown, then is forgotten.
-	StateSuspect
+	stateSuspect
 )
 
 // String returns the state's label.
-func (s ConnState) String() string {
+func (s connState) String() string {
 	switch s {
-	case StateDialing:
+	case stateDialing:
 		return "dialing"
-	case StateUp:
+	case stateUp:
 		return "up"
-	case StateBackoff:
+	case stateBackoff:
 		return "backoff"
-	case StateSuspect:
+	case stateSuspect:
 		return "suspect"
 	}
-	return fmt.Sprintf("ConnState(%d)", int32(s))
+	return fmt.Sprintf("connState(%d)", int32(s))
 }
 
 // LostReason classifies why a frame was lost before (or instead of)
@@ -299,7 +299,7 @@ type conn struct {
 	spare, iov net.Buffers
 }
 
-func (c *conn) setState(s ConnState) { c.state.Store(int32(s)) }
+func (c *conn) setState(s connState) { c.state.Store(int32(s)) }
 
 // Listen starts a transport: it binds the listen address and serves inbound
 // connections. The handler may be nil initially and set with SetHandler
@@ -548,13 +548,13 @@ func (t *Transport) Stats() Stats {
 	return s
 }
 
-// Health returns the state of every outbound connection, keyed by peer.
-func (t *Transport) Health() map[peer.ID]ConnState {
+// health returns the state of every outbound connection, keyed by peer.
+func (t *Transport) health() map[peer.ID]connState {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[peer.ID]ConnState, len(t.conns))
+	out := make(map[peer.ID]connState, len(t.conns))
 	for id, c := range t.conns {
-		out[id] = ConnState(c.state.Load())
+		out[id] = connState(c.state.Load())
 	}
 	return out
 }
@@ -792,7 +792,7 @@ func (t *Transport) writeLoop(c *conn) {
 			t.reconnects.Add(1)
 		}
 		c.wasUp = true
-		c.setState(StateUp)
+		c.setState(stateUp)
 		err := t.serveConn(c, nc)
 		nc.Close()
 		if errors.Is(err, errTransportDown) {
@@ -815,13 +815,13 @@ func (t *Transport) dialWithBackoff(c *conn, consecutive *int) net.Conn {
 			return nil
 		}
 		if *consecutive > 0 {
-			c.setState(StateBackoff)
+			c.setState(stateBackoff)
 			if !t.backoffSleep(c, *consecutive) {
 				t.discard(c, true)
 				return nil
 			}
 		} else {
-			c.setState(StateDialing)
+			c.setState(stateDialing)
 		}
 		// The global dial slot bounds reconnect storms fleet-wide.
 		select {
@@ -972,7 +972,7 @@ func (t *Transport) flushAndDepart(c *conn, nc net.Conn) {
 // one dial budget per cooldown window, not one per frame — then the entry
 // is forgotten so a later Send starts a fresh dial cycle.
 func (t *Transport) reap(c *conn) {
-	c.setState(StateSuspect)
+	c.setState(stateSuspect)
 	t.reaped.Add(1)
 	tm := time.NewTimer(t.cfg.DialBackoffMax)
 	defer tm.Stop()

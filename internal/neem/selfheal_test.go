@@ -225,7 +225,7 @@ func TestSuspectReapAndRecovery(t *testing.T) {
 
 	a.Send(2, []byte("doomed"))
 	waitFor(t, 10*time.Second, "peer to be reaped", func() bool {
-		return a.Stats().Reaped > 0 && len(a.Health()) == 0
+		return a.Stats().Reaped > 0 && len(a.health()) == 0
 	})
 	if s := a.Stats(); s.LostReap == 0 {
 		t.Fatalf("reaped without accounting the queued frame: %+v", s)
@@ -245,7 +245,7 @@ func TestSuspectReapAndRecovery(t *testing.T) {
 	if string(frames[0].data) != "revived" {
 		t.Fatalf("got %q after revival", frames[0].data)
 	}
-	if st := a.Health()[2]; st != StateUp {
+	if st := a.health()[2]; st != stateUp {
 		t.Fatalf("revived conn state = %v, want up", st)
 	}
 }
@@ -268,7 +268,7 @@ func TestHealthStates(t *testing.T) {
 	defer a.Close()
 	a.Send(2, []byte("x"))
 	waitFor(t, 5*time.Second, "backoff state", func() bool {
-		return a.Health()[2] == StateBackoff
+		return a.health()[2] == stateBackoff
 	})
 }
 
@@ -358,7 +358,7 @@ func TestStallFreezesAndResumes(t *testing.T) {
 		t.Fatalf("got %q after stall", frames[1].data)
 	}
 	// The connection survived the stall.
-	if st := a.Health()[2]; st != StateUp {
+	if st := a.health()[2]; st != stateUp {
 		t.Fatalf("conn state after stall = %v, want up", st)
 	}
 }

@@ -42,26 +42,26 @@ func (w *Welford) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
-// tCrit95 holds two-sided 95% Student's t critical values by degrees of
+// tTable95 holds two-sided 95% Student's t critical values by degrees of
 // freedom (1-based index; index 0 unused). Beyond the table the normal
 // approximation is accurate to well under 2%.
-var tCrit95 = [...]float64{0,
+var tTable95 = [...]float64{0,
 	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
 	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
 	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
 }
 
-// TCrit95 returns the two-sided 95% Student's t critical value for the
+// tCrit95 returns the two-sided 95% Student's t critical value for the
 // given degrees of freedom — the correct interval multiplier at the
 // small sample counts sweep replicates have (at df=1 the z value 1.96
 // understates the half-width 6.5×). Non-positive df returns +Inf (no
 // interval can be claimed from one sample).
-func TCrit95(df int) float64 {
+func tCrit95(df int) float64 {
 	switch {
 	case df <= 0:
 		return math.Inf(1)
-	case df < len(tCrit95):
-		return tCrit95[df]
+	case df < len(tTable95):
+		return tTable95[df]
 	default:
 		return 1.96
 	}
@@ -75,7 +75,7 @@ func (w *Welford) CI95T() float64 {
 	if w.n < 2 {
 		return math.Inf(1)
 	}
-	return TCrit95(w.n-1) * w.StdDev() / math.Sqrt(float64(w.n))
+	return tCrit95(w.n-1) * w.StdDev() / math.Sqrt(float64(w.n))
 }
 
 // Interval describes a mean with its 95% confidence half-width.

@@ -216,12 +216,12 @@ func TestTCrit95(t *testing.T) {
 		{1, 12.706}, {2, 4.303}, {4, 2.776}, {30, 2.042}, {31, 1.96}, {1000, 1.96},
 	}
 	for _, c := range cases {
-		if got := TCrit95(c.df); got != c.want {
-			t.Errorf("TCrit95(%d) = %v, want %v", c.df, got, c.want)
+		if got := tCrit95(c.df); got != c.want {
+			t.Errorf("tCrit95(%d) = %v, want %v", c.df, got, c.want)
 		}
 	}
-	if !math.IsInf(TCrit95(0), 1) {
-		t.Error("TCrit95(0) finite — one sample must not claim an interval")
+	if !math.IsInf(tCrit95(0), 1) {
+		t.Error("tCrit95(0) finite — one sample must not claim an interval")
 	}
 }
 

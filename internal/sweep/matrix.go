@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"emcast/internal/experiment"
 	"emcast/internal/scenario"
 	"emcast/internal/stats"
 )
@@ -31,8 +30,9 @@ type Agg struct {
 	CI95 float64 `json:"ci95"`
 }
 
-// aggregate reduces samples to an Agg.
-func aggregateSamples(samples []float64) Agg {
+// Aggregate reduces samples to an Agg: the replicate statistics of one
+// matrix row, and of one run of a paper claim over its seeds.
+func Aggregate(samples []float64) Agg {
 	var w stats.Welford
 	a := Agg{N: len(samples)}
 	for i, x := range samples {
@@ -169,7 +169,7 @@ func (s *Spec) aggregate(cells []cell, reports []*scenario.Report) *Matrix {
 					samples = append(samples, v)
 				}
 			}
-			row.Metrics[key] = aggregateSamples(samples)
+			row.Metrics[key] = Aggregate(samples)
 		}
 		m.Rows = append(m.Rows, row)
 	}
@@ -312,7 +312,7 @@ func (m *Matrix) CSV() string {
 		for _, key := range sortedKeys(r.Metrics) {
 			a := r.Metrics[key]
 			fmt.Fprintf(&b, "%s,%d,%s,%s,%d,%g,%g,%g,%g,%g\n",
-				experiment.CSVEscape(r.Scenario), r.Nodes, r.Strategy, key,
+				CSVEscape(r.Scenario), r.Nodes, r.Strategy, key,
 				a.N, a.Mean, a.StdDev, a.CI95, a.Min, a.Max)
 		}
 	}
@@ -362,8 +362,8 @@ func fmtAgg(key string, a Agg) string {
 // Tables renders one comparison table per (scenario, nodes) group:
 // strategies as rows, headline metrics as columns, the per-metric winner
 // starred.
-func (m *Matrix) Tables() []*experiment.Table {
-	var out []*experiment.Table
+func (m *Matrix) Tables() []*Table {
+	var out []*Table
 	for _, group := range m.rowGroups() {
 		if len(group) == 0 {
 			continue
@@ -371,7 +371,7 @@ func (m *Matrix) Tables() []*experiment.Table {
 		title := fmt.Sprintf("%s · %d nodes · %d replicates (seeds %d..%d)",
 			group[0].Scenario, group[0].Nodes, m.Replicates,
 			m.BaseSeed, m.BaseSeed+int64(m.Replicates-1))
-		t := &experiment.Table{Title: title, Header: []string{"strategy"}}
+		t := &Table{Title: title, Header: []string{"strategy"}}
 		for _, col := range tableColumns {
 			present := false
 			for _, r := range group {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"emcast/internal/disstrace"
 	"emcast/internal/obs"
 	"emcast/internal/scenario"
 )
@@ -28,15 +27,7 @@ func (s *Spec) Run() (*Matrix, error) {
 	}
 	cells := s.cells()
 	reports := make([]*scenario.Report, len(cells))
-	errs := make([]error, len(cells))
-
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
+	workers := poolSize(s.Workers, len(cells))
 
 	// Worker-pool instruments (all nil-safe when s.Obs is nil). The busy
 	// gauge against the worker count is pool utilization; the histogram
@@ -49,9 +40,100 @@ func (s *Spec) Run() (*Matrix, error) {
 	cellSeconds := s.Obs.Histogram("sweep_cell_seconds", "per-cell wall-clock run time", obs.DefaultDurationBuckets)
 
 	var (
+		mu   sync.Mutex
+		done int
+	)
+	err := pool(len(cells), workers, func(i int) error {
+		c := &cells[i]
+		started.Inc()
+		busy.Add(1)
+		begin := time.Now()
+		spec := c.spec
+		spec.Obs = s.Obs
+		rep, eng, err := runCell(spec)
+		var fps []obs.Footprint
+		if err == nil && (s.Obs != nil || s.EventLog != nil) {
+			fps = eng.Runner().Footprints()
+			obs.PublishFootprints(s.Obs, "sim", fps)
+		}
+		dur := time.Since(begin)
+		busy.Add(-1)
+		cellSeconds.Observe(dur.Seconds())
+		cd := CellDone{
+			Total:    len(cells),
+			Scenario: c.scenario, Strategy: c.strategy,
+			Nodes: c.nodes, Seed: c.seed,
+			Duration:   dur,
+			Failed:     err != nil,
+			Footprints: fps,
+		}
+		if err != nil {
+			cellFailed.Inc()
+			err = fmt.Errorf("sweep: cell %s/%s seed %d: %v", c.scenario, c.strategy, c.seed, err)
+		} else {
+			finished.Inc()
+			reports[i] = rep
+			cd.Events, cd.Trees = eng.Runner().Events(), eng.TreeReport()
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		cd.Done = done
+		cellEvent := map[string]interface{}{
+			"done": cd.Done, "total": cd.Total,
+			"scenario": cd.Scenario, "strategy": cd.Strategy,
+			"nodes": cd.Nodes, "seed": cd.Seed,
+			"duration_ms": float64(cd.Duration) / float64(time.Millisecond),
+			"sim_events":  cd.Events,
+			"failed":      cd.Failed,
+		}
+		if cd.Footprints != nil {
+			cellEvent["footprint_bytes"] = obs.FootprintBytesMap(cd.Footprints)
+		}
+		s.EventLog.Event("cell_complete", cellEvent)
+		if s.OnCell != nil {
+			s.OnCell(cd)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s.aggregate(cells, reports), nil
+}
+
+// Play runs specs on the sweep's worker pool (workers 0 = GOMAXPROCS)
+// and hands each finished run's report and engine to keep, from the
+// worker goroutine, while the engine's simulation is still alive: what a
+// Report does not carry (the oracle's payload split, link loads) is read
+// there. keep is called concurrently for distinct indices. A failing run
+// stops the pool as it stops a sweep.
+func Play(specs []scenario.Spec, workers int, keep func(i int, rep *scenario.Report, eng *scenario.Engine)) error {
+	return pool(len(specs), poolSize(workers, len(specs)), func(i int) error {
+		rep, eng, err := runCell(specs[i])
+		if err != nil {
+			return fmt.Errorf("sweep: run %d (%s, seed %d): %v", i, specs[i].Strategy, specs[i].Seed, err)
+		}
+		keep(i, rep, eng)
+		return nil
+	})
+}
+
+// poolSize caps the worker count (0 = GOMAXPROCS) at the job count.
+func poolSize(workers, jobs int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, jobs)
+}
+
+// pool runs job(i) for every i in [0, n) on workers goroutines. A failing
+// job stops the pool: in-flight jobs finish, queued ones are skipped, and
+// the error with the lowest index among the jobs run is returned.
+func pool(n, workers int, job func(i int) error) error {
+	errs := make([]error, n)
+	var (
 		wg     sync.WaitGroup
-		mu     sync.Mutex
-		done   int
 		failed atomic.Bool
 	)
 	jobs := make(chan int)
@@ -61,56 +143,15 @@ func (s *Spec) Run() (*Matrix, error) {
 			defer wg.Done()
 			for i := range jobs {
 				if failed.Load() {
-					continue // drain: a cell already failed
+					continue // drain: a job already failed
 				}
-				started.Inc()
-				busy.Add(1)
-				begin := time.Now()
-				var events uint64
-				var trees *disstrace.TreeReport
-				var fps []obs.Footprint
-				reports[i], events, trees, fps, errs[i] = runCell(&cells[i], s.Obs, s.EventLog != nil)
-				dur := time.Since(begin)
-				busy.Add(-1)
-				cellSeconds.Observe(dur.Seconds())
-				if errs[i] != nil {
+				if errs[i] = job(i); errs[i] != nil {
 					failed.Store(true)
-					cellFailed.Inc()
-				} else {
-					finished.Inc()
 				}
-				c := &cells[i]
-				mu.Lock()
-				done++
-				cd := CellDone{
-					Done: done, Total: len(cells),
-					Scenario: c.scenario, Strategy: c.strategy,
-					Nodes: c.nodes, Seed: c.seed,
-					Duration: dur, Events: events,
-					Failed:     errs[i] != nil,
-					Trees:      trees,
-					Footprints: fps,
-				}
-				cellEvent := map[string]interface{}{
-					"done": cd.Done, "total": cd.Total,
-					"scenario": cd.Scenario, "strategy": cd.Strategy,
-					"nodes": cd.Nodes, "seed": cd.Seed,
-					"duration_ms": float64(cd.Duration) / float64(time.Millisecond),
-					"sim_events":  cd.Events,
-					"failed":      cd.Failed,
-				}
-				if cd.Footprints != nil {
-					cellEvent["footprint_bytes"] = obs.FootprintBytesMap(cd.Footprints)
-				}
-				s.EventLog.Event("cell_complete", cellEvent)
-				if s.OnCell != nil {
-					s.OnCell(cd)
-				}
-				mu.Unlock()
 			}
 		}()
 	}
-	for i := range cells {
+	for i := 0; i < n; i++ {
 		if failed.Load() {
 			break
 		}
@@ -118,40 +159,26 @@ func (s *Spec) Run() (*Matrix, error) {
 	}
 	close(jobs)
 	wg.Wait()
-
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			c := &cells[i]
-			return nil, fmt.Errorf("sweep: cell %s/%s seed %d: %v",
-				c.scenario, c.strategy, c.seed, err)
+			return err
 		}
 	}
-	return s.aggregate(cells, reports), nil
+	return nil
 }
 
-// runCell plays one cell's scenario to completion, attaching the sweep's
-// registry (when present) so the cell's simulation counters aggregate with
-// every other cell's. It also returns the emulator event count — the
-// numerator of the cell's events/sec figure — and, when the sweep's obs
-// plane is attached (registry, or wantFootprints for an event log), the
-// cell's end-of-run per-subsystem footprint accounting.
-func runCell(c *cell, reg *obs.Registry, wantFootprints bool) (*scenario.Report, uint64, *disstrace.TreeReport, []obs.Footprint, error) {
-	spec := c.spec
-	spec.Obs = reg
+// runCell plays one spec to completion and returns its report with the
+// engine, whose simulation stays readable until the caller drops it.
+func runCell(spec scenario.Spec) (*scenario.Report, *scenario.Engine, error) {
 	eng, err := scenario.New(spec)
 	if err != nil {
-		return nil, 0, nil, nil, err
+		return nil, nil, err
 	}
 	rep, err := eng.Run()
 	if err != nil {
-		return nil, 0, nil, nil, err
+		return nil, nil, err
 	}
-	var fps []obs.Footprint
-	if reg != nil || wantFootprints {
-		fps = eng.Runner().Footprints()
-		obs.PublishFootprints(reg, "sim", fps)
-	}
-	return rep, eng.Runner().Events(), eng.TreeReport(), fps, nil
+	return rep, eng, nil
 }
 
 // cellMetrics flattens a report's metrics into the named values the

@@ -196,7 +196,7 @@ func TestNoWinnerOnTies(t *testing.T) {
 // degenerates to 0 (undefined) below two samples instead of the
 // infinity the raw estimator returns — JSON cannot carry Inf.
 func TestAggregateCI95(t *testing.T) {
-	a := aggregateSamples([]float64{10, 12, 14, 16})
+	a := Aggregate([]float64{10, 12, 14, 16})
 	if a.CI95 <= 0 {
 		t.Fatalf("CI95 = %v, want > 0", a.CI95)
 	}
@@ -206,11 +206,11 @@ func TestAggregateCI95(t *testing.T) {
 	}
 	// Two replicates: t(df=1) = 12.706, not 1.96 — the z-interval would
 	// claim significance 6.5× too eagerly.
-	pair := aggregateSamples([]float64{10, 12})
+	pair := Aggregate([]float64{10, 12})
 	if want := 12.706 * pair.StdDev / math.Sqrt2; math.Abs(pair.CI95-want) > 1e-9 {
 		t.Fatalf("2-replicate CI95 = %v, want %v", pair.CI95, want)
 	}
-	if single := aggregateSamples([]float64{10}); single.CI95 != 0 {
+	if single := Aggregate([]float64{10}); single.CI95 != 0 {
 		t.Fatalf("single-sample CI95 = %v, want 0", single.CI95)
 	}
 }
@@ -222,8 +222,8 @@ func TestWinnerSignificance(t *testing.T) {
 	build := func(aSamples, bSamples []float64) *Matrix {
 		m := &Matrix{Strategies: []string{"a", "b"}}
 		m.Rows = []Row{
-			{Scenario: "s", Strategy: "a", Metrics: map[string]Agg{"delivery_rate": aggregateSamples(aSamples)}},
-			{Scenario: "s", Strategy: "b", Metrics: map[string]Agg{"delivery_rate": aggregateSamples(bSamples)}},
+			{Scenario: "s", Strategy: "a", Metrics: map[string]Agg{"delivery_rate": Aggregate(aSamples)}},
+			{Scenario: "s", Strategy: "b", Metrics: map[string]Agg{"delivery_rate": Aggregate(bSamples)}},
 		}
 		m.findWinners()
 		return m
@@ -422,5 +422,35 @@ func TestMatrixByteIdenticalWithObs(t *testing.T) {
 	}
 	if v, ok := values["sweep_cell_seconds_count"]; !ok || v != 4 {
 		t.Fatalf("sweep_cell_seconds count = %v (ok=%v), want 4 observations", v, ok)
+	}
+}
+
+// TestPlay: the pool hands each run's engine back, alive, to the slot of
+// its spec, and a spec the engine refuses fails the pool with the lowest
+// failing index.
+func TestPlay(t *testing.T) {
+	spec := tinySpec(t).Scenarios[0].resolved
+	specs := make([]scenario.Spec, 3)
+	for i := range specs {
+		specs[i] = *spec
+		specs[i].Seed = int64(i + 1)
+	}
+	nodes := make([]int, len(specs))
+	seeds := make([]int64, len(specs))
+	err := Play(specs, 2, func(i int, rep *scenario.Report, eng *scenario.Engine) {
+		nodes[i], seeds[i] = len(eng.Runner().Nodes()), rep.Seed
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range specs {
+		if nodes[i] != 20 || seeds[i] != int64(i+1) {
+			t.Fatalf("run %d: %d nodes, seed %d", i, nodes[i], seeds[i])
+		}
+	}
+	specs[1].Phases, specs[2].Phases = nil, nil
+	err = Play(specs, 1, func(int, *scenario.Report, *scenario.Engine) {})
+	if err == nil || !strings.Contains(err.Error(), "run 1") {
+		t.Fatalf("refused spec: %v", err)
 	}
 }

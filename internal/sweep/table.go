@@ -1,15 +1,14 @@
-package experiment
+package sweep
 
 import (
 	"fmt"
 	"strings"
 )
 
-// Table is the rendering vehicle for results that are rows×columns rather
-// than series of points: a titled grid of cells that renders as aligned
-// text, GitHub-flavoured markdown, or CSV rows. Figure covers the paper's
-// curves; Table covers the paper's comparison tables (and the sweep
-// engine's strategy×scenario matrices built on them).
+// Table is a titled grid of cells that renders as aligned text,
+// GitHub-flavoured markdown, or CSV rows: the sweep's strategy×scenario
+// matrices, the live harness's sim-vs-live diff and the paper claims of
+// `emucast reproduce` all print through it.
 type Table struct {
 	// Title is printed above the grid.
 	Title string
@@ -44,8 +43,8 @@ func (t *Table) widths() []int {
 	return w
 }
 
-// cell returns row cell i, or "" past the end.
-func cell(row []string, i int) string {
+// at returns row cell i, or "" past the end.
+func at(row []string, i int) string {
 	if i < len(row) {
 		return row[i]
 	}
@@ -66,9 +65,9 @@ func (t *Table) String() string {
 				b.WriteString("  ")
 			}
 			if i == 0 {
-				fmt.Fprintf(&b, "%-*s", w[i], cell(row, i))
+				fmt.Fprintf(&b, "%-*s", w[i], at(row, i))
 			} else {
-				fmt.Fprintf(&b, "%*s", w[i], cell(row, i))
+				fmt.Fprintf(&b, "%*s", w[i], at(row, i))
 			}
 		}
 		b.WriteString("\n")
@@ -91,7 +90,7 @@ func (t *Table) Markdown() string {
 	writeRow := func(row []string) {
 		b.WriteString("|")
 		for i := 0; i < n; i++ {
-			b.WriteString(" " + strings.ReplaceAll(cell(row, i), "|", "\\|") + " |")
+			b.WriteString(" " + strings.ReplaceAll(at(row, i), "|", "\\|") + " |")
 		}
 		b.WriteString("\n")
 	}
@@ -111,7 +110,7 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// CSV renders header and rows as CSV, sharing Figure's escaping rules.
+// CSV renders header and rows as CSV.
 func (t *Table) CSV() string {
 	var b strings.Builder
 	writeRow := func(row []string) {
@@ -128,4 +127,13 @@ func (t *Table) CSV() string {
 		writeRow(r)
 	}
 	return b.String()
+}
+
+// CSVEscape quotes a CSV field when it contains separators, quotes or
+// newlines.
+func CSVEscape(s string) string {
+	if strings.ContainsAny(s, ",\"\n") {
+		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+	}
+	return s
 }
