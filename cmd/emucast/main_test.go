@@ -57,6 +57,38 @@ func TestRunMapIsCSV(t *testing.T) {
 	}
 }
 
+// TestStructureMapCSV: the map export has the exact header, a row per
+// loaded connection, and every row names one of Fig. 4's strategies.
+func TestStructureMapCSV(t *testing.T) {
+	var out, errOut bytes.Buffer
+	err := run([]string{"map", "-nodes", "20", "-messages", "10", "-scale", "8", "-seed", "3"}, &out, &errOut)
+	if err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, errOut.String())
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if lines[0] != "strategy,nodeA,nodeB,ax,ay,bx,by,payloads,bytes" {
+		t.Fatalf("header = %q", lines[0])
+	}
+	if len(lines) < 10 {
+		t.Fatalf("only %d link rows", len(lines)-1)
+	}
+	seen := map[string]bool{}
+	for _, l := range lines[1:] {
+		if f := strings.Split(l, ","); len(f) != 9 {
+			t.Fatalf("row %q has %d fields", l, len(f))
+		}
+		seen[strings.SplitN(l, ",", 2)[0]] = true
+	}
+	for _, s := range []string{"eager", "radius", "ranked"} {
+		if !seen[s] {
+			t.Fatalf("missing strategy %q in map export", s)
+		}
+	}
+	if len(seen) != 3 {
+		t.Fatalf("strategies %v, want only eager, radius and ranked", seen)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	var out, errOut bytes.Buffer
 	for _, args := range [][]string{
